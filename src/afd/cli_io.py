@@ -203,7 +203,6 @@ def _record(args, algorithm, n_input, result, extra_meta=None):
             "grid": args.grid,
             "init": args.init,
             "seed": args.seed,
-            "threads": args.threads,
             "complex": bool(args.complex),
         },
         "source_energy": float(result.source_energy),
@@ -282,11 +281,7 @@ def _search_from_args(args):
         raise InputError(f"--grid wants ANGLESxRADII, got '{args.grid}'") from exc
     if angles < 1 or radii < 1:
         raise InputError("--grid counts must be positive")
-    if args.threads < 1:
-        raise InputError("--threads must be >= 1")
-    return replace(
-        DEFAULT_SEARCH, n_angles=angles, n_radii=radii, threads=args.threads
-    )
+    return replace(DEFAULT_SEARCH, n_angles=angles, n_radii=radii)
 
 
 def _parse_init(text, n):
@@ -483,7 +478,6 @@ def _build_parser():
                    help="selection grid ANGLESxRADII (default 64x32)")
     d.add_argument("--seed", type=int, default=0,
                    help="recorded in the result for audit reruns")
-    d.add_argument("--threads", type=int, default=1)
     d.add_argument("--output", help="result path (default: input with .afd.json)")
     d.add_argument("--complex", action="store_true",
                    help="accept complex input as Hardy boundary data")

@@ -88,9 +88,6 @@ class SearchConfig:
         Simplex convergence tolerance in the parameter plane.
     refine_maxiter : int
         Iteration cap for the polish.
-    threads : int
-        Worker threads for the grid scan.  1 means the scan runs as a
-        single vectorized sweep, which is usually fastest.
     """
 
     n_angles: int = 64
@@ -99,7 +96,6 @@ class SearchConfig:
     refine: bool = True
     refine_xatol: float = 1e-4
     refine_maxiter: int = 200
-    threads: int = 1
 
 
 DEFAULT_TOL = Tolerances()

@@ -23,7 +23,6 @@ rounding, for any a in the disc.
 """
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,24 +110,42 @@ def coefficient(f: HardyFunction, a):
     return complex(np.sqrt(1.0 - abs(a) ** 2) * f(a))
 
 
-def _search_grid(search):
-    # Chebyshev nodes cluster radii at both 0 and r_max; the center
-    # point is appended explicitly so constants select a = 0 exactly.
-    r = search.r_max * 0.5 * (
+def _search_radii(search):
+    # Chebyshev nodes cluster radii at both 0 and r_max
+    return search.r_max * 0.5 * (
         1.0 + np.cos(np.pi * (2 * np.arange(search.n_radii) + 1) / (2 * search.n_radii))
     )
+
+
+def _search_grid(search):
+    # the center point is appended explicitly so constants select a = 0 exactly
     phi = circle_grid(search.n_angles)
-    grid = np.outer(r, np.exp(1j * phi)).ravel()
+    grid = np.outer(_search_radii(search), np.exp(1j * phi)).ravel()
     return np.concatenate([grid, [0.0 + 0.0j]])
 
 
-def _evaluate_chunked(fun, points, threads):
-    if threads <= 1 or points.size < 256:
-        return fun(points)
-    chunks = np.array_split(points, threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(fun, chunks))
-    return np.concatenate(parts)
+def _grid_values(coeffs, search):
+    """Values of one series (M+1,) or a stack (R, M+1) on _search_grid.
+
+    On the circle of radius r the n_angles samples are n_angles * ifft
+    of the damped coefficients c_k r^k folded modulo n_angles (exact
+    aliasing), so a scan costs one FFT per radius instead of one point
+    evaluation per grid point.  Values come in _search_grid order, the
+    center c_0 last.
+    """
+    radii = _search_radii(search)
+    if radii.max() > 1.0 - DEFAULT_TOL.param_boundary:
+        raise InputError("search grid reaches outside the disc")
+    c = np.asarray(coeffs, dtype=complex)
+    m1 = c.shape[-1]
+    a = search.n_angles
+    lead = c.shape[:-1] + (search.n_radii,)
+    damped = np.zeros(lead + (-(-m1 // a) * a,), dtype=complex)
+    powers = radii[:, None] ** np.arange(m1)
+    np.multiply(c[..., None, :], powers, out=damped[..., :m1])
+    folded = damped.reshape(lead + (-1, a)).sum(axis=-2)
+    rings = np.fft.ifft(folded, axis=-1) * a
+    return np.concatenate([rings.reshape(c.shape[:-1] + (-1,)), c[..., :1]], axis=-1)
 
 
 def maximal_selection(f: HardyFunction, search=DEFAULT_SEARCH, include=()):
@@ -152,11 +169,11 @@ def maximal_selection(f: HardyFunction, search=DEFAULT_SEARCH, include=()):
     if f.norm() < 1e-12:
         raise ZeroResidual("norm below selection floor")
     candidates = _search_grid(search)
+    vals = (1.0 - np.abs(candidates) ** 2) * np.abs(_grid_values(f.coefficients, search)) ** 2
     if len(include):
-        candidates = np.concatenate(
-            [candidates, np.asarray(list(include), dtype=complex)]
-        )
-    vals = _evaluate_chunked(lambda a: objective(f, a), candidates, search.threads)
+        extra = np.asarray(list(include), dtype=complex)
+        candidates = np.concatenate([candidates, extra])
+        vals = np.concatenate([vals, objective(f, extra)])
     vmax = float(vals.max())
     ties = np.flatnonzero(vals >= vmax - 1e-12)
     moduli = np.abs(candidates[ties])

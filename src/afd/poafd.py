@@ -32,9 +32,9 @@ from scipy.optimize import minimize
 
 from .config import DEFAULT_SEARCH, DEFAULT_TOL
 from .errors import DegenerateGram, InputError, ZeroResidual
-from .core_afd import Component, Decomposition, _search_grid
+from .core_afd import Component, Decomposition, _grid_values, _search_grid
 from .hardy_atoms import multiplicities, tm_system_boundary, validate_param
-from .signal_core import HardyFunction
+from .signal_core import HardyFunction, series_values
 
 __all__ = [
     "KernelSpace",
@@ -212,28 +212,18 @@ def gram_schmidt(space: KernelSpace, params) -> OrthoSystem:
     return OrthoSystem(params=params, vectors=vectors)
 
 
-def _system_values(system, pts):
-    """B_j(a) for every system row at every probe point, shape (n, P)."""
-    if not len(system):
-        return np.zeros((0, len(pts)), dtype=complex)
-    acc = np.zeros((len(system), len(pts)), dtype=complex)
-    for col in system.vectors.T[::-1]:  # Horner across all rows at once
-        acc = acc * pts + col[:, None]
-    return acc
+def _selection_objective(space, pts, values):
+    """|<r, B_n^a>|^2 at each probe; 0 where the extension degenerates.
 
-
-def _selection_objective(space, resid, system, pts):
-    """|<r, B_n^a>|^2 at each probe; 0 where the extension degenerates."""
+    values[0] holds r(a) and values[1:] the system rows B_j(a) at the
+    probes pts, i.e. the values of np.vstack([r, system.vectors]).
+    """
     pts = np.asarray(pts, dtype=complex)
-    acc = np.zeros(len(pts), dtype=complex)
-    for c in resid[::-1]:
-        acc = acc * pts + c
-    denom2 = space.norm2_rule(np.abs(pts)) - np.sum(
-        np.abs(_system_values(system, pts)) ** 2, axis=0
-    )
+    norm2 = space.norm2_rule(np.abs(pts))
+    denom2 = norm2 - np.sum(np.abs(values[1:]) ** 2, axis=0)
     out = np.zeros(len(pts))
-    ok = denom2 > 1e-13 * space.norm2_rule(np.abs(pts))
-    out[ok] = np.abs(acc[ok]) ** 2 / denom2[ok]
+    ok = denom2 > 1e-13 * norm2
+    out[ok] = np.abs(values[0, ok]) ** 2 / denom2[ok]
     return out
 
 
@@ -256,14 +246,19 @@ def poafd_select(space: KernelSpace, f, system: OrthoSystem, search=DEFAULT_SEAR
     if space.norm(resid) < 1e-12:
         raise ZeroResidual("norm below selection floor")
     capped = replace(search, r_max=min(search.r_max, SELECTION_CAP))
+    rows = np.vstack([resid, system.vectors])
+
+    def probe(pts):
+        return _selection_objective(space, pts, series_values(rows, pts))
+
     candidates = _search_grid(capped)
-    vals = _selection_objective(space, resid, system, candidates)
+    vals = _selection_objective(space, candidates, _grid_values(rows, capped))
     order = np.lexsort(
         (np.mod(np.angle(candidates), 2 * np.pi), np.abs(candidates))
     )
     ranked = candidates[order][vals[order] >= vals.max() - 1e-12]
     best = complex(ranked[0])
-    best_val = float(_selection_objective(space, resid, system, [best])[0])
+    best_val = float(probe([best])[0])
 
     if capped.refine:
 
@@ -271,7 +266,7 @@ def poafd_select(space: KernelSpace, f, system: OrthoSystem, search=DEFAULT_SEAR
             a = complex(x[0], x[1])
             if abs(a) > capped.r_max:
                 return abs(a)
-            return -float(_selection_objective(space, resid, system, [a])[0])
+            return -float(probe([a])[0])
 
         res = minimize(
             neg,

@@ -29,6 +29,7 @@ __all__ = [
     "Spectrum",
     "HardyFunction",
     "circle_grid",
+    "series_values",
     "analyze",
     "synthesize",
     "hilbert_transform",
@@ -44,6 +45,34 @@ __all__ = [
 def circle_grid(n):
     """Uniform angles t_j = 2*pi*j/n, j = 0..n-1."""
     return 2.0 * np.pi * np.arange(n) / n
+
+
+# power-table entries per block of series_values: 2**14 complex128 = 256 KB
+_SERIES_BLOCK = 1 << 14
+
+
+def series_values(coeffs, z):
+    """Values of sum_k c_k z^k at every point of z, in power form.
+
+    coeffs holds one series (M+1,) or a stack of series (R, M+1); the
+    result has shape z.shape or (R,) + z.shape.  The power table z^k is
+    a running product multiplied by the coefficient matrix, built for a
+    block of points at a time so its memory stays bounded.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    pts = z.ravel()
+    m1 = c.shape[-1]
+    out = np.empty(c.shape[:-1] + pts.shape, dtype=complex)
+    step = max(1, _SERIES_BLOCK // m1)
+    for lo in range(0, pts.size, step):
+        block = pts[lo : lo + step]
+        powers = np.empty((m1, block.size), dtype=complex)
+        powers[0] = 1.0
+        powers[1:] = block
+        np.multiply.accumulate(powers[1:], axis=0, out=powers[1:])
+        out[..., lo : lo + step] = c @ powers
+    return out.reshape(c.shape[:-1] + z.shape)
 
 
 def _check_pow2(n):
@@ -138,7 +167,8 @@ class HardyFunction:
 
     Represents a Hardy-space function by its Taylor coefficients; all
     negative-frequency content is zero by construction.  Interior
-    values come from Horner evaluation, stable for |z| <= r_max.
+    values come from power-form evaluation (series_values), for
+    |z| <= r_max.
     Boundary values come from FFT synthesis on a power-of-two grid.
 
     Parameters
@@ -162,15 +192,12 @@ class HardyFunction:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        if np.any(np.abs(z) > self.r_max * (1 + 1e-12)):
+        if (np.abs(z) > self.r_max * (1 + 1e-12)).any():
             raise InputError(
                 f"interior evaluation limited to |z| <= {self.r_max}; "
                 "use boundary() for circle samples"
             )
-        # Horner on the reversed coefficient array.
-        out = np.zeros_like(z)
-        for c in self.coefficients[::-1]:
-            out = out * z + c
+        out = series_values(self.coefficients, z)
         return out if out.ndim else complex(out)
 
     def derivative(self):

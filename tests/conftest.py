@@ -4,7 +4,9 @@ Everything random is seeded through numpy Generators so reruns are
 bit-identical.  Signals come in three shapes: real band-limited
 boundary samples, Hardy functions with decaying random coefficients,
 and planted sums of Szego kernels or TM-system terms whose exact
-decomposition is known in advance.
+decomposition is known in advance.  `horner` and `grid_argmax` are
+the pointwise evaluation and selection the batched scan replaced,
+kept as its reference.
 """
 
 import numpy as np
@@ -24,6 +26,32 @@ def residual_at(d, n):
     """Residual energy of d after n terms (trace saturates at its end)."""
     trace = d.residual_energy
     return float(trace[min(n, len(trace) - 1)])
+
+
+def horner(coeffs, z):
+    """Reference values of sum_k c_k z^k by the Horner loop, shape z.shape."""
+    out = np.zeros(np.shape(z), dtype=complex)
+    for c in np.asarray(coeffs)[::-1]:
+        out = out * z + c
+    return out
+
+
+def series_bound(coeffs, z):
+    """Error bound 16 (M+1) eps sum_k |c_k| |z|^k, fixed by the float64 dtype.
+
+    Power form, the FFT scan and Horner each stay within a few (M+1)
+    roundings of the absolute series sum_k |c_k| |z|^k.
+    """
+    m1 = np.shape(coeffs)[-1]
+    scale = horner(np.abs(coeffs), np.abs(z)).real
+    return 16 * m1 * np.finfo(float).eps * scale
+
+
+def grid_argmax(points, vals):
+    """Point of largest value, ties (1e-12) to small |a|, then small argument."""
+    ties = np.flatnonzero(vals >= vals.max() - 1e-12)
+    args = np.mod(np.angle(points[ties]), 2 * np.pi)
+    return points[ties[np.lexsort((args, np.abs(points[ties])))[0]]]
 
 
 def band_limited_real(rng, n=1024, kmax=None):

@@ -122,6 +122,20 @@ def test_decompose_core_roundtrip(tmp_path, cosine_csv, capsys):
     assert open(out, "rb").read() == open(second, "rb").read()
 
 
+def test_load_result_accepts_records_with_threads(tmp_path, cosine_csv):
+    # records written before the grid-scan thread count was dropped
+    out = tmp_path / "r.json"
+    assert main(["decompose", cosine_csv, "--terms", "2", "--output", str(out)]) == EXIT_OK
+    rec = json.loads(out.read_text())
+    assert "threads" not in rec["config"]
+    rec["config"]["threads"] = 1
+    out.write_text(json.dumps(rec))
+    old, d = load_result(str(out))
+    assert old["config"]["threads"] == 1
+    d.validate()
+    assert main(["tfd", str(out), "--output", str(tmp_path / "r.tfd.csv")]) == EXIT_OK
+
+
 def test_decompose_rerun_is_byte_identical(tmp_path, cosine_csv):
     out1 = str(tmp_path / "a.json")
     out2 = str(tmp_path / "b.json")

@@ -1,5 +1,7 @@
 """Greedy one-at-a-time decomposition: selection, sifting, energy bookkeeping."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,19 @@ from afd import (
     reconstruct,
     sift,
 )
-from afd.errors import ZeroResidual
+from afd.config import DEFAULT_SEARCH, SearchConfig
+from afd.core_afd import _grid_values, _search_grid
+from afd.errors import InputError, ZeroResidual
 
-from conftest import kernel_sum, random_hardy, random_params, residual_at
+from conftest import (
+    grid_argmax,
+    horner,
+    kernel_sum,
+    random_hardy,
+    random_params,
+    residual_at,
+    series_bound,
+)
 
 
 def test_objective_and_coefficient_formulas():
@@ -56,6 +68,39 @@ def test_selection_include_keeps_better_candidate():
 def test_selection_rejects_zero():
     with pytest.raises(ZeroResidual):
         maximal_selection(HardyFunction(np.zeros(4, dtype=complex)))
+
+
+@pytest.mark.parametrize("angles,radii", [(64, 32), (7, 3), (1, 1), (200, 5)])
+def test_grid_values_match_pointwise_values(angles, radii):
+    # orders where n_angles divides M+1, does not, and exceeds it
+    rng = np.random.default_rng(angles + radii)
+    search = SearchConfig(n_angles=angles, n_radii=radii)
+    grid = _search_grid(search)
+    for m in (0, 5, 127):
+        c = random_hardy(rng, m=m).coefficients
+        vals = _grid_values(c, search)
+        assert vals.shape == grid.shape
+        assert np.all(np.abs(vals - horner(c, grid)) <= series_bound(c, grid))
+    stack = np.stack([c, 1j * c[::-1]])
+    got = _grid_values(stack, search)
+    assert got.shape == (2, grid.size)
+    for row, vals in zip(stack, got):
+        assert np.all(np.abs(vals - horner(row, grid)) <= series_bound(row, grid))
+    with pytest.raises(InputError):
+        _grid_values(c, replace(search, r_max=3.0))
+
+
+def test_unpolished_selection_is_pointwise_grid_argmax():
+    # the scan's values must line up with _search_grid, ties included:
+    # real coefficients tie conjugate points, z^3 ties a whole ring
+    rng = np.random.default_rng(34)
+    search = replace(DEFAULT_SEARCH, refine=False)
+    grid = _search_grid(search)
+    cases = [random_hardy(rng, m=m) for m in (7, 127, 511)]
+    cases += [HardyFunction(random_hardy(rng, m=63).coefficients.real)]
+    cases += [HardyFunction([0, 0, 0, 1]), HardyFunction([2.0])]
+    for f in cases:
+        assert maximal_selection(f, search) == grid_argmax(grid, objective(f, grid))
 
 
 def test_sift_energy_identity_is_exact():

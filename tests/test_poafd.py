@@ -1,5 +1,7 @@
 """Pre-orthogonalized greedy selection in reproducing-kernel spaces."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,12 +20,31 @@ from afd import (
 )
 from afd.errors import DegenerateGram, InputError, ZeroResidual
 from afd import hardy_space
+from afd.config import DEFAULT_SEARCH
+from afd.core_afd import _grid_values, _search_grid
+from afd.poafd import SELECTION_CAP, _extend, _selection_objective
+from afd.signal_core import series_values
 
-from conftest import kernel_sum, random_hardy, random_params
+from conftest import (
+    grid_argmax,
+    horner,
+    kernel_sum,
+    random_hardy,
+    random_params,
+    series_bound,
+)
 
 
 def _spaces():
     return hardy_space(m=63), bergman_space(m=63)
+
+
+def _residual_rows(space, rng, n_params):
+    """Random f, a system of n_params poles, and np.vstack([resid, system.vectors])."""
+    f = random_hardy(rng, m=space.order).coefficients
+    system = gram_schmidt(space, random_params(rng, n_params))
+    resid = f - sum(space.inner(f, v) * v for v in system.vectors)
+    return f, system, np.vstack([resid, system.vectors])
 
 
 def test_reproducing_property():
@@ -129,6 +150,54 @@ def test_select_dominates_random_probes():
                 space, f, max_terms=1, energy_tol=0.0, forced_params=probe
             )
             assert best <= d.residual_energy[-1] + 1e-10 * f.energy()
+
+
+def test_selection_objective_scan_and_probes_match_horner():
+    rng = np.random.default_rng(75)
+    eps = np.finfo(float).eps
+    search = replace(DEFAULT_SEARCH, r_max=SELECTION_CAP)
+    grid = _search_grid(search)
+    for space in _spaces():
+        _f, _system, rows = _residual_rows(space, rng, 3)
+        ref_vals = np.array([horner(row, grid) for row in rows])
+        ref = _selection_objective(space, grid, ref_vals)
+        # the value bounds carried through |r|^2 / (||k_a||^2 - sum_j |B_j|^2)
+        err = np.array([series_bound(row, grid) for row in rows])
+        mag = np.abs(ref_vals)
+        norm2 = space.norm2_rule(np.abs(grid))
+        denom2 = norm2 - np.sum(mag[1:] ** 2, axis=0)
+        d_num = 2 * mag[0] * err[0] + err[0] ** 2
+        d_den = np.sum(2 * mag[1:] * err[1:] + err[1:] ** 2, axis=0) + 4 * eps * norm2
+        assert np.all(denom2 - d_den > 1e-13 * norm2)
+        bound = (d_num + ref * d_den) / (denom2 - d_den) + 4 * eps * ref
+        for vals in (_grid_values(rows, search), series_values(rows, grid)):
+            assert np.all(np.abs(_selection_objective(space, grid, vals) - ref) <= bound)
+
+
+def test_selection_objective_is_normalized_extension_coefficient():
+    # |r(a)|^2 / (||k_a||^2 - sum_j |B_j(a)|^2) = |<r, B_n^a>|^2 with B_n^a
+    # the unit Gram-Schmidt extension of the system by k_a
+    rng = np.random.default_rng(77)
+    for space in _spaces():
+        _f, system, rows = _residual_rows(space, rng, 3)
+        pts = np.array(random_params(rng, 6, r=0.8))
+        got = _selection_objective(space, pts, series_values(rows, pts))
+        want = [
+            abs(space.inner(rows[0], _extend(space, system.vectors, kernel(space, a).sequence)[0])) ** 2
+            for a in pts
+        ]
+        np.testing.assert_allclose(got, want, rtol=1e-9)
+
+
+def test_unpolished_select_is_pointwise_grid_argmax():
+    # the scan runs on the capped grid and lines up with its points
+    rng = np.random.default_rng(76)
+    search = replace(DEFAULT_SEARCH, refine=False)
+    grid = _search_grid(replace(search, r_max=SELECTION_CAP))
+    for space in _spaces():
+        f, system, rows = _residual_rows(space, rng, 2)
+        vals = _selection_objective(space, grid, series_values(rows, grid))
+        assert poafd_select(space, f, system, search) == grid_argmax(grid, vals)
 
 
 def test_multiplicity_limit_ratios():

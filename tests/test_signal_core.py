@@ -18,8 +18,9 @@ from afd import (
     to_hardy,
 )
 from afd.errors import InputError, NearZeroModulus, NonRealInput
+from afd.signal_core import series_values
 
-from conftest import band_limited_real, random_hardy
+from conftest import band_limited_real, horner, random_hardy, series_bound
 
 
 def test_circle_grid_values():
@@ -146,6 +147,26 @@ def test_hardy_function_evaluation():
     assert f(0.0) == pytest.approx(1.0)
     with pytest.raises(InputError):
         f(1.2)  # outside the closure radius
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 127, 2047])
+def test_power_form_matches_horner_reference(m):
+    rng = np.random.default_rng(500 + m)
+    f = random_hardy(rng, m=m)
+    c = f.coefficients
+    z = f.r_max * np.sqrt(rng.uniform(size=(5, 7))) * np.exp(2j * np.pi * rng.uniform(size=(5, 7)))
+    z[0, 0] = f.r_max
+    for probe in (z, z[0], np.asarray(z[0, 0]), complex(z[1, 1])):
+        got = f(probe)
+        assert np.shape(got) == np.shape(probe)
+        assert isinstance(got, np.ndarray) == bool(np.ndim(probe))
+        assert np.all(np.abs(got - horner(c, probe)) <= series_bound(c, probe))
+    # a stack of series evaluates row by row at the same points
+    stack = np.stack([c, 1j * c[::-1], rng.standard_normal(m + 1)])
+    got = series_values(stack, z)
+    assert got.shape == (3,) + z.shape
+    for row, vals in zip(stack, got):
+        assert np.all(np.abs(vals - horner(row, z)) <= series_bound(row, z))
 
 
 def test_hardy_function_energy_truncate_derivative():
