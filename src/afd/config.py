@@ -71,7 +71,9 @@ class SearchConfig:
 
     The search first scans a polar grid (Chebyshev-spaced radii so the
     crowded region near the boundary is resolved), then polishes the
-    best cell with a Nelder-Mead simplex.  The returned point is never
+    best cell by projected Newton ascent on the closed-form gradient
+    and Hessian of the selection objective.  The polish accepts only
+    steps that raise the objective, so the returned point is never
     worse than the best grid point.
 
     Attributes
@@ -81,13 +83,16 @@ class SearchConfig:
     r_max : float
         Radius cap for candidate parameters.  Residual truncation error
         of a sift grows like abs(a)**(2M), so the cap keeps selections
-        where the fixed truncation order is trustworthy.
+        where the fixed truncation order is trustworthy.  Polish steps
+        that leave the cap are projected back onto it.
     refine : bool
-        Run the simplex polish after the grid scan.
+        Run the Newton polish after the grid scan.
     refine_xatol : float
-        Simplex convergence tolerance in the parameter plane.
+        Step-size stop of the polish: it ends once an accepted step is
+        shorter than this, or once the line search has shrunk a step
+        below it without a rise.
     refine_maxiter : int
-        Iteration cap for the polish.
+        Cap on the number of polish steps.
     """
 
     n_angles: int = 64

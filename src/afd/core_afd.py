@@ -22,16 +22,16 @@ truncated coefficient space and the one-step energy split holds to
 rounding, for any a in the disc.
 """
 
+import cmath
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .config import DEFAULT_SEARCH, DEFAULT_TOL
 from .errors import AFDError, InputError, ZeroResidual
 from .hardy_atoms import mobius, szego_kernel, validate_param
-from .signal_core import CircularSignal, HardyFunction, circle_grid, to_hardy
+from .signal_core import CircularSignal, HardyFunction, circle_grid, series_values, to_hardy
 
 __all__ = [
     "Component",
@@ -148,16 +148,168 @@ def _grid_values(coeffs, search):
     return np.concatenate([rings.reshape(c.shape[:-1] + (-1,)), c[..., :1]], axis=-1)
 
 
+def _hardy_norm2(s):
+    """||k_a||^2 = 1/(1 - s) of the Szego kernel, s = |a|^2, with d/ds and d2/ds2."""
+    u = 1.0 / (1.0 - s)
+    return u, u * u, 2.0 * u**3
+
+
+def _selection_scores(norm2_rule, pts, values):
+    """Q = |r(a)|^2 / (phi(|a|^2) - sum_j |B_j(a)|^2) at each probe.
+
+    values[0] holds the residual r and values[1:] the system rows B_j
+    at the probes pts; phi = norm2_rule(s)[0] is the squared kernel
+    norm.  With no system rows and phi = 1/(1 - s) this is the greedy
+    objective (1 - |a|^2)|f(a)|^2.  Q is 0 where the extension
+    degenerates.
+    """
+    pts = np.asarray(pts, dtype=complex)
+    norm2 = norm2_rule(np.abs(pts) ** 2)[0]
+    denom2 = norm2 - np.sum(np.abs(values[1:]) ** 2, axis=0)
+    out = np.zeros(len(pts))
+    ok = denom2 > 1e-13 * norm2
+    out[ok] = np.abs(values[0, ok]) ** 2 / denom2[ok]
+    return out
+
+
+def _derivative_stack(rows):
+    """Coefficients of [rows, rows', rows''] stacked as (3R, M+1)."""
+    k = np.arange(1, rows.shape[-1])
+    d1 = np.zeros_like(rows)
+    d1[:, :-1] = rows[:, 1:] * k
+    d2 = np.zeros_like(rows)
+    d2[:, :-1] = d1[:, 1:] * k
+    return np.vstack([rows, d1, d2])
+
+
+def _selection_model(stack, norm2_rule, a):
+    """Q and its Wirtinger derivatives at a, from one evaluation of stack.
+
+    stack comes from _derivative_stack.  Returns (Q, dQ/d conj(a),
+    d2Q/da d conj(a), d2Q/d conj(a)^2), or None where Q is scored 0.
+    With N = |r|^2 and D = phi - sum_j |B_j|^2, Q = N / D and
+
+        N_abar = r conj(r'),   N_a_abar = |r'|^2,   N_abar_abar = r conj(r''),
+        D_abar = phi' a - sum_j B_j conj(B_j'),
+        D_a_abar = phi' + phi'' s - sum_j |B_j'|^2,
+        D_abar_abar = phi'' a^2 - sum_j B_j conj(B_j''),
+
+    phi' and phi'' taken in s = |a|^2.
+    """
+    v = series_values(stack, [a])[:, 0]
+    n = len(v) // 3
+    r, r1, r2 = v[0], v[n], v[2 * n]
+    b, b1, b2 = v[1:n], v[n + 1 : 2 * n], v[2 * n + 1 :]
+    s = abs(a) ** 2
+    phi, phi1, phi2 = norm2_rule(s)
+    den = phi - float(np.vdot(b, b).real)
+    if not den > 1e-13 * phi:
+        return None
+    q = abs(r) ** 2 / den
+    den_g = phi1 * a - complex(np.vdot(b1, b))
+    den_h = phi1 + phi2 * s - float(np.vdot(b1, b1).real)
+    den_c = phi2 * a * a - complex(np.vdot(b2, b))
+    g = complex(r * np.conj(r1) - q * den_g) / den
+    h = float(abs(r1) ** 2 - q * den_h - 2.0 * (g * den_g.conjugate()).real) / den
+    c = complex(r * np.conj(r2) - q * den_c - 2.0 * g * den_g) / den
+    return float(q), g, h, c
+
+
+def _polish(stack, norm2_rule, a, search):
+    """Projected Newton ascent of Q from a, within |a| <= search.r_max.
+
+    An iteration takes the Newton step where the Hessian is negative
+    definite and elsewhere a gradient step scaled by the largest
+    curvature.  A step leaving the cap is projected back onto it; on
+    the cap circle with an outward gradient the step is the 1-D Newton
+    step in the angle.  A backtracking line search accepts only steps
+    that raise Q.  The ascent stops once an accepted step is shorter
+    than search.refine_xatol, once the line search shrinks a step below
+    it without a rise, or after search.refine_maxiter steps.
+    """
+    cap = search.r_max
+    # projections aim a few roundings inside the cap, so none lands outside
+    rim = cap * (1.0 - 4.0 * np.finfo(float).eps)
+    model = _selection_model(stack, norm2_rule, a)
+    if model is None or abs(a) > cap:
+        return a
+    for _ in range(search.refine_maxiter):
+        q, g, h, c = model
+        outward = (g * a.conjugate()).real
+        if abs(a) >= rim * (1.0 - 1e-12) and outward > 0.0:
+            q_t = 2.0 * (g * a.conjugate()).imag
+            q_tt = 2.0 * (h * abs(a) ** 2 - (c * a.conjugate() ** 2).real) - 2.0 * outward
+            if q_tt == 0.0:
+                break
+            # the Newton step where q_tt < 0, a curvature-scaled ascent step elsewhere
+            turn = q_t / abs(q_tt)
+
+            def move(t, a=a, turn=turn):
+                b = a * cmath.exp(1j * t * turn)
+                return b * (rim / abs(b))
+
+        else:
+            if h < -abs(c):
+                step = (c * g.conjugate() - h * g) / (h * h - abs(c) ** 2)
+            elif abs(h) + abs(c) > 0.0:
+                step = g / (abs(h) + abs(c))
+            else:
+                break
+
+            def move(t, a=a, step=step):
+                b = a + t * step
+                return b if abs(b) <= rim else b * (rim / abs(b))
+
+        t = 1.0
+        while True:
+            b = move(t)
+            trial = _selection_model(stack, norm2_rule, b)
+            if trial is not None and trial[0] > q:
+                break
+            if abs(b - a) < search.refine_xatol:
+                return a
+            t *= 0.5
+        stride = abs(b - a)
+        a, model = b, trial
+        if stride < search.refine_xatol:
+            break
+    return a
+
+
+def _select(rows, norm2_rule, search, include=()):
+    """Best point of Q over the search grid and include, then polished.
+
+    rows is the stack [residual, system rows] that Q is formed from.
+    Ties (within 1e-12) go to small |a| and then to small nonnegative
+    argument.  The polish only ever raises Q and stays within
+    search.r_max, so the pick never scores below the best grid point
+    or include candidate.
+    """
+    candidates = _search_grid(search)
+    vals = _selection_scores(norm2_rule, candidates, _grid_values(rows, search))
+    if len(include):
+        extra = np.asarray(include, dtype=complex)
+        candidates = np.concatenate([candidates, extra])
+        extra_vals = _selection_scores(norm2_rule, extra, series_values(rows, extra))
+        vals = np.concatenate([vals, extra_vals])
+    ties = candidates[vals >= vals.max() - 1e-12]
+    best = complex(ties[np.lexsort((np.mod(np.angle(ties), 2.0 * np.pi), np.abs(ties)))[0]])
+    if search.refine:
+        best = _polish(_derivative_stack(rows), norm2_rule, best, search)
+    return best
+
+
 def maximal_selection(f: HardyFunction, search=DEFAULT_SEARCH, include=()):
     """Polished grid maximum of the selection objective for one greedy step.
 
-    Scans the polar grid, breaks ties toward small |a| and then small
-    nonnegative argument, and polishes the winner with a Nelder-Mead
-    simplex confined to |a| <= r_max.  The guarantee is that the
-    returned point never scores below the best grid point (or
-    `include` candidate); it is not certified as the global maximum
-    over the disc, since the polish only climbs the winning cell's
-    peak and a higher peak between grid points can be missed.
+    Scans the polar grid for the largest (1 - |a|^2)|f(a)|^2, breaks
+    ties toward small |a| and then small nonnegative argument, and
+    polishes the winner by projected Newton ascent with closed-form
+    derivatives, confined to |a| <= r_max (see SearchConfig).  The
+    guarantee is that the returned point never scores below the best
+    grid point (or `include` candidate); it is not certified as the
+    global maximum over the disc, since the polish climbs the winning
+    cell's peak and a higher peak between grid points can be missed.
     `include` adds extra candidates, e.g. an incumbent parameter that
     must not be lost.
 
@@ -165,45 +317,13 @@ def maximal_selection(f: HardyFunction, search=DEFAULT_SEARCH, include=()):
     ------
     ZeroResidual
         If ||f|| < 1e-12; the caller's iteration should have stopped.
+    ParamOutOfDisc
+        If an `include` candidate is not strictly inside the disc.
     """
     if f.norm() < 1e-12:
         raise ZeroResidual("norm below selection floor")
-    candidates = _search_grid(search)
-    vals = (1.0 - np.abs(candidates) ** 2) * np.abs(_grid_values(f.coefficients, search)) ** 2
-    if len(include):
-        extra = np.asarray(list(include), dtype=complex)
-        candidates = np.concatenate([candidates, extra])
-        vals = np.concatenate([vals, objective(f, extra)])
-    vmax = float(vals.max())
-    ties = np.flatnonzero(vals >= vmax - 1e-12)
-    moduli = np.abs(candidates[ties])
-    args = np.mod(np.angle(candidates[ties]), 2.0 * np.pi)
-    best = candidates[ties[np.lexsort((args, moduli))[0]]]
-    best_val = float(objective(f, best))
-
-    if search.refine:
-        r_cap = search.r_max
-
-        def neg(x):
-            a = complex(x[0], x[1])
-            if abs(a) > r_cap:
-                return abs(a)  # outside the cap; any positive value loses
-            return -float((1.0 - abs(a) ** 2) * abs(f(a)) ** 2)
-
-        res = minimize(
-            neg,
-            [best.real, best.imag],
-            method="Nelder-Mead",
-            options={
-                "xatol": search.refine_xatol,
-                "fatol": 1e-14,
-                "maxiter": search.refine_maxiter,
-            },
-        )
-        refined = complex(res.x[0], res.x[1])
-        if abs(refined) <= r_cap and -res.fun > best_val:
-            best = refined
-    return complex(best)
+    include = [validate_param(a) for a in include]
+    return _select(f.coefficients[None], _hardy_norm2, search, include)
 
 
 def sift(f: HardyFunction, a):

@@ -28,13 +28,12 @@ search radius is capped at 0.95.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .config import DEFAULT_SEARCH, DEFAULT_TOL
 from .errors import DegenerateGram, InputError, ZeroResidual
-from .core_afd import Component, Decomposition, _grid_values, _search_grid
+from .core_afd import Component, Decomposition, _hardy_norm2, _select, _selection_scores
 from .hardy_atoms import multiplicities, tm_system_boundary, validate_param
-from .signal_core import HardyFunction, series_values
+from .signal_core import HardyFunction
 
 __all__ = [
     "KernelSpace",
@@ -68,7 +67,7 @@ class KernelSpace:
     name: str
     weights: np.ndarray
     base: np.ndarray
-    norm2_rule: object  # |a| array -> ||k_a||^2, closed form
+    norm2_rule: object  # s = |a|^2 -> (||k_a||^2, d/ds, d2/ds2), closed form
     reference: object = None
 
     @property
@@ -116,7 +115,7 @@ def hardy_space(m=511) -> KernelSpace:
         name="hardy",
         weights=np.ones(m + 1),
         base=base,
-        norm2_rule=lambda r: 1.0 / (1.0 - r**2),
+        norm2_rule=_hardy_norm2,
         reference=_hardy_reference,
     )
 
@@ -128,8 +127,14 @@ def bergman_space(m=511) -> KernelSpace:
         name="bergman",
         weights=1.0 / (k + 1.0),
         base=k + 1.0,
-        norm2_rule=lambda r: 1.0 / (1.0 - r**2) ** 2,
+        norm2_rule=_bergman_norm2,
     )
+
+
+def _bergman_norm2(s):
+    """||k_a||^2 = 1/(1 - s)^2 of the Bergman kernel, s = |a|^2, with d/ds and d2/ds2."""
+    u = 1.0 / (1.0 - s)
+    return u * u, 2.0 * u**3, 6.0 * u**4
 
 
 def _hardy_reference(params, m):
@@ -218,13 +223,7 @@ def _selection_objective(space, pts, values):
     values[0] holds r(a) and values[1:] the system rows B_j(a) at the
     probes pts, i.e. the values of np.vstack([r, system.vectors]).
     """
-    pts = np.asarray(pts, dtype=complex)
-    norm2 = space.norm2_rule(np.abs(pts))
-    denom2 = norm2 - np.sum(np.abs(values[1:]) ** 2, axis=0)
-    out = np.zeros(len(pts))
-    ok = denom2 > 1e-13 * norm2
-    out[ok] = np.abs(values[0, ok]) ** 2 / denom2[ok]
-    return out
+    return _selection_scores(space.norm2_rule, pts, values)
 
 
 def poafd_select(space: KernelSpace, f, system: OrthoSystem, search=DEFAULT_SEARCH):
@@ -232,7 +231,11 @@ def poafd_select(space: KernelSpace, f, system: OrthoSystem, search=DEFAULT_SEAR
 
     f is the coefficient sequence of the current signal; the residual
     against the system is formed internally, so passing either f or
-    its residual selects the same point.
+    its residual selects the same point.  The selection engine is the
+    one greedy AFD uses (grid scan, tie-break, projected Newton
+    polish), run on the stack [residual, system rows] with the radius
+    capped at min(search.r_max, 0.95); the pick never scores below the
+    best point of that grid.
 
     Raises
     ------
@@ -246,42 +249,7 @@ def poafd_select(space: KernelSpace, f, system: OrthoSystem, search=DEFAULT_SEAR
     if space.norm(resid) < 1e-12:
         raise ZeroResidual("norm below selection floor")
     capped = replace(search, r_max=min(search.r_max, SELECTION_CAP))
-    rows = np.vstack([resid, system.vectors])
-
-    def probe(pts):
-        return _selection_objective(space, pts, series_values(rows, pts))
-
-    candidates = _search_grid(capped)
-    vals = _selection_objective(space, candidates, _grid_values(rows, capped))
-    order = np.lexsort(
-        (np.mod(np.angle(candidates), 2 * np.pi), np.abs(candidates))
-    )
-    ranked = candidates[order][vals[order] >= vals.max() - 1e-12]
-    best = complex(ranked[0])
-    best_val = float(probe([best])[0])
-
-    if capped.refine:
-
-        def neg(x):
-            a = complex(x[0], x[1])
-            if abs(a) > capped.r_max:
-                return abs(a)
-            return -float(probe([a])[0])
-
-        res = minimize(
-            neg,
-            [best.real, best.imag],
-            method="Nelder-Mead",
-            options={
-                "xatol": capped.refine_xatol,
-                "fatol": 1e-14,
-                "maxiter": capped.refine_maxiter,
-            },
-        )
-        refined = complex(res.x[0], res.x[1])
-        if abs(refined) <= capped.r_max and -res.fun > best_val:
-            best = refined
-    return best
+    return _select(np.vstack([resid, system.vectors]), space.norm2_rule, capped)
 
 
 def multiplicity_limit_check(space: KernelSpace, params, a_n, h_seq=None):

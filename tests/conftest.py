@@ -6,7 +6,8 @@ boundary samples, Hardy functions with decaying random coefficients,
 and planted sums of Szego kernels or TM-system terms whose exact
 decomposition is known in advance.  `horner` and `grid_argmax` are
 the pointwise evaluation and selection the batched scan replaced,
-kept as its reference.
+kept as its reference; `central_differences` is the reference for the
+closed-form derivatives of the selection polish.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from afd import (
     to_hardy,
 )
 from afd.config import SearchConfig
+from afd.core_afd import _derivative_stack, _selection_model
 
 
 def residual_at(d, n):
@@ -54,6 +56,46 @@ def grid_argmax(points, vals):
     return points[ties[np.lexsort((args, np.abs(points[ties])))[0]]]
 
 
+def real_derivatives(g, h, c):
+    """Real gradient and Hessian in (Re a, Im a) from Wirtinger derivatives."""
+    grad = np.array([2.0 * g.real, 2.0 * g.imag])
+    hess = 2.0 * np.array([[h + c.real, c.imag], [c.imag, h - c.real]])
+    return grad, hess
+
+
+def central_differences(q, a, step=1e-3):
+    """Gradient and Hessian of a real function q of one complex point.
+
+    Central differences at step and step/2, Richardson-extrapolated.
+    """
+
+    def stencil(h):
+        e = (h, 1j * h)
+        grad = np.array([(q(a + d) - q(a - d)) / (2.0 * h) for d in e])
+        hess = np.empty((2, 2))
+        for i, di in enumerate(e):
+            for j, dj in enumerate(e):
+                hess[i, j] = (
+                    q(a + di + dj) - q(a + di - dj) - q(a - di + dj) + q(a - di - dj)
+                ) / (4.0 * h**2)
+        return grad, hess
+
+    (g1, h1), (g2, h2) = stencil(step), stencil(step / 2.0)
+    return (4.0 * g2 - g1) / 3.0, (4.0 * h2 - h1) / 3.0
+
+
+def check_selection_derivatives(rows, norm2_rule, q, rng, count=6):
+    """Closed-form gradient and Hessian of Q against central differences of q."""
+    stack = _derivative_stack(rows)
+    for a in random_params(rng, count, r=0.9):
+        val, g, h, c = _selection_model(stack, norm2_rule, a)
+        assert val == pytest.approx(q(a), rel=1e-12)
+        grad, hess = real_derivatives(g, h, c)
+        fd_grad, fd_hess = central_differences(q, a)
+        assert np.max(np.abs(grad - fd_grad)) <= 1e-6 * np.max(np.abs(grad))
+        assert np.max(np.abs(hess - fd_hess)) <= 1e-6 * np.max(np.abs(hess))
+
+
 def band_limited_real(rng, n=1024, kmax=None):
     """Random real signal with spectrum confined strictly below Nyquist."""
     if kmax is None:
@@ -66,6 +108,14 @@ def band_limited_real(rng, n=1024, kmax=None):
         s += amp * np.cos(k * t + phase)
     s += rng.standard_normal()
     return CircularSignal(s)
+
+
+def am_fm_real(rng, n=256):
+    """The README AM-FM signal with FM and a weak tone, at seeded phases."""
+    t = circle_grid(n)
+    p1, p2, p3 = rng.uniform(0.0, 2.0 * np.pi, 3)
+    s = (1.0 + 0.6 * np.cos(t + p1)) * np.cos(6 * t + np.sin(t + p2))
+    return CircularSignal(s + 0.15 * np.cos(11 * t + p3))
 
 
 def random_hardy(rng, m=255, decay=1.5):

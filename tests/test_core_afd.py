@@ -1,12 +1,17 @@
 """Greedy one-at-a-time decomposition: selection, sifting, energy bookkeeping."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import afd
 from afd import (
     HardyFunction,
+    analytic_signal,
     coefficient,
     core_afd_decompose,
     maximal_selection,
@@ -15,10 +20,19 @@ from afd import (
     sift,
 )
 from afd.config import DEFAULT_SEARCH, SearchConfig
-from afd.core_afd import _grid_values, _search_grid
+from afd.core_afd import (
+    _derivative_stack,
+    _grid_values,
+    _hardy_norm2,
+    _polish,
+    _search_grid,
+)
 from afd.errors import InputError, ZeroResidual
 
 from conftest import (
+    am_fm_real,
+    band_limited_real,
+    check_selection_derivatives,
     grid_argmax,
     horner,
     kernel_sum,
@@ -101,6 +115,94 @@ def test_unpolished_selection_is_pointwise_grid_argmax():
     cases += [HardyFunction([0, 0, 0, 1]), HardyFunction([2.0])]
     for f in cases:
         assert maximal_selection(f, search) == grid_argmax(grid, objective(f, grid))
+
+
+def test_selection_leaves_the_real_axis():
+    # f = e_b: the grid winner sits on the negative real axis, the peak
+    # b just off it; a polish confined to the axis loses 2e-3 of ||f||^2
+    b = -0.75 + 0.02j
+    k = np.arange(256)
+    f = HardyFunction(np.sqrt(1.0 - abs(b) ** 2) * np.conj(b) ** k)
+    grid = _search_grid(DEFAULT_SEARCH)
+    start = grid[np.argmax(objective(f, grid))]
+    assert abs(start.imag) < 1e-12 and start.real < 0.0
+    a = maximal_selection(f)
+    assert abs(a - b) < 1e-6
+    assert objective(f, a) >= f.energy() * (1.0 - 1e-12)
+
+
+def test_selection_matches_dense_scan_on_criterion_05_trial_2():
+    # criterion 05's trial 2 (seed 7): at every greedy step the pick scores
+    # at least the polish started from the maximum of a dense polar scan
+    rng = np.random.default_rng(7)
+    for trial in range(3):
+        f, _, _ = kernel_sum(rng, terms=2 + trial % 4, m=255, r=0.8)
+    dense = SearchConfig(n_angles=400, n_radii=200)
+    grid = _search_grid(dense)
+    energy = f.energy()
+    d = core_afd_decompose(f, max_terms=10, energy_tol=0.0)
+    assert len(d) == 10
+    g = f
+    for a in d.params:
+        vals = (1.0 - np.abs(grid) ** 2) * np.abs(_grid_values(g.coefficients, dense)) ** 2
+        start = complex(grid[np.argmax(vals)])
+        ref = _polish(_derivative_stack(g.coefficients[None]), _hardy_norm2, start, DEFAULT_SEARCH)
+        assert objective(g, a) >= objective(g, ref) - 1e-12 * energy
+        g = sift(g, a)
+
+
+def test_selection_derivatives_match_central_differences():
+    rng = np.random.default_rng(42)
+    for _ in range(3):
+        f = random_hardy(rng, m=63)
+        check_selection_derivatives(
+            f.coefficients[None], _hardy_norm2, lambda a: objective(f, a), rng
+        )
+
+
+def test_selection_climbs_on_benchmark_like_signals():
+    # every step: never below the best grid point, within the cap, and
+    # where the polish moved off the grid start the objective rose
+    rng = np.random.default_rng(43)
+    grid = _search_grid(DEFAULT_SEARCH)
+    unpolished = replace(DEFAULT_SEARCH, refine=False)
+    moved = 0
+    for signal in (am_fm_real(rng), am_fm_real(rng), band_limited_real(rng, 256)):
+        f = analytic_signal(signal)
+        d = core_afd_decompose(f, max_terms=10, energy_tol=0.0)
+        g = f
+        for a in d.params:
+            assert abs(a) <= DEFAULT_SEARCH.r_max
+            # the tie-break may start 1e-12 below the grid maximum
+            assert objective(g, a) >= objective(g, grid).max() - 1e-12
+            start = maximal_selection(g, unpolished)
+            if a != start:
+                moved += 1
+                assert objective(g, a) > objective(g, start)
+            g = sift(g, a)
+    assert moved > 0
+
+
+def test_polish_never_lowers_the_grid_start(coarse_search):
+    # from a coarse grid's start the first steps are long; a step is
+    # taken only if it raises the objective
+    rng = np.random.default_rng(47)
+    unpolished = replace(coarse_search, refine=False)
+    for _ in range(100):
+        f = random_hardy(rng, m=63, decay=rng.uniform(0.3, 1.5))
+        a = maximal_selection(f, coarse_search)
+        start = maximal_selection(f, unpolished)
+        assert a == start or objective(f, a) > objective(f, start)
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(afd.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import afd, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_sift_energy_identity_is_exact():

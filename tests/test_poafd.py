@@ -7,6 +7,7 @@ import pytest
 
 from afd import (
     HardyFunction,
+    analytic_signal,
     bergman_space,
     core_afd_decompose,
     gram_schmidt,
@@ -26,6 +27,9 @@ from afd.poafd import SELECTION_CAP, _extend, _selection_objective
 from afd.signal_core import series_values
 
 from conftest import (
+    am_fm_real,
+    band_limited_real,
+    check_selection_derivatives,
     grid_argmax,
     horner,
     kernel_sum,
@@ -164,7 +168,7 @@ def test_selection_objective_scan_and_probes_match_horner():
         # the value bounds carried through |r|^2 / (||k_a||^2 - sum_j |B_j|^2)
         err = np.array([series_bound(row, grid) for row in rows])
         mag = np.abs(ref_vals)
-        norm2 = space.norm2_rule(np.abs(grid))
+        norm2 = space.norm2_rule(np.abs(grid) ** 2)[0]
         denom2 = norm2 - np.sum(mag[1:] ** 2, axis=0)
         d_num = 2 * mag[0] * err[0] + err[0] ** 2
         d_den = np.sum(2 * mag[1:] * err[1:] + err[1:] ** 2, axis=0) + 4 * eps * norm2
@@ -198,6 +202,66 @@ def test_unpolished_select_is_pointwise_grid_argmax():
         f, system, rows = _residual_rows(space, rng, 2)
         vals = _selection_objective(space, grid, series_values(rows, grid))
         assert poafd_select(space, f, system, search) == grid_argmax(grid, vals)
+
+
+def test_selection_derivatives_match_central_differences():
+    rng = np.random.default_rng(78)
+    hardy, bergman = _spaces()
+    for space, n_params in ((hardy, 3), (bergman, 2)):
+        _f, _system, rows = _residual_rows(space, rng, n_params)
+
+        def q(a, space=space, rows=rows):
+            return float(_selection_objective(space, [a], series_values(rows, [a]))[0])
+
+        check_selection_derivatives(rows, space.norm2_rule, q, rng)
+
+
+def test_select_climbs_along_the_cap():
+    # three kernels with poles beyond the 0.95 cap: the pick sits on the
+    # cap circle at the best angle, which the 1-D Newton step along the
+    # circle finds and a projected plane step alone misses by 2e-3
+    space = hardy_space(m=255)
+    poles = np.array([0.974, 0.973, 0.959]) * np.exp(1j * np.array([-2.32, -2.53, -2.74]))
+    weights = (0.8 + 0.8j, 0.9 - 1.1j, -0.1 + 0.2j)
+    k = np.arange(256)
+    f = sum(w * np.sqrt(1.0 - abs(b) ** 2) * np.conj(b) ** k for w, b in zip(weights, poles))
+    rows = f[None]
+    a = poafd_select(space, f, gram_schmidt(space, ()))
+    assert abs(a) == pytest.approx(SELECTION_CAP, abs=1e-12)
+    assert abs(a) <= SELECTION_CAP
+    circle = SELECTION_CAP * np.exp(2j * np.pi * np.arange(4096) / 4096)
+    scan = _selection_objective(space, circle, series_values(rows, circle))
+    assert _selection_objective(space, [a], series_values(rows, [a]))[0] >= scan.max()
+
+
+def test_select_climbs_on_benchmark_like_signals():
+    # every step: never below the best capped grid point, within the cap,
+    # and where the polish moved off the grid start the objective rose
+    rng = np.random.default_rng(79)
+    grid = _search_grid(replace(DEFAULT_SEARCH, r_max=SELECTION_CAP))
+    unpolished = replace(DEFAULT_SEARCH, refine=False)
+    moved = 0
+    signals = (am_fm_real(rng), band_limited_real(rng, 256))
+    for space in (hardy_space(m=127), bergman_space(m=127)):
+        for signal in signals:
+            f = analytic_signal(signal).coefficients
+            d = poafd_decompose(space, f, max_terms=6, energy_tol=0.0)
+            for k, a in enumerate(d.params):
+                system = gram_schmidt(space, tuple(d.params[:k]))
+                resid = f - sum(space.inner(f, v) * v for v in system.vectors)
+                rows = np.vstack([resid, system.vectors])
+
+                def q(pts, rows=rows):
+                    return _selection_objective(space, pts, series_values(rows, pts))
+
+                assert abs(a) <= SELECTION_CAP
+                # the tie-break may start 1e-12 below the grid maximum
+                assert q([a])[0] >= q(grid).max() - 1e-12
+                start = poafd_select(space, f, system, unpolished)
+                if a != start:
+                    moved += 1
+                    assert q([a])[0] > q([start])[0]
+    assert moved > 0
 
 
 def test_multiplicity_limit_ratios():
