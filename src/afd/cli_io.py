@@ -26,6 +26,7 @@ import json
 import sys
 import time
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -363,34 +364,90 @@ def _print_energy_table(algo, record):
 
 
 def cmd_tfd(args):
+    if args.bins < 0:
+        raise InputError(f"--bins wants a count >= 0, got {args.bins}")
     rec, obj = load_result(args.result)
     if rec["algorithm"] in ("uwa", "uwafd"):
         comps = unwinding_tfd(obj)
     else:
         comps = dirac_tfd(obj, grid=rec["config"]["n"])
+    # the record holds ~12 floats per inner grid point; free it before writing
+    del rec, obj
     out = args.output or str(Path(args.result).with_suffix(".tfd.csv"))
-    n_atoms = 0
     with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "t", "omega", "weight"])
-        for comp in comps:
-            for tj, oj, pj in zip(comp.t, comp.omega, comp.weight):
-                w.writerow([comp.index, repr(float(tj)), repr(float(oj)), repr(float(pj))])
-                n_atoms += 1
+        _write_atoms(fh, comps)
+    n_atoms = sum(len(comp.t) for comp in comps)
     print(f"{n_atoms} atoms over {len(comps)} components written to {out}")
     if args.bins:
         raster = _rasterize(comps, args.bins)
         rout = out[:-4] + ".raster.csv" if out.endswith(".csv") else out + ".raster.csv"
         with open(rout, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t"] + [repr(float(c)) for c in raster["centers"]])
-            for tj, row in zip(raster["t"], raster["grid"]):
-                w.writerow([repr(float(tj))] + [repr(float(x)) for x in row])
-        print(f"raster ({args.bins} frequency bins) written to {rout}")
+            fh.write(",".join(["t", *map(repr, raster["centers"].tolist())]) + "\r\n")
+            _write_rows(fh, "", _float_text(raster["t"]), list(raster["grid"].T))
+        print(f"raster ({len(raster['centers'])} frequency bins) written to {rout}")
     return EXIT_OK
 
 
+# Columns are converted to Python floats a block of about this many cells
+# at a time, so the floats held at once stay few however long or wide
+# the file is (a raster has one column per frequency bin).
+_BLOCK_CELLS = 1 << 13
+
+
+def _float_text(values):
+    """repr of each value as a Python float, the cell text csv.writer wrote."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def _write_atoms(fh, comps):
+    """Atom CSV `k,t,omega,weight`: one CRLF line per component and grid time.
+
+    Components that share one time array (dirac_tfd and unwinding_tfd
+    give all of them the same one) share its formatted text.
+    """
+    fh.write("k,t,omega,weight\r\n")
+    t, times = None, None
+    for comp in comps:
+        if comp.t is not t:
+            t, times = comp.t, _float_text(comp.t)
+        _write_rows(fh, f"{comp.index},", times, [comp.omega, comp.weight])
+
+
+def _write_rows(fh, lead, times, columns):
+    """Write one CRLF line per time: lead, the time text, one cell per column.
+
+    columns are float arrays as long as times.  Within a block of rows,
+    a column that repeats one float (same bits) is formatted once and
+    joined into the literal text between cells; the others are
+    formatted cell by cell.  Each line is one join of its pieces and
+    goes out as it is made; no block or file text is built.
+    """
+    step = max(1, _BLOCK_CELLS // (len(columns) + 1))
+    for start in range(0, len(times), step):
+        rows = slice(start, start + step)
+        pieces, literal = [repeat(lead), times[rows]], ""
+        for col in columns:
+            values = np.asarray(col[rows], dtype=float)
+            bits = values.view(np.uint64)
+            literal += ","
+            if (bits == bits[0]).all():
+                literal += repr(float(values[0]))
+            else:
+                pieces += [repeat(literal), map(repr, values.tolist())]
+                literal = ""
+        pieces.append(repeat(literal + "\r\n"))
+        # zip stops with the time text, the one piece never folded
+        fh.writelines(map("".join, zip(*pieces)))
+
+
 def _rasterize(comps, bins):
+    """Atom weights summed into (time, frequency bin) cells over the omega range.
+
+    A result without components has no frequency range: the raster has
+    no bins and no rows.
+    """
+    if not comps:
+        return {"t": np.empty(0), "centers": np.empty(0), "grid": np.empty((0, 0))}
     t = comps[0].t
     omegas = np.concatenate([c.omega for c in comps])
     lo, hi = float(omegas.min()), float(omegas.max())
@@ -399,10 +456,11 @@ def _rasterize(comps, bins):
     edges = np.linspace(lo, hi, bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     grid = np.zeros((len(t), bins))
+    rows = np.arange(len(t))
     for comp in comps:
         idx = np.clip(np.searchsorted(edges, comp.omega, side="right") - 1, 0, bins - 1)
-        for j, (b, wgt) in enumerate(zip(idx, comp.weight)):
-            grid[j, b] += wgt
+        # one cell per row, so each cell gets at most one add per component
+        grid[rows, idx] += comp.weight
     return {"t": t, "centers": centers, "grid": grid}
 
 
@@ -486,7 +544,8 @@ def _build_parser():
     t = sub.add_parser("tfd", help="emit time-frequency atoms for a result")
     t.add_argument("result")
     t.add_argument("--bins", type=int, default=0,
-                   help="also write a raster with this many frequency bins")
+                   help="also write a raster with this many frequency bins "
+                        "(none for a result without components)")
     t.add_argument("--output", help="atom CSV path (default: result with .tfd.csv)")
     t.set_defaults(func=cmd_tfd)
 

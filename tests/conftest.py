@@ -7,8 +7,14 @@ and planted sums of Szego kernels or TM-system terms whose exact
 decomposition is known in advance.  `horner` and `grid_argmax` are
 the pointwise evaluation and selection the batched scan replaced,
 kept as its reference; `central_differences` is the reference for the
-closed-form derivatives of the selection polish.
+closed-form derivatives of the selection polish; `csv_writer_atoms`
+and `csv_writer_raster` are the row-by-row writers and the per-atom
+binning loop behind `afd tfd` before its streamed writer, kept as the
+reference for its bytes.
 """
+
+import csv
+import io
 
 import numpy as np
 import pytest
@@ -54,6 +60,43 @@ def grid_argmax(points, vals):
     ties = np.flatnonzero(vals >= vals.max() - 1e-12)
     args = np.mod(np.angle(points[ties]), 2 * np.pi)
     return points[ties[np.lexsort((args, np.abs(points[ties])))[0]]]
+
+
+def _csv_bytes(rows):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    for row in rows:
+        writer.writerow(row)
+    return buf.getvalue().encode()
+
+
+def csv_writer_atoms(comps):
+    """Reference atom CSV bytes: one csv.writer row per atom, repr per cell."""
+    rows = [["k", "t", "omega", "weight"]]
+    for comp in comps:
+        for tj, oj, pj in zip(comp.t, comp.omega, comp.weight):
+            rows.append([comp.index, repr(float(tj)), repr(float(oj)), repr(float(pj))])
+    return _csv_bytes(rows)
+
+
+def csv_writer_raster(comps, bins):
+    """Reference raster CSV bytes: atoms binned one by one, csv.writer rows."""
+    t = comps[0].t
+    omegas = np.concatenate([c.omega for c in comps])
+    lo, hi = float(omegas.min()), float(omegas.max())
+    if hi <= lo:
+        hi = lo + 1.0
+    edges = np.linspace(lo, hi, bins + 1)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    grid = np.zeros((len(t), bins))
+    for comp in comps:
+        idx = np.clip(np.searchsorted(edges, comp.omega, side="right") - 1, 0, bins - 1)
+        for j, (b, wgt) in enumerate(zip(idx, comp.weight)):
+            grid[j, b] += wgt
+    rows = [["t"] + [repr(float(c)) for c in centers]]
+    for tj, row in zip(t, grid):
+        rows.append([repr(float(tj))] + [repr(float(x)) for x in row])
+    return _csv_bytes(rows)
 
 
 def real_derivatives(g, h, c):

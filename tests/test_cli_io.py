@@ -1,10 +1,12 @@
 """Command line driver: formats, determinism, exit codes."""
 
+import io
 import json
 
 import numpy as np
 import pytest
 
+from afd import cli_io
 from afd.cli_io import (
     EXIT_CHECK,
     EXIT_DEGENERATE,
@@ -17,6 +19,9 @@ from afd.cli_io import (
 )
 from afd.errors import NonRealInput, NonUniformGrid, ParseError
 from afd import circle_grid
+from afd.tfd_uncertainty import dirac_tfd, unwinding_tfd
+
+from conftest import am_fm_real, csv_writer_atoms, csv_writer_raster
 
 
 def _write_real(path, samples, t=None):
@@ -199,6 +204,89 @@ def test_tfd_atoms_and_raster(tmp_path, cosine_csv):
         sum(float(x) for x in line.split(",")[1:]) for line in lines[1:]
     )
     assert total_raster == pytest.approx(total_atoms, rel=1e-12)
+
+
+# (algorithm, N, extra decompose flags): unwinding at the benchmark's
+# sizes (inner grids 4096 and 16384), the kernel methods on a coarse grid
+TFD_CASES = [
+    ("uwa", 1024, []),
+    ("uwa", 4096, []),
+    ("uwafd", 256, ["--grid", "24x12"]),
+    ("core", 256, ["--grid", "24x12"]),
+    ("cyclic", 256, ["--grid", "24x12", "--n", "2"]),
+    ("poafd", 256, ["--grid", "24x12"]),
+]
+
+
+@pytest.mark.parametrize(
+    "algo, n, flags", TFD_CASES, ids=[f"{a}-{n}" for a, n, _ in TFD_CASES]
+)
+def test_tfd_bytes_match_csv_writer(tmp_path, capsys, algo, n, flags):
+    rng = np.random.default_rng(n)
+    sig = _write_real(tmp_path / "s.csv", am_fm_real(rng, n).samples.real)
+    res = str(tmp_path / "r.json")
+    assert main(["decompose", sig, "--algo", algo, "--terms", "6", "--output", res]
+                + flags) == EXIT_OK
+    rec, obj = load_result(res)
+    if algo in ("uwa", "uwafd"):
+        comps = unwinding_tfd(obj)
+    else:
+        comps = dirac_tfd(obj, grid=rec["config"]["n"])
+    assert comps
+    capsys.readouterr()
+    outputs = []
+    for name in ("a.csv", "b.csv"):
+        atoms = str(tmp_path / name)
+        assert main(["tfd", res, "--bins", "16", "--output", atoms]) == EXIT_OK
+        text = capsys.readouterr().out
+        data = open(atoms, "rb").read()
+        raster = open(atoms[:-4] + ".raster.csv", "rb").read()
+        outputs.append((data, raster))
+    assert outputs[0] == outputs[1]  # reruns are byte-identical
+    assert outputs[0][0] == csv_writer_atoms(comps)
+    assert outputs[0][1] == csv_writer_raster(comps, 16)
+    n_atoms = int(text.split()[0])
+    assert n_atoms == sum(len(c.t) for c in comps)
+    if algo in ("uwa", "uwafd"):
+        assert n_atoms == rec["meta"]["inner_n"] * len(rec["components"])
+
+
+@pytest.mark.parametrize("algo", ["core", "uwa"])
+def test_tfd_of_a_result_without_components(tmp_path, capsys, algo):
+    # at 1e-20 scale both save no components (ROADMAP item 3)
+    tiny = 1e-20 * am_fm_real(np.random.default_rng(3), 1024).samples.real
+    sig = _write_real(tmp_path / "s.csv", tiny)
+    res = str(tmp_path / "r.json")
+    assert main(["decompose", sig, "--algo", algo, "--output", res]) == EXIT_OK
+    assert load_result(res)[0]["components"] == []
+    capsys.readouterr()
+    atoms = str(tmp_path / "r.tfd.csv")
+    assert main(["tfd", res, "--bins", "8", "--output", atoms]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert text.startswith("0 atoms over 0 components")
+    assert "raster (0 frequency bins)" in text
+    assert open(atoms, "rb").read() == b"k,t,omega,weight\r\n"
+    assert open(str(tmp_path / "r.tfd.raster.csv"), "rb").read() == b"t\r\n"
+
+
+def test_write_rows_folds_only_repeated_bits(monkeypatch):
+    # two rows per block: the column repeats within some blocks only, and
+    # 0.0 and -0.0 compare equal but print differently
+    monkeypatch.setattr(cli_io, "_BLOCK_CELLS", 6)
+    times = ["0.0", "1.0", "2.0", "3.0", "4.0"]
+    cols = [np.array([0.0, -0.0, 2.5, 2.5, 1e-300]), np.full(5, np.nan)]
+    buf = io.StringIO(newline="")
+    cli_io._write_rows(buf, "7,", times, cols)
+    assert buf.getvalue() == (
+        "7,0.0,0.0,nan\r\n7,1.0,-0.0,nan\r\n7,2.0,2.5,nan\r\n"
+        "7,3.0,2.5,nan\r\n7,4.0,1e-300,nan\r\n"
+    )
+
+
+def test_tfd_rejects_negative_bins(tmp_path, cosine_csv):
+    res = str(tmp_path / "r.json")
+    main(["decompose", cosine_csv, "--terms", "2", "--output", res])
+    assert main(["tfd", res, "--bins", "-3"]) == EXIT_INPUT
 
 
 def test_tfd_refuses_bergman_results(tmp_path, cosine_csv):
