@@ -12,15 +12,20 @@ info        defaults, formats and exit codes
 Signals arrive as CSV with a header, either `t,value` (real) or
 `t,re,im`; t must be the uniform circle grid 2*pi*j/N except for
 `check --mode uncertainty`, which takes any uniform real-line grid.
-Results are JSON with a `schema: 1` marker; complex numbers are
-{re, im} pairs.  Wall time is printed, never stored, so reruns with
-the same inputs produce byte-identical result files.
+Results are JSON with a `schema: 2` marker; complex numbers are
+{re, im} pairs.  Unwinding results also carry each term's cumulative
+inner factor on the `meta.inner_n` grid, in `meta.inner` as one base64
+string per term: the little-endian complex128 bytes of its samples.
+Schema 1 stored those samples as [real list, imaginary list] pairs and
+is still read.  Wall time is printed, never stored, so reruns with the
+same inputs produce byte-identical result files.
 
 Exit codes: 0 ok, 2 input error, 3 check failed, 4 numerical
 degeneracy.
 """
 
 import argparse
+import base64
 import csv
 import json
 import sys
@@ -68,7 +73,9 @@ __all__ = [
     "save_result",
 ]
 
-SCHEMA = 1
+SCHEMA = 2
+# schemas load_result reads; they differ only in how meta.inner is stored
+READ_SCHEMAS = (1, 2)
 ALGORITHMS = ("core", "uwa", "uwafd", "cyclic", "poafd")
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -178,10 +185,7 @@ def _record(args, algorithm, n_input, result, extra_meta=None):
             )
         meta = {
             "inner_n": int(result.meta["n"]),
-            "inner": [
-                [term.cumulative_inner.real.tolist(), term.cumulative_inner.imag.tolist()]
-                for term in result.terms
-            ],
+            "inner": [_encode_inner(term.cumulative_inner) for term in result.terms],
             "factor_consistency": [float(x) for x in result.meta["factor_consistency"]],
             "front_loading": [float(x) for x in result.meta["front_loading"]],
             "stopped": result.meta["stopped"],
@@ -223,8 +227,40 @@ def save_result(record, path):
         fh.write("\n")
 
 
+def _encode_inner(samples):
+    """base64 of the little-endian complex128 bytes of samples."""
+    return base64.b64encode(np.asarray(samples, dtype="<c16").tobytes()).decode("ascii")
+
+
+def _decode_inner(entry, schema, n):
+    """One term's inner samples from its schema-1 or schema-2 entry.
+
+    Raises ValueError (or TypeError) unless the entry holds exactly n
+    samples.
+    """
+    if schema == 1:
+        parts = [np.array(part, dtype=float) for part in entry]
+        if len(parts) != 2 or any(part.shape != (n,) for part in parts):
+            raise ValueError(f"inner entry is not two lists of inner_n = {n} floats")
+        samples = np.empty(n, dtype=complex)
+        samples.real, samples.imag = parts
+        return samples
+    raw = base64.b64decode(entry, validate=True)
+    if len(raw) != 16 * n:
+        raise ValueError(
+            f"inner entry holds {len(raw)} bytes, not inner_n = {n} complex128"
+        )
+    return np.frombuffer(raw, dtype="<c16").astype(complex)
+
+
 def load_result(path):
-    """JSON result file -> (record dict, rebuilt decomposition object)."""
+    """JSON result file -> (record dict, rebuilt decomposition object).
+
+    Reads schemas 1 and 2.  Raises ParseError for a file that is not
+    JSON, has no known schema marker, lacks a key the rebuild needs, or
+    whose inner samples do not decode to one inner_n-long array per
+    component.
+    """
     try:
         with open(path) as fh:
             rec = json.load(fh)
@@ -232,45 +268,56 @@ def load_result(path):
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(rec, dict) or rec.get("schema") != SCHEMA:
+    if not isinstance(rec, dict) or rec.get("schema") not in READ_SCHEMAS:
         raise ParseError(f"{path}: missing or unsupported schema marker")
-    algo = rec.get("algorithm")
+    try:
+        return rec, _rebuild(rec)
+    except KeyError as exc:
+        raise ParseError(f"{path}: result record lacks key {exc}") from exc
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise ParseError(f"{path}: malformed result record ({exc})") from exc
+
+
+def _rebuild(rec):
+    algo = rec["algorithm"]
     trace = np.array(rec["residual_trace"], dtype=float)
     source = float(rec["source_energy"])
+    meta = rec["meta"]
     if algo in ("uwa", "uwafd"):
-        inner = rec["meta"]["inner"]
+        n = int(meta["inner_n"])
+        comps, inner = rec["components"], meta["inner"]
+        if len(inner) != len(comps):
+            raise ValueError(f"{len(inner)} inner entries for {len(comps)} components")
         terms = [
             UnwindingTerm(
                 c=_j2c(comp["c"]),
                 a=None if comp["a"] is None else _j2c(comp["a"]),
-                cumulative_inner=np.array(re_part) + 1j * np.array(im_part),
+                cumulative_inner=_decode_inner(entry, rec["schema"], n),
             )
-            for comp, (re_part, im_part) in zip(rec["components"], inner)
+            for comp, entry in zip(comps, inner)
         ]
-        obj = UnwindingDecomposition(
+        return UnwindingDecomposition(
             terms=terms,
             residual_energy=trace,
             source_energy=source,
             kind=algo,
             meta={
-                "n": int(rec["meta"]["inner_n"]),
-                "factor_consistency": rec["meta"]["factor_consistency"],
-                "front_loading": rec["meta"]["front_loading"],
-                "stopped": rec["meta"]["stopped"],
+                "n": n,
+                "factor_consistency": meta["factor_consistency"],
+                "front_loading": meta["front_loading"],
+                "stopped": meta["stopped"],
             },
         )
-    else:
-        comps = [
-            Component(a=_j2c(c["a"]), c=_j2c(c["c"]), kind=c["kind"])
-            for c in rec["components"]
-        ]
-        obj = Decomposition(
-            components=comps,
-            residual_energy=trace,
-            source_energy=source,
-            meta=dict(rec["meta"], n=rec["config"]["n"]),
-        )
-    return rec, obj
+    comps = [
+        Component(a=_j2c(c["a"]), c=_j2c(c["c"]), kind=c["kind"])
+        for c in rec["components"]
+    ]
+    return Decomposition(
+        components=comps,
+        residual_energy=trace,
+        source_energy=source,
+        meta=dict(meta, n=rec["config"]["n"]),
+    )
 
 
 # ---------------------------------------------------------------- commands
@@ -371,7 +418,8 @@ def cmd_tfd(args):
         comps = unwinding_tfd(obj)
     else:
         comps = dirac_tfd(obj, grid=rec["config"]["n"])
-    # the record holds ~12 floats per inner grid point; free it before writing
+    # record and decomposition hold every term's inner samples; free them
+    # before writing
     del rec, obj
     out = args.output or str(Path(args.result).with_suffix(".tfd.csv"))
     with open(out, "w", newline="") as fh:
@@ -504,7 +552,8 @@ def cmd_info(args):
     print(f"algorithms: {', '.join(ALGORITHMS)}   spaces: hardy, bergman")
     print("input: CSV `t,value` or `t,re,im`, t = 2*pi*j/N, N a power of two >= 8")
     print("       (check --mode uncertainty: any uniform real-line `t,value`)")
-    print("results: JSON, schema 1, complex numbers as {re, im}")
+    print("results: JSON, schema 2, complex numbers as {re, im}, unwinding inner")
+    print("         samples as base64 little-endian complex128; schema 1 still read")
     print("defaults: --terms 10, --tol 1e-06, --grid 64x32, --n 2, --space hardy")
     print("exit codes: 0 ok, 2 input error, 3 check failed, 4 numerical degeneracy")
     return EXIT_OK

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_SEARCH, DEFAULT_TOL
-from .errors import AFDError, DegenerateModulus, ZeroSignal
+from .errors import AFDError, DegenerateModulus, ZeroResidual, ZeroSignal
 from .core_afd import coefficient, maximal_selection, sift
 from .hardy_atoms import mobius, szego_kernel
 from .signal_core import (
@@ -111,18 +111,20 @@ def outer_factor(f_boundary: CircularSignal) -> HardyFunction:
 
     Clamps |f| below at 1e-8 * max|f| before taking logs; boundary
     zeros have measure zero and do not affect the outer integral in
-    exact arithmetic, but the discrete log must not blow up.
+    exact arithmetic, but the discrete log must not blow up.  Every
+    floor is relative to max|f|, so scaling f scales O and nothing
+    else.
 
     Raises
     ------
     DegenerateModulus
-        If the signal is numerically zero, or more than 1% of samples
+        If max|f| is zero or not finite, or more than 1% of samples
         sit below the clamp floor (the log integral is then dominated
         by the regularization, not the data).
     """
     mod = np.abs(f_boundary.samples)
     peak = float(mod.max())
-    if peak < 1e-10:
+    if not (np.isfinite(peak) and peak > 0.0):
         raise DegenerateModulus("signal is numerically zero")
     floor = DEFAULT_TOL.log_clamp * peak
     clamped = np.maximum(mod, floor)
@@ -136,10 +138,15 @@ def outer_factor(f_boundary: CircularSignal) -> HardyFunction:
 
 
 def inner_factor(f_boundary: CircularSignal, outer: HardyFunction) -> CircularSignal:
-    """Boundary quotient I = f / O; unimodular where the data is honest."""
+    """Boundary quotient I = f / O; unimodular where the data is honest.
+
+    Raises DegenerateModulus where |O| drops below near_zero times its
+    own peak on the grid.
+    """
     o = outer.boundary(f_boundary.n).samples
-    small = np.abs(o) < DEFAULT_TOL.near_zero
-    if small.any():
+    mod = np.abs(o)
+    peak = mod.max()
+    if not peak > 0.0 or (mod < DEFAULT_TOL.near_zero * peak).any():
         raise DegenerateModulus("outer factor vanishes on the boundary grid")
     return CircularSignal(f_boundary.samples / o)
 
@@ -238,6 +245,9 @@ def uwafd_decompose(
     The k-th term is (prod_{l<=k} I_l) c_k B_k with B_k the TM chain
     over a_1..a_k; the residual norm equals the remainder norm because
     all the accumulated factors are unimodular.
+
+    Stops early, naming the reason in meta["stopped"], when a remainder
+    cannot be factored or falls below the selection floor.
     """
     source = f.energy()
     if source <= 0.0:
@@ -260,10 +270,14 @@ def uwafd_decompose(
         except DegenerateModulus as exc:
             stopped = str(exc)
             break
+        o_k = fac.outer.truncated(f.order)
+        try:
+            a = maximal_selection(o_k, search)
+        except ZeroResidual as exc:
+            stopped = str(exc)
+            break
         consistency.append(fac.consistency(boundary))
         front_loading.append(front_loading_defect(f_k, fac.outer))
-        o_k = fac.outer.truncated(f.order)
-        a = maximal_selection(o_k, search)
         c = coefficient(o_k, a)
         cumulative = cumulative * fac.inner.samples
         terms.append(UnwindingTerm(c=c, a=a, cumulative_inner=cumulative.copy()))

@@ -10,9 +10,11 @@ kept as its reference; `central_differences` is the reference for the
 closed-form derivatives of the selection polish; `csv_writer_atoms`
 and `csv_writer_raster` are the row-by-row writers and the per-atom
 binning loop behind `afd tfd` before its streamed writer, kept as the
-reference for its bytes.
+reference for its bytes; `schema1_record` is the result writer before
+schema 2, kept as the reference for reading old files.
 """
 
+import copy
 import csv
 import io
 
@@ -97,6 +99,22 @@ def csv_writer_raster(comps, bins):
     for tj, row in zip(t, grid):
         rows.append([repr(float(tj))] + [repr(float(x)) for x in row])
     return _csv_bytes(rows)
+
+
+def schema1_record(record, decomposition):
+    """Reference schema-1 twin of an unwinding record: inner samples as lists.
+
+    Schema 1 stored each term's cumulative inner samples as a pair
+    [real parts, imaginary parts] of float lists; everything else is as
+    in schema 2.
+    """
+    old = copy.deepcopy(record)
+    old["schema"] = 1
+    old["meta"]["inner"] = [
+        [term.cumulative_inner.real.tolist(), term.cumulative_inner.imag.tolist()]
+        for term in decomposition.terms
+    ]
+    return old
 
 
 def real_derivatives(g, h, c):

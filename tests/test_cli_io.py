@@ -1,7 +1,9 @@
 """Command line driver: formats, determinism, exit codes."""
 
+import base64
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,12 +18,14 @@ from afd.cli_io import (
     main,
     read_line_csv,
     read_signal_csv,
+    save_result,
 )
+from afd.config import DEFAULT_SEARCH
 from afd.errors import NonRealInput, NonUniformGrid, ParseError
-from afd import circle_grid
+from afd import analytic_signal, circle_grid, uwa_decompose, uwafd_decompose
 from afd.tfd_uncertainty import dirac_tfd, unwinding_tfd
 
-from conftest import am_fm_real, csv_writer_atoms, csv_writer_raster
+from conftest import am_fm_real, csv_writer_atoms, csv_writer_raster, schema1_record
 
 
 def _write_real(path, samples, t=None):
@@ -114,14 +118,12 @@ def test_decompose_core_roundtrip(tmp_path, cosine_csv, capsys):
     text = capsys.readouterr().out
     assert "algorithm core" in text
     rec, d = load_result(out)
-    assert rec["schema"] == 1
+    assert rec["schema"] == 2
     assert rec["algorithm"] == "core"
     trace = rec["residual_trace"]
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
     d.validate()
     # saving the loaded record again reproduces the file byte for byte
-    from afd.cli_io import save_result
-
     second = str(tmp_path / "r2.json")
     save_result(rec, second)
     assert open(out, "rb").read() == open(second, "rb").read()
@@ -182,6 +184,123 @@ def test_decompose_cyclic_explicit_init(tmp_path, cosine_csv):
                  "--output", out]) == EXIT_OK
     rec, _ = load_result(out)
     assert rec["config"]["init"] == "0.1+0.1i,-0.2i"
+
+
+def _bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("algo", ["uwa", "uwafd"])
+def test_unwinding_records_round_trip(tmp_path, capsys, algo):
+    samples = am_fm_real(np.random.default_rng(9), 256).samples.real
+    sig = _write_real(tmp_path / "s.csv", samples)
+    argv = ["decompose", sig, "--algo", algo, "--terms", "4", "--grid", "24x12"]
+    a, b, c = (str(tmp_path / name) for name in ("a.json", "b.json", "c.json"))
+    assert main(argv + ["--output", a]) == EXIT_OK
+    assert main(argv + ["--output", b]) == EXIT_OK
+    assert _bytes(a) == _bytes(b)  # reruns are byte-identical
+    rec, obj = load_result(a)
+    assert rec["schema"] == 2
+    assert all(isinstance(entry, str) for entry in rec["meta"]["inner"])
+    save_result(rec, c)
+    assert _bytes(a) == _bytes(c)  # so is load -> save
+
+    # the loaded samples are the in-memory decomposition's, bit for bit
+    f = analytic_signal(read_signal_csv(sig))
+    if algo == "uwa":
+        mem = uwa_decompose(f, 4)
+    else:
+        search = replace(DEFAULT_SEARCH, n_angles=24, n_radii=12)
+        mem = uwafd_decompose(f, max_terms=4, energy_tol=1e-6, search=search)
+    assert len(obj.terms) == len(mem.terms) == len(rec["components"]) > 0
+    for got, want in zip(obj.terms, mem.terms):
+        assert got.cumulative_inner.dtype == np.dtype(complex)
+        assert got.cumulative_inner.tobytes() == want.cumulative_inner.tobytes()
+
+    # a schema-1 twin loads to the same arrays and gives the same tfd bytes
+    old = str(tmp_path / "old.json")
+    save_result(schema1_record(rec, mem), old)
+    rec1, obj1 = load_result(old)
+    assert rec1["schema"] == 1
+    for got, want in zip(obj1.terms, mem.terms):
+        assert got.cumulative_inner.tobytes() == want.cumulative_inner.tobytes()
+    outputs = []
+    for res in (a, old):
+        atoms = res[:-5] + ".tfd.csv"
+        assert main(["tfd", res, "--bins", "16", "--output", atoms]) == EXIT_OK
+        outputs.append((_bytes(atoms), _bytes(atoms[:-4] + ".raster.csv")))
+    assert outputs[0] == outputs[1]
+    capsys.readouterr()
+
+
+def test_inner_encoding_keeps_every_bit():
+    x = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1.0 / 3.0, -1e300])
+    samples = x + 1j * 0.0
+    samples.imag = x[::-1]
+    for schema, entry in (
+        (2, cli_io._encode_inner(samples)),
+        (1, [samples.real.tolist(), samples.imag.tolist()]),
+    ):
+        got = cli_io._decode_inner(json.loads(json.dumps(entry)), schema, len(x))
+        assert got.dtype == np.dtype(complex) and got.flags.writeable
+        assert got.tobytes() == samples.tobytes()
+
+
+def _malform(rec, case):
+    """Break a saved uwa record (schema 2, two components) in place."""
+    meta = rec["meta"]
+    inner = meta["inner"]
+    if case == "core-without-trace":
+        rec.clear()
+        rec.update(schema=1, algorithm="core")
+    elif case == "no-algorithm":
+        del rec["algorithm"]
+    elif case == "no-inner":
+        del meta["inner"]
+    elif case == "no-inner-n":
+        del meta["inner_n"]
+    elif case == "bad-base64":
+        inner[0] = "not base64!"
+    elif case == "list-in-schema-2":
+        inner[0] = [[0.0], [0.0]]
+    elif case == "short-inner":
+        inner[1] = base64.b64encode(base64.b64decode(inner[1])[:-16]).decode("ascii")
+    elif case == "inner-count":
+        inner.pop()
+    elif case == "schema-1-short-lists":
+        rec["schema"] = 1
+        meta["inner"] = [[[0.0] * 3, [0.0] * 3]] * 2
+    elif case == "bad-coefficient":
+        rec["components"][0]["c"] = "1+2j"
+    else:
+        raise AssertionError(case)
+
+
+MALFORMED = [
+    "core-without-trace", "no-algorithm", "no-inner", "no-inner-n", "bad-base64",
+    "list-in-schema-2", "short-inner", "inner-count", "schema-1-short-lists",
+    "bad-coefficient",
+]
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_tfd_rejects_malformed_records(tmp_path, capsys, case):
+    samples = am_fm_real(np.random.default_rng(4), 64).samples.real
+    sig = _write_real(tmp_path / "s.csv", samples)
+    res = tmp_path / "r.json"
+    argv = ["decompose", sig, "--algo", "uwa", "--terms", "2", "--output", str(res)]
+    assert main(argv) == EXIT_OK
+    rec = json.loads(res.read_text())
+    assert len(rec["components"]) == 2
+    _malform(rec, case)
+    res.write_text(json.dumps(rec))
+    capsys.readouterr()
+    with pytest.raises(ParseError):
+        load_result(str(res))
+    assert main(["tfd", str(res)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {res}: ")
 
 
 # ---------------------------------------------------------------- tfd
@@ -251,13 +370,16 @@ def test_tfd_bytes_match_csv_writer(tmp_path, capsys, algo, n, flags):
         assert n_atoms == rec["meta"]["inner_n"] * len(rec["components"])
 
 
-@pytest.mark.parametrize("algo", ["core", "uwa"])
-def test_tfd_of_a_result_without_components(tmp_path, capsys, algo):
-    # at 1e-20 scale both save no components (ROADMAP item 3)
+@pytest.mark.parametrize(
+    "algo, flags", [("core", []), ("uwa", ["--terms", "0"])], ids=["core", "uwa"]
+)
+def test_tfd_of_a_result_without_components(tmp_path, capsys, algo, flags):
+    # core saves no components at 1e-20 scale (ROADMAP item 6); uwa is
+    # scale invariant and saves none only when asked for none
     tiny = 1e-20 * am_fm_real(np.random.default_rng(3), 1024).samples.real
     sig = _write_real(tmp_path / "s.csv", tiny)
     res = str(tmp_path / "r.json")
-    assert main(["decompose", sig, "--algo", algo, "--output", res]) == EXIT_OK
+    assert main(["decompose", sig, "--algo", algo, "--output", res] + flags) == EXIT_OK
     assert load_result(res)[0]["components"] == []
     capsys.readouterr()
     atoms = str(tmp_path / "r.tfd.csv")
@@ -358,4 +480,4 @@ def test_info_runs(capsys):
     assert main(["info"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "exit codes" in out
-    assert "schema 1" in out or "schema: 1" in out
+    assert "schema 2" in out or "schema: 2" in out

@@ -6,6 +6,7 @@ import pytest
 from afd import (
     CircularSignal,
     HardyFunction,
+    analytic_signal,
     circle_grid,
     factorize,
     front_loading_defect,
@@ -183,6 +184,40 @@ def test_uwafd_random_signals():
     assert np.mean(np.abs(err) ** 2) == pytest.approx(
         u.residual_energy[-1], abs=1e-8 * f.energy()
     )
+
+
+def _scaled_am_fm(lam, n=256):
+    t = circle_grid(n)
+    s = (1.0 + 0.6 * np.cos(t)) * np.cos(6 * t + 0.4 * np.sin(3 * t))
+    return analytic_signal(CircularSignal(lam * s))
+
+
+SCALES = [1e-150, 1e-20, 1e-8, 1.0, 1e20, 1e150]
+
+
+def test_uwa_is_scale_invariant():
+    # every factorization floor is relative to the boundary's own peak,
+    # so scaling the signal changes no step
+    rel = []
+    for lam in SCALES:
+        u = uwa_decompose(_scaled_am_fm(lam), 4)
+        assert len(u.terms) == 4 and u.meta["stopped"] is None
+        u.validate()
+        rel.append(u.residual_energy[-1] / u.source_energy)
+    assert rel[0] < 1e-5
+    for r in rel[1:]:
+        assert r == pytest.approx(rel[0], rel=1e-9)
+
+
+@pytest.mark.parametrize("lam", [1e-20, 1e-150])
+def test_uwafd_tiny_signals_stop_without_raising(lam):
+    # the selection engine's absolute floor still refuses these, but the
+    # refusal ends the recursion with a diagnostic instead of escaping
+    u = uwafd_decompose(_scaled_am_fm(lam), max_terms=4)
+    assert u.meta["stopped"]
+    assert len(u.meta["factor_consistency"]) == len(u.terms)
+    assert len(u.residual_energy) == len(u.terms) + 1
+    u.validate()
 
 
 def test_front_loading_defect_hand_case():
