@@ -345,6 +345,8 @@ def _parse_init(text, n):
 
 
 def cmd_decompose(args):
+    if args.terms < 0:
+        raise InputError(f"--terms wants a count >= 0, got {args.terms}")
     search = _search_from_args(args)
     s, f = _ingest(args)
     extra = None

@@ -6,8 +6,10 @@ boundary samples, Hardy functions with decaying random coefficients,
 and planted sums of Szego kernels or TM-system terms whose exact
 decomposition is known in advance.  `horner` and `grid_argmax` are
 the pointwise evaluation and selection the batched scan replaced,
-kept as its reference; `central_differences` is the reference for the
-closed-form derivatives of the selection polish; `csv_writer_atoms`
+kept as its reference; `grid_values` is the scan before its power
+table was cached, kept as the bit-level reference for the cached one;
+`central_differences` is the reference for the closed-form
+derivatives of the selection polish; `csv_writer_atoms`
 and `csv_writer_raster` are the row-by-row writers and the per-atom
 binning loop behind `afd tfd` before its streamed writer, kept as the
 reference for its bytes; `schema1_record` is the result writer before
@@ -24,12 +26,14 @@ import pytest
 from afd import (
     CircularSignal,
     HardyFunction,
+    analytic_signal,
     circle_grid,
     tm_system_boundary,
     to_hardy,
 )
-from afd.config import SearchConfig
-from afd.core_afd import _derivative_stack, _selection_model
+from afd.config import DEFAULT_TOL, SearchConfig
+from afd.core_afd import _derivative_stack, _search_radii, _selection_model
+from afd.errors import InputError
 
 
 def residual_at(d, n):
@@ -55,6 +59,23 @@ def series_bound(coeffs, z):
     m1 = np.shape(coeffs)[-1]
     scale = horner(np.abs(coeffs), np.abs(z)).real
     return 16 * m1 * np.finfo(float).eps * scale
+
+
+def grid_values(coeffs, search):
+    """Reference FFT grid scan, the power table built on every call."""
+    radii = _search_radii(search)
+    if radii.max() > 1.0 - DEFAULT_TOL.param_boundary:
+        raise InputError("search grid reaches outside the disc")
+    c = np.asarray(coeffs, dtype=complex)
+    m1 = c.shape[-1]
+    a = search.n_angles
+    lead = c.shape[:-1] + (search.n_radii,)
+    damped = np.zeros(lead + (-(-m1 // a) * a,), dtype=complex)
+    powers = radii[:, None] ** np.arange(m1)
+    np.multiply(c[..., None, :], powers, out=damped[..., :m1])
+    folded = damped.reshape(lead + (-1, a)).sum(axis=-2)
+    rings = np.fft.ifft(folded, axis=-1) * a
+    return np.concatenate([rings.reshape(c.shape[:-1] + (-1,)), c[..., :1]], axis=-1)
 
 
 def grid_argmax(points, vals):
@@ -177,6 +198,13 @@ def am_fm_real(rng, n=256):
     p1, p2, p3 = rng.uniform(0.0, 2.0 * np.pi, 3)
     s = (1.0 + 0.6 * np.cos(t + p1)) * np.cos(6 * t + np.sin(t + p2))
     return CircularSignal(s + 0.15 * np.cos(11 * t + p3))
+
+
+def scaled_am_fm(lam, n=256):
+    """Analytic signal of lam (1 + 0.6 cos t) cos(6t + 0.4 sin 3t)."""
+    t = circle_grid(n)
+    s = (1.0 + 0.6 * np.cos(t)) * np.cos(6 * t + 0.4 * np.sin(3 * t))
+    return analytic_signal(CircularSignal(lam * s))
 
 
 def random_hardy(rng, m=255, decay=1.5):

@@ -186,6 +186,12 @@ def test_decompose_cyclic_explicit_init(tmp_path, cosine_csv):
     assert rec["config"]["init"] == "0.1+0.1i,-0.2i"
 
 
+def test_decompose_rejects_negative_terms(tmp_path, cosine_csv):
+    out = tmp_path / "r.json"
+    assert main(["decompose", cosine_csv, "--terms", "-1", "--output", str(out)]) == EXIT_INPUT
+    assert not out.exists()
+
+
 def _bytes(path):
     with open(path, "rb") as fh:
         return fh.read()

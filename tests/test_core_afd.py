@@ -19,26 +19,32 @@ from afd import (
     reconstruct,
     sift,
 )
-from afd.config import DEFAULT_SEARCH, SearchConfig
+from afd.config import DEFAULT_SEARCH, DEFAULT_TOL, SearchConfig
 from afd.core_afd import (
     _derivative_stack,
     _grid_values,
     _hardy_norm2,
     _polish,
+    _scan_plan,
     _search_grid,
+    _search_radii,
 )
 from afd.errors import InputError, ZeroResidual
+from afd.poafd import hardy_space, poafd_decompose
+from afd.unwinding import uwafd_decompose
 
 from conftest import (
     am_fm_real,
     band_limited_real,
     check_selection_derivatives,
     grid_argmax,
+    grid_values,
     horner,
     kernel_sum,
     random_hardy,
     random_params,
     residual_at,
+    scaled_am_fm,
     series_bound,
 )
 
@@ -102,6 +108,86 @@ def test_grid_values_match_pointwise_values(angles, radii):
         assert np.all(np.abs(vals - horner(row, grid)) <= series_bound(row, grid))
     with pytest.raises(InputError):
         _grid_values(c, replace(search, r_max=3.0))
+
+
+# fold lengths at, just off and far off a multiple of n_angles (64)
+CACHED_ORDERS = (0, 1, 63, 64, 65, 127, 2047)
+
+
+@pytest.mark.parametrize("m", CACHED_ORDERS)
+def test_cached_scan_is_bit_identical_to_the_uncached_one(m):
+    rng = np.random.default_rng(m)
+    c = random_hardy(rng, m=m).coefficients
+    stack = np.stack([c, 1j * c[::-1], random_hardy(rng, m=m).coefficients])
+    for coeffs in (c, stack):
+        for _ in range(2):  # a cold and a warm plan
+            got = _grid_values(coeffs, DEFAULT_SEARCH)
+            assert np.array_equal(got, grid_values(coeffs, DEFAULT_SEARCH))
+
+
+def test_scan_plans_are_keyed_by_grid_and_order():
+    # each search differs from the default in one field of the key; any
+    # field left out of the key hands one of them another's table
+    searches = [
+        DEFAULT_SEARCH,
+        replace(DEFAULT_SEARCH, r_max=0.95),
+        replace(DEFAULT_SEARCH, n_radii=16),
+        replace(DEFAULT_SEARCH, n_angles=48),
+    ]
+    rng = np.random.default_rng(50)
+    series = {m: random_hardy(rng, m=m).coefficients for m in (63, 127)}
+    for _ in range(2):
+        for c in series.values():
+            for search in searches:
+                assert np.array_equal(_grid_values(c, search), grid_values(c, search))
+                assert np.array_equal(_scan_plan(search, len(c)).points, _search_grid(search))
+
+
+def test_scan_plan_is_read_only_and_the_grid_is_checked_every_call():
+    plan = _scan_plan(DEFAULT_SEARCH, 128)
+    for table in plan:
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+    f = random_hardy(np.random.default_rng(51), m=127)
+    outside = replace(DEFAULT_SEARCH, r_max=3.0)
+    for _ in range(2):
+        with pytest.raises(InputError):
+            _grid_values(f.coefficients, outside)
+        with pytest.raises(InputError):
+            maximal_selection(f, outside)
+
+
+def test_grid_check_matches_the_largest_radius():
+    # the check computes radii[0] in scalar arithmetic; it must agree with
+    # the grid itself right at the boundary
+    limit = 1.0 - DEFAULT_TOL.param_boundary
+    for n_radii in (1, 3, 32, 200):
+        top = _search_radii(SearchConfig(n_radii=n_radii, r_max=1.0)).max()
+        for k in range(-3, 4):
+            search = SearchConfig(n_radii=n_radii, r_max=limit / top * (1.0 + k * 2.2e-16))
+            outside = _search_radii(search).max() > limit
+            try:
+                _scan_plan(search, 8)
+            except InputError:
+                assert outside
+            else:
+                assert not outside
+
+
+def test_selection_ignores_the_signal_scale():
+    # Q is homogeneous of degree 2 in the residual, which _select scales
+    # to unit norm: at 1e150 nothing overflows and the picks are those at 1
+    unit, large = scaled_am_fm(1.0), scaled_am_fm(1e150)
+    space = hardy_space(unit.order)
+    runs = [
+        lambda f: core_afd_decompose(f, max_terms=6, energy_tol=0.0).params,
+        lambda f: np.array([term.a for term in uwafd_decompose(f, max_terms=4).terms]),
+        lambda f: poafd_decompose(space, f.coefficients, max_terms=6, energy_tol=0.0).params,
+    ]
+    for run in runs:
+        want, got = run(unit), run(large)
+        assert len(got) == len(want) > 0
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_unpolished_selection_is_pointwise_grid_argmax():

@@ -6,7 +6,6 @@ import pytest
 from afd import (
     CircularSignal,
     HardyFunction,
-    analytic_signal,
     circle_grid,
     factorize,
     front_loading_defect,
@@ -19,7 +18,7 @@ from afd import (
 )
 from afd.errors import DegenerateModulus
 
-from conftest import kernel_sum, random_hardy
+from conftest import kernel_sum, random_hardy, scaled_am_fm
 
 
 def _boundary(coeffs, n=1024):
@@ -186,12 +185,6 @@ def test_uwafd_random_signals():
     )
 
 
-def _scaled_am_fm(lam, n=256):
-    t = circle_grid(n)
-    s = (1.0 + 0.6 * np.cos(t)) * np.cos(6 * t + 0.4 * np.sin(3 * t))
-    return analytic_signal(CircularSignal(lam * s))
-
-
 SCALES = [1e-150, 1e-20, 1e-8, 1.0, 1e20, 1e150]
 
 
@@ -200,7 +193,7 @@ def test_uwa_is_scale_invariant():
     # so scaling the signal changes no step
     rel = []
     for lam in SCALES:
-        u = uwa_decompose(_scaled_am_fm(lam), 4)
+        u = uwa_decompose(scaled_am_fm(lam), 4)
         assert len(u.terms) == 4 and u.meta["stopped"] is None
         u.validate()
         rel.append(u.residual_energy[-1] / u.source_energy)
@@ -213,7 +206,7 @@ def test_uwa_is_scale_invariant():
 def test_uwafd_tiny_signals_stop_without_raising(lam):
     # the selection engine's absolute floor still refuses these, but the
     # refusal ends the recursion with a diagnostic instead of escaping
-    u = uwafd_decompose(_scaled_am_fm(lam), max_terms=4)
+    u = uwafd_decompose(scaled_am_fm(lam), max_terms=4)
     assert u.meta["stopped"]
     assert len(u.meta["factor_consistency"]) == len(u.terms)
     assert len(u.residual_energy) == len(u.terms) + 1
