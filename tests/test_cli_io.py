@@ -192,6 +192,22 @@ def test_decompose_rejects_negative_terms(tmp_path, cosine_csv):
     assert not out.exists()
 
 
+def test_decompose_rejects_negative_n_before_reading(tmp_path, capsys, cosine_csv):
+    out = tmp_path / "r.json"
+    argv = ["decompose", cosine_csv, "--algo", "cyclic", "--output", str(out)]
+    assert main(argv + ["--n", "-1"]) == EXIT_INPUT
+    assert not out.exists()
+    # the count is refused before the input is read: a missing file says so
+    missing = ["decompose", str(tmp_path / "none.csv"), "--algo", "cyclic", "--n", "-1"]
+    capsys.readouterr()
+    assert main(missing) == EXIT_INPUT
+    assert "--n wants a count >= 0" in capsys.readouterr().err
+    # an empty tuple is still a valid request
+    assert main(argv + ["--n", "0"]) == EXIT_OK
+    rec, _obj = load_result(str(out))
+    assert rec["components"] == []
+
+
 def _bytes(path):
     with open(path, "rb") as fh:
         return fh.read()

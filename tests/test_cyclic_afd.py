@@ -1,5 +1,7 @@
 """Cyclic coordinate search for the best n-Blaschke approximation."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from afd import (
 from afd.config import SearchConfig
 from afd.errors import InputError, ZeroSignal
 
-from conftest import kernel_sum, planted_tm, random_params, residual_at
+from conftest import cyclic_reference, kernel_sum, planted_tm, random_params, residual_at
 
 PLANTED = (0.5, -0.3 + 0.2j)
 PLANTED_C = (1.0, 0.8 - 0.3j)
@@ -53,7 +55,7 @@ def test_objective_permutation_invariance():
 
 def test_coordinate_optimize_repairs_wrong_entry():
     f = _planted()
-    fixed = coordinate_optimize(f, (0.5, 0.6j), 2)
+    fixed, _objective = coordinate_optimize(f, (0.5, 0.6j), 2)
     assert abs(fixed[0] - 0.5) < 1e-12  # untouched coordinate
     assert abs(fixed[1] - PLANTED[1]) < 1e-3
     assert n_blaschke_objective(f, fixed) < 1e-6 * f.energy()
@@ -75,8 +77,9 @@ def test_coordinate_steps_never_increase_objective(coarse_search):
         current = n_blaschke_objective(f, params)
         for step in range(6):
             index = 1 + step % 2
-            params = coordinate_optimize(f, params, index, coarse_search)
+            params, objective = coordinate_optimize(f, params, index, coarse_search)
             new = n_blaschke_objective(f, params)
+            assert abs(objective - new) <= 1e-12 * f.energy()
             assert new <= current + 1e-12 * f.energy()
             current = new
 
@@ -103,6 +106,93 @@ def test_cyclic_accepts_explicit_init():
     assert tr.objective < 1e-10 * f.energy()
     with pytest.raises(InputError):
         cyclic_afd(f, 2, init=(0.5,))
+
+
+def test_cyclic_rejects_negative_n():
+    f = _planted()
+    with pytest.raises(InputError, match="n wants a count >= 0"):
+        cyclic_afd(f, -1)
+    tr = cyclic_afd(f, 0)
+    assert tr.tuples == [()]
+    assert tr.objective == f.energy()
+
+
+def _bits(tuples):
+    return np.array(tuples, dtype=complex).tobytes()
+
+
+def _assert_matches_reference(f, n, **kwargs):
+    """Same tuples bit for bit as the sift-chain loop, d within rounding."""
+    tr = cyclic_afd(f, n, **kwargs)
+    tuples, d, converged, cycles = cyclic_reference(f, n, **kwargs)
+    assert _bits(tr.tuples) == _bits(tuples)
+    assert (tr.converged, tr.cycles) == (converged, cycles)
+    source = f.energy()
+    for params, val in zip(tr.tuples, tr.d):
+        assert abs(val - n_blaschke_objective(f, params)) <= 1e-12 * source
+    assert np.max(np.abs(tr.d - d)) <= 1e-12 * source
+    assert np.all(np.diff(tr.d) <= 0.0)
+    return tr
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("m", [127, 255])
+def test_cyclic_matches_sift_chain_reference(n, m):
+    rng = np.random.default_rng(1000 * n + m)
+    f, _, _ = kernel_sum(rng, terms=n, m=m)
+    tr = _assert_matches_reference(f, n, max_cycles=5, delta_tol=0.0)
+    # a full warm start has sifted f through init already: same chain, same bits
+    warm = core_afd_decompose(f, max_terms=n, energy_tol=0.0)
+    assert len(warm) == n
+    assert tr.d[0] == warm.residual_energy[-1] == n_blaschke_objective(f, tr.tuples[0])
+
+
+def test_cyclic_matches_reference_to_convergence():
+    # the default delta_tol stopping rule sees the same steps
+    tr = _assert_matches_reference(_planted(), 2)
+    assert tr.converged
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cyclic_explicit_init_matches_reference(n, coarse_search):
+    rng = np.random.default_rng(65 + n)
+    f, _, _ = kernel_sum(rng, terms=n, m=127)
+    init = random_params(rng, n, r=0.85)
+    tr = _assert_matches_reference(f, n, init=init, max_cycles=5, search=coarse_search)
+    assert tr.d[0] == n_blaschke_objective(f, init)
+
+
+def test_cyclic_zero_padded_warm_start_matches_reference():
+    # one planted kernel: greedy stops after one term, the init is padded
+    f, _, _ = kernel_sum(np.random.default_rng(66), terms=1, m=127)
+    warm = core_afd_decompose(f, max_terms=2, energy_tol=0.0)
+    assert len(warm) == 1
+    tr = _assert_matches_reference(f, 2, max_cycles=3)
+    assert tr.tuples[0][1] == 0j
+    assert tr.d[0] == n_blaschke_objective(f, tr.tuples[0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cycle_costs_n_times_n_minus_one_sifts(n, monkeypatch, coarse_search):
+    module = importlib.import_module("afd.cyclic_afd")
+    real_sift = module.sift
+    calls = []
+
+    def counting_sift(g, a):
+        calls.append(a)
+        return real_sift(g, a)
+
+    monkeypatch.setattr(module, "sift", counting_sift)
+    f, _, _ = kernel_sum(np.random.default_rng(67), terms=3, m=127)
+    # the warm start sifts through core_afd's own binding, and its final
+    # residual scores the init, so only the moves count here
+    tr = cyclic_afd(f, n, max_cycles=4, delta_tol=0.0, search=coarse_search)
+    assert tr.cycles == 4
+    assert len(calls) == n * (n - 1) * tr.cycles
+    # an explicit init is scored by one sift chain of n
+    calls.clear()
+    tr = cyclic_afd(f, n, init=tr.params, max_cycles=4, delta_tol=0.0, search=coarse_search)
+    assert len(calls) == n * (n - 1) * tr.cycles + n
 
 
 def test_cyclic_rejects_zero_signal():
