@@ -15,7 +15,8 @@ repeat of a contributes (d/d conj(a))^(m-1) k_a, whose pairing with f
 reproduces f^(m-1)(a).  Gram-Schmidt over these spans the same space
 a TM chain would, and in the Hardy instance the result is locked,
 phase and all, to the classical TM system so that coefficients agree
-with the one-by-one greedy machinery.
+with the one-by-one greedy machinery.  The system grows one row per
+parameter: a new row never changes the earlier ones.
 
 The maximal selection exploits that the normalized extension objective
 
@@ -32,8 +33,8 @@ import numpy as np
 from .config import DEFAULT_SEARCH, DEFAULT_TOL
 from .errors import DegenerateGram, InputError, ZeroResidual
 from .core_afd import Component, Decomposition, _hardy_norm2, _select, _selection_scores
-from .hardy_atoms import multiplicities, tm_system_boundary, validate_param
-from .signal_core import HardyFunction
+from .hardy_atoms import mobius, szego_kernel, validate_param
+from .signal_core import HardyFunction, circle_grid
 
 __all__ = [
     "KernelSpace",
@@ -60,8 +61,10 @@ class KernelSpace:
     base[k] is the kernel coefficient profile (k_a coefficients are
     base[k] * conj(a)^k) and weights[k] = 1/base[k] makes the
     reproducing identity <f, k_a> = f(a) hold.  reference, when set,
-    returns the conventional orthonormal system for a parameter tuple
-    and pins the Gram-Schmidt phases to it.
+    pins the Gram-Schmidt phases to a conventional orthonormal system,
+    one row at a time: reference(state, a, order) returns that system's
+    row for a, appended to the parameters that state was carried
+    through (None: none yet), and the state carried through a.
     """
 
     name: str
@@ -92,10 +95,15 @@ class MultiplicityKernel:
 
 @dataclass
 class OrthoSystem:
-    """Orthonormal rows spanning the kernels of a parameter tuple."""
+    """Orthonormal rows spanning the kernels of a parameter tuple.
+
+    reference_state is what the space's reference rule carried through
+    params (Hardy: the Blaschke prefix on the boundary); None without one.
+    """
 
     params: tuple
     vectors: np.ndarray  # (n, M+1)
+    reference_state: object = None
 
     def __len__(self):
         return len(self.params)
@@ -137,12 +145,20 @@ def _bergman_norm2(s):
     return u * u, 2.0 * u**3, 6.0 * u**4
 
 
-def _hardy_reference(params, m):
-    # classical TM system, projected to coefficients; the tail beyond
-    # order m is |a|^m and irrelevant at the phase-alignment accuracy
+def _hardy_reference(prefix, a, m):
+    """TM row of a after the Blaschke prefix, and the prefix times mobius(a).
+
+    prefix holds boundary samples of the Blaschke product of the earlier
+    parameters (None: there are none), the sweep of tm_system_boundary
+    carried one step.  The row is projected to coefficients; its tail
+    beyond order m is |a|^m and irrelevant at the phase-alignment accuracy.
+    """
     n = 1 << max(4, int(np.ceil(np.log2(2 * (m + 1)))))
-    rows = tm_system_boundary(params, n)
-    return (np.fft.fft(rows, axis=1) / n)[:, : m + 1]
+    z = np.exp(1j * circle_grid(n))
+    if prefix is None:
+        prefix = np.ones(n, dtype=complex)
+    row = szego_kernel(a, z) * prefix
+    return (np.fft.fft(row) / n)[: m + 1], prefix * mobius(a, z)
 
 
 def kernel(space: KernelSpace, a, l=1) -> MultiplicityKernel:
@@ -169,52 +185,75 @@ def kernel(space: KernelSpace, a, l=1) -> MultiplicityKernel:
     return MultiplicityKernel(a=a, order=l, sequence=seq)
 
 
-def _extend(space, vectors, raw, normalize=True):
+def _extend(space, vectors, raw):
     """Orthogonal complement of raw against the rows of vectors.
 
     Returns (unit vector, residual norm); DegenerateGram when the
-    normalized residual drops below 1e-6 (numerically dependent set).
+    normalized residual drops below DEFAULT_TOL.gram (numerically
+    dependent set).  Each classical Gram-Schmidt pass is one weighted
+    mat-vec pair; the second pass keeps the Gram defect at rounding.
     """
-    u = raw.astype(complex).copy()
+    u = raw.astype(complex)
     scale = space.norm(u)
     if scale <= 0.0:
         raise DegenerateGram("zero kernel vector")
-    for v in vectors:
-        u -= space.inner(u, v) * v
-    # one reorthogonalization pass keeps the Gram defect at rounding
-    for v in vectors:
-        u -= space.inner(u, v) * v
+    wv = np.conj(vectors) * space.weights
+    for _ in range(2):
+        u = u - (wv @ u) @ vectors
     nrm = space.norm(u)
-    if nrm / scale < 1e-6:
+    if nrm / scale < DEFAULT_TOL.gram:
         raise DegenerateGram(
-            f"normalized Gram-Schmidt residual {nrm / scale:.2e} below 1e-6"
+            f"normalized Gram-Schmidt residual {nrm / scale:.2e} below {DEFAULT_TOL.gram:.0e}"
         )
-    return (u / nrm if normalize else u), nrm
+    return u / nrm, nrm
+
+
+def _order(params, a):
+    """Multiplicity order of a appended to params: 1 + its earlier coincidences."""
+    return 1 + sum(1 for b in params if abs(b - a) <= DEFAULT_TOL.coincidence)
+
+
+def _grow(space, system, a):
+    """system with one orthonormal row appended for the parameter a.
+
+    The row is the multiplicity-aware kernel at a, orthogonalized
+    against the existing rows and normalized; with a reference rule on
+    file (Hardy) it is rotated by a unimodular factor onto the reference
+    row, which the rule builds from the state carried in system.
+    Earlier rows are left as they are.  a must already be validated.
+    """
+    raw = kernel(space, a, _order(system.params, a)).sequence
+    v, _ = _extend(space, system.vectors, raw)
+    state = system.reference_state
+    if space.reference is not None:
+        ref, state = space.reference(state, a, space.order)
+        rho = space.inner(ref, v)
+        mag = abs(rho)
+        if mag > 1e-12:
+            v *= rho / mag
+    return OrthoSystem(
+        params=system.params + (a,),
+        vectors=np.vstack([system.vectors, v]),
+        reference_state=state,
+    )
 
 
 def gram_schmidt(space: KernelSpace, params) -> OrthoSystem:
     """Orthonormal system over the (multiplicity-aware) kernel family.
 
     Repeated parameters contribute derivative kernels of increasing
-    order.  With a conventional reference system on file (Hardy), each
-    vector is rotated by a unimodular factor to match it; otherwise
-    the usual positive-inner-product normalization is kept.
+    order.  The system is grown one parameter at a time, each row
+    orthogonalized against the rows before it, so gram_schmidt(params)
+    extended by a equals gram_schmidt(params + (a,)).  With a
+    conventional reference system on file (Hardy), each row is rotated
+    by a unimodular factor to match it; otherwise the usual
+    positive-inner-product normalization is kept.
     """
     params = tuple(validate_param(a) for a in params)
-    mult = multiplicities(params)
-    vectors = np.zeros((len(params), space.order + 1), dtype=complex)
-    for i, (a, l) in enumerate(zip(params, mult)):
-        raw = kernel(space, a, int(l)).sequence
-        v, _ = _extend(space, vectors[:i], raw)
-        vectors[i] = v
-    if space.reference is not None and len(params):
-        ref = space.reference(params, space.order)
-        for i in range(len(params)):
-            rho = space.inner(ref[i], vectors[i])
-            mag = abs(rho)
-            if mag > 1e-12:
-                vectors[i] *= rho / mag
-    return OrthoSystem(params=params, vectors=vectors)
+    system = OrthoSystem(params=(), vectors=np.zeros((0, space.order + 1), dtype=complex))
+    for a in params:
+        system = _grow(space, system, a)
+    return system
 
 
 def _selection_objective(space, pts, values):
@@ -230,26 +269,27 @@ def poafd_select(space: KernelSpace, f, system: OrthoSystem, search=DEFAULT_SEAR
     """Parameter maximizing the next normalized extension coefficient.
 
     f is the coefficient sequence of the current signal; the residual
-    against the system is formed internally, so passing either f or
-    its residual selects the same point.  The selection engine is the
-    one greedy AFD uses (grid scan, tie-break, projected Newton
-    polish), run on the stack [residual, system rows] with the radius
-    capped at min(search.r_max, 0.95); the pick never scores below the
-    best point of that grid.
+    against the system is formed internally, in one weighted mat-vec
+    pair, so passing either f or its residual selects the same point.
+    The selection engine is the one greedy AFD uses (grid scan,
+    tie-break, projected Newton polish), run on the stack [residual,
+    system rows] with the radius capped at min(search.r_max, 0.95); the
+    pick never scores below the best point of that grid.
 
     Raises
     ------
     ZeroResidual
-        If the residual norm in the space is below 1e-12.
+        If the residual norm in the space is not above
+        DEFAULT_TOL.zero_residual times the norm of f (an exact zero
+        included), so the floor does not depend on the signal's scale.
     """
     f = _as_sequence(space, f)
-    resid = f.copy()
-    for v in system.vectors:
-        resid -= space.inner(f, v) * v
-    if space.norm(resid) < 1e-12:
-        raise ZeroResidual("norm below selection floor")
+    vectors = system.vectors
+    resid = f - ((np.conj(vectors) * space.weights) @ f) @ vectors
+    if not space.norm(resid) > DEFAULT_TOL.zero_residual * space.norm(f):
+        raise ZeroResidual("residual norm below the selection floor")
     capped = replace(search, r_max=min(search.r_max, SELECTION_CAP))
-    return _select(np.vstack([resid, system.vectors]), space.norm2_rule, capped)
+    return _select(np.vstack([resid, vectors]), space.norm2_rule, capped)
 
 
 def multiplicity_limit_check(space: KernelSpace, params, a_n, h_seq=None):
@@ -264,7 +304,7 @@ def multiplicity_limit_check(space: KernelSpace, params, a_n, h_seq=None):
         h_seq = 2.0 ** -np.arange(4, 11)
     system = gram_schmidt(space, params)
     a_n = validate_param(a_n)
-    l = int(multiplicities(tuple(params) + (a_n,))[-1])
+    l = _order(system.params, a_n)
     limit, _ = _extend(space, system.vectors, kernel(space, a_n, l).sequence)
     errors = []
     for h in h_seq:
@@ -298,21 +338,23 @@ def poafd_decompose(
 ) -> Decomposition:
     """Greedy kernel decomposition f = sum_n <f, B_n> B_n + remainder.
 
-    After each selection the whole system is rebuilt by Gram-Schmidt
-    (cheap at these orders) so the multiplicity rule and the Hardy
-    phase convention hold no matter how the parameters arrived.
-    Residual energies use the space norm of the explicit remainder
-    sequence.  kind of every component is "poafd"; meta records the
-    space name.
+    Each selection grows the orthonormal system by one row (see
+    gram_schmidt), so the multiplicity rule and the Hardy phase
+    convention hold no matter how the parameters arrived, and earlier
+    rows and coefficients stay as they were.  Only the new coefficient
+    <f, B_n> is computed, and the remainder sequence loses its rank-one
+    term.  Selection sees the source f, so its floor is relative to the
+    signal.  Residual energies use the space norm of the explicit
+    remainder sequence.  kind of every component is "poafd"; meta
+    records the space name.
     """
     f = _as_sequence(space, f)
     source = space.norm(f) ** 2
     if source <= 0.0:
         raise ZeroResidual("zero signal")
-    params = []
     components = []
     residuals = [source]
-    system = OrthoSystem(params=(), vectors=np.zeros((0, space.order + 1), complex))
+    system = gram_schmidt(space, ())
     resid = f.copy()
     for k in range(max_terms):
         if residuals[-1] / source < max(energy_tol, DEFAULT_TOL.residual_floor):
@@ -323,17 +365,14 @@ def poafd_decompose(
             a = validate_param(forced_params[k])
         else:
             try:
-                a = poafd_select(space, resid, system, search)
+                a = poafd_select(space, f, system, search)
             except ZeroResidual:
                 break
-        params.append(a)
-        system = gram_schmidt(space, tuple(params))
-        coeffs = np.array([space.inner(f, v) for v in system.vectors])
-        resid = f - coeffs.T @ system.vectors
-        components = [
-            Component(a=p, c=complex(c), kind="poafd")
-            for p, c in zip(params, coeffs)
-        ]
+        system = _grow(space, system, a)
+        v = system.vectors[-1]
+        c = space.inner(f, v)
+        resid -= c * v
+        components.append(Component(a=a, c=c, kind="poafd"))
         residuals.append(space.norm(resid) ** 2)
     return Decomposition(
         components=components,

@@ -16,7 +16,9 @@ reference for its bytes; `schema1_record` is the result writer before
 schema 2, kept as the reference for reading old files;
 `cyclic_reference` is the cyclic n-best loop that re-scored every move
 by the full sift chain, kept as the reference for the moves that score
-themselves.
+themselves; `gram_schmidt_reference` and `poafd_reference` are the
+POAFD system rebuilt from scratch after every selection, kept as the
+reference for the system that grows one row per step.
 """
 
 import copy
@@ -29,11 +31,15 @@ import pytest
 from afd import (
     CircularSignal,
     HardyFunction,
+    OrthoSystem,
     analytic_signal,
     circle_grid,
     core_afd_decompose,
+    kernel,
     maximal_selection,
+    multiplicities,
     n_blaschke_objective,
+    poafd_select,
     sift,
     tm_system_boundary,
     to_hardy,
@@ -182,6 +188,58 @@ def cyclic_reference(f, n, init=None, max_cycles=200, delta_tol=1e-10, search=DE
             converged = True
             break
     return tuples, np.array(d), converged, cycles
+
+
+def gram_schmidt_reference(space, params):
+    """Reference system rebuilt from scratch for the whole tuple.
+
+    Each multiplicity-aware kernel is orthogonalized against the rows
+    before it by sequential (modified) Gram-Schmidt, one space.inner per
+    row, with one reorthogonalization pass, then normalized.  In the
+    Hardy space every row is afterwards rotated onto the TM system of
+    the whole tuple, swept again by tm_system_boundary.
+    """
+    params = tuple(complex(a) for a in params)
+    vectors = np.zeros((len(params), space.order + 1), dtype=complex)
+    for i, (a, l) in enumerate(zip(params, multiplicities(params))):
+        u = kernel(space, a, int(l)).sequence.astype(complex)
+        for _ in range(2):
+            for v in vectors[:i]:
+                u -= space.inner(u, v) * v
+        vectors[i] = u / space.norm(u)
+    if space.name == "hardy" and params:
+        m = space.order
+        n = 1 << max(4, int(np.ceil(np.log2(2 * (m + 1)))))
+        ref = (np.fft.fft(tm_system_boundary(params, n), axis=1) / n)[:, : m + 1]
+        for i in range(len(params)):
+            rho = space.inner(ref[i], vectors[i])
+            if abs(rho) > 1e-12:
+                vectors[i] *= rho / abs(rho)
+    return OrthoSystem(params=params, vectors=vectors)
+
+
+def poafd_reference(space, f, max_terms, search=DEFAULT_SEARCH):
+    """Reference POAFD loop that rebuilds the whole system every step.
+
+    After each selection the system of all parameters so far comes from
+    gram_schmidt_reference, every coefficient <f, B_j> is recomputed and
+    the remainder is formed from scratch as f - sum_j c_j B_j; the next
+    selection runs on that remainder.  f is a full-length coefficient
+    sequence.  Returns (params, coefficients, residual energies).
+    """
+    f = np.asarray(f, dtype=complex)
+    params = []
+    coeffs = np.zeros(0, dtype=complex)
+    system = gram_schmidt_reference(space, ())
+    resid = f.copy()
+    residuals = [space.norm(f) ** 2]
+    for _ in range(max_terms):
+        params.append(poafd_select(space, resid, system, search))
+        system = gram_schmidt_reference(space, params)
+        coeffs = np.array([space.inner(f, v) for v in system.vectors])
+        resid = f - coeffs @ system.vectors
+        residuals.append(space.norm(resid) ** 2)
+    return np.array(params), coeffs, np.array(residuals)
 
 
 def real_derivatives(g, h, c):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import afd.poafd
 from afd import (
     HardyFunction,
     analytic_signal,
@@ -30,11 +31,14 @@ from conftest import (
     am_fm_real,
     band_limited_real,
     check_selection_derivatives,
+    gram_schmidt_reference,
     grid_argmax,
     horner,
     kernel_sum,
+    poafd_reference,
     random_hardy,
     random_params,
+    scaled_am_fm,
     series_bound,
 )
 
@@ -111,10 +115,26 @@ def test_gram_schmidt_matches_tm_system_in_hardy_space():
 
 
 def test_gram_schmidt_orthonormal_with_repeats():
+    # the clustered triple needs the second Gram-Schmidt pass: one pass
+    # leaves a defect of 6e-8 in the Hardy space
     for space in _spaces():
-        for params in ((0.5, 0.5, -0.2j), (0.3, 0.3, 0.3)):
+        for params in ((0.5, 0.5, -0.2j), (0.3, 0.3, 0.3), (0.4, 0.401, 0.402)):
             system = gram_schmidt(space, params)
             assert system.gram_defect(space) < 1e-9
+
+
+def test_grown_system_matches_rebuilt_reference():
+    # one row per step, classical passes and a carried Blaschke prefix
+    # against the rebuild: sequential MGS, then phase alignment at the end
+    rng = np.random.default_rng(80)
+    cases = [(0.5, 0.5, -0.2j), (0.3, 0.3, 0.3)]
+    cases += [random_params(rng, 5, repeat_frac=0.5) for _ in range(4)]
+    for space in _spaces():
+        for params in cases:
+            got = gram_schmidt(space, params)
+            want = gram_schmidt_reference(space, params)
+            assert got.params == want.params
+            np.testing.assert_allclose(got.vectors, want.vectors, rtol=0, atol=1e-12)
 
 
 def test_gram_schmidt_degenerate_pair():
@@ -312,6 +332,52 @@ def test_poafd_energy_identity():
         assert np.all(np.diff(d.residual_energy) <= 1e-10 * d.source_energy)
         total = np.sum(np.abs(d.coefficients) ** 2) + d.residual_energy[-1]
         assert total == pytest.approx(d.source_energy, rel=1e-8)
+
+
+def test_poafd_decompose_matches_rebuild_every_step_reference():
+    rng = np.random.default_rng(81)
+    for space in (hardy_space(m=127), bergman_space(m=127)):
+        for signal in (am_fm_real(rng), band_limited_real(rng, 256)):
+            f = analytic_signal(signal).coefficients
+            d = poafd_decompose(space, f, max_terms=6, energy_tol=0.0)
+            params, coeffs, residuals = poafd_reference(space, f, 6)
+            np.testing.assert_allclose(d.params, params, rtol=0, atol=1e-10)
+            scale = np.sqrt(d.source_energy)
+            np.testing.assert_allclose(d.coefficients, coeffs, rtol=0, atol=1e-10 * scale)
+            np.testing.assert_allclose(
+                d.residual_energy, residuals, rtol=0, atol=1e-12 * d.source_energy
+            )
+
+
+def test_poafd_builds_one_kernel_per_term(monkeypatch):
+    # the rebuild built k kernels at step k: 55 for 10 terms
+    built = []
+
+    def counting(space, a, l=1):
+        built.append(a)
+        return kernel(space, a, l)
+
+    monkeypatch.setattr(afd.poafd, "kernel", counting)
+    f = analytic_signal(am_fm_real(np.random.default_rng(82))).coefficients
+    d = poafd_decompose(hardy_space(m=127), f, max_terms=10, energy_tol=0.0)
+    assert len(d.components) == 10
+    assert len(built) == 10
+
+
+def test_poafd_floor_is_relative_to_the_signal():
+    # an absolute norm floor returned 0 terms at 1e-20 and below
+    unit = scaled_am_fm(1.0)
+    for space in (hardy_space(unit.order), bergman_space(unit.order)):
+        want = poafd_decompose(space, unit.coefficients, max_terms=4).params
+        for lam in (1e-30, 1e-20, 1e20, 1e30):
+            got = poafd_decompose(space, scaled_am_fm(lam).coefficients, max_terms=4).params
+            assert len(got) == len(want) == 4
+            assert np.max(np.abs(got - want)) <= 1e-12
+        # an exact zero, and a signal inside the span at any scale, still refuse
+        system = gram_schmidt(space, (0.3,))
+        for f in (np.zeros(space.order + 1), 1e-30 * system.vectors[0]):
+            with pytest.raises(ZeroResidual):
+                poafd_select(space, f, system)
 
 
 def test_poafd_rejects_zero():

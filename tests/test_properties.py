@@ -1,0 +1,44 @@
+"""Property tests over random inputs, drawn by Hypothesis.
+
+Runs are derandomized so the suite is the same on every run.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from afd import bergman_space, gram_schmidt, hardy_space, tm_system_boundary
+
+PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+
+# order 511 puts the truncated tail of every TM row below 1e-12 for
+# |a| <= 0.9, derivative rows of multiplicity 5 included
+HARDY = hardy_space(m=511)
+BERGMAN = bergman_space(m=511)
+
+
+@st.composite
+def repeated_poles(draw):
+    """Tuple of 2-5 poles, |a| <= 0.9, in which some pole repeats.
+
+    Distinct poles sit on a polar lattice (radius step 0.1, 16 angles;
+    radius 0 is one point at every angle), so they stay well apart and
+    only the forced repeats are coincident.
+    """
+    lattice = st.tuples(st.integers(0, 9), st.integers(0, 15))
+    base = draw(st.lists(lattice, min_size=1, max_size=3, unique_by=lambda p: (p[0], p[0] and p[1])))
+    poles = [0.1 * i * np.exp(2j * np.pi * j / 16) for i, j in base]
+    # more entries than distinct poles: at least one repeat
+    picks = draw(st.lists(st.integers(0, len(poles) - 1), min_size=len(poles) + 1, max_size=len(poles) + 2))
+    return tuple(complex(poles[k]) for k in picks)
+
+
+@PROPERTY_SETTINGS
+@given(repeated_poles())
+def test_tm_gram_identity_with_repeated_poles(params):
+    # the grown Hardy rows are the TM system: coefficients of its boundary samples
+    n = 4096
+    tm = (np.fft.fft(tm_system_boundary(params, n), axis=1) / n)[:, : HARDY.order + 1]
+    hardy = gram_schmidt(HARDY, params)
+    np.testing.assert_allclose(hardy.vectors, tm, rtol=0, atol=1e-8)
+    assert hardy.gram_defect(HARDY) < 1e-9
+    assert gram_schmidt(BERGMAN, params).gram_defect(BERGMAN) < 1e-9
