@@ -31,12 +31,11 @@ import json
 import sys
 import time
 from dataclasses import replace
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULT_SEARCH
+from .config import DEFAULT_SEARCH, DEFAULT_TOL
 from .core_afd import Component, Decomposition, core_afd_decompose
 from .cyclic_afd import cyclic_afd, cyclic_decomposition
 from .errors import (
@@ -89,7 +88,7 @@ def read_signal_csv(path, allow_complex=False) -> CircularSignal:
     """CSV -> CircularSignal, validating grid and realness.
 
     Header `t,value` or `t,re,im`; times must equal 2*pi*j/N within
-    1e-9.  Without allow_complex the imaginary column, if present,
+    DEFAULT_TOL.grid_uniform (1e-9).  Without allow_complex the imaginary column, if present,
     must be numerically zero.
     """
     t, cols = _read_csv(path, {"t,value": 2, "t,re,im": 3})
@@ -97,7 +96,7 @@ def read_signal_csv(path, allow_complex=False) -> CircularSignal:
     expected = 2.0 * np.pi * np.arange(n) / n
     if n == 0:
         raise ParseError(f"{path}: no data rows")
-    if np.max(np.abs(t - expected)) > 1e-9:
+    if np.max(np.abs(t - expected)) > DEFAULT_TOL.grid_uniform:
         raise NonUniformGrid(
             f"{path}: time column is not the uniform circle grid 2*pi*j/{n}"
         )
@@ -426,70 +425,247 @@ def cmd_tfd(args):
     # before writing
     del rec, obj
     out = args.output or str(Path(args.result).with_suffix(".tfd.csv"))
-    with open(out, "w", newline="") as fh:
+    with open(out, "wb") as fh:
         _write_atoms(fh, comps)
     n_atoms = sum(len(comp.t) for comp in comps)
     print(f"{n_atoms} atoms over {len(comps)} components written to {out}")
     if args.bins:
         raster = _rasterize(comps, args.bins)
         rout = out[:-4] + ".raster.csv" if out.endswith(".csv") else out + ".raster.csv"
-        with open(rout, "w", newline="") as fh:
-            fh.write(",".join(["t", *map(repr, raster["centers"].tolist())]) + "\r\n")
-            _write_rows(fh, "", _float_text(raster["t"]), list(raster["grid"].T))
+        with open(rout, "wb") as fh:
+            header = ",".join(["t", *map(repr, raster["centers"].tolist())])
+            fh.write(header.encode("ascii") + b"\r\n")
+            _write_rows(fh, b"", _float_text(raster["t"]), list(raster["grid"].T))
         print(f"raster ({len(raster['centers'])} frequency bins) written to {rout}")
     return EXIT_OK
 
 
-# Columns are converted to Python floats a block of about this many cells
-# at a time, so the floats held at once stay few however long or wide
-# the file is (a raster has one column per frequency bin).
+# Cells are formatted and written a block of about this many at a time,
+# so the work arrays held at once stay small however long or wide the
+# file is (a raster has one column per frequency bin).
 _BLOCK_CELLS = 1 << 13
-
-
-def _float_text(values):
-    """repr of each value as a Python float, the cell text csv.writer wrote."""
-    return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
 def _write_atoms(fh, comps):
     """Atom CSV `k,t,omega,weight`: one CRLF line per component and grid time.
 
-    Components that share one time array (dirac_tfd and unwinding_tfd
-    give all of them the same one) share its formatted text.
+    fh is a binary file.  Components that share one time array
+    (dirac_tfd and unwinding_tfd give all of them the same one) share
+    its formatted text.
     """
-    fh.write("k,t,omega,weight\r\n")
+    fh.write(b"k,t,omega,weight\r\n")
     t, times = None, None
     for comp in comps:
         if comp.t is not t:
             t, times = comp.t, _float_text(comp.t)
-        _write_rows(fh, f"{comp.index},", times, [comp.omega, comp.weight])
+        _write_rows(fh, b"%d," % comp.index, times, [comp.omega, comp.weight])
 
 
 def _write_rows(fh, lead, times, columns):
     """Write one CRLF line per time: lead, the time text, one cell per column.
 
-    columns are float arrays as long as times.  Within a block of rows,
-    a column that repeats one float (same bits) is formatted once and
-    joined into the literal text between cells; the others are
-    formatted cell by cell.  Each line is one join of its pieces and
-    goes out as it is made; no block or file text is built.
+    fh is a binary file, lead a bytes prefix and times the _float_text
+    matrix of the time column; columns are float arrays as long as
+    times.  Within a block of rows, a column that repeats one float
+    (same bits) is formatted once and joined into the literal text
+    between cells; the others are formatted by one _float_text call.
+    The block is one uint8 matrix [lead, time text, literal, column
+    text, ..., literal and CRLF], written with its NUL padding dropped
+    in one write.
     """
     step = max(1, _BLOCK_CELLS // (len(columns) + 1))
     for start in range(0, len(times), step):
         rows = slice(start, start + step)
-        pieces, literal = [repeat(lead), times[rows]], ""
+        text = times[rows]
+        pieces, literal = [_repeated(lead, len(text)), text], b""
         for col in columns:
             values = np.asarray(col[rows], dtype=float)
             bits = values.view(np.uint64)
-            literal += ","
+            literal += b","
             if (bits == bits[0]).all():
-                literal += repr(float(values[0]))
+                literal += repr(float(values[0])).encode("ascii")
             else:
-                pieces += [repeat(literal), map(repr, values.tolist())]
-                literal = ""
-        pieces.append(repeat(literal + "\r\n"))
-        # zip stops with the time text, the one piece never folded
-        fh.writelines(map("".join, zip(*pieces)))
+                pieces += [_repeated(literal, len(text)), _float_text(values)]
+                literal = b""
+        pieces.append(_repeated(literal + b"\r\n", len(text)))
+        block = np.concatenate(pieces, axis=1).ravel()
+        fh.write(block[block != 0].tobytes())
+
+
+def _repeated(literal, n):
+    """n rows of the bytes literal, as a read-only uint8 matrix."""
+    return np.broadcast_to(np.frombuffer(literal, dtype=np.uint8), (n, len(literal)))
+
+
+# ---------------------------------------------------------------- float text
+#
+# _float_text gives repr(float(x)) for every x of an array as one uint8
+# matrix, so a block of CSV cells is made by a few array operations
+# instead of one repr call per cell.  repr writes the shortest decimal
+# that reads back as x (the one nearest x if several have that length),
+# in fixed notation exactly when its exponent e (x = d.ddd * 10^e) lies
+# in [-4, 15].  For such x the formatter finds the digits itself:
+#
+#   S = |x| * 10^(16 - e) is one long double product (both factors
+#   exact, powers of ten up to 10^27 fit a 64-bit significand), so
+#   S is off by at most 2^-64 S.  d17 = rint(S) holds 17 digits of x.
+#   The 15- and 16-digit roundings follow from d17 mod 100 (mod 10) and
+#   r = S - d17, and a rounding reads back as x iff its distance to S
+#   is below the scaled half gap to x's neighbour on its side.  By 15
+#   digits at most one decimal lies that close, so the correct 15-digit
+#   rounding reads back iff any decimal of 15 or fewer digits does;
+#   past that the nearest 16-digit one decides, and the 17-digit one
+#   always reads back.  (The gap below a power of two is half the gap
+#   above; for none of the 67 powers of two in the range does a
+#   rounding fall between the two half gaps, so the nearest one still
+#   decides there.)
+#
+# Every comparison is made on exact values derived from S, so only the
+# 2^-64 S error in S can flip one; the value goes to repr when any
+# comparison it depends on lies within 2^-62 S of its threshold, when
+# S is not clearly inside [1e16, 1e17) (log10 misjudged e), when rounding
+# carries into an 18th digit, and when x is not finite or not in the
+# fixed range.  Without a 64-bit long double significand every value
+# goes to repr.
+
+_TEXT_WIDTH = 24  # the longest repr of a float, e.g. -2.2250738585072014e-308
+_LONG_DOUBLE_EXACT = np.finfo(np.longdouble).nmant >= 63
+
+
+def _powers_of_ten(dtype, count):
+    power, table = dtype(1), []
+    for _ in range(count):
+        table.append(power)
+        power = power * dtype(10)
+    return np.array(table, dtype=dtype)
+
+
+# 10^k for k = 0..21, which covers 16 - e for e in [-5, 16]
+_POW10_LONG = _powers_of_ten(np.longdouble, 22)
+_POW10 = _powers_of_ten(np.float64, 22)
+_U64 = np.uint64
+
+
+def _float_text(values):
+    """repr of each value as a Python float, as a NUL-padded (n, 24) uint8 matrix.
+
+    Row i holds the ASCII bytes of repr(float(values[i])), the cell
+    text csv.writer wrote, followed by NULs.  Fixed-notation values are
+    formatted in blocks of _BLOCK_CELLS by _shortest_digits and
+    _fixed_text, zeros are constant text, and every other value (and
+    every value the fast path cannot prove) goes through repr.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    out = np.zeros((x.size, _TEXT_WIDTH), dtype=np.uint8)
+    for start in range(0, x.size, _BLOCK_CELLS):
+        _format_block(x[start:start + _BLOCK_CELLS], out[start:start + _BLOCK_CELLS])
+    return out
+
+
+def _format_block(x, out):
+    mag = np.abs(x)
+    done = mag == 0.0
+    out[done, :3] = np.frombuffer(b"0.0", dtype=np.uint8)
+    out[done & np.signbit(x), :4] = np.frombuffer(b"-0.0", dtype=np.uint8)
+    fixed = np.flatnonzero((mag >= 1e-4) & (mag < 1e16))
+    if _LONG_DOUBLE_EXACT and fixed.size:
+        digits, exponent, sure = _shortest_digits(mag[fixed])
+        rows = fixed[sure]
+        _fixed_text(digits[sure], exponent[sure], np.signbit(x[rows]), out, rows)
+        done[rows] = True
+    rest = np.flatnonzero(~done)
+    if rest.size:
+        text = np.array([repr(v) for v in x[rest].tolist()], dtype=f"S{_TEXT_WIDTH}")
+        out[rest] = text.view(np.uint8).reshape(-1, _TEXT_WIDTH)
+
+
+def _shortest_digits(mag):
+    """repr's digits of positive floats in [1e-4, 1e16), where provable.
+
+    Returns (digits, e, sure): digits is the shortest round-trip decimal
+    as a 17-digit uint64 (zero padded on the right), e the decimal
+    exponent of its first digit, and sure marks the entries whose
+    digits are proven; the others must go to repr.
+    """
+    e = np.floor(np.log10(mag)).astype(np.intp)  # in [-5, 16] on this range
+    k = 16 - e
+    s = mag.astype(np.longdouble) * _POW10_LONG[k]
+    margin = s.astype(np.float64) * 2.0**-62
+    outside = (s < 1e16 + 2.0 * margin) | (s >= 1e17)
+    d17 = np.rint(s)
+    r = (s - d17).astype(np.float64)
+    d = d17.astype(_U64)
+    # half gaps to the neighbours above and below, in units of d17
+    scale = 0.5 * _POW10[k]
+    gap_up = np.spacing(mag) * scale
+    gap_down = (mag - np.nextafter(mag, 0.0)) * scale
+    candidate = d
+    unsure = np.abs(np.abs(r) - 0.5) <= margin
+    # 16 digits, then 15: a shorter rounding that reads back wins, and
+    # only the decisions that led to the winner must be sure
+    for unit in (10, 100):
+        tail = (d % _U64(unit)).astype(np.float64) + r  # S mod unit
+        up = tail > 0.5 * unit
+        offset = unit * up - tail  # rounding minus S
+        half_gap = np.where(offset > 0.0, gap_up, gap_down)
+        distance = np.abs(offset)
+        reads_back = distance < half_gap
+        near = (np.abs(tail - 0.5 * unit) <= margin) | (np.abs(distance - half_gap) <= margin)
+        unsure = near | unsure & ~reads_back
+        candidate = np.where(reads_back, (d // _U64(unit) + up) * _U64(unit), candidate)
+    return candidate, e, ~(unsure | outside) & (candidate < _U64(10**17))
+
+
+# decimal digit planes of a 17-digit number, first digit first
+_PLANE = np.arange(1, 18, dtype=np.uint8)[:, None]
+
+
+def _fixed_text(digits, e, negative, out, rows):
+    """Write repr's fixed-notation text of digits * 10^(e - 16) into out[rows].
+
+    Values are sorted by (e, sign) so each layout is a few slice copies
+    of the digit planes; trailing zero digits past the first fraction
+    digit become NUL.
+    """
+    key = ((e + 4) * 2 + negative).astype(np.int8)
+    order = np.argsort(key, kind="stable")
+    counts = np.bincount(key, minlength=40)
+    plane = _digit_planes(digits[order])
+    significant = np.max(_PLANE * (plane != 0), axis=0).astype(np.int8)
+    keep = np.maximum(significant, e[order].astype(np.int8) + 2).astype(np.uint8)
+    plane += ord("0")
+    plane *= _PLANE <= keep
+    text = np.zeros((_TEXT_WIDTH, len(order)), dtype=np.uint8)
+    start = 0
+    for k in np.flatnonzero(counts):
+        cols = slice(start, start + counts[k])
+        start += counts[k]
+        exp, sign = divmod(int(k), 2)
+        exp -= 4
+        if sign:
+            text[0, cols] = ord("-")
+        if exp >= 0:
+            text[sign:sign + exp + 1, cols] = plane[:exp + 1, cols]
+            text[sign + exp + 1, cols] = ord(".")
+            text[sign + exp + 2:sign + 18, cols] = plane[exp + 1:, cols]
+        else:
+            text[sign:sign + 1 - exp, cols] = ord("0")
+            text[sign + 1, cols] = ord(".")
+            text[sign + 1 - exp:sign + 18 - exp, cols] = plane[:, cols]
+    out[rows[order]] = text.T
+
+
+def _digit_planes(digits):
+    """(17, n) uint8 decimal digits of 17-digit uint64 values."""
+    halves = np.empty((2, len(digits)), dtype=np.uint32)
+    halves[0] = digits // _U64(10**9)
+    halves[1] = digits - halves[0] * _U64(10**9)
+    plane = np.empty((18, len(digits)), dtype=np.uint8)
+    for j in range(8, -1, -1):
+        quotient = halves // np.uint32(10)
+        plane[j::9] = halves - quotient * np.uint32(10)
+        halves = quotient
+    return plane[1:]
 
 
 def _rasterize(comps, bins):

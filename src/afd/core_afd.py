@@ -348,7 +348,7 @@ def _select(rows, norm2_rule, search, include=()):
     return best
 
 
-def maximal_selection(f: HardyFunction, search=DEFAULT_SEARCH, include=()):
+def maximal_selection(f: HardyFunction, search=DEFAULT_SEARCH, include=(), source=None):
     """Polished grid maximum of the selection objective for one greedy step.
 
     Scans the polar grid for the largest (1 - |a|^2)|f(a)|^2, breaks
@@ -360,16 +360,21 @@ def maximal_selection(f: HardyFunction, search=DEFAULT_SEARCH, include=()):
     global maximum over the disc, since the polish climbs the winning
     cell's peak and a higher peak between grid points can be missed.
     `include` adds extra candidates, e.g. an incumbent parameter that
-    must not be lost.
+    must not be lost.  `source` is the signal the caller's iteration
+    started from (default f itself); the selection floor is relative to
+    its norm, as in poafd_select.
 
     Raises
     ------
     ZeroResidual
-        If ||f|| < 1e-12; the caller's iteration should have stopped.
+        If ||f|| is not above DEFAULT_TOL.zero_residual times ||source||
+        (an exact zero included), so the floor does not depend on the
+        signal's scale; the caller's iteration should have stopped.
     ParamOutOfDisc
         If an `include` candidate is not strictly inside the disc.
     """
-    if f.norm() < 1e-12:
+    floor = DEFAULT_TOL.zero_residual * (f if source is None else source).norm()
+    if not f.norm() > floor:
         raise ZeroResidual("norm below selection floor")
     include = [validate_param(a) for a in include]
     return _select(f.coefficients[None], _hardy_norm2, search, include)
@@ -445,7 +450,7 @@ def core_afd_decompose(
             a = validate_param(forced_params[k])
         else:
             try:
-                a = maximal_selection(f_k, search)
+                a = maximal_selection(f_k, search, source=f)
             except ZeroResidual:
                 break
         c = coefficient(f_k, a)

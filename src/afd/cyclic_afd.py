@@ -130,7 +130,7 @@ def coordinate_optimize(f: HardyFunction, params, index, search=DEFAULT_SEARCH):
     i = index - 1
     g = _reduced_without(f, params, i)
     try:
-        a_new = maximal_selection(g, search, include=(params[i],))
+        a_new = maximal_selection(g, search, include=(params[i],), source=f)
     except ZeroResidual:
         a_new = params[i]
     objective = max(g.energy() - abs(coefficient(g, a_new)) ** 2, 0.0)

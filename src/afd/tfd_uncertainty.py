@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import DEFAULT_TOL
 from .errors import InputError, NonRealInput, NonUniformGrid, TailEnergy, ZeroSignal
 from .hardy_atoms import validate_param
 from .signal_core import circle_grid
@@ -96,10 +97,11 @@ class UncertaintyReport:
         phase of a non-oscillatory pulse wobbles at that scale.  The
         lower links are quadrature-exact and get absolute floors only.
         """
+        slack = DEFAULT_TOL.chain_slack
         return (
-            self.product >= 0.98 * self.extra_bound - 1e-6
+            self.product >= 0.98 * self.extra_bound - slack
             and self.extra_bound >= self.cohen_bound - 1e-9
-            and self.cohen_bound >= 0.25 - 1e-6
+            and self.cohen_bound >= 0.25 - slack
         )
 
 

@@ -272,7 +272,7 @@ def uwafd_decompose(
             break
         o_k = fac.outer.truncated(f.order)
         try:
-            a = maximal_selection(o_k, search)
+            a = maximal_selection(o_k, search, source=f)
         except ZeroResidual as exc:
             stopped = str(exc)
             break

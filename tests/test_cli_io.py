@@ -392,16 +392,14 @@ def test_tfd_bytes_match_csv_writer(tmp_path, capsys, algo, n, flags):
         assert n_atoms == rec["meta"]["inner_n"] * len(rec["components"])
 
 
-@pytest.mark.parametrize(
-    "algo, flags", [("core", []), ("uwa", ["--terms", "0"])], ids=["core", "uwa"]
-)
-def test_tfd_of_a_result_without_components(tmp_path, capsys, algo, flags):
-    # core saves no components at 1e-20 scale (ROADMAP item 6); uwa is
-    # scale invariant and saves none only when asked for none
+@pytest.mark.parametrize("algo", ["core", "uwa"])
+def test_tfd_of_a_result_without_components(tmp_path, capsys, algo):
+    # both are scale invariant and save no components only when asked
+    # for none
     tiny = 1e-20 * am_fm_real(np.random.default_rng(3), 1024).samples.real
     sig = _write_real(tmp_path / "s.csv", tiny)
     res = str(tmp_path / "r.json")
-    assert main(["decompose", sig, "--algo", algo, "--output", res] + flags) == EXIT_OK
+    assert main(["decompose", sig, "--algo", algo, "--terms", "0", "--output", res]) == EXIT_OK
     assert load_result(res)[0]["components"] == []
     capsys.readouterr()
     atoms = str(tmp_path / "r.tfd.csv")
@@ -417,14 +415,76 @@ def test_write_rows_folds_only_repeated_bits(monkeypatch):
     # two rows per block: the column repeats within some blocks only, and
     # 0.0 and -0.0 compare equal but print differently
     monkeypatch.setattr(cli_io, "_BLOCK_CELLS", 6)
-    times = ["0.0", "1.0", "2.0", "3.0", "4.0"]
+    times = cli_io._float_text([0.0, 1.0, 2.0, 3.0, 4.0])
     cols = [np.array([0.0, -0.0, 2.5, 2.5, 1e-300]), np.full(5, np.nan)]
-    buf = io.StringIO(newline="")
-    cli_io._write_rows(buf, "7,", times, cols)
-    assert buf.getvalue() == (
+    buf = io.BytesIO()
+    cli_io._write_rows(buf, b"7,", times, cols)
+    assert buf.getvalue().decode("ascii") == (
         "7,0.0,0.0,nan\r\n7,1.0,-0.0,nan\r\n7,2.0,2.5,nan\r\n"
         "7,3.0,2.5,nan\r\n7,4.0,1e-300,nan\r\n"
     )
+
+
+def _cell_text(matrix):
+    return [row.tobytes().rstrip(b"\0").decode("ascii") for row in matrix]
+
+
+def _repr_mismatches(values):
+    """(value, formatted, repr) for every cell _float_text gets wrong."""
+    values = np.asarray(values, dtype=float)
+    got = _cell_text(cli_io._float_text(values))
+    return [(v, g, repr(v)) for v, g in zip(values.tolist(), got) if g != repr(v)]
+
+
+def test_float_text_is_repr_on_every_value_class():
+    rng = np.random.default_rng(71)
+    n = 20000
+    pow10 = np.array([float(f"1e{k}") for k in range(-8, 20)])
+    pow2 = np.ldexp(1.0, np.arange(-40, 60))
+    edges = np.concatenate([pow10, pow2])
+    special = [0.0, np.nan, np.inf, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    classes = [
+        rng.uniform(0.0, 100.0, n),  # the omegas and times of a TFD
+        10.0 ** rng.uniform(-6.0, 18.0, n),  # both edges of fixed notation
+        rng.integers(0, 2**64, n, dtype=np.uint64).view(float),  # any bits
+        rng.integers(0, 10**6, n) / 10.0 ** rng.integers(0, 9, n),  # short decimals
+        rng.integers(0, 10**16, n).astype(float),  # integers
+        rng.integers(1, 2**52, 200, dtype=np.uint64).view(float),  # subnormals
+        edges,
+        np.nextafter(edges, 0.0),
+        np.nextafter(edges, np.inf),
+        special,
+    ]
+    values = np.concatenate(classes)
+    assert _repr_mismatches(np.concatenate([values, -values]))[:5] == []
+
+
+def test_float_text_without_long_double_is_repr(monkeypatch):
+    # where long double has no 64-bit significand every cell goes to repr
+    monkeypatch.setattr(cli_io, "_LONG_DOUBLE_EXACT", False)
+    values = np.random.default_rng(72).uniform(-100.0, 100.0, 500)
+    assert _repr_mismatches(np.concatenate([values, [0.0, -0.0, np.nan, 1e300]])) == []
+
+
+def test_float_text_rows_are_nul_padded():
+    text = cli_io._float_text([1.5, -0.0, -2.2250738585072014e-308])
+    assert text.shape == (3, 24) and text.dtype == np.uint8
+    assert _cell_text(text) == ["1.5", "-0.0", "-2.2250738585072014e-308"]
+    assert cli_io._float_text([]).shape == (0, 24)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant < 63, reason="the fast path needs a 64-bit long double"
+)
+def test_float_text_formats_tfd_omegas_without_repr():
+    # an unwinding TFD like the benchmark's: nearly every omega must be
+    # proven by the fast path, not handed to repr
+    f = analytic_signal(am_fm_real(np.random.default_rng(5), 1024))
+    omega = np.concatenate([comp.omega for comp in unwinding_tfd(uwa_decompose(f, n_terms=6))])
+    mag = np.abs(omega)
+    assert np.all((mag >= 1e-4) & (mag < 1e16))
+    _digits, _exponent, sure = cli_io._shortest_digits(mag)
+    assert sure.mean() >= 0.95
 
 
 def test_tfd_rejects_negative_bins(tmp_path, cosine_csv):

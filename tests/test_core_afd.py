@@ -190,6 +190,28 @@ def test_selection_ignores_the_signal_scale():
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("lam", [1e-20, 1e-30, 1e-150])
+def test_selection_floor_is_relative_to_the_signal(lam):
+    # the floor compares the remainder with the source, not with 1: tiny
+    # signals get the poles of the unit one
+    unit, tiny = scaled_am_fm(1.0), scaled_am_fm(lam)
+    runs = [
+        lambda f: core_afd_decompose(f, max_terms=4, energy_tol=0.0).params,
+        lambda f: np.array([term.a for term in uwafd_decompose(f, max_terms=4).terms]),
+    ]
+    for run in runs:
+        want, got = run(unit), run(tiny)
+        assert len(got) == len(want) == 4
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_selection_floor_refuses_relative_to_the_source():
+    f = scaled_am_fm(1e-20)
+    assert maximal_selection(f) == maximal_selection(f, source=f)
+    with pytest.raises(ZeroResidual):
+        maximal_selection(f, source=scaled_am_fm(1e-7))
+
+
 def test_unpolished_selection_is_pointwise_grid_argmax():
     # the scan's values must line up with _search_grid, ties included:
     # real coefficients tie conjugate points, z^3 ties a whole ring

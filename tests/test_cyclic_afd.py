@@ -34,6 +34,18 @@ def test_objective_vanishes_on_planted_form():
     assert n_blaschke_objective(f, (0.5, 0.6j)) > 1e-3 * f.energy()
 
 
+def test_cyclic_afd_is_scale_invariant():
+    # at 1e-12 the remainders fall below 1e-12 in absolute terms; the
+    # selection floor is relative to f, so every move still selects
+    f = _planted()
+    unit = cyclic_afd(f, 2)
+    tiny = cyclic_afd(HardyFunction(1e-12 * f.coefficients), 2)
+    assert tiny.cycles == unit.cycles
+    assert tiny.objective / (1e-24 * f.energy()) == pytest.approx(unit.objective / f.energy(), rel=1e-3)
+    # the objective is flat near its minimum: the picks agree to ~1e-9
+    assert np.max(np.abs(np.array(tiny.params) - np.array(unit.params))) < 1e-7
+
+
 def test_objective_closed_form_single_param():
     # for f = z the reduced remainder energy is 1 - (1-|a|^2)|a|^2
     f = HardyFunction(np.array([0.0, 1.0], dtype=complex))

@@ -7,6 +7,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from afd import bergman_space, gram_schmidt, hardy_space, tm_system_boundary
+from afd.cli_io import _float_text
 
 PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 
@@ -42,3 +43,16 @@ def test_tm_gram_identity_with_repeated_poles(params):
     np.testing.assert_allclose(hardy.vectors, tm, rtol=0, atol=1e-8)
     assert hardy.gram_defect(HARDY) < 1e-9
     assert gram_schmidt(BERGMAN, params).gram_defect(BERGMAN) < 1e-9
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.floats(), max_size=64),
+    st.lists(st.integers(0, 2**64 - 1), max_size=64),
+)
+def test_float_text_is_repr(floats, patterns):
+    # every cell of the CSV formatter is repr of its float: drawn floats
+    # (nan, infinities and subnormals included) and raw 64-bit patterns
+    values = np.concatenate([np.array(floats, dtype=float), np.array(patterns, dtype=np.uint64).view(float)])
+    text = [row.tobytes().rstrip(b"\0").decode("ascii") for row in _float_text(values)]
+    assert text == [repr(v) for v in values.tolist()]

@@ -1,5 +1,7 @@
 """Inner-outer factorization and the unwinding recursions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from afd import (
     uwa_decompose,
     uwafd_decompose,
 )
+from afd import core_afd
 from afd.errors import DegenerateModulus
 
 from conftest import kernel_sum, random_hardy, scaled_am_fm
@@ -203,11 +206,16 @@ def test_uwa_is_scale_invariant():
 
 
 @pytest.mark.parametrize("lam", [1e-20, 1e-150])
-def test_uwafd_tiny_signals_stop_without_raising(lam):
-    # the selection engine's absolute floor still refuses these, but the
-    # refusal ends the recursion with a diagnostic instead of escaping
+def test_uwafd_tiny_signals_stop_without_raising(lam, monkeypatch):
+    # the selection floor is relative to the source norm; raised to half
+    # of it, it refuses the second step (remainder norm 0.21) at every
+    # scale, and the refusal ends the recursion with a diagnostic
+    # instead of escaping
+    tol = replace(core_afd.DEFAULT_TOL, zero_residual=0.5)
+    monkeypatch.setattr(core_afd, "DEFAULT_TOL", tol)
     u = uwafd_decompose(scaled_am_fm(lam), max_terms=4)
-    assert u.meta["stopped"]
+    assert u.meta["stopped"] == "norm below selection floor"
+    assert len(u.terms) == 1
     assert len(u.meta["factor_consistency"]) == len(u.terms)
     assert len(u.residual_energy) == len(u.terms) + 1
     u.validate()
