@@ -55,6 +55,7 @@ from .core_afd import (
     Component,
     Decomposition,
     coefficient,
+    coefficient_cross_check,
     core_afd_decompose,
     maximal_selection,
     objective,

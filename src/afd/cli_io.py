@@ -88,8 +88,9 @@ def read_signal_csv(path, allow_complex=False) -> CircularSignal:
     """CSV -> CircularSignal, validating grid and realness.
 
     Header `t,value` or `t,re,im`; times must equal 2*pi*j/N within
-    DEFAULT_TOL.grid_uniform (1e-9).  Without allow_complex the imaginary column, if present,
-    must be numerically zero.
+    DEFAULT_TOL.grid_uniform (1e-9).  Without allow_complex the
+    imaginary column, if present, must be numerically zero relative to
+    the signal's peak (CircularSignal.is_real).
     """
     t, cols = _read_csv(path, {"t,value": 2, "t,re,im": 3})
     n = len(t)
@@ -104,9 +105,7 @@ def read_signal_csv(path, allow_complex=False) -> CircularSignal:
         samples = cols[0].astype(complex)
     else:
         samples = cols[0] + 1j * cols[1]
-        if not allow_complex and np.max(np.abs(cols[1])) > 1e-12 * max(
-            1.0, np.max(np.abs(cols[0]))
-        ):
+        if not allow_complex and not CircularSignal(samples).is_real():
             raise NonRealInput(
                 f"{path}: imaginary column is nonzero; pass --complex to keep it"
             )
@@ -119,7 +118,7 @@ def read_line_csv(path):
     if len(t) < 2:
         raise ParseError(f"{path}: need at least two samples")
     dt = t[1] - t[0]
-    if dt <= 0 or np.max(np.abs(np.diff(t) - dt)) > 1e-9 * abs(dt):
+    if dt <= 0 or np.max(np.abs(np.diff(t) - dt)) > DEFAULT_TOL.grid_uniform * abs(dt):
         raise NonUniformGrid(f"{path}: time column is not uniform")
     return t, cols[0]
 

@@ -15,18 +15,18 @@ class Tolerances:
     Attributes
     ----------
     grid_uniform : float
-        Max deviation of sample times from 2*pi*j/N before the grid is
-        rejected as non-uniform.
-    parseval : float
-        Relative slack for energy bookkeeping of a single transform.
+        Max deviation of sample times from the uniform grid before it
+        is rejected: absolute on the circle grid 2*pi*j/N, relative to
+        the step on a real-line grid.
+    realness : float
+        Largest imaginary part, relative to the signal's peak modulus,
+        that a real signal may carry.
     hardy : float
         Default relative threshold for the Hardy-space boundary test.
     near_zero : float
         Modulus floor below which a phase is considered undefined.
     param_boundary : float
         Pole parameters must satisfy abs(a) <= 1 - param_boundary.
-    energy_step : float
-        Relative slack for the one-step energy split of a sift.
     energy_total : float
         Relative slack for the full decomposition energy identity.
     residual_floor : float
@@ -50,11 +50,10 @@ class Tolerances:
     """
 
     grid_uniform: float = 1e-9
-    parseval: float = 1e-10
+    realness: float = 1e-12
     hardy: float = 1e-8
     near_zero: float = 1e-12
     param_boundary: float = 1e-9
-    energy_step: float = 1e-9
     energy_total: float = 1e-8
     residual_floor: float = 1e-14
     zero_residual: float = 1e-12

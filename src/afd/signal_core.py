@@ -117,9 +117,16 @@ class CircularSignal:
         """The coefficient c_0."""
         return complex(np.mean(self.samples))
 
-    def is_real(self, tol=1e-12):
-        scale = max(np.max(np.abs(self.samples)), 1.0)
-        return float(np.max(np.abs(self.samples.imag))) <= tol * scale
+    def is_real(self, tol=None):
+        """max|Im s| <= tol max|s|, tol defaulting to DEFAULT_TOL.realness.
+
+        The test is relative to the signal's own peak, so it does not
+        depend on the signal's scale.
+        """
+        if tol is None:
+            tol = DEFAULT_TOL.realness
+        peak = float(np.max(np.abs(self.samples)))
+        return float(np.max(np.abs(self.samples.imag))) <= tol * peak
 
     def __sub__(self, other):
         return CircularSignal(self.samples - other.samples)
@@ -297,7 +304,7 @@ def hilbert_transform(s: CircularSignal) -> CircularSignal:
     return CircularSignal(np.fft.ifft(c))
 
 
-def analytic_signal(s: CircularSignal, tol=1e-12) -> HardyFunction:
+def analytic_signal(s: CircularSignal, tol=None) -> HardyFunction:
     """Hardy projection s+ = (s + iHs + c_0)/2 of a real signal.
 
     On coefficients: keeps c_0 and c_k for k >= 1, zeroes the rest
@@ -309,7 +316,8 @@ def analytic_signal(s: CircularSignal, tol=1e-12) -> HardyFunction:
     Raises
     ------
     NonRealInput
-        If imaginary parts exceed tol relative to the signal scale.
+        If imaginary parts exceed tol relative to the signal's peak
+        (see CircularSignal.is_real).
     """
     if not s.is_real(tol):
         raise NonRealInput("analytic_signal expects a real-valued signal")

@@ -219,7 +219,8 @@ def uncertainty_report(s, t) -> UncertaintyReport:
 
     Raises
     ------
-    NonRealInput  if s has imaginary content above 1e-12;
+    NonRealInput  if s has imaginary content above DEFAULT_TOL.realness
+                  of its peak;
     TailEnergy    if the outer sixteenth of the grid on either end
                   holds at least 1e-6 of the energy (the derivative
                   and analytic signal assume the support is inside);
@@ -229,11 +230,11 @@ def uncertainty_report(s, t) -> UncertaintyReport:
     t = np.asarray(t, dtype=float)
     if s.shape != t.shape or s.ndim != 1:
         raise InputError("signal and grid must be 1-d arrays of equal length")
-    if np.max(np.abs(np.imag(s))) > 1e-12 * max(np.max(np.abs(s)), 1e-300):
+    if np.max(np.abs(np.imag(s))) > DEFAULT_TOL.realness * max(np.max(np.abs(s)), 1e-300):
         raise NonRealInput("uncertainty bounds are stated for real signals")
     s = np.real(s).astype(float)
     dt = t[1] - t[0]
-    if np.max(np.abs(np.diff(t) - dt)) > 1e-9 * abs(dt):
+    if np.max(np.abs(np.diff(t) - dt)) > DEFAULT_TOL.grid_uniform * abs(dt):
         raise NonUniformGrid("time grid must be uniform")
     energy = float(np.sum(s**2) * dt)
     if energy <= 0.0:

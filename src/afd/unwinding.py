@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import DEFAULT_SEARCH, DEFAULT_TOL
 from .errors import AFDError, DegenerateModulus, ZeroResidual, ZeroSignal
-from .core_afd import coefficient, maximal_selection, sift
+from .core_afd import _sift, coefficient, maximal_selection
 from .hardy_atoms import mobius, szego_kernel
 from .signal_core import (
     CircularSignal,
@@ -51,14 +51,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Factorization:
-    """Inner boundary samples and outer coefficients with f = I*O."""
+    """Inner boundary samples and outer coefficients with f = I*O.
+
+    outer_samples holds the outer factor's boundary samples on the
+    inner grid, the ones the inner quotient was divided by.
+    """
 
     inner: CircularSignal
     outer: HardyFunction
+    outer_samples: np.ndarray = field(repr=False)
 
     def consistency(self, f_boundary: CircularSignal):
         """Relative norm of I*O - f on the boundary."""
-        prod = self.inner.samples * self.outer.boundary(self.inner.n).samples
+        prod = self.inner.samples * self.outer_samples
         return float(
             np.sqrt(np.mean(np.abs(prod - f_boundary.samples) ** 2))
             / max(f_boundary.norm(), 1e-300)
@@ -143,7 +148,11 @@ def inner_factor(f_boundary: CircularSignal, outer: HardyFunction) -> CircularSi
     Raises DegenerateModulus where |O| drops below near_zero times its
     own peak on the grid.
     """
-    o = outer.boundary(f_boundary.n).samples
+    return _quotient(f_boundary, outer.boundary(f_boundary.n).samples)
+
+
+def _quotient(f_boundary, o):
+    """f / O from the outer boundary samples o; see inner_factor."""
     mod = np.abs(o)
     peak = mod.max()
     if not peak > 0.0 or (mod < DEFAULT_TOL.near_zero * peak).any():
@@ -153,8 +162,9 @@ def inner_factor(f_boundary: CircularSignal, outer: HardyFunction) -> CircularSi
 
 def factorize(f_boundary: CircularSignal) -> Factorization:
     """Inner/outer split of boundary data; see outer_factor for errors."""
-    o = outer_factor(f_boundary)
-    return Factorization(inner=inner_factor(f_boundary, o), outer=o)
+    outer = outer_factor(f_boundary)
+    o = outer.boundary(f_boundary.n).samples
+    return Factorization(inner=_quotient(f_boundary, o), outer=outer, outer_samples=o)
 
 
 def front_loading_defect(f: HardyFunction, outer: HardyFunction):
@@ -178,8 +188,8 @@ def front_loading_defect(f: HardyFunction, outer: HardyFunction):
 def uwa_decompose(f: HardyFunction, n_terms) -> UnwindingDecomposition:
     """Pure unwinding recursion, n_terms factorization steps.
 
-    Step k: factor f_k = phi_k psi_k, record c_k = psi_k(0) computed
-    as the mean of boundary samples, recurse on psi_k - c_k.  The
+    Step k: factor f_k = phi_k psi_k, record c_k = psi_k(0), the
+    constant coefficient of psi_k, and recurse on psi_k - c_k.  The
     partial sums sum c_k phi_1...phi_k are orthogonal because every
     inner factor after the first vanishes at 0, so the residual energy
     equals ||f||^2 - sum |c_k|^2 up to factorization error.
@@ -214,7 +224,7 @@ def uwa_decompose(f: HardyFunction, n_terms) -> UnwindingDecomposition:
         # outer factor of an order-M polynomial free of boundary zeros
         # is again order M; truncation only sheds alias noise
         psi = fac.outer.truncated(f.order)
-        c = complex(np.mean(psi.boundary(n).samples))
+        c = complex(psi.coefficients[0])
         cumulative = cumulative * fac.inner.samples
         terms.append(UnwindingTerm(c=c, a=None, cumulative_inner=cumulative.copy()))
         next_coeffs = psi.coefficients.copy()
@@ -261,7 +271,7 @@ def uwafd_decompose(
     front_loading = []
     stopped = None
     for _ in range(max_terms):
-        resid = f_k.energy()
+        resid = residuals[-1]
         if resid / source < max(energy_tol, DEFAULT_TOL.residual_floor):
             break
         boundary = f_k.boundary(n)
@@ -281,7 +291,7 @@ def uwafd_decompose(
         c = coefficient(o_k, a)
         cumulative = cumulative * fac.inner.samples
         terms.append(UnwindingTerm(c=c, a=a, cumulative_inner=cumulative.copy()))
-        f_k = sift(o_k, a)
+        f_k = _sift(o_k, a, c)
         residuals.append(f_k.energy())
     return UnwindingDecomposition(
         terms=terms,

@@ -18,7 +18,10 @@ schema 2, kept as the reference for reading old files;
 by the full sift chain, kept as the reference for the moves that score
 themselves; `gram_schmidt_reference` and `poafd_reference` are the
 POAFD system rebuilt from scratch after every selection, kept as the
-reference for the system that grows one row per step.
+reference for the system that grows one row per step;
+`core_afd_reference` is the greedy loop that cross-checked every
+coefficient by quadrature in the loop, kept as the reference for the
+loop without the audit and for `coefficient_cross_check`.
 """
 
 import copy
@@ -34,18 +37,21 @@ from afd import (
     OrthoSystem,
     analytic_signal,
     circle_grid,
+    coefficient,
     core_afd_decompose,
     kernel,
     maximal_selection,
+    mobius,
     multiplicities,
     n_blaschke_objective,
     poafd_select,
     sift,
+    szego_kernel,
     tm_system_boundary,
     to_hardy,
 )
 from afd.config import DEFAULT_SEARCH, DEFAULT_TOL, SearchConfig
-from afd.core_afd import _derivative_stack, _search_radii, _selection_model
+from afd.core_afd import Component, Decomposition, _derivative_stack, _search_radii, _selection_model
 from afd.errors import InputError, ZeroResidual
 
 
@@ -188,6 +194,53 @@ def cyclic_reference(f, n, init=None, max_cycles=200, delta_tol=1e-10, search=DE
             converged = True
             break
     return tuples, np.array(d), converged, cycles
+
+
+def core_afd_reference(f, max_terms=50, energy_tol=1e-6, search=DEFAULT_SEARCH):
+    """Reference greedy loop that cross-checks every coefficient in the loop.
+
+    Each step compares c_k = <f_k, e_{a_k}> with <f, B_k> and with
+    <g_k, B_k> (g_k = f - sum_{l<k} c_l B_l) by quadrature on a padded
+    grid of max(4N, 4096) points, B_k = e_{a_k} times the Blaschke
+    product of the earlier parameters; the largest defect lands in
+    meta["triple_defect"].
+    """
+    source = f.energy()
+    if source <= 0.0:
+        raise ZeroResidual("zero signal")
+    n = max(4 * f.boundary().n, 4096)
+    boundary = f.boundary(n)
+    z = np.exp(1j * circle_grid(n))
+    components = []
+    residuals = [source]
+    f_k = f
+    prefix = np.ones(n, dtype=complex)
+    partial = np.zeros(n, dtype=complex)
+    triple_defect = 0.0
+    for _ in range(max_terms):
+        resid = f_k.energy()
+        if resid / source < energy_tol or resid / source < DEFAULT_TOL.residual_floor:
+            break
+        try:
+            a = maximal_selection(f_k, search, source=f)
+        except ZeroResidual:
+            break
+        c = coefficient(f_k, a)
+        b_k = szego_kernel(a, z) * prefix
+        c_direct = complex(np.mean(boundary.samples * np.conj(b_k)))
+        c_remainder = complex(np.mean((boundary.samples - partial) * np.conj(b_k)))
+        triple_defect = max(triple_defect, max(abs(c - c_direct), abs(c - c_remainder)))
+        f_k = sift(f_k, a)
+        components.append(Component(a=a, c=c))
+        residuals.append(f_k.energy())
+        prefix = prefix * mobius(a, z)
+        partial = partial + c * b_k
+    return Decomposition(
+        components=components,
+        residual_energy=np.array(residuals),
+        source_energy=source,
+        meta={"n": n, "triple_defect": triple_defect},
+    )
 
 
 def gram_schmidt_reference(space, params):

@@ -22,7 +22,7 @@ from afd.cli_io import (
 )
 from afd.config import DEFAULT_SEARCH
 from afd.errors import NonRealInput, NonUniformGrid, ParseError
-from afd import analytic_signal, circle_grid, uwa_decompose, uwafd_decompose
+from afd import CircularSignal, analytic_signal, circle_grid, uwa_decompose, uwafd_decompose
 from afd.tfd_uncertainty import dirac_tfd, unwinding_tfd
 
 from conftest import am_fm_real, csv_writer_atoms, csv_writer_raster, schema1_record
@@ -74,6 +74,23 @@ def test_read_complex_csv_needs_flag(tmp_path):
     assert not s.is_real()
     with pytest.raises(NonRealInput):
         read_signal_csv(path)
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1e150])
+def test_realness_is_relative_to_the_signal_peak(tmp_path, scale):
+    # an imaginary column 1e6 times the real one is complex at any scale
+    t = circle_grid(64)
+    real = scale * np.cos(3 * t)
+    mixed = _write_complex(tmp_path / "mixed.csv", real + 1e6j * real)
+    with pytest.raises(NonRealInput):
+        read_signal_csv(mixed)
+    assert not read_signal_csv(mixed, allow_complex=True).is_real()
+    assert main(["decompose", mixed, "--output", str(tmp_path / "m.json")]) == EXIT_INPUT
+    # a real signal, its imaginary column zero, passes
+    s = read_signal_csv(_write_complex(tmp_path / "real.csv", real + 0j))
+    assert s.is_real()
+    want = analytic_signal(CircularSignal(real)).coefficients
+    np.testing.assert_array_equal(analytic_signal(s).coefficients, want)
 
 
 def test_read_rejects_bad_headers_and_cells(tmp_path):
@@ -139,6 +156,22 @@ def test_load_result_accepts_records_with_threads(tmp_path, cosine_csv):
     out.write_text(json.dumps(rec))
     old, d = load_result(str(out))
     assert old["config"]["threads"] == 1
+    d.validate()
+    assert main(["tfd", str(out), "--output", str(tmp_path / "r.tfd.csv")]) == EXIT_OK
+
+
+def test_load_result_accepts_core_records_with_the_cross_check(tmp_path, cosine_csv):
+    # core records written while the greedy loop audited its coefficients
+    # carry meta.n and meta.triple_defect
+    out = tmp_path / "r.json"
+    assert main(["decompose", cosine_csv, "--terms", "2", "--output", str(out)]) == EXIT_OK
+    rec = json.loads(out.read_text())
+    assert rec["meta"] == {}
+    rec["meta"].update(n=4096, triple_defect=7.2e-16)
+    out.write_text(json.dumps(rec))
+    old, d = load_result(str(out))
+    assert old["meta"]["triple_defect"] == 7.2e-16
+    assert len(d) == 2
     d.validate()
     assert main(["tfd", str(out), "--output", str(tmp_path / "r.tfd.csv")]) == EXIT_OK
 

@@ -13,6 +13,7 @@ from afd import (
     HardyFunction,
     analytic_signal,
     coefficient,
+    coefficient_cross_check,
     core_afd_decompose,
     maximal_selection,
     objective,
@@ -37,6 +38,7 @@ from conftest import (
     am_fm_real,
     band_limited_real,
     check_selection_derivatives,
+    core_afd_reference,
     grid_argmax,
     grid_values,
     horner,
@@ -363,7 +365,24 @@ def test_decompose_energy_identity_and_monotone_trace():
         assert np.all(np.diff(d.residual_energy) <= 1e-12 * f.energy())
         total = np.sum(np.abs(d.coefficients) ** 2) + d.residual_energy[-1]
         assert total == pytest.approx(f.energy(), rel=1e-10)
-        assert d.meta["triple_defect"] < 1e-10
+        assert coefficient_cross_check(f, d) < 1e-10
+
+
+@pytest.mark.parametrize("n", [256, 4096])
+@pytest.mark.parametrize("family", [am_fm_real, band_limited_real])
+def test_loop_without_the_audit_matches_the_audited_loop(family, n):
+    # same poles, coefficients and trace bit for bit, and the on-demand
+    # cross-check reads the figure the audited loop recorded
+    f = analytic_signal(family(np.random.default_rng(n), n=n))
+    d = core_afd_decompose(f, max_terms=10, energy_tol=0.0)
+    ref = core_afd_reference(f, max_terms=10, energy_tol=0.0)
+    assert len(d) == 10
+    np.testing.assert_array_equal(d.params, ref.params)
+    np.testing.assert_array_equal(d.coefficients, ref.coefficients)
+    np.testing.assert_array_equal(d.residual_energy, ref.residual_energy)
+    defect = coefficient_cross_check(f, d)
+    assert defect == ref.meta["triple_defect"]
+    assert defect < 1e-10 * f.norm()
 
 
 def test_greedy_first_term_beats_fourier_first_term():

@@ -6,8 +6,11 @@ Runs are derandomized so the suite is the same on every run.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from afd import bergman_space, gram_schmidt, hardy_space, tm_system_boundary
+from afd import bergman_space, coefficient, gram_schmidt, hardy_space, sift, tm_system_boundary
 from afd.cli_io import _float_text
+from afd.core_afd import _sift
+
+from conftest import random_hardy
 
 PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 
@@ -56,3 +59,22 @@ def test_float_text_is_repr(floats, patterns):
     values = np.concatenate([np.array(floats, dtype=float), np.array(patterns, dtype=np.uint64).view(float)])
     text = [row.tobytes().rstrip(b"\0").decode("ascii") for row in _float_text(values)]
     assert text == [repr(v) for v in values.tolist()]
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(7, 1023),
+    st.integers(0, 2**32 - 1),
+    st.floats(-30.0, 30.0),
+    st.floats(0.0, 0.95),
+    st.floats(0.0, 2.0 * np.pi),
+)
+def test_sift_splits_the_energy(order, seed, exponent, radius, angle):
+    # ||f||^2 = |<f, e_a>|^2 + ||sift(f, a)||^2, at any scale and order
+    f = random_hardy(np.random.default_rng(seed), m=order) * 10.0**exponent
+    a = radius * complex(np.cos(angle), np.sin(angle))
+    c = coefficient(f, a)
+    g = sift(f, a)
+    assert abs(f.energy() - abs(c) ** 2 - g.energy()) <= 1e-12 * f.energy()
+    # the loops hand the coefficient they already hold to _sift
+    np.testing.assert_array_equal(_sift(f, a, c).coefficients, g.coefficients)

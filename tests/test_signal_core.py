@@ -112,6 +112,17 @@ def test_analytic_signal_rejects_complex():
         analytic_signal(s)
 
 
+@pytest.mark.parametrize("scale", [1e-20, 1e150])
+def test_realness_is_relative_to_the_peak(scale):
+    # an imaginary part 1e6 times the real one is not dropped at any scale
+    real = scale * np.cos(3 * circle_grid(64))
+    assert CircularSignal(real).is_real()
+    mixed = CircularSignal(real + 1e6j * real)
+    assert not mixed.is_real()
+    with pytest.raises(NonRealInput):
+        analytic_signal(mixed)
+
+
 def test_hardy_check_examples():
     t = circle_grid(64)
     assert hardy_check(CircularSignal(np.exp(5j * t)))

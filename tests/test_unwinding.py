@@ -18,7 +18,7 @@ from afd import (
     uwa_decompose,
     uwafd_decompose,
 )
-from afd import core_afd
+from afd import core_afd, unwinding
 from afd.errors import DegenerateModulus
 
 from conftest import kernel_sum, random_hardy, scaled_am_fm
@@ -186,6 +186,28 @@ def test_uwafd_random_signals():
     assert np.mean(np.abs(err) ** 2) == pytest.approx(
         u.residual_energy[-1], abs=1e-8 * f.energy()
     )
+
+
+@pytest.mark.parametrize("algo", [uwa_decompose, uwafd_decompose])
+def test_factor_consistency_matches_a_fresh_recomputation(algo, monkeypatch):
+    # each entry reuses the outer samples the inner quotient divided by;
+    # it equals the check with the outer factor synthesized afresh
+    seen = []
+
+    def recording(boundary):
+        fac = factorize(boundary)
+        seen.append((boundary, fac))
+        return fac
+
+    monkeypatch.setattr(unwinding, "factorize", recording)
+    u = algo(random_hardy(np.random.default_rng(57), m=63), 4)
+    entries = u.meta["factor_consistency"]
+    assert len(entries) == len(u.terms) == 4
+    for value, (boundary, fac) in zip(entries, seen):
+        o = fac.outer.boundary(boundary.n).samples
+        np.testing.assert_array_equal(fac.outer_samples, o)
+        prod = fac.inner.samples * o
+        assert value == np.sqrt(np.mean(np.abs(prod - boundary.samples) ** 2)) / boundary.norm()
 
 
 SCALES = [1e-150, 1e-20, 1e-8, 1.0, 1e20, 1e150]
