@@ -199,21 +199,21 @@ def _hardy_norm2(s):
     return u, u * u, 2.0 * u**3
 
 
-def _selection_scores(norm2_rule, pts, values):
+def _selection_scores(norm2_rule, pts, r_values, rows_sq):
     """Q = |r(a)|^2 / (phi(|a|^2) - sum_j |B_j(a)|^2) at each probe.
 
-    values[0] holds the residual r and values[1:] the system rows B_j
-    at the probes pts; phi = norm2_rule(s)[0] is the squared kernel
-    norm.  With no system rows and phi = 1/(1 - s) this is the greedy
-    objective (1 - |a|^2)|f(a)|^2.  Q is 0 where the extension
-    degenerates.
+    r_values holds the residual r at the probes pts and rows_sq the
+    sum of |B_j|^2 over the system rows there (0 without rows);
+    phi = norm2_rule(s)[0] is the squared kernel norm.  With no system
+    rows and phi = 1/(1 - s) this is the greedy objective
+    (1 - |a|^2)|f(a)|^2.  Q is 0 where the extension degenerates.
     """
     pts = np.asarray(pts, dtype=complex)
     norm2 = norm2_rule(np.abs(pts) ** 2)[0]
-    denom2 = norm2 - np.sum(np.abs(values[1:]) ** 2, axis=0)
+    denom2 = norm2 - rows_sq
     out = np.zeros(len(pts))
     ok = denom2 > 1e-13 * norm2
-    out[ok] = np.abs(values[0, ok]) ** 2 / denom2[ok]
+    out[ok] = np.abs(r_values[ok]) ** 2 / denom2[ok]
     return out
 
 
@@ -321,10 +321,14 @@ def _polish(stack, norm2_rule, a, search):
     return a
 
 
-def _select(rows, norm2_rule, search, include=()):
+def _select(rows, norm2_rule, search, include=(), grid_sq=0.0):
     """Best point of Q over the search grid and include, then polished.
 
-    rows is the stack [residual, system rows] that Q is formed from.
+    rows is the stack [residual, system rows] that Q is formed from and
+    grid_sq the sum of |B_j|^2 over the system rows on search's grid (0
+    without rows; POAFD carries it with its system), so the grid scan
+    covers the residual row alone.  The include candidates and the
+    polish evaluate every row at their points.
     Q is homogeneous of degree 2 in the residual, so it is scaled to
     unit coefficient norm first: the pick does not depend on the
     signal's scale, nothing overflows for large signals, and Q is a
@@ -336,11 +340,13 @@ def _select(rows, norm2_rule, search, include=()):
     """
     rows = np.vstack([rows[0] / np.linalg.norm(rows[0]), rows[1:]])
     candidates = _scan_plan(search, rows.shape[-1]).points
-    vals = _selection_scores(norm2_rule, candidates, _grid_values(rows, search))
+    vals = _selection_scores(norm2_rule, candidates, _grid_values(rows[0], search), grid_sq)
     if len(include):
         extra = np.asarray(include, dtype=complex)
         candidates = np.concatenate([candidates, extra])
-        extra_vals = _selection_scores(norm2_rule, extra, series_values(rows, extra))
+        at = series_values(rows, extra)
+        rows_sq = np.sum(np.abs(at[1:]) ** 2, axis=0)
+        extra_vals = _selection_scores(norm2_rule, extra, at[0], rows_sq)
         vals = np.concatenate([vals, extra_vals])
     ties = candidates[vals >= vals.max() - 1e-12]
     best = complex(ties[np.lexsort((np.mod(np.angle(ties), 2.0 * np.pi), np.abs(ties)))[0]])

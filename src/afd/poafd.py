@@ -23,16 +23,19 @@ The maximal selection exploits that the normalized extension objective
     |<f, B_n^a>| = |r(a)| / sqrt(||k_a||^2 - sum_j |B_j(a)|^2)
 
 (r the current residual sequence) degrades toward the boundary; the
-search radius is capped at 0.95.
+search radius is capped at 0.95.  Since rows never change, the system
+carries sum_j |B_j|^2 on each search grid it was scanned on, so every
+row is scanned once and a selection scans the residual and any rows
+appended since the last one.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .config import DEFAULT_SEARCH, DEFAULT_TOL
 from .errors import DegenerateGram, InputError, ZeroResidual
-from .core_afd import Component, Decomposition, _hardy_norm2, _select, _selection_scores
+from .core_afd import Component, Decomposition, _grid_values, _hardy_norm2, _select
 from .hardy_atoms import mobius, szego_kernel, validate_param
 from .signal_core import HardyFunction, circle_grid
 
@@ -99,14 +102,34 @@ class OrthoSystem:
 
     reference_state is what the space's reference rule carried through
     params (Hardy: the Blaschke prefix on the boundary); None without one.
+    grid_sums maps each search grid the rows were scanned on, keyed by
+    (n_angles, n_radii, r_max), to (rows covered, sum_j |B_j|^2 over
+    them on that grid): one real value per grid point.  An entry is
+    replaced, never written in place, so a system grown from this one
+    may share its arrays.
     """
 
     params: tuple
     vectors: np.ndarray  # (n, M+1)
     reference_state: object = None
+    grid_sums: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self):
         return len(self.params)
+
+    def grid_sq(self, search):
+        """sum_j |B_j|^2 on search's grid, scanning only the rows not yet covered.
+
+        The rows are added in row order, so the sum is bit for bit
+        np.sum(np.abs(values) ** 2, axis=0) over one scan of all rows.
+        """
+        key = (search.n_angles, search.n_radii, search.r_max)
+        covered, total = self.grid_sums.get(key, (0, 0.0))
+        if covered < len(self):
+            for values in _grid_values(self.vectors[covered:], search):
+                total = total + np.abs(values) ** 2
+            self.grid_sums[key] = (len(self), total)
+        return total
 
     def gram_defect(self, space):
         """Largest deviation of the Gram matrix from the identity."""
@@ -220,7 +243,8 @@ def _grow(space, system, a):
     against the existing rows and normalized; with a reference rule on
     file (Hardy) it is rotated by a unimodular factor onto the reference
     row, which the rule builds from the state carried in system.
-    Earlier rows are left as they are.  a must already be validated.
+    Earlier rows are left as they are, and the grid sums of system are
+    carried over to cover them.  a must already be validated.
     """
     raw = kernel(space, a, _order(system.params, a)).sequence
     v, _ = _extend(space, system.vectors, raw)
@@ -235,6 +259,7 @@ def _grow(space, system, a):
         params=system.params + (a,),
         vectors=np.vstack([system.vectors, v]),
         reference_state=state,
+        grid_sums=dict(system.grid_sums),
     )
 
 
@@ -256,15 +281,6 @@ def gram_schmidt(space: KernelSpace, params) -> OrthoSystem:
     return system
 
 
-def _selection_objective(space, pts, values):
-    """|<r, B_n^a>|^2 at each probe; 0 where the extension degenerates.
-
-    values[0] holds r(a) and values[1:] the system rows B_j(a) at the
-    probes pts, i.e. the values of np.vstack([r, system.vectors]).
-    """
-    return _selection_scores(space.norm2_rule, pts, values)
-
-
 def poafd_select(space: KernelSpace, f, system: OrthoSystem, search=DEFAULT_SEARCH):
     """Parameter maximizing the next normalized extension coefficient.
 
@@ -274,7 +290,9 @@ def poafd_select(space: KernelSpace, f, system: OrthoSystem, search=DEFAULT_SEAR
     The selection engine is the one greedy AFD uses (grid scan,
     tie-break, projected Newton polish), run on the stack [residual,
     system rows] with the radius capped at min(search.r_max, 0.95); the
-    pick never scores below the best point of that grid.
+    pick never scores below the best point of that grid.  The grid scan
+    covers the residual and the rows system has not yet summed on that
+    grid (see OrthoSystem.grid_sq).
 
     Raises
     ------
@@ -289,7 +307,9 @@ def poafd_select(space: KernelSpace, f, system: OrthoSystem, search=DEFAULT_SEAR
     if not space.norm(resid) > DEFAULT_TOL.zero_residual * space.norm(f):
         raise ZeroResidual("residual norm below the selection floor")
     capped = replace(search, r_max=min(search.r_max, SELECTION_CAP))
-    return _select(np.vstack([resid, vectors]), space.norm2_rule, capped)
+    return _select(
+        np.vstack([resid, vectors]), space.norm2_rule, capped, grid_sq=system.grid_sq(capped)
+    )
 
 
 def multiplicity_limit_check(space: KernelSpace, params, a_n, h_seq=None):

@@ -9,10 +9,11 @@ the pointwise evaluation and selection the batched scan replaced,
 kept as its reference; `grid_values` is the scan before its power
 table was cached, kept as the bit-level reference for the cached one;
 `central_differences` is the reference for the closed-form
-derivatives of the selection polish; `csv_writer_atoms`
-and `csv_writer_raster` are the row-by-row writers and the per-atom
-binning loop behind `afd tfd` before its streamed writer, kept as the
-reference for its bytes; `schema1_record` is the result writer before
+derivatives of the selection polish; `selection_objective` scores the
+POAFD objective from the values of a whole [residual, rows] stack;
+`csv_writer_atoms` and `csv_writer_raster` are the row-by-row writers
+and the per-atom binning loop behind `afd tfd` before its streamed
+writer, kept as the reference for its bytes; `schema1_record` is the result writer before
 schema 2, kept as the reference for reading old files;
 `cyclic_reference` is the cyclic n-best loop that re-scored every move
 by the full sift chain, kept as the reference for the moves that score
@@ -51,7 +52,14 @@ from afd import (
     to_hardy,
 )
 from afd.config import DEFAULT_SEARCH, DEFAULT_TOL, SearchConfig
-from afd.core_afd import Component, Decomposition, _derivative_stack, _search_radii, _selection_model
+from afd.core_afd import (
+    Component,
+    Decomposition,
+    _derivative_stack,
+    _search_radii,
+    _selection_model,
+    _selection_scores,
+)
 from afd.errors import InputError, ZeroResidual
 
 
@@ -95,6 +103,16 @@ def grid_values(coeffs, search):
     folded = damped.reshape(lead + (-1, a)).sum(axis=-2)
     rings = np.fft.ifft(folded, axis=-1) * a
     return np.concatenate([rings.reshape(c.shape[:-1] + (-1,)), c[..., :1]], axis=-1)
+
+
+def selection_objective(space, pts, values):
+    """|<r, B_n^a>|^2 at each probe; 0 where the extension degenerates.
+
+    values[0] holds r(a) and values[1:] the system rows B_j(a) at the
+    probes pts, i.e. the values of np.vstack([r, system.vectors]).
+    """
+    rows_sq = np.sum(np.abs(values[1:]) ** 2, axis=0)
+    return _selection_scores(space.norm2_rule, pts, values[0], rows_sq)
 
 
 def grid_argmax(points, vals):

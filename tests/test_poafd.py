@@ -22,9 +22,9 @@ from afd import (
 )
 from afd.errors import DegenerateGram, InputError, ZeroResidual
 from afd import hardy_space
-from afd.config import DEFAULT_SEARCH
+from afd.config import DEFAULT_SEARCH, SearchConfig
 from afd.core_afd import _grid_values, _search_grid
-from afd.poafd import SELECTION_CAP, _extend, _selection_objective
+from afd.poafd import SELECTION_CAP, _extend, _grow
 from afd.signal_core import series_values
 
 from conftest import (
@@ -39,6 +39,7 @@ from conftest import (
     random_hardy,
     random_params,
     scaled_am_fm,
+    selection_objective,
     series_bound,
 )
 
@@ -184,7 +185,7 @@ def test_selection_objective_scan_and_probes_match_horner():
     for space in _spaces():
         _f, _system, rows = _residual_rows(space, rng, 3)
         ref_vals = np.array([horner(row, grid) for row in rows])
-        ref = _selection_objective(space, grid, ref_vals)
+        ref = selection_objective(space, grid, ref_vals)
         # the value bounds carried through |r|^2 / (||k_a||^2 - sum_j |B_j|^2)
         err = np.array([series_bound(row, grid) for row in rows])
         mag = np.abs(ref_vals)
@@ -195,7 +196,7 @@ def test_selection_objective_scan_and_probes_match_horner():
         assert np.all(denom2 - d_den > 1e-13 * norm2)
         bound = (d_num + ref * d_den) / (denom2 - d_den) + 4 * eps * ref
         for vals in (_grid_values(rows, search), series_values(rows, grid)):
-            assert np.all(np.abs(_selection_objective(space, grid, vals) - ref) <= bound)
+            assert np.all(np.abs(selection_objective(space, grid, vals) - ref) <= bound)
 
 
 def test_selection_objective_is_normalized_extension_coefficient():
@@ -205,7 +206,7 @@ def test_selection_objective_is_normalized_extension_coefficient():
     for space in _spaces():
         _f, system, rows = _residual_rows(space, rng, 3)
         pts = np.array(random_params(rng, 6, r=0.8))
-        got = _selection_objective(space, pts, series_values(rows, pts))
+        got = selection_objective(space, pts, series_values(rows, pts))
         want = [
             abs(space.inner(rows[0], _extend(space, system.vectors, kernel(space, a).sequence)[0])) ** 2
             for a in pts
@@ -220,7 +221,7 @@ def test_unpolished_select_is_pointwise_grid_argmax():
     grid = _search_grid(replace(search, r_max=SELECTION_CAP))
     for space in _spaces():
         f, system, rows = _residual_rows(space, rng, 2)
-        vals = _selection_objective(space, grid, series_values(rows, grid))
+        vals = selection_objective(space, grid, series_values(rows, grid))
         assert poafd_select(space, f, system, search) == grid_argmax(grid, vals)
 
 
@@ -231,7 +232,7 @@ def test_selection_derivatives_match_central_differences():
         _f, _system, rows = _residual_rows(space, rng, n_params)
 
         def q(a, space=space, rows=rows):
-            return float(_selection_objective(space, [a], series_values(rows, [a]))[0])
+            return float(selection_objective(space, [a], series_values(rows, [a]))[0])
 
         check_selection_derivatives(rows, space.norm2_rule, q, rng)
 
@@ -250,8 +251,8 @@ def test_select_climbs_along_the_cap():
     assert abs(a) == pytest.approx(SELECTION_CAP, abs=1e-12)
     assert abs(a) <= SELECTION_CAP
     circle = SELECTION_CAP * np.exp(2j * np.pi * np.arange(4096) / 4096)
-    scan = _selection_objective(space, circle, series_values(rows, circle))
-    assert _selection_objective(space, [a], series_values(rows, [a]))[0] >= scan.max()
+    scan = selection_objective(space, circle, series_values(rows, circle))
+    assert selection_objective(space, [a], series_values(rows, [a]))[0] >= scan.max()
 
 
 def test_select_climbs_on_benchmark_like_signals():
@@ -272,7 +273,7 @@ def test_select_climbs_on_benchmark_like_signals():
                 rows = np.vstack([resid, system.vectors])
 
                 def q(pts, rows=rows):
-                    return _selection_objective(space, pts, series_values(rows, pts))
+                    return selection_objective(space, pts, series_values(rows, pts))
 
                 assert abs(a) <= SELECTION_CAP
                 # the tie-break may start 1e-12 below the grid maximum
@@ -362,6 +363,80 @@ def test_poafd_builds_one_kernel_per_term(monkeypatch):
     d = poafd_decompose(hardy_space(m=127), f, max_terms=10, energy_tol=0.0)
     assert len(d.components) == 10
     assert len(built) == 10
+
+
+def _fresh_grid_sq(system, search):
+    return np.sum(np.abs(_grid_values(system.vectors, search)) ** 2, axis=0)
+
+
+def _grid_key(search):
+    return (search.n_angles, search.n_radii, search.r_max)
+
+
+def test_carried_grid_sum_matches_a_fresh_scan():
+    # repeated poles put multiplicity kernels among the rows
+    rng = np.random.default_rng(83)
+    params = (0.5, 0.2 - 0.6j, 0.5, -0.7j, 0.5, -0.7j)
+    capped = replace(DEFAULT_SEARCH, r_max=SELECTION_CAP)
+    coarse = SearchConfig(n_angles=24, n_radii=12)
+    for space in (hardy_space(m=127), bergman_space(m=127)):
+        f = random_hardy(rng, m=127).coefficients
+        system = gram_schmidt(space, ())
+        for a in params:
+            grown = _grow(space, system, a)
+            # the carried entry covers the earlier rows, scanned afresh
+            if system.grid_sums:
+                covered, total = grown.grid_sums[_grid_key(capped)]
+                assert covered == len(system)
+                assert np.array_equal(total, _fresh_grid_sq(system, capped))
+            system = grown
+            poafd_select(space, f, system)
+            covered, total = system.grid_sums[_grid_key(capped)]
+            assert covered == len(system)
+            assert np.array_equal(total, _fresh_grid_sq(system, capped))
+
+        # selecting on an earlier system after growing a later one
+        earlier = gram_schmidt(space, params[:3])
+        first = poafd_select(space, f, earlier)
+        later = _grow(space, earlier, params[3])
+        poafd_select(space, f, later)
+        assert earlier.grid_sums[_grid_key(capped)][0] == 3
+        assert poafd_select(space, f, earlier) == first
+        assert first == poafd_select(space, f, gram_schmidt(space, params[:3]))
+        # two rows appended between selections are summed one by one
+        skipped = _grow(space, _grow(space, earlier, params[3]), params[4])
+        poafd_select(space, f, skipped)
+        covered, total = skipped.grid_sums[_grid_key(capped)]
+        assert covered == 5
+        assert np.array_equal(total, _fresh_grid_sq(skipped, capped))
+
+        # one system on two grids: each carried sum matches its own fresh scan
+        both = gram_schmidt(space, params[:4])
+        on_capped = poafd_select(space, f, both)
+        on_coarse = poafd_select(space, f, both, coarse)
+        assert on_capped == poafd_select(space, f, gram_schmidt(space, params[:4]))
+        assert on_coarse == poafd_select(space, f, gram_schmidt(space, params[:4]), coarse)
+        # poafd_select caps the coarse grid too
+        for search in (capped, replace(coarse, r_max=SELECTION_CAP)):
+            covered, total = both.grid_sums[_grid_key(search)]
+            assert covered == 4
+            assert np.array_equal(total, _fresh_grid_sq(both, search))
+
+
+def test_carried_picks_equal_fresh_picks():
+    # every pick of the loop, whose system carries its grid sum, is the
+    # pick on a system rebuilt for that step and scanned in full
+    rng = np.random.default_rng(84)
+    signals = (am_fm_real(rng), band_limited_real(rng, 256))
+    for search in (DEFAULT_SEARCH, replace(DEFAULT_SEARCH, refine=False)):
+        for space in (hardy_space(m=127), bergman_space(m=127)):
+            for signal in signals:
+                f = analytic_signal(signal).coefficients
+                d = poafd_decompose(space, f, max_terms=6, energy_tol=0.0, search=search)
+                assert len(d.params) == 6
+                for k, a in enumerate(d.params):
+                    fresh = gram_schmidt(space, tuple(d.params[:k]))
+                    assert a == poafd_select(space, f, fresh, search)
 
 
 def test_poafd_floor_is_relative_to_the_signal():

@@ -6,7 +6,16 @@ Runs are derandomized so the suite is the same on every run.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from afd import bergman_space, coefficient, gram_schmidt, hardy_space, sift, tm_system_boundary
+from afd import (
+    bergman_space,
+    coefficient,
+    gram_schmidt,
+    hardy_space,
+    n_blaschke_objective,
+    poafd_decompose,
+    sift,
+    tm_system_boundary,
+)
 from afd.cli_io import _float_text
 from afd.core_afd import _sift
 
@@ -20,17 +29,25 @@ HARDY = hardy_space(m=511)
 BERGMAN = bergman_space(m=511)
 
 
+def lattice_poles(min_size, max_size):
+    """Lists of distinct poles, |a| <= 0.9, on a polar lattice.
+
+    The lattice has radius step 0.1 and 16 angles; radius 0 is one point
+    at every angle.  So the poles stay well apart.
+    """
+    lattice = st.tuples(st.integers(0, 9), st.integers(0, 15))
+    cells = st.lists(lattice, min_size=min_size, max_size=max_size, unique_by=lambda p: (p[0], p[0] and p[1]))
+    return cells.map(lambda base: [complex(0.1 * i * np.exp(2j * np.pi * j / 16)) for i, j in base])
+
+
 @st.composite
 def repeated_poles(draw):
     """Tuple of 2-5 poles, |a| <= 0.9, in which some pole repeats.
 
-    Distinct poles sit on a polar lattice (radius step 0.1, 16 angles;
-    radius 0 is one point at every angle), so they stay well apart and
-    only the forced repeats are coincident.
+    Distinct poles come from lattice_poles, so only the forced repeats
+    are coincident.
     """
-    lattice = st.tuples(st.integers(0, 9), st.integers(0, 15))
-    base = draw(st.lists(lattice, min_size=1, max_size=3, unique_by=lambda p: (p[0], p[0] and p[1])))
-    poles = [0.1 * i * np.exp(2j * np.pi * j / 16) for i, j in base]
+    poles = draw(lattice_poles(1, 3))
     # more entries than distinct poles: at least one repeat
     picks = draw(st.lists(st.integers(0, len(poles) - 1), min_size=len(poles) + 1, max_size=len(poles) + 2))
     return tuple(complex(poles[k]) for k in picks)
@@ -46,6 +63,32 @@ def test_tm_gram_identity_with_repeated_poles(params):
     np.testing.assert_allclose(hardy.vectors, tm, rtol=0, atol=1e-8)
     assert hardy.gram_defect(HARDY) < 1e-9
     assert gram_schmidt(BERGMAN, params).gram_defect(BERGMAN) < 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(0, 2**32 - 1),
+    st.one_of(repeated_poles(), lattice_poles(2, 5).map(tuple)).flatmap(
+        lambda p: st.tuples(st.just(p), st.permutations(p))
+    ),
+)
+def test_objective_depends_only_on_the_span(seed, poles):
+    # any order of a pole tuple, repeats included, spans the same space,
+    # so the n-pole objective and the POAFD residual over the forced
+    # tuple agree
+    params, permuted = poles
+    f = random_hardy(np.random.default_rng(seed), m=HARDY.order)
+    energy = f.energy()
+    want = n_blaschke_objective(f, params)
+    assert abs(n_blaschke_objective(f, permuted) - want) <= 1e-12 * energy
+    for space in (HARDY, BERGMAN):
+        source = space.norm(f.coefficients) ** 2
+        traces = [
+            poafd_decompose(space, f.coefficients, energy_tol=0.0, forced_params=p).residual_energy
+            for p in (params, permuted)
+        ]
+        assert len(traces[0]) == len(traces[1]) == len(params) + 1
+        assert abs(traces[0][-1] - traces[1][-1]) <= 1e-12 * source
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
