@@ -64,8 +64,6 @@ from .core_afd import (
 )
 from .unwinding import (
     Factorization,
-    UnwindingDecomposition,
-    UnwindingTerm,
     factorize,
     front_loading_defect,
     inner_factor,

@@ -57,12 +57,7 @@ from .signal_core import (
     to_hardy,
 )
 from .tfd_uncertainty import dirac_tfd, uncertainty_report, unwinding_tfd
-from .unwinding import (
-    UnwindingDecomposition,
-    UnwindingTerm,
-    uwa_decompose,
-    uwafd_decompose,
-)
+from .unwinding import uwa_decompose, uwafd_decompose
 
 __all__ = [
     "main",
@@ -76,6 +71,8 @@ SCHEMA = 2
 # schemas load_result reads; they differ only in how meta.inner is stored
 READ_SCHEMAS = (1, 2)
 ALGORITHMS = ("core", "uwa", "uwafd", "cyclic", "poafd")
+# the algorithms whose components carry inner samples (meta.inner)
+UNWINDING = ("uwa", "uwafd")
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CHECK = 3
@@ -171,26 +168,19 @@ def _j2c(d):
 
 
 def _record(args, algorithm, n_input, result, extra_meta=None):
-    components = []
-    if isinstance(result, UnwindingDecomposition):
-        for term in result.terms:
-            components.append(
-                {
-                    "a": None if term.a is None else _c2j(term.a),
-                    "c": _c2j(term.c),
-                    "kind": result.kind,
-                }
-            )
+    components = [
+        {"a": None if comp.a is None else _c2j(comp.a), "c": _c2j(comp.c), "kind": comp.kind}
+        for comp in result.components
+    ]
+    if algorithm in UNWINDING:
         meta = {
             "inner_n": int(result.meta["n"]),
-            "inner": [_encode_inner(term.cumulative_inner) for term in result.terms],
+            "inner": [_encode_inner(comp.inner) for comp in result.components],
             "factor_consistency": [float(x) for x in result.meta["factor_consistency"]],
             "front_loading": [float(x) for x in result.meta["front_loading"]],
             "stopped": result.meta["stopped"],
         }
     else:
-        for comp in result.components:
-            components.append({"a": _c2j(comp.a), "c": _c2j(comp.c), "kind": comp.kind})
         meta = {k: v for k, v in result.meta.items() if _json_safe(v)}
     if extra_meta:
         meta.update(extra_meta)
@@ -252,7 +242,7 @@ def _decode_inner(entry, schema, n):
 
 
 def load_result(path):
-    """JSON result file -> (record dict, rebuilt decomposition object).
+    """JSON result file -> (record dict, rebuilt Decomposition).
 
     Reads schemas 1 and 2.  Raises ParseError for a file that is not
     JSON, has no known schema marker, lacks a key the rebuild needs, or
@@ -277,44 +267,36 @@ def load_result(path):
 
 
 def _rebuild(rec):
-    algo = rec["algorithm"]
     trace = np.array(rec["residual_trace"], dtype=float)
     source = float(rec["source_energy"])
-    meta = rec["meta"]
-    if algo in ("uwa", "uwafd"):
+    unwinding = rec["algorithm"] in UNWINDING
+    meta, comps = rec["meta"], rec["components"]
+    inner = [None] * len(comps)
+    if unwinding:
         n = int(meta["inner_n"])
-        comps, inner = rec["components"], meta["inner"]
-        if len(inner) != len(comps):
-            raise ValueError(f"{len(inner)} inner entries for {len(comps)} components")
-        terms = [
-            UnwindingTerm(
-                c=_j2c(comp["c"]),
-                a=None if comp["a"] is None else _j2c(comp["a"]),
-                cumulative_inner=_decode_inner(entry, rec["schema"], n),
-            )
-            for comp, entry in zip(comps, inner)
-        ]
-        return UnwindingDecomposition(
-            terms=terms,
-            residual_energy=trace,
-            source_energy=source,
-            kind=algo,
-            meta={
-                "n": n,
-                "factor_consistency": meta["factor_consistency"],
-                "front_loading": meta["front_loading"],
-                "stopped": meta["stopped"],
-            },
-        )
+        if len(meta["inner"]) != len(comps):
+            raise ValueError(f"{len(meta['inner'])} inner entries for {len(comps)} components")
+        inner = [_decode_inner(entry, rec["schema"], n) for entry in meta["inner"]]
+        meta = {
+            "n": n,
+            "factor_consistency": meta["factor_consistency"],
+            "front_loading": meta["front_loading"],
+            "stopped": meta["stopped"],
+        }
+    else:
+        meta = dict(meta, n=rec["config"]["n"])
     comps = [
-        Component(a=_j2c(c["a"]), c=_j2c(c["c"]), kind=c["kind"])
-        for c in rec["components"]
+        Component(
+            # only unwinding records hold terms without a parameter (UWA's)
+            a=None if unwinding and c["a"] is None else _j2c(c["a"]),
+            c=_j2c(c["c"]),
+            kind=c["kind"],
+            inner=samples,
+        )
+        for c, samples in zip(comps, inner)
     ]
     return Decomposition(
-        components=comps,
-        residual_energy=trace,
-        source_energy=source,
-        meta=dict(meta, n=rec["config"]["n"]),
+        components=comps, residual_energy=trace, source_energy=source, meta=meta
     )
 
 
@@ -416,7 +398,7 @@ def cmd_tfd(args):
     if args.bins < 0:
         raise InputError(f"--bins wants a count >= 0, got {args.bins}")
     rec, obj = load_result(args.result)
-    if rec["algorithm"] in ("uwa", "uwafd"):
+    if rec["algorithm"] in UNWINDING:
         comps = unwinding_tfd(obj)
     else:
         comps = dirac_tfd(obj, grid=rec["config"]["n"])

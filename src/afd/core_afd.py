@@ -51,16 +51,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Component:
-    """One extracted term: parameter a, coefficient c, and origin tag."""
+    """One extracted term: parameter a, coefficient c, and origin tag.
 
-    a: complex
+    kind names the algorithm that extracted the term.  Unwinding terms
+    ("uwa", "uwafd") also carry inner, the samples of the cumulative
+    inner factor phi_1...phi_k on the decomposition's meta["n"] grid;
+    a is None for UWA terms, which involve no kernel parameter.  inner
+    takes no part in comparison or hashing.
+    """
+
+    a: complex | None
     c: complex
     kind: str = "core"
+    inner: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
 class Decomposition:
-    """Ordered components plus the energy bookkeeping of the run.
+    """The result of every algorithm: ordered components plus the
+    energy bookkeeping of the run.
 
     residual_energy[k] is the residual energy after k terms, so the
     trace starts at source_energy and must never increase.
@@ -469,6 +478,15 @@ def core_afd_decompose(
     )
 
 
+def _refuse_unwinding(d, instead):
+    """InputError naming what to do instead if d is an unwinding result.
+
+    Its components carry inner factors, which TM-only consumers would drop.
+    """
+    if any(comp.inner is not None for comp in d.components):
+        raise InputError(f"unwinding components carry inner factors; {instead}")
+
+
 def coefficient_cross_check(f: HardyFunction, d: Decomposition):
     """Largest defect of the three coefficient forms of a decomposition of f.
 
@@ -478,8 +496,11 @@ def coefficient_cross_check(f: HardyFunction, d: Decomposition):
     f conj(B_k) is not band limited, hence the padding; sampling f
     there is exact.  Returns max_k max(|c_k - <f, B_k>|, |c_k - <g_k,
     B_k>|), 0.0 for no terms; it sits at rounding level (relative to
-    ||f||) when the sifts behind d were exact.
+    ||f||) when the sifts behind d were exact.  Unwinding results are
+    refused: their terms carry inner factors, and the TM chain alone
+    does not reproduce them.
     """
+    _refuse_unwinding(d, "compare unwinding_reconstruct with f instead")
     n = max(4 * f.boundary().n, 4096)
     boundary = f.boundary(n)
     z = np.exp(1j * circle_grid(n))
@@ -498,12 +519,16 @@ def coefficient_cross_check(f: HardyFunction, d: Decomposition):
 
 
 def reconstruct(d: Decomposition, n) -> CircularSignal:
-    """Boundary samples of sum_k c_k B_k on an n-point grid."""
+    """Boundary samples of sum_k c_k B_k on an n-point grid.
+
+    Bergman and unwinding results are refused (InputError).
+    """
     if d.meta.get("space") == "bergman":
         raise InputError(
             "components live in a Bergman coefficient space; "
             "boundary synthesis is undefined for them"
         )
+    _refuse_unwinding(d, "use unwinding_reconstruct")
     z = np.exp(1j * circle_grid(n))
     out = np.zeros(n, dtype=complex)
     prefix = np.ones(n, dtype=complex)

@@ -31,6 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT_TOL
+from .core_afd import _refuse_unwinding
 from .errors import InputError, NonRealInput, NonUniformGrid, TailEnergy, ZeroSignal
 from .hardy_atoms import validate_param
 from .signal_core import circle_grid
@@ -143,10 +144,12 @@ def dirac_tfd(d, grid=512):
     grid is either a sample count (uniform on [0, 2pi)) or an explicit
     array of times; the closed forms hold pointwise, so any grid
     works.  Bergman decompositions carry no boundary values and are
-    refused.
+    refused, and so are unwinding results, whose inner factors only
+    unwinding_tfd distributes.
     """
     if d.meta.get("space") == "bergman":
         raise InputError("Bergman components have no boundary trace to distribute")
+    _refuse_unwinding(d, "use unwinding_tfd")
     t = _time_grid(grid)
     z = np.exp(1j * t)
     out = []
@@ -183,27 +186,28 @@ def unwinding_tfd(u):
 
     The k-th term is c_k Phi_k (times B_k for the sifted variant) with
     Phi_k the accumulated inner factor, known only through its samples
-    on the decomposition grid; its phase derivative is spectral.  The
-    TM part, when present, uses the same closed form as dirac_tfd.
+    (comp.inner) on the meta["n"] grid; its phase derivative is
+    spectral.  The TM part, when present, uses the same closed form as
+    dirac_tfd.
     """
     n = u.meta["n"]
     t = circle_grid(n)
     z = np.exp(1j * t)
-    params = tuple(term.a for term in u.terms if term.a is not None)
+    params = tuple(comp.a for comp in u.components if comp.a is not None)
     out = []
     prefix = np.ones_like(z)
-    for k, term in enumerate(u.terms, start=1):
-        omega = _spectral_phase_derivative(term.cumulative_inner)
-        weight = np.full(n, abs(term.c) ** 2)
-        if term.a is not None:
-            a = validate_param(term.a)
+    for k, comp in enumerate(u.components, start=1):
+        omega = _spectral_phase_derivative(comp.inner)
+        weight = np.full(n, abs(comp.c) ** 2)
+        if comp.a is not None:
+            a = validate_param(comp.a)
             omega = omega + tm_phase_derivative(params, k, t)
             e_a = np.sqrt(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * z)
-            weight = np.abs(term.c * e_a * prefix) ** 2
+            weight = np.abs(comp.c * e_a * prefix) ** 2
             prefix = prefix * (z - a) / (1.0 - np.conj(a) * z)
         out.append(
             ComponentTFD(
-                index=k, a=term.a, c=term.c, t=t, omega=omega, weight=weight
+                index=k, a=comp.a, c=comp.c, t=t, omega=omega, weight=weight
             )
         )
     return out

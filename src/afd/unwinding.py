@@ -17,6 +17,11 @@ every later inner factor does too; the terms c_k phi_1...phi_k come
 out mutually orthogonal.  UWAFD interleaves one maximal sifting step
 on each outer factor instead, giving terms (prod I_l) c_k B_k over a
 growing TM chain.
+
+Both run one loop, _unwind, and differ only in the step that extracts
+a term from each outer factor.  Both return the Decomposition record
+of every algorithm; each component carries the samples of its
+cumulative inner factor in Component.inner.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +30,7 @@ import numpy as np
 
 from .config import DEFAULT_SEARCH, DEFAULT_TOL
 from .errors import AFDError, DegenerateModulus, ZeroResidual, ZeroSignal
-from .core_afd import _sift, coefficient, maximal_selection
+from .core_afd import Component, Decomposition, _sift, coefficient, maximal_selection
 from .hardy_atoms import mobius, szego_kernel
 from .signal_core import (
     CircularSignal,
@@ -37,8 +42,6 @@ from .signal_core import (
 
 __all__ = [
     "Factorization",
-    "UnwindingTerm",
-    "UnwindingDecomposition",
     "outer_factor",
     "inner_factor",
     "factorize",
@@ -68,47 +71,6 @@ class Factorization:
             np.sqrt(np.mean(np.abs(prod - f_boundary.samples) ** 2))
             / max(f_boundary.norm(), 1e-300)
         )
-
-
-@dataclass(frozen=True)
-class UnwindingTerm:
-    """One unwinding term c * (cumulative inner) * B.
-
-    a is None for pure UWA terms (no kernel parameter involved);
-    cumulative_inner holds boundary samples of phi_1 ... phi_k.
-    """
-
-    c: complex
-    a: complex | None
-    cumulative_inner: np.ndarray
-
-
-@dataclass
-class UnwindingDecomposition:
-    terms: list
-    residual_energy: np.ndarray
-    source_energy: float
-    kind: str  # "uwa" | "uwafd"
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def coefficients(self):
-        return np.array([t.c for t in self.terms], dtype=complex)
-
-    def __len__(self):
-        return len(self.terms)
-
-    def validate(self, tol=None):
-        if tol is None:
-            tol = DEFAULT_TOL.energy_total
-        scale = max(self.source_energy, 1e-300)
-        steps = np.diff(self.residual_energy)
-        if steps.size and steps.max() > 1e-12 * scale:
-            raise AFDError("residual energy trace increased")
-        captured = float(np.sum(np.abs(self.coefficients) ** 2))
-        defect = abs(self.source_energy - captured - self.residual_energy[-1])
-        if defect > tol * scale:
-            raise AFDError(f"energy identity defect {defect/scale:.3e}")
 
 
 def outer_factor(f_boundary: CircularSignal) -> HardyFunction:
@@ -185,17 +147,17 @@ def front_loading_defect(f: HardyFunction, outer: HardyFunction):
     return float(np.max(tail_d[1:] - tail_c[1:]))
 
 
-def uwa_decompose(f: HardyFunction, n_terms) -> UnwindingDecomposition:
-    """Pure unwinding recursion, n_terms factorization steps.
+def _unwind(f: HardyFunction, max_terms, energy_tol, kind, extract) -> Decomposition:
+    """The unwinding recursion shared by UWA and UWAFD.
 
-    Step k: factor f_k = phi_k psi_k, record c_k = psi_k(0), the
-    constant coefficient of psi_k, and recurse on psi_k - c_k.  The
-    partial sums sum c_k phi_1...phi_k are orthogonal because every
-    inner factor after the first vanishes at 0, so the residual energy
-    equals ||f||^2 - sum |c_k|^2 up to factorization error.
-
-    Stops early with a diagnostic if a residual becomes degenerate
-    (numerically zero or massively clamped).
+    Step k factors f_k = I_k O_k and hands extract the outer factor
+    truncated to f's order; extract returns (a, c, f_{k+1}) or raises
+    ZeroResidual to stop.  The term is recorded as a Component of the
+    given kind whose inner holds the samples of I_1...I_k.  The
+    iteration stops after max_terms steps, once the relative residual
+    energy is below max(energy_tol, residual_floor), or, naming the
+    reason in meta["stopped"], when a remainder cannot be factored or
+    extract refuses it.
     """
     source = f.energy()
     if source <= 0.0:
@@ -204,38 +166,35 @@ def uwa_decompose(f: HardyFunction, n_terms) -> UnwindingDecomposition:
     # recursion runs on a padded grid; sampling f there is exact.
     n = max(4 * f.boundary().n, 4096)
     f_k = f
-    terms = []
+    components = []
     residuals = [source]
     cumulative = np.ones(n, dtype=complex)
     consistency = []
     front_loading = []
     stopped = None
-    for _ in range(n_terms):
-        boundary = f_k.boundary(n)
-        if boundary.norm() ** 2 < DEFAULT_TOL.residual_floor * source:
+    for _ in range(max_terms):
+        if residuals[-1] / source < max(energy_tol, DEFAULT_TOL.residual_floor):
             break
+        boundary = f_k.boundary(n)
         try:
             fac = factorize(boundary)
-        except DegenerateModulus as exc:
+            # the outer factor of an order-M polynomial free of boundary
+            # zeros is again order M; truncation only sheds alias noise
+            a, c, f_next = extract(fac.outer.truncated(f.order))
+        except (DegenerateModulus, ZeroResidual) as exc:
             stopped = str(exc)
             break
         consistency.append(fac.consistency(boundary))
         front_loading.append(front_loading_defect(f_k, fac.outer))
-        # outer factor of an order-M polynomial free of boundary zeros
-        # is again order M; truncation only sheds alias noise
-        psi = fac.outer.truncated(f.order)
-        c = complex(psi.coefficients[0])
+        # a new array each step, so no stored inner is written again
         cumulative = cumulative * fac.inner.samples
-        terms.append(UnwindingTerm(c=c, a=None, cumulative_inner=cumulative.copy()))
-        next_coeffs = psi.coefficients.copy()
-        next_coeffs[0] -= c
-        f_k = HardyFunction(next_coeffs, f.r_max)
+        components.append(Component(a=a, c=c, kind=kind, inner=cumulative))
+        f_k = f_next
         residuals.append(f_k.energy())
-    return UnwindingDecomposition(
-        terms=terms,
+    return Decomposition(
+        components=components,
         residual_energy=np.array(residuals),
         source_energy=source,
-        kind="uwa",
         meta={
             "n": n,
             "factor_consistency": consistency,
@@ -245,9 +204,32 @@ def uwa_decompose(f: HardyFunction, n_terms) -> UnwindingDecomposition:
     )
 
 
+def uwa_decompose(f: HardyFunction, n_terms) -> Decomposition:
+    """Pure unwinding recursion, n_terms factorization steps.
+
+    Step k: factor f_k = phi_k psi_k, record c_k = psi_k(0), the
+    constant coefficient of psi_k, and recurse on psi_k - c_k.  The
+    partial sums sum c_k phi_1...phi_k are orthogonal because every
+    inner factor after the first vanishes at 0, so the residual energy
+    equals ||f||^2 - sum |c_k|^2 up to factorization error.
+
+    Stops early once the residual falls below the floor, or with a
+    diagnostic if a residual becomes degenerate (numerically zero or
+    massively clamped).  Components have kind "uwa" and a = None.
+    """
+
+    def extract(psi):
+        c = complex(psi.coefficients[0])
+        rest = psi.coefficients.copy()
+        rest[0] -= c
+        return None, c, HardyFunction(rest, f.r_max)
+
+    return _unwind(f, n_terms, 0.0, "uwa", extract)
+
+
 def uwafd_decompose(
     f: HardyFunction, max_terms=50, energy_tol=1e-6, search=DEFAULT_SEARCH
-) -> UnwindingDecomposition:
+) -> Decomposition:
     """Unwinding interleaved with maximal sifting.
 
     Step k: factor f_k = I_k O_k, select a_k maximally on O_k, extract
@@ -257,57 +239,19 @@ def uwafd_decompose(
     all the accumulated factors are unimodular.
 
     Stops early, naming the reason in meta["stopped"], when a remainder
-    cannot be factored or falls below the selection floor.
+    cannot be factored or falls below the selection floor.  Components
+    have kind "uwafd".
     """
-    source = f.energy()
-    if source <= 0.0:
-        raise ZeroSignal("zero signal")
-    n = max(4 * f.boundary().n, 4096)  # see uwa_decompose
-    f_k = f
-    terms = []
-    residuals = [source]
-    cumulative = np.ones(n, dtype=complex)
-    consistency = []
-    front_loading = []
-    stopped = None
-    for _ in range(max_terms):
-        resid = residuals[-1]
-        if resid / source < max(energy_tol, DEFAULT_TOL.residual_floor):
-            break
-        boundary = f_k.boundary(n)
-        try:
-            fac = factorize(boundary)
-        except DegenerateModulus as exc:
-            stopped = str(exc)
-            break
-        o_k = fac.outer.truncated(f.order)
-        try:
-            a = maximal_selection(o_k, search, source=f)
-        except ZeroResidual as exc:
-            stopped = str(exc)
-            break
-        consistency.append(fac.consistency(boundary))
-        front_loading.append(front_loading_defect(f_k, fac.outer))
+
+    def extract(o_k):
+        a = maximal_selection(o_k, search, source=f)
         c = coefficient(o_k, a)
-        cumulative = cumulative * fac.inner.samples
-        terms.append(UnwindingTerm(c=c, a=a, cumulative_inner=cumulative.copy()))
-        f_k = _sift(o_k, a, c)
-        residuals.append(f_k.energy())
-    return UnwindingDecomposition(
-        terms=terms,
-        residual_energy=np.array(residuals),
-        source_energy=source,
-        kind="uwafd",
-        meta={
-            "n": n,
-            "factor_consistency": consistency,
-            "front_loading": front_loading,
-            "stopped": stopped,
-        },
-    )
+        return a, c, _sift(o_k, a, c)
+
+    return _unwind(f, max_terms, energy_tol, "uwafd", extract)
 
 
-def unwinding_reconstruct(u: UnwindingDecomposition, n=None) -> CircularSignal:
+def unwinding_reconstruct(u: Decomposition, n=None) -> CircularSignal:
     """Boundary samples of the unwinding partial sum.
 
     UWA terms are c_k * cumulative inner; UWAFD terms additionally
@@ -320,11 +264,11 @@ def unwinding_reconstruct(u: UnwindingDecomposition, n=None) -> CircularSignal:
     z = np.exp(1j * circle_grid(n))
     out = np.zeros(n, dtype=complex)
     prefix = np.ones(n, dtype=complex)  # Mobius chain over selected params
-    for term in u.terms:
-        if term.a is None:
-            out = out + term.c * term.cumulative_inner
+    for comp in u.components:
+        if comp.a is None:
+            out = out + comp.c * comp.inner
         else:
-            b = szego_kernel(term.a, z) * prefix
-            out = out + term.c * term.cumulative_inner * b
-            prefix = prefix * mobius(term.a, z)
+            b = szego_kernel(comp.a, z) * prefix
+            out = out + comp.c * comp.inner * b
+            prefix = prefix * mobius(comp.a, z)
     return CircularSignal(out)

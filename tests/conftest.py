@@ -169,8 +169,8 @@ def schema1_record(record, decomposition):
     old = copy.deepcopy(record)
     old["schema"] = 1
     old["meta"]["inner"] = [
-        [term.cumulative_inner.real.tolist(), term.cumulative_inner.imag.tolist()]
-        for term in decomposition.terms
+        [term.inner.real.tolist(), term.inner.imag.tolist()]
+        for term in decomposition.components
     ]
     return old
 

@@ -22,7 +22,19 @@ from afd.cli_io import (
 )
 from afd.config import DEFAULT_SEARCH
 from afd.errors import NonRealInput, NonUniformGrid, ParseError
-from afd import CircularSignal, analytic_signal, circle_grid, uwa_decompose, uwafd_decompose
+from afd import (
+    CircularSignal,
+    Decomposition,
+    analytic_signal,
+    bergman_space,
+    circle_grid,
+    core_afd_decompose,
+    cyclic_decomposition,
+    hardy_space,
+    poafd_decompose,
+    uwa_decompose,
+    uwafd_decompose,
+)
 from afd.tfd_uncertainty import dirac_tfd, unwinding_tfd
 
 from conftest import am_fm_real, csv_writer_atoms, csv_writer_raster, schema1_record
@@ -202,6 +214,29 @@ def test_decompose_other_algorithms_run(tmp_path, cosine_csv, algo):
     obj.validate()
 
 
+def test_every_algorithm_returns_one_record_type(tmp_path, cosine_csv):
+    # all five algorithms, and every loaded result file, give a Decomposition
+    f = analytic_signal(read_signal_csv(cosine_csv))
+    search = replace(DEFAULT_SEARCH, n_angles=24, n_radii=12)
+    results = [
+        core_afd_decompose(f, max_terms=3, search=search),
+        uwa_decompose(f, 3),
+        uwafd_decompose(f, max_terms=3, search=search),
+        cyclic_decomposition(f, (0.3, -0.2j)),
+    ]
+    for make in (hardy_space, bergman_space):
+        results.append(poafd_decompose(make(f.order), f.coefficients, max_terms=3, search=search))
+    runs = [[algo] for algo in cli_io.ALGORITHMS] + [["poafd", "--space", "bergman"]]
+    for algo, *flags in runs:
+        out = str(tmp_path / f"{algo}{len(flags)}.json")
+        argv = ["decompose", cosine_csv, "--algo", algo, "--terms", "3", "--grid", "24x12"]
+        assert main(argv + flags + ["--output", out]) == EXIT_OK
+        results.append(load_result(out)[1])
+    for d in results:
+        assert type(d) is Decomposition and len(d) > 0
+        d.validate()
+
+
 def test_decompose_poafd_bergman(tmp_path, cosine_csv):
     out = str(tmp_path / "b.json")
     assert main(["decompose", cosine_csv, "--algo", "poafd", "--space", "bergman",
@@ -268,18 +303,18 @@ def test_unwinding_records_round_trip(tmp_path, capsys, algo):
     else:
         search = replace(DEFAULT_SEARCH, n_angles=24, n_radii=12)
         mem = uwafd_decompose(f, max_terms=4, energy_tol=1e-6, search=search)
-    assert len(obj.terms) == len(mem.terms) == len(rec["components"]) > 0
-    for got, want in zip(obj.terms, mem.terms):
-        assert got.cumulative_inner.dtype == np.dtype(complex)
-        assert got.cumulative_inner.tobytes() == want.cumulative_inner.tobytes()
+    assert len(obj.components) == len(mem.components) == len(rec["components"]) > 0
+    for got, want in zip(obj.components, mem.components):
+        assert got.inner.dtype == np.dtype(complex)
+        assert got.inner.tobytes() == want.inner.tobytes()
 
     # a schema-1 twin loads to the same arrays and gives the same tfd bytes
     old = str(tmp_path / "old.json")
     save_result(schema1_record(rec, mem), old)
     rec1, obj1 = load_result(old)
     assert rec1["schema"] == 1
-    for got, want in zip(obj1.terms, mem.terms):
-        assert got.cumulative_inner.tobytes() == want.cumulative_inner.tobytes()
+    for got, want in zip(obj1.components, mem.components):
+        assert got.inner.tobytes() == want.inner.tobytes()
     outputs = []
     for res in (a, old):
         atoms = res[:-5] + ".tfd.csv"

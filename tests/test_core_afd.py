@@ -10,6 +10,7 @@ import pytest
 
 import afd
 from afd import (
+    Component,
     HardyFunction,
     analytic_signal,
     coefficient,
@@ -183,7 +184,7 @@ def test_selection_ignores_the_signal_scale():
     space = hardy_space(unit.order)
     runs = [
         lambda f: core_afd_decompose(f, max_terms=6, energy_tol=0.0).params,
-        lambda f: np.array([term.a for term in uwafd_decompose(f, max_terms=4).terms]),
+        lambda f: np.array([term.a for term in uwafd_decompose(f, max_terms=4).components]),
         lambda f: poafd_decompose(space, f.coefficients, max_terms=6, energy_tol=0.0).params,
     ]
     for run in runs:
@@ -199,7 +200,7 @@ def test_selection_floor_is_relative_to_the_signal(lam):
     unit, tiny = scaled_am_fm(1.0), scaled_am_fm(lam)
     runs = [
         lambda f: core_afd_decompose(f, max_terms=4, energy_tol=0.0).params,
-        lambda f: np.array([term.a for term in uwafd_decompose(f, max_terms=4).terms]),
+        lambda f: np.array([term.a for term in uwafd_decompose(f, max_terms=4).components]),
     ]
     for run in runs:
         want, got = run(unit), run(tiny)
@@ -428,3 +429,13 @@ def test_forced_params_validation():
     d = core_afd_decompose(f, forced_params=params, energy_tol=0.0)
     assert tuple(d.params) == params
     d.validate()
+
+
+def test_components_compare_and_hash_without_their_inner_samples():
+    # inner is excluded from comparison, so components stay hashable and
+    # equal whatever inner samples they carry
+    first = Component(a=None, c=0.5 + 0.25j, kind="uwa", inner=np.ones(8, dtype=complex))
+    second = replace(first, inner=np.exp(1j * np.arange(8.0)))
+    assert first == second and hash(first) == hash(second)
+    assert len({first, second, replace(first, inner=None)}) == 1
+    assert first != replace(first, kind="uwafd")

@@ -3,10 +3,15 @@
 Runs are derandomized so the suite is the same on every run.
 """
 
+import os
+import tempfile
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from afd import (
+    Component,
+    Decomposition,
     bergman_space,
     coefficient,
     gram_schmidt,
@@ -16,7 +21,8 @@ from afd import (
     sift,
     tm_system_boundary,
 )
-from afd.cli_io import _float_text
+from afd import cli_io
+from afd.cli_io import _float_text, load_result, save_result
 from afd.core_afd import _sift
 
 from conftest import random_hardy
@@ -121,3 +127,80 @@ def test_sift_splits_the_energy(order, seed, exponent, radius, angle):
     assert abs(f.energy() - abs(c) ** 2 - g.energy()) <= 1e-12 * f.energy()
     # the loops hand the coefficient they already hold to _sift
     np.testing.assert_array_equal(_sift(f, a, c).coefficients, g.coefficients)
+
+
+# the decompose options at their CLI defaults, as _record reads them
+CLI_DEFAULTS = cli_io._build_parser().parse_args(["decompose", "signal.csv"])
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def records(draw):
+    """A random result record of any algorithm, as cli_io._record builds it.
+
+    0-6 components with a in the disc (None for uwa) and a complex c;
+    unwinding components also carry unit-modulus inner samples on one
+    small grid.  The residual trace is nonincreasing.
+    """
+    size = draw(st.integers(0, 6))
+    algorithm = draw(st.sampled_from(cli_io.ALGORITHMS))
+    unwinding = algorithm in cli_io.UNWINDING
+    inner_n = draw(st.integers(1, 16))
+    components = []
+    for _ in range(size):
+        a = None
+        if algorithm != "uwa":
+            radius, angle = draw(st.floats(0.0, 0.99)), draw(st.floats(0.0, 2.0 * np.pi))
+            a = radius * complex(np.cos(angle), np.sin(angle))
+        c = complex(draw(finite), draw(finite))
+        inner = None
+        if unwinding:
+            phases = draw(st.lists(st.floats(0.0, 2.0 * np.pi), min_size=inner_n, max_size=inner_n))
+            inner = np.exp(1j * np.array(phases))
+        components.append(Component(a=a, c=c, kind=algorithm, inner=inner))
+    trace = sorted(draw(st.lists(st.floats(0.0, 1e6), min_size=size + 1, max_size=size + 1)), reverse=True)
+    meta = {}
+    if unwinding:
+        health = st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size)
+        meta = {
+            "n": inner_n,
+            "factor_consistency": draw(health),
+            "front_loading": draw(health),
+            "stopped": draw(st.sampled_from([None, "outer factor vanishes on the boundary grid"])),
+        }
+    d = Decomposition(
+        components=components,
+        residual_energy=np.array(trace),
+        source_energy=trace[0],
+        meta=meta,
+    )
+    return cli_io._record(CLI_DEFAULTS, algorithm, 64, d), d
+
+
+@PROPERTY_SETTINGS
+@given(records())
+def test_result_files_round_trip(drawn):
+    # save -> load gives back every a, c, kind and inner sample bit for
+    # bit, and save -> load -> save gives back the file byte for byte
+    record, d = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "first.json"), os.path.join(tmp, "second.json")
+        save_result(record, first)
+        rec, got = load_result(first)
+        save_result(rec, second)
+        with open(first, "rb") as fh, open(second, "rb") as gh:
+            assert fh.read() == gh.read()
+    assert len(got) == len(d)
+    for back, comp in zip(got.components, d.components):
+        assert back.kind == comp.kind
+        assert (back.a is None) == (comp.a is None)
+        if comp.a is not None:
+            assert np.array(back.a).tobytes() == np.array(comp.a).tobytes()
+        assert np.array(back.c).tobytes() == np.array(comp.c).tobytes()
+        if comp.inner is None:
+            assert back.inner is None
+        else:
+            assert back.inner.tobytes() == comp.inner.tobytes()
+    assert got.residual_energy.tobytes() == d.residual_energy.tobytes()
+    # the meta of other algorithms is rebuilt with the input's length
+    assert got.meta == (d.meta if record["algorithm"] in cli_io.UNWINDING else {"n": 64})

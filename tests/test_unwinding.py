@@ -9,17 +9,20 @@ from afd import (
     CircularSignal,
     HardyFunction,
     circle_grid,
+    coefficient_cross_check,
+    dirac_tfd,
     factorize,
     front_loading_defect,
     inner_factor,
     mobius,
     outer_factor,
+    reconstruct,
     unwinding_reconstruct,
     uwa_decompose,
     uwafd_decompose,
 )
 from afd import core_afd, unwinding
-from afd.errors import DegenerateModulus
+from afd.errors import DegenerateModulus, InputError
 
 from conftest import kernel_sum, random_hardy, scaled_am_fm
 
@@ -87,9 +90,9 @@ def test_uwa_hand_computed_example():
     u = uwa_decompose(f, 3)
     np.testing.assert_allclose(u.coefficients, [1.0, 0.5], atol=1e-12)
     np.testing.assert_allclose(u.residual_energy, [1.25, 0.25, 0.0], atol=1e-12)
-    t = circle_grid(u.terms[0].cumulative_inner.size)
-    np.testing.assert_allclose(u.terms[0].cumulative_inner, np.exp(1j * t), atol=1e-8)
-    np.testing.assert_allclose(u.terms[1].cumulative_inner, np.exp(2j * t), atol=1e-8)
+    t = circle_grid(u.components[0].inner.size)
+    np.testing.assert_allclose(u.components[0].inner, np.exp(1j * t), atol=1e-8)
+    np.testing.assert_allclose(u.components[1].inner, np.exp(2j * t), atol=1e-8)
     u.validate()
 
 
@@ -97,9 +100,9 @@ def test_uwa_cumulative_inners_are_unimodular_and_nested():
     rng = np.random.default_rng(52)
     f = random_hardy(rng, m=31)
     u = uwa_decompose(f, 3)
-    prev = np.ones_like(u.terms[0].cumulative_inner)
-    for k, term in enumerate(u.terms):
-        phi = term.cumulative_inner
+    prev = np.ones_like(u.components[0].inner)
+    for k, term in enumerate(u.components):
+        phi = term.inner
         np.testing.assert_allclose(np.abs(phi), 1.0, atol=1e-8)
         step = phi / prev
         if k >= 1:
@@ -156,11 +159,11 @@ def test_uwafd_peels_inner_then_selects():
     c[2:] = np.sqrt(1 - 0.09) * 0.3**k
     f = HardyFunction(c)
     u = uwafd_decompose(f, max_terms=5)
-    assert len(u.terms) == 1
-    assert abs(u.terms[0].a - 0.3) < 1e-6
-    assert abs(u.terms[0].c - 1.0) < 1e-6
+    assert len(u.components) == 1
+    assert abs(u.components[0].a - 0.3) < 1e-6
+    assert abs(u.components[0].c - 1.0) < 1e-6
     assert u.residual_energy[-1] < 1e-10
-    assert u.kind == "uwafd"
+    assert [comp.kind for comp in u.components] == ["uwafd"]
     u.validate()
 
 
@@ -169,8 +172,8 @@ def test_uwafd_single_line():
     c = np.zeros(4, dtype=complex)
     c[3] = 0.5
     u = uwafd_decompose(HardyFunction(c), max_terms=4)
-    assert len(u.terms) == 1
-    assert abs(u.terms[0].c - 0.5) < 1e-12
+    assert len(u.components) == 1
+    assert abs(u.components[0].c - 0.5) < 1e-12
     assert u.residual_energy[-1] < 1e-20
 
 
@@ -202,7 +205,7 @@ def test_factor_consistency_matches_a_fresh_recomputation(algo, monkeypatch):
     monkeypatch.setattr(unwinding, "factorize", recording)
     u = algo(random_hardy(np.random.default_rng(57), m=63), 4)
     entries = u.meta["factor_consistency"]
-    assert len(entries) == len(u.terms) == 4
+    assert len(entries) == len(u.components) == 4
     for value, (boundary, fac) in zip(entries, seen):
         o = fac.outer.boundary(boundary.n).samples
         np.testing.assert_array_equal(fac.outer_samples, o)
@@ -219,7 +222,7 @@ def test_uwa_is_scale_invariant():
     rel = []
     for lam in SCALES:
         u = uwa_decompose(scaled_am_fm(lam), 4)
-        assert len(u.terms) == 4 and u.meta["stopped"] is None
+        assert len(u.components) == 4 and u.meta["stopped"] is None
         u.validate()
         rel.append(u.residual_energy[-1] / u.source_energy)
     assert rel[0] < 1e-5
@@ -237,9 +240,9 @@ def test_uwafd_tiny_signals_stop_without_raising(lam, monkeypatch):
     monkeypatch.setattr(core_afd, "DEFAULT_TOL", tol)
     u = uwafd_decompose(scaled_am_fm(lam), max_terms=4)
     assert u.meta["stopped"] == "norm below selection floor"
-    assert len(u.terms) == 1
-    assert len(u.meta["factor_consistency"]) == len(u.terms)
-    assert len(u.residual_energy) == len(u.terms) + 1
+    assert len(u.components) == 1
+    assert len(u.meta["factor_consistency"]) == len(u.components)
+    assert len(u.residual_energy) == len(u.components) + 1
     u.validate()
 
 
@@ -259,3 +262,21 @@ def test_front_loading_on_factorizations():
         f = HardyFunction(c)
         fac = factorize(f.boundary(1024))
         assert front_loading_defect(f, fac.outer) <= 1e-10 * f.energy()
+
+
+@pytest.mark.parametrize("algo", [uwa_decompose, uwafd_decompose])
+def test_tm_only_consumers_refuse_unwinding_records(algo):
+    # reconstruct, dirac_tfd and the coefficient cross-check see only the
+    # TM chain, so on an unwinding record they would drop the inner
+    # factors; each names the unwinding function to use instead
+    f = scaled_am_fm(1.0)
+    u = algo(f, 4)
+    assert len(u) == 4 and all(comp.inner is not None for comp in u.components)
+    calls = [
+        (lambda: reconstruct(u, u.meta["n"]), "unwinding_reconstruct"),
+        (lambda: dirac_tfd(u), "unwinding_tfd"),
+        (lambda: coefficient_cross_check(f, u), "unwinding_reconstruct"),
+    ]
+    for call, name in calls:
+        with pytest.raises(InputError, match=name):
+            call()
