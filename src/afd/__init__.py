@@ -48,6 +48,7 @@ from .hardy_atoms import (
     multiplicities,
     szego_kernel,
     tm_eval,
+    tm_sweep,
     tm_system_boundary,
     validate_param,
 )

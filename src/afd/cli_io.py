@@ -56,7 +56,7 @@ from .signal_core import (
     phase_amplitude,
     to_hardy,
 )
-from .tfd_uncertainty import dirac_tfd, uncertainty_report, unwinding_tfd
+from .tfd_uncertainty import dirac_tfd, uncertainty_report
 from .unwinding import uwa_decompose, uwafd_decompose
 
 __all__ = [
@@ -398,10 +398,7 @@ def cmd_tfd(args):
     if args.bins < 0:
         raise InputError(f"--bins wants a count >= 0, got {args.bins}")
     rec, obj = load_result(args.result)
-    if rec["algorithm"] in UNWINDING:
-        comps = unwinding_tfd(obj)
-    else:
-        comps = dirac_tfd(obj, grid=rec["config"]["n"])
+    comps = dirac_tfd(obj, grid=obj.meta["n"])
     # record and decomposition hold every term's inner samples; free them
     # before writing
     del rec, obj
@@ -431,8 +428,7 @@ def _write_atoms(fh, comps):
     """Atom CSV `k,t,omega,weight`: one CRLF line per component and grid time.
 
     fh is a binary file.  Components that share one time array
-    (dirac_tfd and unwinding_tfd give all of them the same one) share
-    its formatted text.
+    (dirac_tfd gives all of them the same one) share its formatted text.
     """
     fh.write(b"k,t,omega,weight\r\n")
     t, times = None, None

@@ -33,7 +33,7 @@ import numpy as np
 
 from .config import DEFAULT_SEARCH, DEFAULT_TOL, SearchConfig
 from .errors import AFDError, InputError, ZeroResidual
-from .hardy_atoms import mobius, szego_kernel, validate_param
+from .hardy_atoms import mobius, szego_kernel, tm_sweep, validate_param
 from .signal_core import CircularSignal, HardyFunction, circle_grid, series_values, to_hardy
 
 __all__ = [
@@ -82,6 +82,9 @@ class Decomposition:
 
     @property
     def params(self):
+        """Parameters a_k as a complex array; InputError if a term has none (UWA)."""
+        if any(c.a is None for c in self.components):
+            raise InputError("UWA components carry no kernel parameter")
         return np.array([c.a for c in self.components], dtype=complex)
 
     @property
@@ -478,13 +481,20 @@ def core_afd_decompose(
     )
 
 
-def _refuse_unwinding(d, instead):
-    """InputError naming what to do instead if d is an unwinding result.
+def _check_boundary(d, n):
+    """InputError unless d has boundary samples on the grid n, a count or times.
 
-    Its components carry inner factors, which TM-only consumers would drop.
+    Bergman components have no boundary trace, and unwinding components
+    carry their inner factors only on the meta["n"] grid.
     """
-    if any(comp.inner is not None for comp in d.components):
-        raise InputError(f"unwinding components carry inner factors; {instead}")
+    if d.meta.get("space") == "bergman":
+        raise InputError(
+            "components live in a Bergman coefficient space; "
+            "boundary synthesis is undefined for them"
+        )
+    unwinding = any(comp.inner is not None for comp in d.components)
+    if unwinding and not (np.isscalar(n) and n == d.meta["n"]):
+        raise InputError(f"inner factors are stored on the {d.meta['n']}-point grid only")
 
 
 def coefficient_cross_check(f: HardyFunction, d: Decomposition):
@@ -500,39 +510,36 @@ def coefficient_cross_check(f: HardyFunction, d: Decomposition):
     refused: their terms carry inner factors, and the TM chain alone
     does not reproduce them.
     """
-    _refuse_unwinding(d, "compare unwinding_reconstruct with f instead")
+    if any(comp.inner is not None for comp in d.components):
+        raise InputError("unwinding components carry inner factors; compare reconstruct with f instead")
     n = max(4 * f.boundary().n, 4096)
     boundary = f.boundary(n)
-    z = np.exp(1j * circle_grid(n))
-    prefix = np.ones(n, dtype=complex)  # Blaschke product of consumed params
     partial = np.zeros(n, dtype=complex)  # sum c_l B_l so far
     worst = 0.0
-    for comp in d.components:
-        a, c = comp.a, comp.c
-        b_k = szego_kernel(a, z) * prefix
+    for comp, b_k in zip(d.components, tm_sweep(d.params, np.exp(1j * circle_grid(n)))):
+        c = comp.c
         c_direct = complex(np.mean(boundary.samples * np.conj(b_k)))
         c_remainder = complex(np.mean((boundary.samples - partial) * np.conj(b_k)))
         worst = max(worst, abs(c - c_direct), abs(c - c_remainder))
-        prefix = prefix * mobius(a, z)
         partial = partial + c * b_k
     return worst
 
 
 def reconstruct(d: Decomposition, n) -> CircularSignal:
-    """Boundary samples of sum_k c_k B_k on an n-point grid.
+    """Boundary samples of sum_k c_k I_k B_k on an n-point grid.
 
-    Bergman and unwinding results are refused (InputError).
+    I_k is the cumulative inner factor of an unwinding term (1 for the
+    other algorithms) and B_k the TM function over the parameters so
+    far (1 for a UWA term, which has none).  Bergman results, and
+    unwinding results at any n but their meta["n"], are refused
+    (InputError).
     """
-    if d.meta.get("space") == "bergman":
-        raise InputError(
-            "components live in a Bergman coefficient space; "
-            "boundary synthesis is undefined for them"
-        )
-    _refuse_unwinding(d, "use unwinding_reconstruct")
-    z = np.exp(1j * circle_grid(n))
+    _check_boundary(d, n)
     out = np.zeros(n, dtype=complex)
-    prefix = np.ones(n, dtype=complex)
+    sweep = tm_sweep([c.a for c in d.components if c.a is not None], np.exp(1j * circle_grid(n)))
     for comp in d.components:
-        out += comp.c * szego_kernel(comp.a, z) * prefix
-        prefix = prefix * mobius(comp.a, z)
+        term = comp.c if comp.inner is None else comp.c * comp.inner
+        if comp.a is not None:
+            term = term * next(sweep)
+        out += term
     return CircularSignal(out)

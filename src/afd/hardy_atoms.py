@@ -9,7 +9,10 @@ zero it degenerates to the monomials z^{k-1}, so everything built on
 it contains ordinary Fourier series as the special case.
 
 Boundary evaluation always uses the closed-form product; quadrature
-never enters these formulas.
+never enters these formulas.  tm_sweep holds them, together with the
+Poisson form of the boundary phase derivative, and every consumer of
+the system (synthesis, the coefficient cross-check, POAFD's reference
+rows, the time-frequency lines) reads B_k from it.
 """
 
 from dataclasses import dataclass
@@ -31,6 +34,7 @@ __all__ = [
     "multiplicities",
     "szego_kernel",
     "mobius",
+    "tm_sweep",
     "tm_eval",
     "tm_system_boundary",
     "blaschke_phase_derivative",
@@ -83,32 +87,65 @@ def mobius(a, z):
     return val if val.ndim else complex(val)
 
 
-def tm_eval(params, k, z):
-    """Value of the k-th TM function (1-based) at z.
+def tm_sweep(params, z, prefix=None, phase=False):
+    """Walk the TM system of params at the points z, one parameter a step.
 
-    B_k is the Szego factor of a_k times the Mobius factors of the
-    preceding parameters.
+    Step k yields B_k(z) = e_{a_k}(z) * prefix and then carries the
+    Blaschke prefix on as prefix * mobius(a_k, z), each factor formed
+    by the operations of szego_kernel and mobius in their order, so the
+    values match those products bit for bit.  With phase=True,
+    z = e^{it} on the circle, step k yields (B_k, theta_k') with the
+    boundary phase derivative of B_k in its Poisson form
+
+        theta_k'(t) = sum_{l<k} P_{a_l}(t) + (P_{a_k}(t) - 1)/2,
+        P_a(t) = (1 - |a|^2) / |1 - conj(a) e^{it}|^2,
+
+    the Szego factor contributing (P_a - 1)/2 and each Mobius factor
+    P_a; each P_a is positive with mean 1, and exactly 1 at a = 0.
+
+    prefix, when given, holds the Blaschke product of earlier
+    parameters at z and is advanced in place; theta' then counts only
+    the params of this sweep.  The yielded B_k is a work array that the
+    next step overwrites, so the sweep holds only the prefix and two
+    arrays of z's shape: copy B_k to keep it.
     """
+    z = np.asarray(z, dtype=complex)
+    if prefix is None:
+        prefix = np.ones(z.shape, dtype=complex)
+    b = np.empty(z.shape, dtype=complex)
+    m = np.empty(z.shape, dtype=complex)
+    poisson_sum = 0.0
+    for a in params:
+        a = validate_param(a)
+        s = abs(a) ** 2
+        np.subtract(1.0, np.multiply(np.conj(a), z, out=b), out=b)
+        np.divide(np.subtract(z, a, out=m), b, out=m)  # mobius(a, z)
+        if phase:
+            p = (1.0 - s) / (b.real**2 + b.imag**2)
+            theta = poisson_sum + (p - 1.0) / 2.0
+            poisson_sum = poisson_sum + p
+        np.divide(np.sqrt(1.0 - s), b, out=b)  # szego_kernel(a, z)
+        b *= prefix
+        prefix *= m
+        yield (b, theta) if phase else b
+
+
+def tm_eval(params, k, z):
+    """Value of the k-th TM function (1-based) at z, from tm_sweep."""
     if not 1 <= k <= len(params):
         raise InputError(f"k = {k} outside 1..{len(params)}")
-    val = szego_kernel(params[k - 1], z)
-    for a in params[: k - 1]:
-        val = val * mobius(a, z)
-    return val
+    *_, val = tm_sweep(params[:k], z)
+    return val if val.ndim else complex(val)
 
 
 def tm_system_boundary(params, n):
     """Boundary samples of B_1..B_len(params) on the n-point grid.
 
-    Returns an array of shape (len(params), n).  Computed by one sweep
-    that reuses the accumulated Blaschke prefix.
+    Returns an array of shape (len(params), n), one tm_sweep step a row.
     """
-    z = np.exp(1j * circle_grid(n))
     out = np.empty((len(params), n), dtype=complex)
-    prefix = np.ones(n, dtype=complex)
-    for i, a in enumerate(params):
-        out[i] = szego_kernel(a, z) * prefix
-        prefix = prefix * mobius(a, z)
+    for row, b in zip(out, tm_sweep(params, np.exp(1j * circle_grid(n)))):
+        row[:] = b
     return out
 
 
@@ -116,21 +153,15 @@ def blaschke_phase_derivative(params, t):
     """Boundary phase derivative of the Blaschke product with the given zeros.
 
     Each Mobius factor contributes the Poisson kernel of its parameter,
-
-        P_a(t) = (1 - |a|^2) / |e^{it} - a|^2,
-
     so the result is sum_k P_{a_k}(t): pointwise positive, with mean 1
-    per factor.
+    per factor.  The product is the TM function of params followed by
+    a = 0 (e_0 = 1, P_0 = 1), so this is that function's theta' from
+    tm_sweep.
     """
     if len(params) == 0:
         raise InputError("empty parameter list")
-    t = np.asarray(t, dtype=float)
-    z = np.exp(1j * t)
-    out = np.zeros_like(t)
-    for a in params:
-        a = validate_param(a)
-        out += (1.0 - abs(a) ** 2) / np.abs(z - a) ** 2
-    return out
+    *_, (_, theta) = tm_sweep((*params, 0.0), np.exp(1j * np.asarray(t, dtype=float)), phase=True)
+    return theta
 
 
 @dataclass(frozen=True)

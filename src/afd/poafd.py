@@ -36,7 +36,7 @@ import numpy as np
 from .config import DEFAULT_SEARCH, DEFAULT_TOL
 from .errors import DegenerateGram, InputError, ZeroResidual
 from .core_afd import Component, Decomposition, _grid_values, _hardy_norm2, _select
-from .hardy_atoms import mobius, szego_kernel, validate_param
+from .hardy_atoms import tm_sweep, validate_param
 from .signal_core import HardyFunction, circle_grid
 
 __all__ = [
@@ -172,16 +172,15 @@ def _hardy_reference(prefix, a, m):
     """TM row of a after the Blaschke prefix, and the prefix times mobius(a).
 
     prefix holds boundary samples of the Blaschke product of the earlier
-    parameters (None: there are none), the sweep of tm_system_boundary
-    carried one step.  The row is projected to coefficients; its tail
-    beyond order m is |a|^m and irrelevant at the phase-alignment accuracy.
+    parameters (None: there are none); one tm_sweep step advances a copy
+    of it, so a system grown from another leaves the other's prefix as
+    it was.  The row is projected to coefficients; its tail beyond order
+    m is |a|^m and irrelevant at the phase-alignment accuracy.
     """
     n = 1 << max(4, int(np.ceil(np.log2(2 * (m + 1)))))
-    z = np.exp(1j * circle_grid(n))
-    if prefix is None:
-        prefix = np.ones(n, dtype=complex)
-    row = szego_kernel(a, z) * prefix
-    return (np.fft.fft(row) / n)[: m + 1], prefix * mobius(a, z)
+    prefix = np.ones(n, dtype=complex) if prefix is None else prefix.copy()
+    row = next(tm_sweep((a,), np.exp(1j * circle_grid(n)), prefix))
+    return (np.fft.fft(row) / n)[: m + 1], prefix
 
 
 def kernel(space: KernelSpace, a, l=1) -> MultiplicityKernel:

@@ -8,12 +8,16 @@ picture: each component contributes the weighted delta line
 with rho_k = |c_k B_k(e^{it})| and theta_k' the boundary phase
 derivative of B_k.  Nothing is windowed and nothing interferes; the
 distribution is a bunch of weighted curves, one per component.  The
-phase derivative comes from the rational closed form
+phase derivative Re{ z B_k'(z) / B_k(z) }, z = e^{it}, is taken in its
+Poisson form
 
-    theta_k'(t) = Re{ z B_k'(z) / B_k(z) },   z = e^{it},
+    theta_k'(t) = sum_{l<k} P_{a_l}(t) + (P_{a_k}(t) - 1)/2,
 
-expanded by the product rule over the Szego factor and the Mobius
-factors; finite differences of unwrapped phase appear only in tests.
+P_a the Poisson kernel of a, which tm_sweep (hardy_atoms) yields
+alongside B_k; finite differences of unwrapped phase appear only in
+tests.  Each sum term is positive, so theta_k' > -1/2 everywhere.  An
+unwinding term adds the phase derivative of its inner factor, known
+by samples and differentiated spectrally.
 
 The real-line half computes both sides of the extra-strong
 uncertainty inequality
@@ -31,9 +35,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .core_afd import _refuse_unwinding
+from .core_afd import _check_boundary
 from .errors import InputError, NonRealInput, NonUniformGrid, TailEnergy, ZeroSignal
-from .hardy_atoms import validate_param
+from .hardy_atoms import tm_sweep
 from .signal_core import circle_grid
 
 __all__ = [
@@ -107,69 +111,40 @@ class UncertaintyReport:
 
 
 def tm_phase_derivative(params, k, t):
-    """theta_k'(t) for the k-th TM function, closed rational form.
-
-    z B_k'/B_k telescopes over the factors:
-
-        z e_a'/e_a = z conj(a) / (1 - conj(a) z)          (Szego factor)
-        z m_a'/m_a = z/(z - a) + z conj(a)/(1 - conj(a) z)  (Mobius)
-
-    and theta' is the real part of the sum on |z| = 1.
-    """
+    """theta_k'(t) for the k-th TM function, in Poisson form (see tm_sweep)."""
     if not 1 <= k <= len(params):
         raise InputError(f"k = {k} outside 1..{len(params)}")
-    t = np.asarray(t, dtype=float)
-    z = np.exp(1j * t)
-    a_k = validate_param(params[k - 1])
-    total = z * np.conj(a_k) / (1.0 - np.conj(a_k) * z)
-    for a in params[: k - 1]:
-        a = validate_param(a)
-        # z/(z - a) = 1/(1 - a conj z) on the boundary; this form has
-        # no cancelling subtraction and is exact at a = 0
-        total = total + 1.0 / (1.0 - a * np.conj(z)) + z * np.conj(a) / (
-            1.0 - np.conj(a) * z
-        )
-    return total.real
-
-
-def _time_grid(grid):
-    if np.isscalar(grid):
-        return circle_grid(int(grid))
-    return np.asarray(grid, dtype=float)
+    *_, (_, theta) = tm_sweep(params[:k], np.exp(1j * np.asarray(t, dtype=float)), phase=True)
+    return theta
 
 
 def dirac_tfd(d, grid=512):
-    """Per-component delta lines of a kernel-based decomposition.
+    """Per-component delta lines of a decomposition.
 
     grid is either a sample count (uniform on [0, 2pi)) or an explicit
     array of times; the closed forms hold pointwise, so any grid
-    works.  Bergman decompositions carry no boundary values and are
-    refused, and so are unwinding results, whose inner factors only
-    unwinding_tfd distributes.
+    works.  A term with a parameter has weight |c_k B_k|^2 and
+    frequency theta_k', both from one tm_sweep.  A term with an inner
+    factor (unwinding) adds the spectral phase derivative of its
+    samples and takes the factor as unimodular in its weight (|c_k|^2
+    for a UWA term).  The samples exist only on the meta["n"] grid, so
+    an unwinding record at any other grid is refused (InputError), and
+    so is a Bergman decomposition, which has no boundary values.
     """
-    if d.meta.get("space") == "bergman":
-        raise InputError("Bergman components have no boundary trace to distribute")
-    _refuse_unwinding(d, "use unwinding_tfd")
-    t = _time_grid(grid)
-    z = np.exp(1j * t)
+    _check_boundary(d, grid)
+    t = circle_grid(int(grid)) if np.isscalar(grid) else np.asarray(grid, dtype=float)
+    sweep = tm_sweep([c.a for c in d.components if c.a is not None], np.exp(1j * t), phase=True)
     out = []
-    params = tuple(d.params)
-    prefix = np.ones_like(z)
     for k, comp in enumerate(d.components, start=1):
-        a = validate_param(comp.a)
-        e_a = np.sqrt(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * z)
-        b_k = e_a * prefix
-        out.append(
-            ComponentTFD(
-                index=k,
-                a=comp.a,
-                c=comp.c,
-                t=t,
-                omega=tm_phase_derivative(params, k, t),
-                weight=np.abs(comp.c * b_k) ** 2,
-            )
-        )
-        prefix = prefix * (z - a) / (1.0 - np.conj(a) * z)
+        if comp.a is None:
+            omega = _spectral_phase_derivative(comp.inner)
+            weight = np.full(len(t), abs(comp.c) ** 2)
+        else:
+            b_k, omega = next(sweep)
+            weight = np.abs(comp.c * b_k) ** 2
+            if comp.inner is not None:
+                omega = _spectral_phase_derivative(comp.inner) + omega
+        out.append(ComponentTFD(index=k, a=comp.a, c=comp.c, t=t, omega=omega, weight=weight))
     return out
 
 
@@ -182,35 +157,8 @@ def _spectral_phase_derivative(samples):
 
 
 def unwinding_tfd(u):
-    """Delta lines of an unwinding decomposition.
-
-    The k-th term is c_k Phi_k (times B_k for the sifted variant) with
-    Phi_k the accumulated inner factor, known only through its samples
-    (comp.inner) on the meta["n"] grid; its phase derivative is
-    spectral.  The TM part, when present, uses the same closed form as
-    dirac_tfd.
-    """
-    n = u.meta["n"]
-    t = circle_grid(n)
-    z = np.exp(1j * t)
-    params = tuple(comp.a for comp in u.components if comp.a is not None)
-    out = []
-    prefix = np.ones_like(z)
-    for k, comp in enumerate(u.components, start=1):
-        omega = _spectral_phase_derivative(comp.inner)
-        weight = np.full(n, abs(comp.c) ** 2)
-        if comp.a is not None:
-            a = validate_param(comp.a)
-            omega = omega + tm_phase_derivative(params, k, t)
-            e_a = np.sqrt(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * z)
-            weight = np.abs(comp.c * e_a * prefix) ** 2
-            prefix = prefix * (z - a) / (1.0 - np.conj(a) * z)
-        out.append(
-            ComponentTFD(
-                index=k, a=comp.a, c=comp.c, t=t, omega=omega, weight=weight
-            )
-        )
-    return out
+    """dirac_tfd(u) on the meta["n"] grid of the inner factors."""
+    return dirac_tfd(u, grid=u.meta["n"])
 
 
 def uncertainty_report(s, t) -> UncertaintyReport:

@@ -29,13 +29,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_SEARCH, DEFAULT_TOL
-from .errors import AFDError, DegenerateModulus, ZeroResidual, ZeroSignal
-from .core_afd import Component, Decomposition, _sift, coefficient, maximal_selection
-from .hardy_atoms import mobius, szego_kernel
+from .errors import DegenerateModulus, ZeroResidual, ZeroSignal
+from .core_afd import Component, Decomposition, _sift, coefficient, maximal_selection, reconstruct
 from .signal_core import (
     CircularSignal,
     HardyFunction,
-    circle_grid,
     hilbert_transform,
     to_hardy,
 )
@@ -252,23 +250,5 @@ def uwafd_decompose(
 
 
 def unwinding_reconstruct(u: Decomposition, n=None) -> CircularSignal:
-    """Boundary samples of the unwinding partial sum.
-
-    UWA terms are c_k * cumulative inner; UWAFD terms additionally
-    carry the TM factor built from the selected parameters.
-    """
-    if n is None:
-        n = u.meta["n"]
-    if n != u.meta["n"]:
-        raise AFDError("inner factors are stored on the decomposition grid")
-    z = np.exp(1j * circle_grid(n))
-    out = np.zeros(n, dtype=complex)
-    prefix = np.ones(n, dtype=complex)  # Mobius chain over selected params
-    for comp in u.components:
-        if comp.a is None:
-            out = out + comp.c * comp.inner
-        else:
-            b = szego_kernel(comp.a, z) * prefix
-            out = out + comp.c * comp.inner * b
-            prefix = prefix * mobius(comp.a, z)
-    return CircularSignal(out)
+    """reconstruct(u, n), n defaulting to the meta["n"] grid of the inner factors."""
+    return reconstruct(u, u.meta["n"] if n is None else n)

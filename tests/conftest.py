@@ -22,7 +22,12 @@ POAFD system rebuilt from scratch after every selection, kept as the
 reference for the system that grows one row per step;
 `core_afd_reference` is the greedy loop that cross-checked every
 coefficient by quadrature in the loop, kept as the reference for the
-loop without the audit and for `coefficient_cross_check`.
+loop without the audit and for `coefficient_cross_check`;
+`tm_phase_derivative_rational`, `unwinding_reconstruct_reference` and
+`unwinding_tfd_reference` are the rational phase derivative and the
+unwinding-only synthesis and distribution loops that each formed their
+own Mobius prefix, kept as the reference for the one TM sweep that
+`reconstruct` and `dirac_tfd` read.
 """
 
 import copy
@@ -61,6 +66,7 @@ from afd.core_afd import (
     _selection_scores,
 )
 from afd.errors import InputError, ZeroResidual
+from afd.tfd_uncertainty import ComponentTFD, _spectral_phase_derivative
 
 
 def residual_at(d, n):
@@ -259,6 +265,59 @@ def core_afd_reference(f, max_terms=50, energy_tol=1e-6, search=DEFAULT_SEARCH):
         source_energy=source,
         meta={"n": n, "triple_defect": triple_defect},
     )
+
+
+def tm_phase_derivative_rational(params, k, t):
+    """theta_k' = Re{z B_k'/B_k} summed factor by factor on |z| = 1.
+
+    z e_a'/e_a = z conj(a)/(1 - conj(a) z) for the Szego factor and
+    1/(1 - a conj(z)) + z conj(a)/(1 - conj(a) z) for a Mobius factor.
+    """
+    t = np.asarray(t, dtype=float)
+    z = np.exp(1j * t)
+    a_k = complex(params[k - 1])
+    total = z * np.conj(a_k) / (1.0 - np.conj(a_k) * z)
+    for a in params[: k - 1]:
+        a = complex(a)
+        total = total + 1.0 / (1.0 - a * np.conj(z)) + z * np.conj(a) / (1.0 - np.conj(a) * z)
+    return total.real
+
+
+def unwinding_reconstruct_reference(u):
+    """Unwinding partial sum on the meta["n"] grid, its own Mobius chain."""
+    n = u.meta["n"]
+    z = np.exp(1j * circle_grid(n))
+    out = np.zeros(n, dtype=complex)
+    prefix = np.ones(n, dtype=complex)
+    for comp in u.components:
+        if comp.a is None:
+            out = out + comp.c * comp.inner
+        else:
+            b = szego_kernel(comp.a, z) * prefix
+            out = out + comp.c * comp.inner * b
+            prefix = prefix * mobius(comp.a, z)
+    return out
+
+
+def unwinding_tfd_reference(u):
+    """Delta lines of an unwinding record, its own prefix and rational phase."""
+    n = u.meta["n"]
+    t = circle_grid(n)
+    z = np.exp(1j * t)
+    params = tuple(comp.a for comp in u.components if comp.a is not None)
+    out = []
+    prefix = np.ones_like(z)
+    for k, comp in enumerate(u.components, start=1):
+        omega = _spectral_phase_derivative(comp.inner)
+        weight = np.full(n, abs(comp.c) ** 2)
+        if comp.a is not None:
+            a = complex(comp.a)
+            omega = omega + tm_phase_derivative_rational(params, k, t)
+            e_a = np.sqrt(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * z)
+            weight = np.abs(comp.c * e_a * prefix) ** 2
+            prefix = prefix * (z - a) / (1.0 - np.conj(a) * z)
+        out.append(ComponentTFD(index=k, a=comp.a, c=comp.c, t=t, omega=omega, weight=weight))
+    return out
 
 
 def gram_schmidt_reference(space, params):

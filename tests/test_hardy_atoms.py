@@ -112,6 +112,8 @@ def test_blaschke_phase_derivative_positive_with_unit_masses():
         # each factor contributes winding one
         assert np.mean(w) == pytest.approx(len(params), abs=1e-9)
     np.testing.assert_allclose(blaschke_phase_derivative((0,), t), 1.0, atol=1e-14)
+    # P_0 = (1 - 0)/|1 - 0 z|^2 is 1 in floating point too
+    assert np.all(blaschke_phase_derivative((0, 0, 0), t) == 3.0)
 
 
 def test_blaschke_phase_derivative_rejects_empty():

@@ -136,6 +136,10 @@ def test_grown_system_matches_rebuilt_reference():
             want = gram_schmidt_reference(space, params)
             assert got.params == want.params
             np.testing.assert_allclose(got.vectors, want.vectors, rtol=0, atol=1e-12)
+            # growing leaves the carried prefix of the system it grew from as it was
+            base = gram_schmidt(space, params[:-1])
+            _grow(space, base, params[-1])
+            np.testing.assert_array_equal(_grow(space, base, params[-1]).vectors, got.vectors)
 
 
 def test_gram_schmidt_degenerate_pair():

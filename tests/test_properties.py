@@ -13,12 +13,14 @@ from afd import (
     Component,
     Decomposition,
     bergman_space,
+    circle_grid,
     coefficient,
     gram_schmidt,
     hardy_space,
     n_blaschke_objective,
     poafd_decompose,
     sift,
+    tm_phase_derivative,
     tm_system_boundary,
 )
 from afd import cli_io
@@ -69,6 +71,26 @@ def test_tm_gram_identity_with_repeated_poles(params):
     np.testing.assert_allclose(hardy.vectors, tm, rtol=0, atol=1e-8)
     assert hardy.gram_defect(HARDY) < 1e-9
     assert gram_schmidt(BERGMAN, params).gram_defect(BERGMAN) < 1e-9
+
+
+@st.composite
+def disc_poles(draw):
+    """Tuple of 1-6 poles anywhere in |a| <= 0.95, entries often repeated."""
+    poles = draw(st.lists(st.complex_numbers(max_magnitude=0.95, allow_nan=False), min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(poles) - 1), min_size=1, max_size=6))
+    return tuple(poles[k] for k in picks)
+
+
+@PROPERTY_SETTINGS
+@given(disc_poles())
+def test_tm_phase_derivative_winds_k_minus_1_times_above_minus_half(params):
+    # theta_k' = sum_{l<k} P_{a_l} + (P_{a_k} - 1)/2 with Poisson kernels P > 0
+    # of mean 1; at |a| <= 0.95 the 1024-point grid resolves each P to 1e-22
+    t = circle_grid(1024)
+    for k in range(1, len(params) + 1):
+        theta = tm_phase_derivative(params, k, t)
+        assert abs(theta.mean() - (k - 1)) < 1e-12
+        assert theta.min() > -0.5
 
 
 @PROPERTY_SETTINGS

@@ -24,7 +24,13 @@ from afd import (
 from afd import core_afd, unwinding
 from afd.errors import DegenerateModulus, InputError
 
-from conftest import kernel_sum, random_hardy, scaled_am_fm
+from conftest import (
+    kernel_sum,
+    random_hardy,
+    scaled_am_fm,
+    unwinding_reconstruct_reference,
+    unwinding_tfd_reference,
+)
 
 
 def _boundary(coeffs, n=1024):
@@ -265,18 +271,40 @@ def test_front_loading_on_factorizations():
 
 
 @pytest.mark.parametrize("algo", [uwa_decompose, uwafd_decompose])
-def test_tm_only_consumers_refuse_unwinding_records(algo):
-    # reconstruct, dirac_tfd and the coefficient cross-check see only the
-    # TM chain, so on an unwinding record they would drop the inner
-    # factors; each names the unwinding function to use instead
+def test_unwinding_records_synthesize_and_distribute_on_their_grid(algo):
+    # reconstruct and dirac_tfd read unwinding records through the one TM
+    # sweep, on the meta["n"] grid of the inner samples; the references are
+    # the unwinding-only loops with their own Mobius prefix and rational
+    # phase.  UWA has no TM part, so its lines match bit for bit.
     f = scaled_am_fm(1.0)
     u = algo(f, 4)
+    n = u.meta["n"]
     assert len(u) == 4 and all(comp.inner is not None for comp in u.components)
-    calls = [
-        (lambda: reconstruct(u, u.meta["n"]), "unwinding_reconstruct"),
-        (lambda: dirac_tfd(u), "unwinding_tfd"),
-        (lambda: coefficient_cross_check(f, u), "unwinding_reconstruct"),
-    ]
-    for call, name in calls:
-        with pytest.raises(InputError, match=name):
+    np.testing.assert_array_equal(reconstruct(u, n).samples, unwinding_reconstruct_reference(u))
+    exact = algo is uwa_decompose
+    for got, want in zip(dirac_tfd(u, n), unwinding_tfd_reference(u), strict=True):
+        assert (got.index, got.a, got.c) == (want.index, want.a, want.c)
+        np.testing.assert_array_equal(got.t, want.t)
+        for field in ("omega", "weight"):
+            g, w = getattr(got, field), getattr(want, field)
+            if exact:
+                np.testing.assert_array_equal(g, w)
+            else:
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-12 * np.abs(w).max())
+    for call in (
+        lambda: reconstruct(u, n // 2),
+        lambda: dirac_tfd(u, 2 * n),
+        lambda: dirac_tfd(u, circle_grid(n)),
+        lambda: dirac_tfd(u),
+    ):
+        with pytest.raises(InputError, match="inner factors"):
             call()
+    # the cross-check compares c_k with <f, B_k>, which ignores the inner factors
+    with pytest.raises(InputError, match="inner factors"):
+        coefficient_cross_check(f, u)
+
+
+def test_params_refused_for_parameterless_terms():
+    u = uwa_decompose(scaled_am_fm(1.0), 2)
+    with pytest.raises(InputError, match="no kernel parameter"):
+        u.params
