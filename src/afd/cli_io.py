@@ -338,7 +338,7 @@ def cmd_decompose(args):
             f, max_terms=args.terms, energy_tol=args.tol, search=search
         )
     elif args.algo == "uwa":
-        result = uwa_decompose(f, n_terms=args.terms)
+        result = uwa_decompose(f, max_terms=args.terms)
     elif args.algo == "uwafd":
         result = uwafd_decompose(
             f, max_terms=args.terms, energy_tol=args.tol, search=search

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT_SEARCH, DEFAULT_TOL, SearchConfig
-from .errors import AFDError, InputError, ZeroResidual
+from .errors import AFDError, DegenerateModulus, InputError, ZeroResidual, ZeroSignal
 from .hardy_atoms import mobius, szego_kernel, tm_sweep, validate_param
 from .signal_core import CircularSignal, HardyFunction, circle_grid, series_values, to_hardy
 
@@ -211,6 +211,11 @@ def _hardy_norm2(s):
     return u, u * u, 2.0 * u**3
 
 
+# Q is scored 0 where phi - sum_j |B_j|^2 is not above this fraction of
+# phi: the kernel at a lies numerically in the span of the system rows
+_DEGENERATE = 1e-13
+
+
 def _selection_scores(norm2_rule, pts, r_values, rows_sq):
     """Q = |r(a)|^2 / (phi(|a|^2) - sum_j |B_j(a)|^2) at each probe.
 
@@ -224,7 +229,7 @@ def _selection_scores(norm2_rule, pts, r_values, rows_sq):
     norm2 = norm2_rule(np.abs(pts) ** 2)[0]
     denom2 = norm2 - rows_sq
     out = np.zeros(len(pts))
-    ok = denom2 > 1e-13 * norm2
+    ok = denom2 > _DEGENERATE * norm2
     out[ok] = np.abs(r_values[ok]) ** 2 / denom2[ok]
     return out
 
@@ -260,7 +265,7 @@ def _selection_model(stack, norm2_rule, a):
     s = abs(a) ** 2
     phi, phi1, phi2 = norm2_rule(s)
     den = phi - float(np.vdot(b, b).real)
-    if not den > 1e-13 * phi:
+    if not den > _DEGENERATE * phi:
         return None
     q = abs(r) ** 2 / den
     den_g = phi1 * a - complex(np.vdot(b1, b))
@@ -424,6 +429,51 @@ def _sift(f, a, c):
     return f_next
 
 
+def _greedy(source, max_terms, energy_tol, step, forced_params=None):
+    """The one loop over terms, behind core AFD, POAFD, UWA and UWAFD.
+
+    source is the source energy.  step(a) extracts one term and returns
+    (Component, residual energy after it); a is the next of
+    forced_params, validated, or None when the step selects its own.
+    The run ends after max_terms steps, once the relative residual
+    energy is below max(energy_tol, residual_floor), once forced_params
+    are used up, or when step raises ZeroResidual or DegenerateModulus.
+    Returns the Decomposition and the message that ended the run early
+    (None otherwise); ZeroSignal if source is not positive.
+    """
+    if source <= 0.0:
+        raise ZeroSignal("zero signal")
+    components = []
+    residuals = [source]
+    stopped = None
+    for k in range(max_terms):
+        if residuals[-1] / source < max(energy_tol, DEFAULT_TOL.residual_floor):
+            break
+        if forced_params is not None and k >= len(forced_params):
+            break
+        a = None if forced_params is None else validate_param(forced_params[k])
+        try:
+            comp, resid = step(a)
+        except (ZeroResidual, DegenerateModulus) as exc:
+            stopped = str(exc)
+            break
+        components.append(comp)
+        residuals.append(resid)
+    return Decomposition(components, np.array(residuals), source), stopped
+
+
+def _afd_step(f_k, a, search, source):
+    """One maximal sifting step: (a, <f_k, e_a>, reduced remainder).
+
+    a None is selected by maximal_selection, its floor relative to the
+    signal source the run started from.
+    """
+    if a is None:
+        a = maximal_selection(f_k, search, source=source)
+    c = coefficient(f_k, a)
+    return a, c, _sift(f_k, a, c)
+
+
 def core_afd_decompose(
     f: HardyFunction,
     max_terms=50,
@@ -435,10 +485,11 @@ def core_afd_decompose(
     """Greedy decomposition f = sum_k c_k B_k + remainder.
 
     Runs maximal_selection and sift until max_terms, until the
-    relative residual energy drops below energy_tol, or until the
-    residual is numerically zero.  With forced_params the selection is
-    skipped and the given parameters are consumed in order (all zeros
-    reproduces the Taylor/Fourier expansion).
+    relative residual energy drops below energy_tol (or the residual
+    floor), or until the residual is numerically zero: the stopping
+    rule of _greedy.  With forced_params the selection is skipped and
+    the given parameters are consumed in order (all zeros reproduces
+    the Taylor/Fourier expansion).
 
     Each c_k = <f_k, e_{a_k}> comes from the reproducing kernel, once
     per step.  The sift is an exact polynomial division (see the module
@@ -446,39 +497,17 @@ def core_afd_decompose(
     in the loop; coefficient_cross_check(f, d) runs that audit on
     demand.
 
-    Returns a Decomposition whose residual trace starts at ||f||^2.
+    Returns a Decomposition whose residual trace starts at ||f||^2;
+    ZeroSignal for a zero f.
     """
-    source = f.energy()
-    if source <= 0.0:
-        raise ZeroResidual("zero signal")
-
-    components = []
-    residuals = [source]
     f_k = f
 
-    for k in range(max_terms):
-        resid = residuals[-1]
-        if resid / source < energy_tol or resid / source < DEFAULT_TOL.residual_floor:
-            break
-        if forced_params is not None:
-            if k >= len(forced_params):
-                break
-            a = validate_param(forced_params[k])
-        else:
-            try:
-                a = maximal_selection(f_k, search, source=f)
-            except ZeroResidual:
-                break
-        c = coefficient(f_k, a)
-        f_k = _sift(f_k, a, c)
-        components.append(Component(a=a, c=c, kind=kind))
-        residuals.append(f_k.energy())
+    def step(a):
+        nonlocal f_k
+        a, c, f_k = _afd_step(f_k, a, search, f)
+        return Component(a=a, c=c, kind=kind), f_k.energy()
 
-    return Decomposition(
-        components=components,
-        residual_energy=np.array(residuals),
-        source_energy=source,
-    )
+    return _greedy(f.energy(), max_terms, energy_tol, step, forced_params)[0]
 
 
 def _check_boundary(d, n):

@@ -51,7 +51,10 @@ class DegenerateModulus(NumericalDegeneracy):
 
 
 class ZeroResidual(NumericalDegeneracy):
-    """Residual energy is below the floor; iteration should have stopped."""
+    """Residual norm is below the selection floor.
+
+    Selection raises it; the greedy driver ends the run on it.
+    """
 
 
 class DegenerateGram(NumericalDegeneracy):

@@ -35,8 +35,8 @@ import numpy as np
 
 from .config import DEFAULT_SEARCH, DEFAULT_TOL
 from .errors import DegenerateGram, InputError, ZeroResidual
-from .core_afd import Component, Decomposition, _grid_values, _hardy_norm2, _select
-from .hardy_atoms import tm_sweep, validate_param
+from .core_afd import Component, Decomposition, _greedy, _grid_values, _hardy_norm2, _select
+from .hardy_atoms import multiplicities, tm_sweep, validate_param
 from .signal_core import HardyFunction, circle_grid
 
 __all__ = [
@@ -230,11 +230,6 @@ def _extend(space, vectors, raw):
     return u / nrm, nrm
 
 
-def _order(params, a):
-    """Multiplicity order of a appended to params: 1 + its earlier coincidences."""
-    return 1 + sum(1 for b in params if abs(b - a) <= DEFAULT_TOL.coincidence)
-
-
 def _grow(space, system, a):
     """system with one orthonormal row appended for the parameter a.
 
@@ -245,7 +240,7 @@ def _grow(space, system, a):
     Earlier rows are left as they are, and the grid sums of system are
     carried over to cover them.  a must already be validated.
     """
-    raw = kernel(space, a, _order(system.params, a)).sequence
+    raw = kernel(space, a, multiplicities((*system.params, a))[-1]).sequence
     v, _ = _extend(space, system.vectors, raw)
     state = system.reference_state
     if space.reference is not None:
@@ -323,7 +318,7 @@ def multiplicity_limit_check(space: KernelSpace, params, a_n, h_seq=None):
         h_seq = 2.0 ** -np.arange(4, 11)
     system = gram_schmidt(space, params)
     a_n = validate_param(a_n)
-    l = _order(system.params, a_n)
+    l = multiplicities((*system.params, a_n))[-1]
     limit, _ = _extend(space, system.vectors, kernel(space, a_n, l).sequence)
     errors = []
     for h in h_seq:
@@ -364,38 +359,24 @@ def poafd_decompose(
     <f, B_n> is computed, and the remainder sequence loses its rank-one
     term.  Selection sees the source f, so its floor is relative to the
     signal.  Residual energies use the space norm of the explicit
-    remainder sequence.  kind of every component is "poafd"; meta
-    records the space name.
+    remainder sequence; the run stops by the rule of core_afd._greedy.
+    kind of every component is "poafd"; meta records the space name.
+    ZeroSignal for a zero f.
     """
     f = _as_sequence(space, f)
-    source = space.norm(f) ** 2
-    if source <= 0.0:
-        raise ZeroResidual("zero signal")
-    components = []
-    residuals = [source]
     system = gram_schmidt(space, ())
     resid = f.copy()
-    for k in range(max_terms):
-        if residuals[-1] / source < max(energy_tol, DEFAULT_TOL.residual_floor):
-            break
-        if forced_params is not None:
-            if k >= len(forced_params):
-                break
-            a = validate_param(forced_params[k])
-        else:
-            try:
-                a = poafd_select(space, f, system, search)
-            except ZeroResidual:
-                break
+
+    def step(a):
+        nonlocal system, resid
+        if a is None:
+            a = poafd_select(space, f, system, search)
         system = _grow(space, system, a)
         v = system.vectors[-1]
         c = space.inner(f, v)
         resid -= c * v
-        components.append(Component(a=a, c=c, kind="poafd"))
-        residuals.append(space.norm(resid) ** 2)
-    return Decomposition(
-        components=components,
-        residual_energy=np.array(residuals),
-        source_energy=source,
-        meta={"space": space.name, "order": space.order},
-    )
+        return Component(a=a, c=c, kind="poafd"), space.norm(resid) ** 2
+
+    d, _ = _greedy(space.norm(f) ** 2, max_terms, energy_tol, step, forced_params)
+    d.meta = {"space": space.name, "order": space.order}
+    return d

@@ -18,19 +18,21 @@ out mutually orthogonal.  UWAFD interleaves one maximal sifting step
 on each outer factor instead, giving terms (prod I_l) c_k B_k over a
 growing TM chain.
 
-Both run one loop, _unwind, and differ only in the step that extracts
-a term from each outer factor.  Both return the Decomposition record
-of every algorithm; each component carries the samples of its
-cumulative inner factor in Component.inner.
+Both are one step of the greedy driver core_afd._greedy, built by
+_unwind, and differ only in how the step extracts a term from each
+outer factor.  Both return the Decomposition record of every
+algorithm; each component carries the samples of its cumulative inner
+factor in Component.inner.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import DEFAULT_SEARCH, DEFAULT_TOL
-from .errors import DegenerateModulus, ZeroResidual, ZeroSignal
-from .core_afd import Component, Decomposition, _sift, coefficient, maximal_selection, reconstruct
+from .errors import DegenerateModulus
+from .core_afd import Component, Decomposition, _afd_step, _greedy, reconstruct
 from .signal_core import (
     CircularSignal,
     HardyFunction,
@@ -136,8 +138,10 @@ def front_loading_defect(f: HardyFunction, outer: HardyFunction):
     max_n (outer tail - f tail); at or below rounding scale when the
     property holds.  The n = 0 tails are whole norms and compare
     factorization accuracy rather than front loading, so they are
-    skipped.
+    skipped; a constant f has no other tail, and its defect is 0.
     """
+    if f.order == 0:
+        return 0.0
     c = f.coefficients
     d = outer.truncated(f.order).coefficients
     tail_c = np.cumsum(np.abs(c[::-1]) ** 2)[::-1]
@@ -146,64 +150,44 @@ def front_loading_defect(f: HardyFunction, outer: HardyFunction):
 
 
 def _unwind(f: HardyFunction, max_terms, energy_tol, kind, extract) -> Decomposition:
-    """The unwinding recursion shared by UWA and UWAFD.
+    """The unwinding recursion shared by UWA and UWAFD, run by _greedy.
 
-    Step k factors f_k = I_k O_k and hands extract the outer factor
-    truncated to f's order; extract returns (a, c, f_{k+1}) or raises
-    ZeroResidual to stop.  The term is recorded as a Component of the
-    given kind whose inner holds the samples of I_1...I_k.  The
-    iteration stops after max_terms steps, once the relative residual
-    energy is below max(energy_tol, residual_floor), or, naming the
-    reason in meta["stopped"], when a remainder cannot be factored or
-    extract refuses it.
+    Each step factors f_k = I_k O_k and hands extract the outer factor
+    truncated to f's order and the step's parameter (always None);
+    extract returns (a, c, f_{k+1}).  The term is recorded as a
+    Component of the given kind whose inner holds the samples of
+    I_1...I_k.  Besides the shared stopping rule, the recursion ends,
+    naming the reason in meta["stopped"], when a remainder cannot be
+    factored or extract refuses it.
     """
-    source = f.energy()
-    if source <= 0.0:
-        raise ZeroSignal("zero signal")
     # log|f| is not band limited even for polynomial f, so the whole
     # recursion runs on a padded grid; sampling f there is exact.
     n = max(4 * f.boundary().n, 4096)
+    meta = {"n": n, "factor_consistency": [], "front_loading": []}
     f_k = f
-    components = []
-    residuals = [source]
     cumulative = np.ones(n, dtype=complex)
-    consistency = []
-    front_loading = []
-    stopped = None
-    for _ in range(max_terms):
-        if residuals[-1] / source < max(energy_tol, DEFAULT_TOL.residual_floor):
-            break
+
+    def step(a):
+        nonlocal f_k, cumulative
         boundary = f_k.boundary(n)
-        try:
-            fac = factorize(boundary)
-            # the outer factor of an order-M polynomial free of boundary
-            # zeros is again order M; truncation only sheds alias noise
-            a, c, f_next = extract(fac.outer.truncated(f.order))
-        except (DegenerateModulus, ZeroResidual) as exc:
-            stopped = str(exc)
-            break
-        consistency.append(fac.consistency(boundary))
-        front_loading.append(front_loading_defect(f_k, fac.outer))
+        fac = factorize(boundary)
+        # the outer factor of an order-M polynomial free of boundary
+        # zeros is again order M; truncation only sheds alias noise
+        a, c, f_next = extract(fac.outer.truncated(f.order), a)
+        meta["factor_consistency"].append(fac.consistency(boundary))
+        meta["front_loading"].append(front_loading_defect(f_k, fac.outer))
         # a new array each step, so no stored inner is written again
         cumulative = cumulative * fac.inner.samples
-        components.append(Component(a=a, c=c, kind=kind, inner=cumulative))
         f_k = f_next
-        residuals.append(f_k.energy())
-    return Decomposition(
-        components=components,
-        residual_energy=np.array(residuals),
-        source_energy=source,
-        meta={
-            "n": n,
-            "factor_consistency": consistency,
-            "front_loading": front_loading,
-            "stopped": stopped,
-        },
-    )
+        return Component(a=a, c=c, kind=kind, inner=cumulative), f_k.energy()
+
+    d, meta["stopped"] = _greedy(f.energy(), max_terms, energy_tol, step)
+    d.meta = meta
+    return d
 
 
-def uwa_decompose(f: HardyFunction, n_terms) -> Decomposition:
-    """Pure unwinding recursion, n_terms factorization steps.
+def uwa_decompose(f: HardyFunction, max_terms) -> Decomposition:
+    """Pure unwinding recursion, up to max_terms factorization steps.
 
     Step k: factor f_k = phi_k psi_k, record c_k = psi_k(0), the
     constant coefficient of psi_k, and recurse on psi_k - c_k.  The
@@ -211,18 +195,19 @@ def uwa_decompose(f: HardyFunction, n_terms) -> Decomposition:
     inner factor after the first vanishes at 0, so the residual energy
     equals ||f||^2 - sum |c_k|^2 up to factorization error.
 
-    Stops early once the residual falls below the floor, or with a
-    diagnostic if a residual becomes degenerate (numerically zero or
-    massively clamped).  Components have kind "uwa" and a = None.
+    Stops early once the residual falls below the residual floor, or
+    with a diagnostic if a residual becomes degenerate (numerically zero
+    or massively clamped).  Components have kind "uwa" and a = None.
+    ZeroSignal for a zero f.
     """
 
-    def extract(psi):
+    def extract(psi, _a):
         c = complex(psi.coefficients[0])
         rest = psi.coefficients.copy()
         rest[0] -= c
         return None, c, HardyFunction(rest, f.r_max)
 
-    return _unwind(f, n_terms, 0.0, "uwa", extract)
+    return _unwind(f, max_terms, 0.0, "uwa", extract)
 
 
 def uwafd_decompose(
@@ -231,21 +216,16 @@ def uwafd_decompose(
     """Unwinding interleaved with maximal sifting.
 
     Step k: factor f_k = I_k O_k, select a_k maximally on O_k, extract
-    c_k = <O_k, e_{a_k}>, and recurse on the reduced remainder of O_k.
-    The k-th term is (prod_{l<=k} I_l) c_k B_k with B_k the TM chain
-    over a_1..a_k; the residual norm equals the remainder norm because
-    all the accumulated factors are unimodular.
+    c_k = <O_k, e_{a_k}>, and recurse on the reduced remainder of O_k:
+    the core AFD step.  The k-th term is (prod_{l<=k} I_l) c_k B_k with
+    B_k the TM chain over a_1..a_k; the residual norm equals the
+    remainder norm because all the accumulated factors are unimodular.
 
     Stops early, naming the reason in meta["stopped"], when a remainder
     cannot be factored or falls below the selection floor.  Components
-    have kind "uwafd".
+    have kind "uwafd".  ZeroSignal for a zero f.
     """
-
-    def extract(o_k):
-        a = maximal_selection(o_k, search, source=f)
-        c = coefficient(o_k, a)
-        return a, c, _sift(o_k, a, c)
-
+    extract = functools.partial(_afd_step, search=search, source=f)
     return _unwind(f, max_terms, energy_tol, "uwafd", extract)
 
 

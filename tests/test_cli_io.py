@@ -548,7 +548,7 @@ def test_float_text_formats_tfd_omegas_without_repr():
     # an unwinding TFD like the benchmark's: nearly every omega must be
     # proven by the fast path, not handed to repr
     f = analytic_signal(am_fm_real(np.random.default_rng(5), 1024))
-    omega = np.concatenate([comp.omega for comp in unwinding_tfd(uwa_decompose(f, n_terms=6))])
+    omega = np.concatenate([comp.omega for comp in unwinding_tfd(uwa_decompose(f, max_terms=6))])
     mag = np.abs(omega)
     assert np.all((mag >= 1e-4) & (mag < 1e16))
     _digits, _exponent, sure = cli_io._shortest_digits(mag)

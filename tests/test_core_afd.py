@@ -31,9 +31,9 @@ from afd.core_afd import (
     _search_grid,
     _search_radii,
 )
-from afd.errors import InputError, ZeroResidual
+from afd.errors import InputError, ZeroResidual, ZeroSignal
 from afd.poafd import hardy_space, poafd_decompose
-from afd.unwinding import uwafd_decompose
+from afd.unwinding import uwa_decompose, uwafd_decompose
 
 from conftest import (
     am_fm_real,
@@ -406,8 +406,10 @@ def test_decompose_respects_stopping_rules():
 
 
 def test_decompose_rejects_zero_signal():
-    with pytest.raises(ZeroResidual):
-        core_afd_decompose(HardyFunction(np.zeros(8, dtype=complex)))
+    zero = HardyFunction(np.zeros(8, dtype=complex))
+    for decompose in (core_afd_decompose, uwafd_decompose, lambda f: uwa_decompose(f, 3)):
+        with pytest.raises(ZeroSignal):
+            decompose(zero)
 
 
 def test_reconstruct_matches_partial_sums():

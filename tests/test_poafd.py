@@ -20,7 +20,7 @@ from afd import (
     reconstruct,
     tm_system_boundary,
 )
-from afd.errors import DegenerateGram, InputError, ZeroResidual
+from afd.errors import DegenerateGram, InputError, ZeroResidual, ZeroSignal
 from afd import hardy_space
 from afd.config import DEFAULT_SEARCH, SearchConfig
 from afd.core_afd import _grid_values, _search_grid
@@ -461,5 +461,5 @@ def test_poafd_floor_is_relative_to_the_signal():
 
 def test_poafd_rejects_zero():
     space = hardy_space(m=15)
-    with pytest.raises(ZeroResidual):
+    with pytest.raises(ZeroSignal):
         poafd_decompose(space, np.zeros(8, dtype=complex))

@@ -15,6 +15,7 @@ from afd import (
     bergman_space,
     circle_grid,
     coefficient,
+    core_afd_decompose,
     gram_schmidt,
     hardy_space,
     n_blaschke_objective,
@@ -22,8 +23,11 @@ from afd import (
     sift,
     tm_phase_derivative,
     tm_system_boundary,
+    uwa_decompose,
+    uwafd_decompose,
 )
 from afd import cli_io
+from afd.config import DEFAULT_TOL
 from afd.cli_io import _float_text, load_result, save_result
 from afd.core_afd import _sift
 
@@ -149,6 +153,44 @@ def test_sift_splits_the_energy(order, seed, exponent, radius, angle):
     assert abs(f.energy() - abs(c) ** 2 - g.energy()) <= 1e-12 * f.energy()
     # the loops hand the coefficient they already hold to _sift
     np.testing.assert_array_equal(_sift(f, a, c).coefficients, g.coefficients)
+
+
+# every greedy algorithm, called as (f, max_terms, energy_tol); UWA has no
+# energy tolerance, so it runs at 0 and stops on the residual floor alone
+GREEDY = {
+    "core": lambda f, n, tol: core_afd_decompose(f, max_terms=n, energy_tol=tol),
+    "poafd-hardy": lambda f, n, tol: poafd_decompose(
+        hardy_space(f.order), f.coefficients, max_terms=n, energy_tol=tol
+    ),
+    "uwafd": lambda f, n, tol: uwafd_decompose(f, max_terms=n, energy_tol=tol),
+    "uwa": lambda f, n, _tol: uwa_decompose(f, max_terms=n),
+}
+
+
+# few examples: every UWAFD and UWA step factors on a grid of 4096 points
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(sorted(GREEDY)),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0, 1, 31]),
+    st.integers(0, 8),
+    st.one_of(st.just(0.0), st.floats(-12.0, 0.0).map(lambda e: 10.0**e)),
+)
+def test_greedy_algorithms_share_the_stopping_rule(algo, seed, order, max_terms, energy_tol):
+    # a run continues while the relative residual is at or above the
+    # threshold and ends short of max_terms only below it, or with the
+    # reason an unwinding recursion gives in meta["stopped"]; a constant
+    # is used up by one term, so it ends on the residual floor
+    if algo == "uwa":
+        energy_tol = 0.0
+    f = random_hardy(np.random.default_rng(seed), m=order)
+    d = GREEDY[algo](f, max_terms, energy_tol)
+    threshold = max(energy_tol, DEFAULT_TOL.residual_floor)
+    ratios = d.residual_energy / d.source_energy
+    assert len(d) <= max_terms and len(ratios) == len(d) + 1
+    assert np.all(ratios[:-1] >= threshold)
+    if len(d) < max_terms:
+        assert ratios[-1] < threshold or d.meta.get("stopped") is not None
 
 
 # the decompose options at their CLI defaults, as _record reads them

@@ -257,6 +257,9 @@ def test_front_loading_defect_hand_case():
     outer = HardyFunction(np.array([1.0, 0.5], dtype=complex))
     # outer tail mass sits strictly below the source tail mass
     assert front_loading_defect(f, outer) == pytest.approx(-0.25)
+    # a constant has no tail beyond the whole norm
+    constant = HardyFunction(np.array([2.0], dtype=complex))
+    assert front_loading_defect(constant, constant) == 0.0
 
 
 def test_front_loading_on_factorizations():
