@@ -62,13 +62,20 @@ def multiplicities(params, tol=None):
     Parameters closer than tol are treated as coincident.  Returns an
     integer array l with l[n] = #{ m <= n : |a_m - a_n| <= tol }.
     """
+    params = [complex(a) for a in params]
+    return np.array(
+        [_multiplicity(params[:n], a, tol) for n, a in enumerate(params)], dtype=int
+    )
+
+
+def _multiplicity(params, a, tol=None):
+    """Occurrence count of a appended to params: 1 + its coincidences there.
+
+    The last entry of multiplicities((*params, a)) in one pass.
+    """
     if tol is None:
         tol = DEFAULT_TOL.coincidence
-    params = [complex(a) for a in params]
-    out = np.empty(len(params), dtype=int)
-    for n, a in enumerate(params):
-        out[n] = sum(1 for b in params[: n + 1] if abs(b - a) <= tol)
-    return out
+    return 1 + sum(1 for b in params if abs(b - a) <= tol)
 
 
 def szego_kernel(a, z):

@@ -36,7 +36,7 @@ import numpy as np
 from .config import DEFAULT_SEARCH, DEFAULT_TOL
 from .errors import DegenerateGram, InputError, ZeroResidual
 from .core_afd import Component, Decomposition, _greedy, _grid_values, _hardy_norm2, _select
-from .hardy_atoms import multiplicities, tm_sweep, validate_param
+from .hardy_atoms import _multiplicity, tm_sweep, validate_param
 from .signal_core import HardyFunction, circle_grid
 
 __all__ = [
@@ -240,7 +240,7 @@ def _grow(space, system, a):
     Earlier rows are left as they are, and the grid sums of system are
     carried over to cover them.  a must already be validated.
     """
-    raw = kernel(space, a, multiplicities((*system.params, a))[-1]).sequence
+    raw = kernel(space, a, _multiplicity(system.params, a)).sequence
     v, _ = _extend(space, system.vectors, raw)
     state = system.reference_state
     if space.reference is not None:
@@ -318,7 +318,7 @@ def multiplicity_limit_check(space: KernelSpace, params, a_n, h_seq=None):
         h_seq = 2.0 ** -np.arange(4, 11)
     system = gram_schmidt(space, params)
     a_n = validate_param(a_n)
-    l = multiplicities((*system.params, a_n))[-1]
+    l = _multiplicity(system.params, a_n)
     limit, _ = _extend(space, system.vectors, kernel(space, a_n, l).sequence)
     errors = []
     for h in h_seq:

@@ -25,7 +25,6 @@ algorithm; each component carries the samples of its cumulative inner
 factor in Component.inner.
 """
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,10 +152,9 @@ def _unwind(f: HardyFunction, max_terms, energy_tol, kind, extract) -> Decomposi
     """The unwinding recursion shared by UWA and UWAFD, run by _greedy.
 
     Each step factors f_k = I_k O_k and hands extract the outer factor
-    truncated to f's order and the step's parameter (always None);
-    extract returns (a, c, f_{k+1}).  The term is recorded as a
-    Component of the given kind whose inner holds the samples of
-    I_1...I_k.  Besides the shared stopping rule, the recursion ends,
+    truncated to f's order; extract selects its own parameter and
+    returns (a, c, f_{k+1}).  The term is recorded as a Component of
+    the given kind whose inner holds the samples of I_1...I_k.  Besides the shared stopping rule, the recursion ends,
     naming the reason in meta["stopped"], when a remainder cannot be
     factored or extract refuses it.
     """
@@ -167,13 +165,13 @@ def _unwind(f: HardyFunction, max_terms, energy_tol, kind, extract) -> Decomposi
     f_k = f
     cumulative = np.ones(n, dtype=complex)
 
-    def step(a):
+    def step(_a):
         nonlocal f_k, cumulative
         boundary = f_k.boundary(n)
         fac = factorize(boundary)
         # the outer factor of an order-M polynomial free of boundary
         # zeros is again order M; truncation only sheds alias noise
-        a, c, f_next = extract(fac.outer.truncated(f.order), a)
+        a, c, f_next = extract(fac.outer.truncated(f.order))
         meta["factor_consistency"].append(fac.consistency(boundary))
         meta["front_loading"].append(front_loading_defect(f_k, fac.outer))
         # a new array each step, so no stored inner is written again
@@ -201,7 +199,7 @@ def uwa_decompose(f: HardyFunction, max_terms) -> Decomposition:
     ZeroSignal for a zero f.
     """
 
-    def extract(psi, _a):
+    def extract(psi):
         c = complex(psi.coefficients[0])
         rest = psi.coefficients.copy()
         rest[0] -= c
@@ -225,8 +223,9 @@ def uwafd_decompose(
     cannot be factored or falls below the selection floor.  Components
     have kind "uwafd".  ZeroSignal for a zero f.
     """
-    extract = functools.partial(_afd_step, search=search, source=f)
-    return _unwind(f, max_terms, energy_tol, "uwafd", extract)
+    return _unwind(
+        f, max_terms, energy_tol, "uwafd", lambda o: _afd_step(o, None, search, f)
+    )
 
 
 def unwinding_reconstruct(u: Decomposition, n=None) -> CircularSignal:
