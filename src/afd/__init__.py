@@ -15,6 +15,7 @@ from .errors import (
     DegenerateModulus,
     InputError,
     NearZeroModulus,
+    NonFiniteEnergy,
     NonRealInput,
     NonUniformGrid,
     NumericalDegeneracy,

@@ -36,11 +36,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import DEFAULT_SEARCH, DEFAULT_TOL
-from .core_afd import Component, Decomposition, core_afd_decompose
+from .core_afd import Component, Decomposition, _source_energy, core_afd_decompose
 from .cyclic_afd import cyclic_afd, cyclic_decomposition
 from .errors import (
     AFDError,
     InputError,
+    NonFiniteEnergy,
     NonRealInput,
     NonUniformGrid,
     NumericalDegeneracy,
@@ -138,9 +139,12 @@ def _read_csv(path, headers):
     if not data:
         raise ParseError(f"{path}: no data rows")
     try:
-        arr = np.array([[float(c) for c in row] for row in data])
+        # numpy parses each cell as float() does, in one call
+        arr = np.array(data, dtype=float)
     except ValueError as exc:
         raise ParseError(f"{path}: non-numeric cell ({exc})") from exc
+    if not np.isfinite(arr).all():
+        raise ParseError(f"{path}: non-finite cell (nan or infinity)")
     if arr.shape[1] != width:
         raise ParseError(f"{path}: expected {width} columns, found {arr.shape[1]}")
     return arr[:, 0], [arr[:, j] for j in range(1, width)]
@@ -152,8 +156,10 @@ def _ingest(args):
         f, _leak = to_hardy(s)
     else:
         f = analytic_signal(s)
-    if f.energy() <= 0.0:
-        raise ZeroSignal(f"{args.input}: signal is identically zero")
+    try:
+        _source_energy(f.energy)
+    except (ZeroSignal, NonFiniteEnergy) as exc:
+        raise type(exc)(f"{args.input}: {exc}") from exc
     return s, f
 
 
@@ -766,8 +772,12 @@ def _build_parser():
     return p
 
 
+# built once: parsing leaves the parser as it was
+_PARSER = _build_parser()
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

@@ -32,8 +32,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT_SEARCH, DEFAULT_TOL, SearchConfig
-from .errors import AFDError, DegenerateModulus, InputError, ZeroResidual, ZeroSignal
-from .hardy_atoms import mobius, szego_kernel, tm_sweep, validate_param
+from .errors import (
+    AFDError,
+    DegenerateModulus,
+    InputError,
+    NonFiniteEnergy,
+    ZeroResidual,
+    ZeroSignal,
+)
+from .hardy_atoms import tm_sweep, validate_param
 from .signal_core import CircularSignal, HardyFunction, circle_grid, series_values, to_hardy
 
 __all__ = [
@@ -170,6 +177,36 @@ class _ScanPlan(NamedTuple):
             table.flags.writeable = False
         return plan
 
+    @staticmethod
+    @functools.lru_cache(maxsize=_SCAN_PLANS)
+    def kernel_norm2(n_angles, n_radii, r_max, norm2_rule):
+        """Read-only phi = norm2_rule(|a|^2)[0], the squared kernel norm, on _search_grid.
+
+        It does not depend on the order, so one table per grid and rule
+        serves every plan on that grid.
+        """
+        search = SearchConfig(n_angles=n_angles, n_radii=n_radii, r_max=r_max)
+        phi = norm2_rule(np.abs(_search_grid(search)) ** 2)[0]
+        phi.flags.writeable = False
+        return phi
+
+
+# a sift samples its function on the grid of HardyFunction.boundary, one
+# power of two per order; at 4096 points (order 2047) a circle holds 64 KB
+_CIRCLES = 8
+
+
+class _Circle:
+    """Read-only e^{it_j} at the circle_grid(n) angles, cached per grid size n."""
+
+    # a static method for the same reason as _ScanPlan.build
+    @staticmethod
+    @functools.lru_cache(maxsize=_CIRCLES)
+    def points(n):
+        z = np.exp(1j * circle_grid(n))
+        z.flags.writeable = False
+        return z
+
 
 def _scan_plan(search, m1):
     """The cached _ScanPlan for series of length m1 on search's grid.
@@ -216,68 +253,74 @@ def _hardy_norm2(s):
 _DEGENERATE = 1e-13
 
 
-def _selection_scores(norm2_rule, pts, r_values, rows_sq):
+def _selection_scores(norm2, r_values, rows_sq):
     """Q = |r(a)|^2 / (phi(|a|^2) - sum_j |B_j(a)|^2) at each probe.
 
-    r_values holds the residual r at the probes pts and rows_sq the
-    sum of |B_j|^2 over the system rows there (0 without rows);
-    phi = norm2_rule(s)[0] is the squared kernel norm.  With no system
-    rows and phi = 1/(1 - s) this is the greedy objective
-    (1 - |a|^2)|f(a)|^2.  Q is 0 where the extension degenerates.
+    norm2 holds the squared kernel norm phi at the probes (the first
+    value of a norm2 rule), r_values the residual r there and rows_sq
+    the sum of |B_j|^2 over the system rows there (0 without rows).
+    With no system rows and phi = 1/(1 - |a|^2) this is the greedy
+    objective (1 - |a|^2)|f(a)|^2.  Q is 0 where the extension
+    degenerates.
     """
-    pts = np.asarray(pts, dtype=complex)
-    norm2 = norm2_rule(np.abs(pts) ** 2)[0]
     denom2 = norm2 - rows_sq
-    out = np.zeros(len(pts))
     ok = denom2 > _DEGENERATE * norm2
-    out[ok] = np.abs(r_values[ok]) ** 2 / denom2[ok]
-    return out
+    return np.divide(np.abs(r_values) ** 2, denom2, out=np.zeros(len(norm2)), where=ok)
 
 
 def _derivative_stack(rows):
     """Coefficients of [rows, rows', rows''] stacked as (3R, M+1)."""
-    k = np.arange(1, rows.shape[-1])
-    d1 = np.zeros_like(rows)
-    d1[:, :-1] = rows[:, 1:] * k
-    d2 = np.zeros_like(rows)
-    d2[:, :-1] = d1[:, 1:] * k
-    return np.vstack([rows, d1, d2])
+    n, m1 = rows.shape
+    out = np.zeros((3 * n, m1), dtype=complex)
+    out[:n] = rows
+    k = np.arange(1, m1)
+    np.multiply(rows[:, 1:], k, out=out[n : 2 * n, :-1])
+    np.multiply(out[n : 2 * n, 1:], k, out=out[2 * n :, :-1])
+    return out
 
 
-def _selection_model(stack, norm2_rule, a):
-    """Q and its Wirtinger derivatives at a, from one evaluation of stack.
+def _selection_model(stack, norm2_rule, a, system=None):
+    """Q and its Wirtinger derivatives at a, from one evaluation of the stacks.
 
-    stack comes from _derivative_stack.  Returns (Q, dQ/d conj(a),
-    d2Q/da d conj(a), d2Q/d conj(a)^2), or None where Q is scored 0.
-    With N = |r|^2 and D = phi - sum_j |B_j|^2, Q = N / D and
+    stack is the _derivative_stack of the residual row r, system that of
+    the system rows B_j (None or empty without rows).  Returns (Q,
+    dQ/d conj(a), d2Q/da d conj(a), d2Q/d conj(a)^2), or None where Q is
+    scored 0.  With N = |r|^2 and D = phi - sum_j |B_j|^2, Q = N / D and
 
         N_abar = r conj(r'),   N_a_abar = |r'|^2,   N_abar_abar = r conj(r''),
         D_abar = phi' a - sum_j B_j conj(B_j'),
         D_a_abar = phi' + phi'' s - sum_j |B_j'|^2,
         D_abar_abar = phi'' a^2 - sum_j B_j conj(B_j''),
 
-    phi' and phi'' taken in s = |a|^2.
+    phi' and phi'' taken in s = |a|^2.  Both stacks are evaluated on the
+    power column [1, a, a^2, ...] that series_values would build for a.
     """
-    v = series_values(stack, [a])[:, 0]
-    n = len(v) // 3
-    r, r1, r2 = v[0], v[n], v[2 * n]
-    b, b1, b2 = v[1:n], v[n + 1 : 2 * n], v[2 * n + 1 :]
+    powers = np.empty((stack.shape[-1], 1), dtype=complex)
+    powers[0] = 1.0
+    powers[1:] = a
+    np.multiply.accumulate(powers[1:], axis=0, out=powers[1:])
+    r, r1, r2 = (stack @ powers).ravel().tolist()
     s = abs(a) ** 2
     phi, phi1, phi2 = norm2_rule(s)
-    den = phi - float(np.vdot(b, b).real)
+    den, den_g, den_h, den_c = phi, phi1 * a, phi1 + phi2 * s, phi2 * a * a
+    if system is not None and len(system):
+        v = (system @ powers)[:, 0]
+        n = len(v) // 3
+        b, b1, b2 = v[:n], v[n : 2 * n], v[2 * n :]
+        den -= float(np.vdot(b, b).real)
+        den_g -= complex(np.vdot(b1, b))
+        den_h -= float(np.vdot(b1, b1).real)
+        den_c -= complex(np.vdot(b2, b))
     if not den > _DEGENERATE * phi:
         return None
     q = abs(r) ** 2 / den
-    den_g = phi1 * a - complex(np.vdot(b1, b))
-    den_h = phi1 + phi2 * s - float(np.vdot(b1, b1).real)
-    den_c = phi2 * a * a - complex(np.vdot(b2, b))
-    g = complex(r * np.conj(r1) - q * den_g) / den
-    h = float(abs(r1) ** 2 - q * den_h - 2.0 * (g * den_g.conjugate()).real) / den
-    c = complex(r * np.conj(r2) - q * den_c - 2.0 * g * den_g) / den
-    return float(q), g, h, c
+    g = (r * r1.conjugate() - q * den_g) / den
+    h = (abs(r1) ** 2 - q * den_h - 2.0 * (g * den_g.conjugate()).real) / den
+    c = (r * r2.conjugate() - q * den_c - 2.0 * g * den_g) / den
+    return q, g, h, c
 
 
-def _polish(stack, norm2_rule, a, search):
+def _polish(stack, norm2_rule, a, search, system=None):
     """Projected Newton ascent of Q from a, within |a| <= search.r_max.
 
     An iteration takes the Newton step where the Hessian is negative
@@ -287,12 +330,13 @@ def _polish(stack, norm2_rule, a, search):
     step in the angle.  A backtracking line search accepts only steps
     that raise Q.  The ascent stops once an accepted step is shorter
     than search.refine_xatol, once the line search shrinks a step below
-    it without a rise, or after search.refine_maxiter steps.
+    it without a rise, or after search.refine_maxiter steps.  Q comes
+    from _selection_model on stack and system.
     """
     cap = search.r_max
     # projections aim a few roundings inside the cap, so none lands outside
     rim = cap * (1.0 - 4.0 * np.finfo(float).eps)
-    model = _selection_model(stack, norm2_rule, a)
+    model = _selection_model(stack, norm2_rule, a, system)
     if model is None or abs(a) > cap:
         return a
     for _ in range(search.refine_maxiter):
@@ -325,7 +369,7 @@ def _polish(stack, norm2_rule, a, search):
         t = 1.0
         while True:
             b = move(t)
-            trial = _selection_model(stack, norm2_rule, b)
+            trial = _selection_model(stack, norm2_rule, b, system)
             if trial is not None and trial[0] > q:
                 break
             if abs(b - a) < search.refine_xatol:
@@ -338,37 +382,44 @@ def _polish(stack, norm2_rule, a, search):
     return a
 
 
-def _select(rows, norm2_rule, search, include=(), grid_sq=0.0):
+def _select(resid, norm2_rule, search, include=(), grid_sq=0.0, system=None):
     """Best point of Q over the search grid and include, then polished.
 
-    rows is the stack [residual, system rows] that Q is formed from and
+    resid is the residual coefficient row that Q is formed from, system
+    the _derivative_stack of the system rows (None without rows) and
     grid_sq the sum of |B_j|^2 over the system rows on search's grid (0
-    without rows; POAFD carries it with its system), so the grid scan
+    without rows; POAFD carries both with its system), so the grid scan
     covers the residual row alone.  The include candidates and the
     polish evaluate every row at their points.
     Q is homogeneous of degree 2 in the residual, so it is scaled to
     unit coefficient norm first: the pick does not depend on the
     signal's scale, nothing overflows for large signals, and Q is a
     fraction of the residual's squared coefficient norm (its Hardy
-    energy).  Ties (within 1e-12 of that) go to small |a| and then to
-    small nonnegative argument.
+    energy).  Ties (within DEFAULT_TOL.tie of that) go to small |a| and
+    then to small nonnegative argument.
     The polish only ever raises Q and stays within search.r_max, so the
     pick never scores below the best grid point or include candidate.
     """
-    rows = np.vstack([rows[0] / np.linalg.norm(rows[0]), rows[1:]])
-    candidates = _scan_plan(search, rows.shape[-1]).points
-    vals = _selection_scores(norm2_rule, candidates, _grid_values(rows[0], search), grid_sq)
+    stack = _derivative_stack(resid[None] / np.linalg.norm(resid))
+    candidates = _scan_plan(search, stack.shape[-1]).points
+    norm2 = _ScanPlan.kernel_norm2(search.n_angles, search.n_radii, search.r_max, norm2_rule)
+    vals = _selection_scores(norm2, _grid_values(stack[0], search), grid_sq)
     if len(include):
         extra = np.asarray(include, dtype=complex)
         candidates = np.concatenate([candidates, extra])
-        at = series_values(rows, extra)
-        rows_sq = np.sum(np.abs(at[1:]) ** 2, axis=0)
-        extra_vals = _selection_scores(norm2_rule, extra, at[0], rows_sq)
-        vals = np.concatenate([vals, extra_vals])
-    ties = candidates[vals >= vals.max() - 1e-12]
-    best = complex(ties[np.lexsort((np.mod(np.angle(ties), 2.0 * np.pi), np.abs(ties)))[0]])
+        rows_sq = 0.0
+        if system is not None:
+            rows_sq = np.sum(np.abs(series_values(system[: len(system) // 3], extra)) ** 2, axis=0)
+        r_extra = series_values(stack[:1], extra)[0]
+        norm2 = norm2_rule(np.abs(extra) ** 2)[0]
+        vals = np.concatenate([vals, _selection_scores(norm2, r_extra, rows_sq)])
+    ties = np.flatnonzero(vals >= vals.max() - DEFAULT_TOL.tie)
+    if len(ties) > 1:
+        pts = candidates[ties]
+        ties = ties[np.lexsort((np.mod(np.angle(pts), 2.0 * np.pi), np.abs(pts)))]
+    best = complex(candidates[ties[0]])
     if search.refine:
-        best = _polish(_derivative_stack(rows), norm2_rule, best, search)
+        best = _polish(stack, norm2_rule, best, search, system)
     return best
 
 
@@ -401,7 +452,7 @@ def maximal_selection(f: HardyFunction, search=DEFAULT_SEARCH, include=(), sourc
     if not f.norm() > floor:
         raise ZeroResidual("norm below selection floor")
     include = [validate_param(a) for a in include]
-    return _select(f.coefficients[None], _hardy_norm2, search, include)
+    return _select(f.coefficients, _hardy_norm2, search, include)
 
 
 def sift(f: HardyFunction, a):
@@ -416,33 +467,58 @@ def sift(f: HardyFunction, a):
 
 
 def _sift(f, a, c):
-    """sift(f, a) for a validated a and its coefficient c = coefficient(f, a)."""
+    """sift(f, a) for a validated a and its coefficient c = coefficient(f, a).
+
+    e_a and mobius(a, .) share the denominator 1 - conj(a) z, formed
+    once on the cached circle in the operation order of tm_sweep, so
+    both match szego_kernel and mobius bit for bit.
+    """
     boundary = f.boundary()
-    n = boundary.n
-    z = np.exp(1j * circle_grid(n))
-    g = (boundary.samples - c * szego_kernel(a, z)) * np.conj(mobius(a, z))
+    z = _Circle.points(boundary.n)
+    den = np.subtract(1.0, np.conj(a) * z)
+    quotient = np.divide(np.subtract(z, a), den)  # mobius(a, z)
+    kern = np.divide(np.sqrt(1.0 - abs(a) ** 2), den, out=den)  # szego_kernel(a, z)
+    g = np.subtract(boundary.samples, np.multiply(c, kern, out=kern), out=kern)
+    g *= np.conj(quotient, out=quotient)
     f_next, leak = to_hardy(CircularSignal(g), m=f.order)
-    if leak > 1e-9 * max(f.norm(), 1e-300):
+    if leak > DEFAULT_TOL.sift_leak * max(f.norm(), 1e-300):
         warnings.warn(
             f"negative-frequency leakage {leak:.2e} in sift", RuntimeWarning
         )
     return f_next
 
 
-def _greedy(source, max_terms, energy_tol, step, forced_params=None):
-    """The one loop over terms, behind core AFD, POAFD, UWA and UWAFD.
+def _source_energy(energy):
+    """energy() of a signal to decompose, refused unless finite and positive.
 
-    source is the source energy.  step(a) extracts one term and returns
-    (Component, residual energy after it); a is the next of
-    forced_params, validated, or None when the step selects its own.
-    The run ends after max_terms steps, once the relative residual
-    energy is below max(energy_tol, residual_floor), once forced_params
-    are used up, or when step raises ZeroResidual or DegenerateModulus.
-    Returns the Decomposition and the message that ended the run early
-    (None otherwise); ZeroSignal if source is not positive.
+    NonFiniteEnergy (an InputError) unless it is finite, ZeroSignal
+    unless it is positive.  An energy beyond the double range overflows
+    to inf, so it is computed with numpy's overflow warning off: the
+    overflow is refused here by name instead.
     """
+    with np.errstate(over="ignore"):
+        source = energy()
+    if not math.isfinite(source):
+        raise NonFiniteEnergy(f"signal energy is {source}, not a finite double")
     if source <= 0.0:
         raise ZeroSignal("zero signal")
+    return source
+
+
+def _greedy(energy, max_terms, energy_tol, step, forced_params=None):
+    """The one loop over terms, behind core AFD, POAFD, UWA and UWAFD.
+
+    energy() gives the source energy, checked by _source_energy.
+    step(a) extracts one term and returns (Component, residual energy
+    after it); a is the next of forced_params, validated, or None when
+    the step selects its own.  The run ends after max_terms steps, once
+    the relative residual energy is below max(energy_tol,
+    residual_floor), once forced_params are used up, or when step
+    raises ZeroResidual or DegenerateModulus.  Returns the
+    Decomposition and the message that ended the run early (None
+    otherwise).
+    """
+    source = _source_energy(energy)
     components = []
     residuals = [source]
     stopped = None
@@ -498,7 +574,7 @@ def core_afd_decompose(
     demand.
 
     Returns a Decomposition whose residual trace starts at ||f||^2;
-    ZeroSignal for a zero f.
+    ZeroSignal for a zero f, NonFiniteEnergy if ||f||^2 overflows.
     """
     f_k = f
 
@@ -507,7 +583,7 @@ def core_afd_decompose(
         a, c, f_k = _afd_step(f_k, a, search, f)
         return Component(a=a, c=c, kind=kind), f_k.energy()
 
-    return _greedy(f.energy(), max_terms, energy_tol, step, forced_params)[0]
+    return _greedy(f.energy, max_terms, energy_tol, step, forced_params)[0]
 
 
 def _check_boundary(d, n):

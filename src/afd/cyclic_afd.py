@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_SEARCH, DEFAULT_TOL
-from .errors import AFDError, InputError, ZeroResidual, ZeroSignal
-from .core_afd import coefficient, core_afd_decompose, maximal_selection, sift
+from .errors import AFDError, InputError, ZeroResidual
+from .core_afd import _source_energy, coefficient, core_afd_decompose, maximal_selection, sift
 from .hardy_atoms import validate_param
 from .signal_core import HardyFunction
 
@@ -170,7 +170,9 @@ def cyclic_afd(
     Raises
     ------
     InputError
-        If n < 0 or init does not supply n parameters.
+        If n < 0 or init does not supply n parameters; NonFiniteEnergy
+        (an InputError) if the energy of f overflows; ZeroSignal for a
+        zero f.
 
     Notes
     -----
@@ -191,9 +193,7 @@ def cyclic_afd(
     """
     if n < 0:
         raise InputError(f"n wants a count >= 0, got {n}")
-    source = f.energy()
-    if source <= 0.0:
-        raise ZeroSignal("zero signal")
+    source = _source_energy(f.energy)
     scale = max(source, 1e-300)
     warm = None
     if init is None:

@@ -30,6 +30,10 @@ class ZeroSignal(InputError):
     """Signal is numerically zero where nonzero energy is required."""
 
 
+class NonFiniteEnergy(InputError):
+    """Signal energy is not a finite double (it overflows, or samples are not finite)."""
+
+
 class ParamOutOfDisc(InputError):
     """A pole parameter lies on or outside the unit circle."""
 

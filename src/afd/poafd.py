@@ -35,9 +35,18 @@ import numpy as np
 
 from .config import DEFAULT_SEARCH, DEFAULT_TOL
 from .errors import DegenerateGram, InputError, ZeroResidual
-from .core_afd import Component, Decomposition, _greedy, _grid_values, _hardy_norm2, _select
+from .core_afd import (
+    Component,
+    Decomposition,
+    _Circle,
+    _derivative_stack,
+    _greedy,
+    _grid_values,
+    _hardy_norm2,
+    _select,
+)
 from .hardy_atoms import _multiplicity, tm_sweep, validate_param
-from .signal_core import HardyFunction, circle_grid
+from .signal_core import HardyFunction
 
 __all__ = [
     "KernelSpace",
@@ -106,13 +115,20 @@ class OrthoSystem:
     (n_angles, n_radii, r_max), to (rows covered, sum_j |B_j|^2 over
     them on that grid): one real value per grid point.  An entry is
     replaced, never written in place, so a system grown from this one
-    may share its arrays.
+    may share its arrays.  stack is _derivative_stack(vectors), the
+    rows and their first and second derivatives that selection's Newton
+    model evaluates; built from vectors when not given.
     """
 
     params: tuple
     vectors: np.ndarray  # (n, M+1)
     reference_state: object = None
     grid_sums: dict = field(default_factory=dict, repr=False, compare=False)
+    stack: np.ndarray = field(default=None, repr=False, compare=False)  # (3n, M+1)
+
+    def __post_init__(self):
+        if self.stack is None:
+            self.stack = _derivative_stack(self.vectors)
 
     def __len__(self):
         return len(self.params)
@@ -179,7 +195,7 @@ def _hardy_reference(prefix, a, m):
     """
     n = 1 << max(4, int(np.ceil(np.log2(2 * (m + 1)))))
     prefix = np.ones(n, dtype=complex) if prefix is None else prefix.copy()
-    row = next(tm_sweep((a,), np.exp(1j * circle_grid(n)), prefix))
+    row = next(tm_sweep((a,), _Circle.points(n), prefix))
     return (np.fft.fft(row) / n)[: m + 1], prefix
 
 
@@ -237,8 +253,9 @@ def _grow(space, system, a):
     against the existing rows and normalized; with a reference rule on
     file (Hardy) it is rotated by a unimodular factor onto the reference
     row, which the rule builds from the state carried in system.
-    Earlier rows are left as they are, and the grid sums of system are
-    carried over to cover them.  a must already be validated.
+    Earlier rows are left as they are, and the grid sums and the
+    derivative stack of system are carried over to cover them; the
+    rows are a view of the new stack.  a must already be validated.
     """
     raw = kernel(space, a, _multiplicity(system.params, a)).sequence
     v, _ = _extend(space, system.vectors, raw)
@@ -249,11 +266,17 @@ def _grow(space, system, a):
         mag = abs(rho)
         if mag > 1e-12:
             v *= rho / mag
+    n, m1 = system.vectors.shape
+    stack = np.empty((3, n + 1, m1), dtype=complex)
+    stack[:, :n] = system.stack.reshape(3, n, m1)
+    stack[:, n] = _derivative_stack(v[None])
+    stack = stack.reshape(3 * (n + 1), m1)
     return OrthoSystem(
         params=system.params + (a,),
-        vectors=np.vstack([system.vectors, v]),
+        vectors=stack[: n + 1],
         reference_state=state,
         grid_sums=dict(system.grid_sums),
+        stack=stack,
     )
 
 
@@ -302,7 +325,7 @@ def poafd_select(space: KernelSpace, f, system: OrthoSystem, search=DEFAULT_SEAR
         raise ZeroResidual("residual norm below the selection floor")
     capped = replace(search, r_max=min(search.r_max, SELECTION_CAP))
     return _select(
-        np.vstack([resid, vectors]), space.norm2_rule, capped, grid_sq=system.grid_sq(capped)
+        resid, space.norm2_rule, capped, grid_sq=system.grid_sq(capped), system=system.stack
     )
 
 
@@ -361,7 +384,7 @@ def poafd_decompose(
     signal.  Residual energies use the space norm of the explicit
     remainder sequence; the run stops by the rule of core_afd._greedy.
     kind of every component is "poafd"; meta records the space name.
-    ZeroSignal for a zero f.
+    ZeroSignal for a zero f, NonFiniteEnergy if its energy overflows.
     """
     f = _as_sequence(space, f)
     system = gram_schmidt(space, ())
@@ -377,6 +400,6 @@ def poafd_decompose(
         resid -= c * v
         return Component(a=a, c=c, kind="poafd"), space.norm(resid) ** 2
 
-    d, _ = _greedy(space.norm(f) ** 2, max_terms, energy_tol, step, forced_params)
+    d, _ = _greedy(lambda: space.norm(f) ** 2, max_terms, energy_tol, step, forced_params)
     d.meta = {"space": space.name, "order": space.order}
     return d

@@ -179,7 +179,7 @@ def _unwind(f: HardyFunction, max_terms, energy_tol, kind, extract) -> Decomposi
         f_k = f_next
         return Component(a=a, c=c, kind=kind, inner=cumulative), f_k.energy()
 
-    d, meta["stopped"] = _greedy(f.energy(), max_terms, energy_tol, step)
+    d, meta["stopped"] = _greedy(f.energy, max_terms, energy_tol, step)
     d.meta = meta
     return d
 
@@ -196,7 +196,7 @@ def uwa_decompose(f: HardyFunction, max_terms) -> Decomposition:
     Stops early once the residual falls below the residual floor, or
     with a diagnostic if a residual becomes degenerate (numerically zero
     or massively clamped).  Components have kind "uwa" and a = None.
-    ZeroSignal for a zero f.
+    ZeroSignal for a zero f, NonFiniteEnergy if its energy overflows.
     """
 
     def extract(psi):
@@ -221,7 +221,8 @@ def uwafd_decompose(
 
     Stops early, naming the reason in meta["stopped"], when a remainder
     cannot be factored or falls below the selection floor.  Components
-    have kind "uwafd".  ZeroSignal for a zero f.
+    have kind "uwafd".  ZeroSignal for a zero f, NonFiniteEnergy if its
+    energy overflows.
     """
     return _unwind(
         f, max_terms, energy_tol, "uwafd", lambda o: _afd_step(o, None, search, f)

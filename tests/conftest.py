@@ -27,7 +27,13 @@ loop without the audit and for `coefficient_cross_check`;
 `unwinding_tfd_reference` are the rational phase derivative and the
 unwinding-only synthesis and distribution loops that each formed their
 own Mobius prefix, kept as the reference for the one TM sweep that
-`reconstruct` and `dirac_tfd` read.
+`reconstruct` and `dirac_tfd` read; `sift_reference`,
+`derivative_stack_reference` and `selection_model_reference` are the
+sift on a freshly built circle, the stacked derivative rows and the
+Newton point model on one [residual, rows] stack through
+`series_values`, before the sift read a cached circle and the model
+its own power column and a carried system stack, kept as their
+bit-level reference.
 """
 
 import copy
@@ -58,6 +64,7 @@ from afd import (
 )
 from afd.config import DEFAULT_SEARCH, DEFAULT_TOL, SearchConfig
 from afd.core_afd import (
+    _DEGENERATE,
     Component,
     Decomposition,
     _derivative_stack,
@@ -66,6 +73,7 @@ from afd.core_afd import (
     _selection_scores,
 )
 from afd.errors import InputError, ZeroResidual
+from afd.signal_core import series_values
 from afd.tfd_uncertainty import ComponentTFD, _spectral_phase_derivative
 
 
@@ -118,7 +126,50 @@ def selection_objective(space, pts, values):
     probes pts, i.e. the values of np.vstack([r, system.vectors]).
     """
     rows_sq = np.sum(np.abs(values[1:]) ** 2, axis=0)
-    return _selection_scores(space.norm2_rule, pts, values[0], rows_sq)
+    return _selection_scores(space.norm2_rule(np.abs(pts) ** 2)[0], values[0], rows_sq)
+
+
+def sift_reference(f, a):
+    """sift(f, a) from szego_kernel and mobius on a freshly built circle."""
+    c = coefficient(f, a)
+    boundary = f.boundary()
+    z = np.exp(1j * circle_grid(boundary.n))
+    g = (boundary.samples - c * szego_kernel(a, z)) * np.conj(mobius(a, z))
+    return to_hardy(CircularSignal(g), m=f.order)[0]
+
+
+def derivative_stack_reference(rows):
+    """Coefficients of [rows, rows', rows''] stacked as (3R, M+1), by vstack."""
+    k = np.arange(1, rows.shape[-1])
+    d1 = np.zeros_like(rows)
+    d1[:, :-1] = rows[:, 1:] * k
+    d2 = np.zeros_like(rows)
+    d2[:, :-1] = d1[:, 1:] * k
+    return np.vstack([rows, d1, d2])
+
+
+def selection_model_reference(stack, norm2_rule, a):
+    """The selection model from one series_values call on the whole stack.
+
+    stack is derivative_stack_reference([residual, system rows]).
+    """
+    v = series_values(stack, [a])[:, 0]
+    n = len(v) // 3
+    r, r1, r2 = v[0], v[n], v[2 * n]
+    b, b1, b2 = v[1:n], v[n + 1 : 2 * n], v[2 * n + 1 :]
+    s = abs(a) ** 2
+    phi, phi1, phi2 = norm2_rule(s)
+    den = phi - float(np.vdot(b, b).real)
+    if not den > _DEGENERATE * phi:
+        return None
+    q = abs(r) ** 2 / den
+    den_g = phi1 * a - complex(np.vdot(b1, b))
+    den_h = phi1 + phi2 * s - float(np.vdot(b1, b1).real)
+    den_c = phi2 * a * a - complex(np.vdot(b2, b))
+    g = complex(r * np.conj(r1) - q * den_g) / den
+    h = float(abs(r1) ** 2 - q * den_h - 2.0 * (g * den_g.conjugate()).real) / den
+    c = complex(r * np.conj(r2) - q * den_c - 2.0 * g * den_g) / den
+    return float(q), g, h, c
 
 
 def grid_argmax(points, vals):
@@ -402,9 +453,9 @@ def central_differences(q, a, step=1e-3):
 
 def check_selection_derivatives(rows, norm2_rule, q, rng, count=6):
     """Closed-form gradient and Hessian of Q against central differences of q."""
-    stack = _derivative_stack(rows)
+    stack, system = _derivative_stack(rows[:1]), _derivative_stack(rows[1:])
     for a in random_params(rng, count, r=0.9):
-        val, g, h, c = _selection_model(stack, norm2_rule, a)
+        val, g, h, c = _selection_model(stack, norm2_rule, a, system)
         assert val == pytest.approx(q(a), rel=1e-12)
         grad, hess = real_derivatives(g, h, c)
         fd_grad, fd_hess = central_differences(q, a)

@@ -3,6 +3,7 @@
 import base64
 import io
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -119,6 +120,14 @@ def test_read_rejects_bad_headers_and_cells(tmp_path):
     bad.write_text("t,value\n0.0,1.0,2.0\n")
     with pytest.raises(ParseError):
         read_signal_csv(str(bad))
+    # float() reads nan and infinity, which no signal or grid may hold
+    for cell in ("nan", "inf", "-Infinity"):
+        bad.write_text(f"t,value\n0.0,{cell}\n")
+        with pytest.raises(ParseError):
+            read_signal_csv(str(bad))
+        bad.write_text(f"t,value\n{cell},1.0\n0.1,1.0\n")
+        with pytest.raises(ParseError):
+            read_line_csv(str(bad))
 
 
 def test_read_rejects_wrong_grid(tmp_path):
@@ -624,6 +633,21 @@ def test_exit_codes_for_bad_input(tmp_path):
     t[3] -= 1e-3
     skewed = _write_real(tmp_path / "sk.csv", np.cos(t), t=t)
     assert main(["decompose", skewed]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("algo", ["core", "uwa", "uwafd", "cyclic", "poafd"])
+def test_decompose_refuses_an_energy_beyond_the_double_range(tmp_path, algo, capsys):
+    # a 1e200 signal has a finite peak but an energy that overflows: exit 2,
+    # naming the cause, no result file and no numpy overflow warning
+    t = circle_grid(256)
+    signal = 1e200 * (1 + 0.6 * np.cos(t)) * np.cos(6 * t + 0.4 * np.sin(3 * t))
+    path = _write_real(tmp_path / "huge.csv", signal)
+    out = tmp_path / "huge.afd.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["decompose", path, "--algo", algo, "--output", str(out)]) == EXIT_INPUT
+    assert "not a finite double" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_info_runs(capsys):

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from afd import (
     Component,
     HardyFunction,
     analytic_signal,
+    circle_grid,
     coefficient,
     coefficient_cross_check,
     core_afd_decompose,
@@ -23,6 +25,8 @@ from afd import (
 )
 from afd.config import DEFAULT_SEARCH, DEFAULT_TOL, SearchConfig
 from afd.core_afd import (
+    _Circle,
+    _ScanPlan,
     _derivative_stack,
     _grid_values,
     _hardy_norm2,
@@ -30,9 +34,12 @@ from afd.core_afd import (
     _scan_plan,
     _search_grid,
     _search_radii,
+    _selection_model,
+    _selection_scores,
 )
-from afd.errors import InputError, ZeroResidual, ZeroSignal
-from afd.poafd import hardy_space, poafd_decompose
+from afd.cyclic_afd import cyclic_afd
+from afd.errors import InputError, NonFiniteEnergy, ZeroResidual, ZeroSignal
+from afd.poafd import _bergman_norm2, bergman_space, gram_schmidt, hardy_space, poafd_decompose
 from afd.unwinding import uwa_decompose, uwafd_decompose
 
 from conftest import (
@@ -40,6 +47,7 @@ from conftest import (
     band_limited_real,
     check_selection_derivatives,
     core_afd_reference,
+    derivative_stack_reference,
     grid_argmax,
     grid_values,
     horner,
@@ -48,7 +56,9 @@ from conftest import (
     random_params,
     residual_at,
     scaled_am_fm,
+    selection_model_reference,
     series_bound,
+    sift_reference,
 )
 
 
@@ -158,6 +168,111 @@ def test_scan_plan_is_read_only_and_the_grid_is_checked_every_call():
             _grid_values(f.coefficients, outside)
         with pytest.raises(InputError):
             maximal_selection(f, outside)
+
+
+def test_cached_tables_are_read_only():
+    # every table the selection and the sift share between calls refuses writes
+    for search in (DEFAULT_SEARCH, SearchConfig(n_angles=48, n_radii=16, r_max=0.95)):
+        for m1 in (8, 256):
+            tables = list(_scan_plan(search, m1))
+            grid = (search.n_angles, search.n_radii, search.r_max)
+            tables += [_ScanPlan.kernel_norm2(*grid, rule) for rule in (_hardy_norm2, _bergman_norm2)]
+            for table in tables:
+                with pytest.raises(ValueError):
+                    table[0] = 0.0
+    for n in (16, 512, 4096):
+        z = _Circle.points(n)
+        np.testing.assert_array_equal(z, np.exp(1j * circle_grid(n)))
+        with pytest.raises(ValueError):
+            z[0] = 0.0
+        with pytest.raises(ValueError):
+            z *= 1.0
+
+
+def test_scores_from_cached_kernel_norms_equal_scores_from_recomputed_ones():
+    # the cached kernel norms are the ones the scoring computed from |a|^2 of
+    # the grid points on every call, and the scores are bit for bit the same
+    rng = np.random.default_rng(52)
+    for search in (DEFAULT_SEARCH, SearchConfig(n_angles=48, n_radii=16, r_max=0.95)):
+        fresh_sq = np.abs(_search_grid(search)) ** 2
+        for rule in (_hardy_norm2, _bergman_norm2):
+            cached = _ScanPlan.kernel_norm2(search.n_angles, search.n_radii, search.r_max, rule)
+            np.testing.assert_array_equal(cached, rule(fresh_sq)[0])
+            # without rows, and with row sums reaching phi or past it (scored 0)
+            norm2 = rule(fresh_sq)[0]
+            near = norm2 * rng.uniform(0.0, 1.2, len(norm2))
+            near[::7] = norm2[::7] * (1.0 - 1e-14)
+            for rows_sq in (0.0, near):
+                values = _grid_values(random_hardy(rng, m=127).coefficients, search)
+                # the scoring before the masked divide
+                ok = norm2 - rows_sq > 1e-13 * norm2
+                want = np.zeros(len(values))
+                want[ok] = np.abs(values[ok]) ** 2 / (norm2 - rows_sq)[ok]
+                np.testing.assert_array_equal(_selection_scores(cached, values, rows_sq), want)
+
+
+def test_sift_on_the_cached_circle_is_bit_identical():
+    # the shared denominator and the cached circle change no bit of the sift
+    rng = np.random.default_rng(53)
+    for m in (7, 63, 255, 1023, 2047):
+        f = random_hardy(rng, m=m)
+        for radius in (0.0, 0.3, 0.9, 0.999):
+            a = radius * np.exp(2j * np.pi * rng.uniform())
+            got, want = sift(f, a), sift_reference(f, a)
+            assert got.coefficients.shape == want.coefficients.shape
+            assert np.array_equal(got.coefficients, want.coefficients)
+
+
+def test_selection_model_matches_the_stacked_form_bit_for_bit():
+    # the lean point model against one series_values call on the whole
+    # [residual, rows] stack, with and without system rows
+    rng = np.random.default_rng(54)
+    hardy, bergman = hardy_space(m=63), bergman_space(m=63)
+    f = random_hardy(rng, m=63)
+    for space, rows in [
+        (hardy, 0), (hardy, 1), (hardy, 3), (bergman, 2),
+    ]:
+        params = random_params(rng, rows, r=0.7)
+        vectors = gram_schmidt(space, params).vectors
+        resid = f.coefficients / np.linalg.norm(f.coefficients)
+        full = np.vstack([resid, vectors])
+        np.testing.assert_array_equal(_derivative_stack(full), derivative_stack_reference(full))
+        stack, system = _derivative_stack(full[:1]), _derivative_stack(full[1:])
+        for a in random_params(rng, 8, r=0.95):
+            want = selection_model_reference(derivative_stack_reference(full), space.norm2_rule, a)
+            assert _selection_model(stack, space.norm2_rule, a, system) == want
+            if not rows:
+                assert _selection_model(stack, space.norm2_rule, a) == want
+    # at a system parameter the kernel lies in the span of the rows: no model
+    params = (0.4 - 0.3j, -0.5j)
+    vectors = gram_schmidt(hardy, params).vectors
+    full = np.vstack([f.coefficients, vectors])
+    for a in params:
+        assert selection_model_reference(derivative_stack_reference(full), _hardy_norm2, a) is None
+        assert _selection_model(
+            _derivative_stack(full[:1]), _hardy_norm2, a, _derivative_stack(full[1:])
+        ) is None
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_energy_overflow_is_refused_by_every_algorithm(scale):
+    # an energy beyond the double range is refused by name, before any
+    # term, and without numpy's overflow warning
+    f = scaled_am_fm(scale)
+    runs = [
+        lambda: core_afd_decompose(f),
+        lambda: uwa_decompose(f, max_terms=4),
+        lambda: uwafd_decompose(f, max_terms=4),
+        lambda: cyclic_afd(f, 2),
+        lambda: poafd_decompose(hardy_space(f.order), f.coefficients),
+        lambda: poafd_decompose(bergman_space(f.order), f.coefficients),
+    ]
+    for run in runs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteEnergy):
+                run()
+    assert issubclass(NonFiniteEnergy, InputError)
 
 
 def test_grid_check_matches_the_largest_radius():
