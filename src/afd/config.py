@@ -33,13 +33,6 @@ class Tolerances:
         Relative residual energy below which iteration stops cleanly.
     zero_residual : float
         Relative residual norm below which selection refuses to run.
-    tie : float
-        Selection scores within this fraction of the residual energy of
-        the best score are ties, broken toward small |a| and then small
-        nonnegative argument.
-    sift_leak : float
-        Negative-frequency leakage of a sift, relative to the norm of
-        the sifted function, above which the sift warns.
     log_clamp : float
         Boundary modulus is clamped at log_clamp * max before taking
         logs in the outer-factor computation.
@@ -64,8 +57,6 @@ class Tolerances:
     energy_total: float = 1e-8
     residual_floor: float = 1e-14
     zero_residual: float = 1e-12
-    tie: float = 1e-12
-    sift_leak: float = 1e-9
     log_clamp: float = 1e-8
     coincidence: float = 1e-9
     gram: float = 1e-6

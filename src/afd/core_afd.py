@@ -40,7 +40,7 @@ from .errors import (
     ZeroResidual,
     ZeroSignal,
 )
-from .hardy_atoms import tm_sweep, validate_param
+from .hardy_atoms import _kernel_and_mobius, tm_sweep, validate_param
 from .signal_core import CircularSignal, HardyFunction, circle_grid, series_values, to_hardy
 
 __all__ = [
@@ -190,19 +190,15 @@ class _ScanPlan(NamedTuple):
         phi.flags.writeable = False
         return phi
 
-
-# a sift samples its function on the grid of HardyFunction.boundary, one
-# power of two per order; at 4096 points (order 2047) a circle holds 64 KB
-_CIRCLES = 8
-
-
-class _Circle:
-    """Read-only e^{it_j} at the circle_grid(n) angles, cached per grid size n."""
-
-    # a static method for the same reason as _ScanPlan.build
     @staticmethod
-    @functools.lru_cache(maxsize=_CIRCLES)
-    def points(n):
+    @functools.lru_cache(maxsize=_SCAN_PLANS)
+    def circle(n):
+        """Read-only e^{it_j} at the circle_grid(n) angles.
+
+        A sift samples its function on the grid of HardyFunction.boundary,
+        one power of two per order; at 4096 points (order 2047) a circle
+        holds 64 KB.
+        """
         z = np.exp(1j * circle_grid(n))
         z.flags.writeable = False
         return z
@@ -279,34 +275,35 @@ def _derivative_stack(rows):
     return out
 
 
-def _selection_model(stack, norm2_rule, a, system=None):
-    """Q and its Wirtinger derivatives at a, from one evaluation of the stacks.
+def _selection_model(stack, norm2_rule, a):
+    """Q and its Wirtinger derivatives at a, from one evaluation of stack.
 
-    stack is the _derivative_stack of the residual row r, system that of
-    the system rows B_j (None or empty without rows).  Returns (Q,
-    dQ/d conj(a), d2Q/da d conj(a), d2Q/d conj(a)^2), or None where Q is
-    scored 0.  With N = |r|^2 and D = phi - sum_j |B_j|^2, Q = N / D and
+    stack is the _derivative_stack of [r, B_1, ...]: the residual row
+    and the system rows, if any.  Returns (Q, dQ/d conj(a),
+    d2Q/da d conj(a), d2Q/d conj(a)^2), or None where Q is scored 0.
+    With N = |r|^2 and D = phi - sum_j |B_j|^2, Q = N / D and
 
         N_abar = r conj(r'),   N_a_abar = |r'|^2,   N_abar_abar = r conj(r''),
         D_abar = phi' a - sum_j B_j conj(B_j'),
         D_a_abar = phi' + phi'' s - sum_j |B_j'|^2,
         D_abar_abar = phi'' a^2 - sum_j B_j conj(B_j''),
 
-    phi' and phi'' taken in s = |a|^2.  Both stacks are evaluated on the
-    power column [1, a, a^2, ...] that series_values would build for a.
+    phi' and phi'' taken in s = |a|^2.  stack is evaluated on the power
+    column [1, a, a^2, ...] that series_values would build for a, and
+    the row sums are skipped without system rows.
     """
     powers = np.empty((stack.shape[-1], 1), dtype=complex)
     powers[0] = 1.0
     powers[1:] = a
     np.multiply.accumulate(powers[1:], axis=0, out=powers[1:])
-    r, r1, r2 = (stack @ powers).ravel().tolist()
+    v = (stack @ powers)[:, 0]
+    n = len(v) // 3
+    r, r1, r2 = complex(v[0]), complex(v[n]), complex(v[2 * n])
     s = abs(a) ** 2
     phi, phi1, phi2 = norm2_rule(s)
     den, den_g, den_h, den_c = phi, phi1 * a, phi1 + phi2 * s, phi2 * a * a
-    if system is not None and len(system):
-        v = (system @ powers)[:, 0]
-        n = len(v) // 3
-        b, b1, b2 = v[:n], v[n : 2 * n], v[2 * n :]
+    if n > 1:
+        b, b1, b2 = v[1:n], v[n + 1 : 2 * n], v[2 * n + 1 :]
         den -= float(np.vdot(b, b).real)
         den_g -= complex(np.vdot(b1, b))
         den_h -= float(np.vdot(b1, b1).real)
@@ -320,7 +317,7 @@ def _selection_model(stack, norm2_rule, a, system=None):
     return q, g, h, c
 
 
-def _polish(stack, norm2_rule, a, search, system=None):
+def _polish(stack, norm2_rule, a, search):
     """Projected Newton ascent of Q from a, within |a| <= search.r_max.
 
     An iteration takes the Newton step where the Hessian is negative
@@ -330,13 +327,12 @@ def _polish(stack, norm2_rule, a, search, system=None):
     step in the angle.  A backtracking line search accepts only steps
     that raise Q.  The ascent stops once an accepted step is shorter
     than search.refine_xatol, once the line search shrinks a step below
-    it without a rise, or after search.refine_maxiter steps.  Q comes
-    from _selection_model on stack and system.
+    it without a rise, or after search.refine_maxiter steps.
     """
     cap = search.r_max
     # projections aim a few roundings inside the cap, so none lands outside
     rim = cap * (1.0 - 4.0 * np.finfo(float).eps)
-    model = _selection_model(stack, norm2_rule, a, system)
+    model = _selection_model(stack, norm2_rule, a)
     if model is None or abs(a) > cap:
         return a
     for _ in range(search.refine_maxiter):
@@ -369,7 +365,7 @@ def _polish(stack, norm2_rule, a, search, system=None):
         t = 1.0
         while True:
             b = move(t)
-            trial = _selection_model(stack, norm2_rule, b, system)
+            trial = _selection_model(stack, norm2_rule, b)
             if trial is not None and trial[0] > q:
                 break
             if abs(b - a) < search.refine_xatol:
@@ -382,44 +378,42 @@ def _polish(stack, norm2_rule, a, search, system=None):
     return a
 
 
-def _select(resid, norm2_rule, search, include=(), grid_sq=0.0, system=None):
+def _select(rows, norm2_rule, search, include=(), grid_sq=0.0):
     """Best point of Q over the search grid and include, then polished.
 
-    resid is the residual coefficient row that Q is formed from, system
-    the _derivative_stack of the system rows (None without rows) and
+    rows is the stack [residual, system rows] that Q is formed from and
     grid_sq the sum of |B_j|^2 over the system rows on search's grid (0
-    without rows; POAFD carries both with its system), so the grid scan
+    without rows; POAFD carries it with its system), so the grid scan
     covers the residual row alone.  The include candidates and the
     polish evaluate every row at their points.
     Q is homogeneous of degree 2 in the residual, so it is scaled to
     unit coefficient norm first: the pick does not depend on the
     signal's scale, nothing overflows for large signals, and Q is a
     fraction of the residual's squared coefficient norm (its Hardy
-    energy).  Ties (within DEFAULT_TOL.tie of that) go to small |a| and
-    then to small nonnegative argument.
+    energy).  Ties (within 1e-12 of that) go to small |a| and then to
+    small nonnegative argument.
     The polish only ever raises Q and stays within search.r_max, so the
     pick never scores below the best grid point or include candidate.
     """
-    stack = _derivative_stack(resid[None] / np.linalg.norm(resid))
-    candidates = _scan_plan(search, stack.shape[-1]).points
+    rows = np.array(rows, dtype=complex)  # a copy, so the residual scales in place
+    rows[0] /= np.linalg.norm(rows[0])
+    candidates = _scan_plan(search, rows.shape[-1]).points
     norm2 = _ScanPlan.kernel_norm2(search.n_angles, search.n_radii, search.r_max, norm2_rule)
-    vals = _selection_scores(norm2, _grid_values(stack[0], search), grid_sq)
+    vals = _selection_scores(norm2, _grid_values(rows[0], search), grid_sq)
     if len(include):
         extra = np.asarray(include, dtype=complex)
         candidates = np.concatenate([candidates, extra])
-        rows_sq = 0.0
-        if system is not None:
-            rows_sq = np.sum(np.abs(series_values(system[: len(system) // 3], extra)) ** 2, axis=0)
-        r_extra = series_values(stack[:1], extra)[0]
+        at = series_values(rows, extra)
+        rows_sq = np.sum(np.abs(at[1:]) ** 2, axis=0)
         norm2 = norm2_rule(np.abs(extra) ** 2)[0]
-        vals = np.concatenate([vals, _selection_scores(norm2, r_extra, rows_sq)])
-    ties = np.flatnonzero(vals >= vals.max() - DEFAULT_TOL.tie)
+        vals = np.concatenate([vals, _selection_scores(norm2, at[0], rows_sq)])
+    ties = np.flatnonzero(vals >= vals.max() - 1e-12)
     if len(ties) > 1:
         pts = candidates[ties]
         ties = ties[np.lexsort((np.mod(np.angle(pts), 2.0 * np.pi), np.abs(pts)))]
     best = complex(candidates[ties[0]])
     if search.refine:
-        best = _polish(stack, norm2_rule, best, search, system)
+        best = _polish(_derivative_stack(rows), norm2_rule, best, search)
     return best
 
 
@@ -452,7 +446,7 @@ def maximal_selection(f: HardyFunction, search=DEFAULT_SEARCH, include=(), sourc
     if not f.norm() > floor:
         raise ZeroResidual("norm below selection floor")
     include = [validate_param(a) for a in include]
-    return _select(f.coefficients, _hardy_norm2, search, include)
+    return _select(f.coefficients[None], _hardy_norm2, search, include)
 
 
 def sift(f: HardyFunction, a):
@@ -469,19 +463,14 @@ def sift(f: HardyFunction, a):
 def _sift(f, a, c):
     """sift(f, a) for a validated a and its coefficient c = coefficient(f, a).
 
-    e_a and mobius(a, .) share the denominator 1 - conj(a) z, formed
-    once on the cached circle in the operation order of tm_sweep, so
-    both match szego_kernel and mobius bit for bit.
+    e_a and mobius(a, .) come from one denominator on the cached circle.
     """
     boundary = f.boundary()
-    z = _Circle.points(boundary.n)
-    den = np.subtract(1.0, np.conj(a) * z)
-    quotient = np.divide(np.subtract(z, a), den)  # mobius(a, z)
-    kern = np.divide(np.sqrt(1.0 - abs(a) ** 2), den, out=den)  # szego_kernel(a, z)
+    kern, quotient = _kernel_and_mobius(a, _ScanPlan.circle(boundary.n))
     g = np.subtract(boundary.samples, np.multiply(c, kern, out=kern), out=kern)
     g *= np.conj(quotient, out=quotient)
     f_next, leak = to_hardy(CircularSignal(g), m=f.order)
-    if leak > DEFAULT_TOL.sift_leak * max(f.norm(), 1e-300):
+    if leak > 1e-9 * max(f.norm(), 1e-300):
         warnings.warn(
             f"negative-frequency leakage {leak:.2e} in sift", RuntimeWarning
         )

@@ -78,19 +78,25 @@ def _multiplicity(params, a, tol=None):
     return 1 + sum(1 for b in params if abs(b - a) <= tol)
 
 
+def _kernel_and_mobius(a, z):
+    """(e_a(z), mobius(a, z)) for a validated a and an array z.
+
+    Both are quotients over the one denominator 1 - conj(a) z, formed
+    once; szego_kernel, mobius and the sift read them from here.
+    """
+    den = 1.0 - np.conj(a) * z
+    return np.sqrt(1.0 - abs(a) ** 2) / den, (z - a) / den
+
+
 def szego_kernel(a, z):
     """Normalized Szego kernel e_a(z) = sqrt(1-|a|^2)/(1 - conj(a) z)."""
-    a = validate_param(a)
-    z = np.asarray(z, dtype=complex)
-    val = np.sqrt(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * z)
+    val, _ = _kernel_and_mobius(validate_param(a), np.asarray(z, dtype=complex))
     return val if val.ndim else complex(val)
 
 
 def mobius(a, z):
     """Disc automorphism (z - a)/(1 - conj(a) z); unimodular for |z| = 1."""
-    a = validate_param(a)
-    z = np.asarray(z, dtype=complex)
-    val = (z - a) / (1.0 - np.conj(a) * z)
+    _, val = _kernel_and_mobius(validate_param(a), np.asarray(z, dtype=complex))
     return val if val.ndim else complex(val)
 
 
@@ -99,7 +105,7 @@ def tm_sweep(params, z, prefix=None, phase=False):
 
     Step k yields B_k(z) = e_{a_k}(z) * prefix and then carries the
     Blaschke prefix on as prefix * mobius(a_k, z), each factor formed
-    by the operations of szego_kernel and mobius in their order, so the
+    by the operations of _kernel_and_mobius in their order, so the
     values match those products bit for bit.  With phase=True,
     z = e^{it} on the circle, step k yields (B_k, theta_k') with the
     boundary phase derivative of B_k in its Poisson form

@@ -38,8 +38,7 @@ from .errors import DegenerateGram, InputError, ZeroResidual
 from .core_afd import (
     Component,
     Decomposition,
-    _Circle,
-    _derivative_stack,
+    _ScanPlan,
     _greedy,
     _grid_values,
     _hardy_norm2,
@@ -115,20 +114,13 @@ class OrthoSystem:
     (n_angles, n_radii, r_max), to (rows covered, sum_j |B_j|^2 over
     them on that grid): one real value per grid point.  An entry is
     replaced, never written in place, so a system grown from this one
-    may share its arrays.  stack is _derivative_stack(vectors), the
-    rows and their first and second derivatives that selection's Newton
-    model evaluates; built from vectors when not given.
+    may share its arrays.
     """
 
     params: tuple
     vectors: np.ndarray  # (n, M+1)
     reference_state: object = None
     grid_sums: dict = field(default_factory=dict, repr=False, compare=False)
-    stack: np.ndarray = field(default=None, repr=False, compare=False)  # (3n, M+1)
-
-    def __post_init__(self):
-        if self.stack is None:
-            self.stack = _derivative_stack(self.vectors)
 
     def __len__(self):
         return len(self.params)
@@ -195,7 +187,7 @@ def _hardy_reference(prefix, a, m):
     """
     n = 1 << max(4, int(np.ceil(np.log2(2 * (m + 1)))))
     prefix = np.ones(n, dtype=complex) if prefix is None else prefix.copy()
-    row = next(tm_sweep((a,), _Circle.points(n), prefix))
+    row = next(tm_sweep((a,), _ScanPlan.circle(n), prefix))
     return (np.fft.fft(row) / n)[: m + 1], prefix
 
 
@@ -253,9 +245,8 @@ def _grow(space, system, a):
     against the existing rows and normalized; with a reference rule on
     file (Hardy) it is rotated by a unimodular factor onto the reference
     row, which the rule builds from the state carried in system.
-    Earlier rows are left as they are, and the grid sums and the
-    derivative stack of system are carried over to cover them; the
-    rows are a view of the new stack.  a must already be validated.
+    Earlier rows are left as they are, and the grid sums of system are
+    carried over to cover them.  a must already be validated.
     """
     raw = kernel(space, a, _multiplicity(system.params, a)).sequence
     v, _ = _extend(space, system.vectors, raw)
@@ -266,17 +257,11 @@ def _grow(space, system, a):
         mag = abs(rho)
         if mag > 1e-12:
             v *= rho / mag
-    n, m1 = system.vectors.shape
-    stack = np.empty((3, n + 1, m1), dtype=complex)
-    stack[:, :n] = system.stack.reshape(3, n, m1)
-    stack[:, n] = _derivative_stack(v[None])
-    stack = stack.reshape(3 * (n + 1), m1)
     return OrthoSystem(
         params=system.params + (a,),
-        vectors=stack[: n + 1],
+        vectors=np.vstack([system.vectors, v]),
         reference_state=state,
         grid_sums=dict(system.grid_sums),
-        stack=stack,
     )
 
 
@@ -325,7 +310,7 @@ def poafd_select(space: KernelSpace, f, system: OrthoSystem, search=DEFAULT_SEAR
         raise ZeroResidual("residual norm below the selection floor")
     capped = replace(search, r_max=min(search.r_max, SELECTION_CAP))
     return _select(
-        resid, space.norm2_rule, capped, grid_sq=system.grid_sq(capped), system=system.stack
+        np.vstack([resid, vectors]), space.norm2_rule, capped, grid_sq=system.grid_sq(capped)
     )
 
 

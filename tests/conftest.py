@@ -29,11 +29,10 @@ unwinding-only synthesis and distribution loops that each formed their
 own Mobius prefix, kept as the reference for the one TM sweep that
 `reconstruct` and `dirac_tfd` read; `sift_reference`,
 `derivative_stack_reference` and `selection_model_reference` are the
-sift on a freshly built circle, the stacked derivative rows and the
-Newton point model on one [residual, rows] stack through
-`series_values`, before the sift read a cached circle and the model
-its own power column and a carried system stack, kept as their
-bit-level reference.
+sift with the kernel and Mobius formulas written out on a freshly built
+circle, the stacked derivative rows by `vstack` and the Newton point
+model through `series_values`, before the sift read a cached circle
+and the model its own power column, kept as their bit-level reference.
 """
 
 import copy
@@ -130,11 +129,13 @@ def selection_objective(space, pts, values):
 
 
 def sift_reference(f, a):
-    """sift(f, a) from szego_kernel and mobius on a freshly built circle."""
+    """sift(f, a) from e_a and mobius(a, .), each written out, on a freshly built circle."""
     c = coefficient(f, a)
     boundary = f.boundary()
     z = np.exp(1j * circle_grid(boundary.n))
-    g = (boundary.samples - c * szego_kernel(a, z)) * np.conj(mobius(a, z))
+    kern = np.sqrt(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * z)
+    quotient = (z - a) / (1.0 - np.conj(a) * z)
+    g = (boundary.samples - c * kern) * np.conj(quotient)
     return to_hardy(CircularSignal(g), m=f.order)[0]
 
 
@@ -453,9 +454,9 @@ def central_differences(q, a, step=1e-3):
 
 def check_selection_derivatives(rows, norm2_rule, q, rng, count=6):
     """Closed-form gradient and Hessian of Q against central differences of q."""
-    stack, system = _derivative_stack(rows[:1]), _derivative_stack(rows[1:])
+    stack = _derivative_stack(rows)
     for a in random_params(rng, count, r=0.9):
-        val, g, h, c = _selection_model(stack, norm2_rule, a, system)
+        val, g, h, c = _selection_model(stack, norm2_rule, a)
         assert val == pytest.approx(q(a), rel=1e-12)
         grad, hess = real_derivatives(g, h, c)
         fd_grad, fd_hess = central_differences(q, a)

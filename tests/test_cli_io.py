@@ -655,3 +655,15 @@ def test_info_runs(capsys):
     out = capsys.readouterr().out
     assert "exit codes" in out
     assert "schema 2" in out or "schema: 2" in out
+
+
+@pytest.mark.parametrize("command", ["decompose", "tfd", "check", "info"])
+def test_main_calls_the_command_bound_at_call_time(monkeypatch, command):
+    # the parser is built once, but a command function rebound after that
+    # (a wrapper, say) is the one main runs
+    seen = []
+    monkeypatch.setattr(cli_io, f"cmd_{command}", lambda args: seen.append(args.command) or 7)
+    argv = {"decompose": ["decompose", "x.csv"], "tfd": ["tfd", "x.afd.json"],
+            "check": ["check", "x.csv", "--mode", "mono"], "info": ["info"]}[command]
+    assert main(argv) == 7
+    assert seen == [command]

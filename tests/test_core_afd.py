@@ -25,7 +25,6 @@ from afd import (
 )
 from afd.config import DEFAULT_SEARCH, DEFAULT_TOL, SearchConfig
 from afd.core_afd import (
-    _Circle,
     _ScanPlan,
     _derivative_stack,
     _grid_values,
@@ -181,7 +180,7 @@ def test_cached_tables_are_read_only():
                 with pytest.raises(ValueError):
                     table[0] = 0.0
     for n in (16, 512, 4096):
-        z = _Circle.points(n)
+        z = _ScanPlan.circle(n)
         np.testing.assert_array_equal(z, np.exp(1j * circle_grid(n)))
         with pytest.raises(ValueError):
             z[0] = 0.0
@@ -223,8 +222,8 @@ def test_sift_on_the_cached_circle_is_bit_identical():
             assert np.array_equal(got.coefficients, want.coefficients)
 
 
-def test_selection_model_matches_the_stacked_form_bit_for_bit():
-    # the lean point model against one series_values call on the whole
+def test_selection_model_matches_the_series_values_form_bit_for_bit():
+    # the lean point model against one series_values call on the
     # [residual, rows] stack, with and without system rows
     rng = np.random.default_rng(54)
     hardy, bergman = hardy_space(m=63), bergman_space(m=63)
@@ -237,21 +236,17 @@ def test_selection_model_matches_the_stacked_form_bit_for_bit():
         resid = f.coefficients / np.linalg.norm(f.coefficients)
         full = np.vstack([resid, vectors])
         np.testing.assert_array_equal(_derivative_stack(full), derivative_stack_reference(full))
-        stack, system = _derivative_stack(full[:1]), _derivative_stack(full[1:])
+        stack = _derivative_stack(full)
         for a in random_params(rng, 8, r=0.95):
             want = selection_model_reference(derivative_stack_reference(full), space.norm2_rule, a)
-            assert _selection_model(stack, space.norm2_rule, a, system) == want
-            if not rows:
-                assert _selection_model(stack, space.norm2_rule, a) == want
+            assert _selection_model(stack, space.norm2_rule, a) == want
     # at a system parameter the kernel lies in the span of the rows: no model
     params = (0.4 - 0.3j, -0.5j)
     vectors = gram_schmidt(hardy, params).vectors
     full = np.vstack([f.coefficients, vectors])
     for a in params:
         assert selection_model_reference(derivative_stack_reference(full), _hardy_norm2, a) is None
-        assert _selection_model(
-            _derivative_stack(full[:1]), _hardy_norm2, a, _derivative_stack(full[1:])
-        ) is None
+        assert _selection_model(_derivative_stack(full), _hardy_norm2, a) is None
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e300])

@@ -49,6 +49,21 @@ def test_szego_and_mobius_values():
     np.testing.assert_allclose(np.abs(mobius(a, z)), 1.0, atol=1e-12)
 
 
+def test_szego_and_mobius_share_one_denominator_bit_for_bit():
+    # both read the one denominator 1 - conj(a) z; each value is the closed
+    # form written out, on arrays and on scalars
+    rng = np.random.default_rng(31)
+    z = np.concatenate([np.exp(1j * circle_grid(64)), 0.9 * np.exp(2j * np.pi * rng.uniform(size=8))])
+    for a in (0.0, 0.3 - 0.4j, 0.999j, *random_params(rng, 4, r=0.95)):
+        a = complex(a)
+        kern = np.sqrt(1.0 - abs(a) ** 2) / (1.0 - np.conj(a) * z)
+        quotient = (z - a) / (1.0 - np.conj(a) * z)
+        assert np.array_equal(szego_kernel(a, z), kern)
+        assert np.array_equal(mobius(a, z), quotient)
+        assert szego_kernel(a, complex(z[3])) == complex(kern[3])
+        assert mobius(a, complex(z[3])) == complex(quotient[3])
+
+
 def test_szego_kernel_is_normalized():
     # boundary quadrature of |e_a|^2 equals 1
     z = np.exp(1j * circle_grid(512))

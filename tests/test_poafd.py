@@ -23,7 +23,7 @@ from afd import (
 from afd.errors import DegenerateGram, InputError, ZeroResidual, ZeroSignal
 from afd import hardy_space
 from afd.config import DEFAULT_SEARCH, SearchConfig
-from afd.core_afd import _derivative_stack, _grid_values, _search_grid
+from afd.core_afd import _grid_values, _search_grid
 from afd.poafd import SELECTION_CAP, _extend, _grow
 from afd.signal_core import series_values
 
@@ -140,24 +140,6 @@ def test_grown_system_matches_rebuilt_reference():
             base = gram_schmidt(space, params[:-1])
             _grow(space, base, params[-1])
             np.testing.assert_array_equal(_grow(space, base, params[-1]).vectors, got.vectors)
-
-
-def test_grown_system_carries_its_derivative_stack():
-    # the stack carried from row to row is the one built from the rows, and
-    # growing a system leaves the stack of the system it grew from as it was
-    rng = np.random.default_rng(81)
-    cases = [(0.5, 0.5, -0.2j), random_params(rng, 6, repeat_frac=0.5)]
-    for space in _spaces():
-        for params in cases:
-            system = gram_schmidt(space, ())
-            assert system.stack.shape == (0, space.order + 1)
-            for a in params:
-                before = system.stack.copy()
-                grown = _grow(space, system, a)
-                assert np.array_equal(system.stack, before)
-                assert np.array_equal(grown.stack, _derivative_stack(grown.vectors))
-                assert np.shares_memory(grown.vectors, grown.stack)
-                system = grown
 
 
 def test_gram_schmidt_degenerate_pair():
