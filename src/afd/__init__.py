@@ -85,7 +85,6 @@ from .cyclic_afd import (
 )
 from .poafd import (
     KernelSpace,
-    MultiplicityKernel,
     OrthoSystem,
     bergman_space,
     gram_schmidt,

@@ -717,7 +717,9 @@ def cmd_info(args):
     print("       (check --mode uncertainty: any uniform real-line `t,value`)")
     print("results: JSON, schema 2, complex numbers as {re, im}, unwinding inner")
     print("         samples as base64 little-endian complex128; schema 1 still read")
-    print("defaults: --terms 10, --tol 1e-06, --grid 64x32, --n 2, --space hardy")
+    defaults = vars(_PARSER.parse_args(["decompose", "-"]))
+    shown = ("terms", "tol", "grid", "n", "space")
+    print("defaults: " + ", ".join(f"--{k} {defaults[k]}" for k in shown))
     print("exit codes: 0 ok, 2 input error, 3 check failed, 4 numerical degeneracy")
     return EXIT_OK
 
@@ -744,8 +746,8 @@ def _build_parser():
                    help="cyclic init: 'auto' or comma-separated complex values")
     d.add_argument("--space", choices=("hardy", "bergman"), default="hardy",
                    help="kernel space for --algo poafd")
-    d.add_argument("--grid", default="64x32",
-                   help="selection grid ANGLESxRADII (default 64x32)")
+    d.add_argument("--grid", default=f"{DEFAULT_SEARCH.n_angles}x{DEFAULT_SEARCH.n_radii}",
+                   help="selection grid ANGLESxRADII (default %(default)s)")
     d.add_argument("--seed", type=int, default=0,
                    help="recorded in the result for audit reruns")
     d.add_argument("--output", help="result path (default: input with .afd.json)")

@@ -1,11 +1,10 @@
 """Central numerical tolerances and search-grid configuration.
 
 Every tolerance used by more than one function lives here, so tests and
-the command line tool agree on what "close enough" means.  Individual
-operations take an override where a caller may legitimately want one.
+the command line tool agree on what "close enough" means.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

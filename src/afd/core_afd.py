@@ -101,17 +101,18 @@ class Decomposition:
     def __len__(self):
         return len(self.components)
 
-    def validate(self, tol=None):
-        """Energy identity and monotone residual trace; raises on defect."""
-        if tol is None:
-            tol = DEFAULT_TOL.energy_total
+    def validate(self):
+        """Energy identity and monotone residual trace; raises on defect.
+
+        The identity holds to DEFAULT_TOL.energy_total of the source energy.
+        """
         scale = max(self.source_energy, 1e-300)
         steps = np.diff(self.residual_energy)
         if steps.size and steps.max() > 1e-12 * scale:
             raise AFDError("residual energy trace increased")
         captured = float(np.sum(np.abs(self.coefficients) ** 2))
         defect = abs(self.source_energy - captured - self.residual_energy[-1])
-        if defect > tol * scale:
+        if defect > DEFAULT_TOL.energy_total * scale:
             raise AFDError(f"energy identity defect {defect/scale:.3e}")
 
 

@@ -35,7 +35,7 @@ the last sift, a few ulps of ||g||^2 <= ||f||^2 on planted inputs
 which the order-swap rounding of the objective is tolerated.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,7 +69,6 @@ class CyclicTrace:
     d: np.ndarray
     converged: bool
     cycles: int
-    meta: dict = field(default_factory=dict)
 
     @property
     def params(self):
@@ -92,14 +91,12 @@ def n_blaschke_objective(f: HardyFunction, params) -> float:
     ||f||^2 - sum |<f, B_k>|^2.  Repeated parameters are fine, the
     division handles multiplicity on its own.
     """
-    g = f
-    for a in params:
-        g = sift(g, validate_param(a))
-    return max(float(g.energy()), 0.0)
+    params = tuple(validate_param(a) for a in params)
+    return max(float(_reduced_without(f, params, None).energy()), 0.0)
 
 
 def _reduced_without(f, params, skip):
-    # remainder after sifting every coordinate except `skip`, in order
+    # remainder after sifting every coordinate except `skip` (None: all), in order
     g = f
     for i, a in enumerate(params):
         if i == skip:
@@ -232,7 +229,6 @@ def cyclic_afd(
         d=np.array(d),
         converged=converged,
         cycles=cycles,
-        meta={"delta_tol": delta_tol, "max_cycles": max_cycles},
     )
 
 

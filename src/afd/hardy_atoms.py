@@ -23,6 +23,7 @@ from .config import DEFAULT_TOL
 from .errors import InputError, ParamOutOfDisc
 from .signal_core import (
     CircularSignal,
+    _check_finite,
     analytic_signal,
     circle_grid,
     phase_derivative,
@@ -43,39 +44,34 @@ __all__ = [
 ]
 
 
-def validate_param(a, tol=None):
+def validate_param(a):
     """Require a strictly inside the disc; returns a as complex.
 
-    Raises ParamOutOfDisc when |a| > 1 - tol (default 1e-9 margin).
+    Raises ParamOutOfDisc when |a| > 1 - DEFAULT_TOL.param_boundary.
     """
-    if tol is None:
-        tol = DEFAULT_TOL.param_boundary
     a = complex(a)
-    if abs(a) > 1.0 - tol:
+    if abs(a) > 1.0 - DEFAULT_TOL.param_boundary:
         raise ParamOutOfDisc(f"|a| = {abs(a):.12f} too close to the circle")
     return a
 
 
-def multiplicities(params, tol=None):
+def multiplicities(params):
     """Occurrence count of each parameter among its predecessors and itself.
 
-    Parameters closer than tol are treated as coincident.  Returns an
-    integer array l with l[n] = #{ m <= n : |a_m - a_n| <= tol }.
+    Parameters closer than DEFAULT_TOL.coincidence are treated as
+    coincident.  Returns an integer array l with
+    l[n] = #{ m <= n : |a_m - a_n| <= DEFAULT_TOL.coincidence }.
     """
     params = [complex(a) for a in params]
-    return np.array(
-        [_multiplicity(params[:n], a, tol) for n, a in enumerate(params)], dtype=int
-    )
+    return np.array([_multiplicity(params[:n], a) for n, a in enumerate(params)], dtype=int)
 
 
-def _multiplicity(params, a, tol=None):
+def _multiplicity(params, a):
     """Occurrence count of a appended to params: 1 + its coincidences there.
 
     The last entry of multiplicities((*params, a)) in one pass.
     """
-    if tol is None:
-        tol = DEFAULT_TOL.coincidence
-    return 1 + sum(1 for b in params if abs(b - a) <= tol)
+    return 1 + sum(1 for b in params if abs(b - a) <= DEFAULT_TOL.coincidence)
 
 
 def _kernel_and_mobius(a, z):
@@ -196,32 +192,35 @@ class MonocompReport:
         return self.fraction_negative == 0.0
 
 
-def monocomp_check(s: CircularSignal, r_seq=None) -> MonocompReport:
+# the circles monocomp_check probes, approaching the boundary in increasing order
+MONOCOMP_RADII = 1.0 - 2.0 ** (-np.arange(4, 13))
+
+
+def monocomp_check(s: CircularSignal) -> MonocompReport:
     """Probe whether s behaves like a mono-component.
 
     Evaluates the phase derivative of the analytic signal of s on
-    circles approaching the boundary (default radii 1 - 2^{-m},
+    circles approaching the boundary (MONOCOMP_RADII: radii 1 - 2^{-m},
     m = 4..12) and reports the minimum on the outermost circle plus
     the fraction of samples below -1e-6 there.  A mono-component has
     fraction zero; an outer-type signal shows genuinely negative
     values whose integral cancels.  Complex samples (a Blaschke
     product on the boundary, say) are projected onto their Hardy part
-    instead of going through the analytic-signal map.
+    instead of going through the analytic-signal map.  NonFiniteEnergy
+    if a sample is nan or infinite.
     """
-    if r_seq is None:
-        r_seq = 1.0 - 2.0 ** (-np.arange(4, 13))
-    r_seq = np.sort(np.asarray(r_seq, dtype=float))
+    _check_finite(s.samples, "monocomp_check")
     if s.is_real():
         f = analytic_signal(s)
     else:
         f, _ = to_hardy(s)
-    mins = np.empty(r_seq.size)
-    for i, r in enumerate(r_seq):
+    mins = np.empty(MONOCOMP_RADII.size)
+    for i, r in enumerate(MONOCOMP_RADII):
         mins[i] = float(np.min(phase_derivative(f, r, s.n)))
-    outer = phase_derivative(f, r_seq[-1], s.n)
+    outer = phase_derivative(f, MONOCOMP_RADII[-1], s.n)
     frac = float(np.mean(outer < -1e-6))
     return MonocompReport(
-        radii=r_seq,
+        radii=MONOCOMP_RADII.copy(),
         min_per_radius=mins,
         min_phase_derivative=float(outer.min()),
         fraction_negative=frac,

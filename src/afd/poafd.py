@@ -49,7 +49,6 @@ from .signal_core import HardyFunction
 
 __all__ = [
     "KernelSpace",
-    "MultiplicityKernel",
     "OrthoSystem",
     "hardy_space",
     "bergman_space",
@@ -70,7 +69,7 @@ class KernelSpace:
     """Weighted coefficient space with a reproducing kernel rule.
 
     base[k] is the kernel coefficient profile (k_a coefficients are
-    base[k] * conj(a)^k) and weights[k] = 1/base[k] makes the
+    base[k] * conj(a)^k); the weights, derived as 1/base[k], make the
     reproducing identity <f, k_a> = f(a) hold.  reference, when set,
     pins the Gram-Schmidt phases to a conventional orthonormal system,
     one row at a time: reference(state, a, order) returns that system's
@@ -79,10 +78,13 @@ class KernelSpace:
     """
 
     name: str
-    weights: np.ndarray
     base: np.ndarray
     norm2_rule: object  # s = |a|^2 -> (||k_a||^2, d/ds, d2/ds2), closed form
     reference: object = None
+    weights: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights", 1.0 / self.base)
 
     @property
     def order(self):
@@ -93,15 +95,6 @@ class KernelSpace:
 
     def norm(self, f):
         return float(np.sqrt(np.sum(self.weights * np.abs(f) ** 2)))
-
-
-@dataclass(frozen=True)
-class MultiplicityKernel:
-    """Coefficient sequence of (d/d conj(a))^(order-1) k_a."""
-
-    a: complex
-    order: int
-    sequence: np.ndarray
 
 
 @dataclass
@@ -149,11 +142,9 @@ class OrthoSystem:
 
 def hardy_space(m=511) -> KernelSpace:
     """Hardy coefficient space: flat weights, Szego kernels."""
-    base = np.ones(m + 1)
     return KernelSpace(
         name="hardy",
-        weights=np.ones(m + 1),
-        base=base,
+        base=np.ones(m + 1),
         norm2_rule=_hardy_norm2,
         reference=_hardy_reference,
     )
@@ -164,7 +155,6 @@ def bergman_space(m=511) -> KernelSpace:
     k = np.arange(m + 1, dtype=float)
     return KernelSpace(
         name="bergman",
-        weights=1.0 / (k + 1.0),
         base=k + 1.0,
         norm2_rule=_bergman_norm2,
     )
@@ -191,12 +181,13 @@ def _hardy_reference(prefix, a, m):
     return (np.fft.fft(row) / n)[: m + 1], prefix
 
 
-def kernel(space: KernelSpace, a, l=1) -> MultiplicityKernel:
+def kernel(space: KernelSpace, a, l=1) -> np.ndarray:
     """Reproducing kernel at a, differentiated l-1 times in conj(a).
 
-    The sequence is base[k] * k(k-1)...(k-l+2) * conj(a)^(k-l+1); the
-    pairing <f, kernel(a, l)> reproduces f^(l-1)(a).  Derivative
-    kernels grow fast near the boundary, hence the 0.95 cap.
+    Returns the coefficient array base[k] * k(k-1)...(k-l+2) *
+    conj(a)^(k-l+1); the pairing <f, kernel(a, l)> reproduces
+    f^(l-1)(a).  Derivative kernels grow fast near the boundary, hence
+    the 0.95 cap.
     """
     a = complex(a)
     if abs(a) > SELECTION_CAP + 1e-12:
@@ -212,7 +203,7 @@ def kernel(space: KernelSpace, a, l=1) -> MultiplicityKernel:
     for j in range(p):
         falling = falling * (kk - j)
     seq[p:] = space.base[p:] * falling * np.conj(a) ** (kk - p)
-    return MultiplicityKernel(a=a, order=l, sequence=seq)
+    return seq
 
 
 def _extend(space, vectors, raw):
@@ -248,7 +239,7 @@ def _grow(space, system, a):
     Earlier rows are left as they are, and the grid sums of system are
     carried over to cover them.  a must already be validated.
     """
-    raw = kernel(space, a, _multiplicity(system.params, a)).sequence
+    raw = kernel(space, a, _multiplicity(system.params, a))
     v, _ = _extend(space, system.vectors, raw)
     state = system.reference_state
     if space.reference is not None:
@@ -327,12 +318,10 @@ def multiplicity_limit_check(space: KernelSpace, params, a_n, h_seq=None):
     system = gram_schmidt(space, params)
     a_n = validate_param(a_n)
     l = _multiplicity(system.params, a_n)
-    limit, _ = _extend(space, system.vectors, kernel(space, a_n, l).sequence)
+    limit, _ = _extend(space, system.vectors, kernel(space, a_n, l))
     errors = []
     for h in h_seq:
-        probe, _ = _extend(
-            space, system.vectors, kernel(space, a_n + float(h), 1).sequence
-        )
+        probe, _ = _extend(space, system.vectors, kernel(space, a_n + float(h), 1))
         errors.append(space.norm(probe - limit))
     return np.array(errors)
 

@@ -12,7 +12,7 @@ mean-removed signal, and the Bedrosian residual is computed modulo the
 mean of rho*sin(theta).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .config import DEFAULT_TOL
 from .errors import (
     InputError,
     NearZeroModulus,
+    NonFiniteEnergy,
     NonRealInput,
     PhaseUnresolved,
 )
@@ -80,6 +81,16 @@ def _check_pow2(n):
         raise InputError(f"sample count must be a power of two >= 8, got {n}")
 
 
+def _check_finite(samples, caller):
+    """NonFiniteEnergy naming caller unless every sample is finite.
+
+    Entry points that take samples from outside call it; the signals
+    the decompositions build for themselves skip it.
+    """
+    if not np.isfinite(samples).all():
+        raise NonFiniteEnergy(f"{caller} expects finite samples")
+
+
 @dataclass(frozen=True)
 class CircularSignal:
     """Complex samples on the uniform circular grid.
@@ -117,16 +128,14 @@ class CircularSignal:
         """The coefficient c_0."""
         return complex(np.mean(self.samples))
 
-    def is_real(self, tol=None):
-        """max|Im s| <= tol max|s|, tol defaulting to DEFAULT_TOL.realness.
+    def is_real(self):
+        """max|Im s| <= DEFAULT_TOL.realness max|s|.
 
         The test is relative to the signal's own peak, so it does not
         depend on the signal's scale.
         """
-        if tol is None:
-            tol = DEFAULT_TOL.realness
         peak = float(np.max(np.abs(self.samples)))
-        return float(np.max(np.abs(self.samples.imag))) <= tol * peak
+        return float(np.max(np.abs(self.samples.imag))) <= DEFAULT_TOL.realness * peak
 
     def __sub__(self, other):
         return CircularSignal(self.samples - other.samples)
@@ -169,28 +178,29 @@ class Spectrum:
         return float(np.sum(np.abs(self.coefficients) ** 2))
 
 
+# interior evaluation of a HardyFunction (f(z), circle) is limited to |z| <= this
+INTERIOR_RADIUS = 1.0 - 1e-6
+
+
 class HardyFunction:
     """Truncated power series sum_{k=0}^{M} c_k z^k on the unit disc.
 
     Represents a Hardy-space function by its Taylor coefficients; all
     negative-frequency content is zero by construction.  Interior
     values come from power-form evaluation (series_values), for
-    |z| <= r_max.
+    |z| <= INTERIOR_RADIUS.
     Boundary values come from FFT synthesis on a power-of-two grid.
 
     Parameters
     ----------
     coefficients : array_like
         Taylor coefficients c_0 .. c_M.
-    r_max : float, optional
-        Interior evaluation radius bound.
     """
 
-    __slots__ = ("coefficients", "r_max")
+    __slots__ = ("coefficients",)
 
-    def __init__(self, coefficients, r_max=1.0 - 1e-6):
+    def __init__(self, coefficients):
         self.coefficients = np.atleast_1d(np.asarray(coefficients, dtype=complex))
-        self.r_max = float(r_max)
 
     @property
     def order(self):
@@ -199,9 +209,9 @@ class HardyFunction:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        if (np.abs(z) > self.r_max * (1 + 1e-12)).any():
+        if (np.abs(z) > INTERIOR_RADIUS * (1 + 1e-12)).any():
             raise InputError(
-                f"interior evaluation limited to |z| <= {self.r_max}; "
+                f"interior evaluation limited to |z| <= {INTERIOR_RADIUS}; "
                 "use boundary() for circle samples"
             )
         out = series_values(self.coefficients, z)
@@ -211,9 +221,9 @@ class HardyFunction:
         """Coefficientwise derivative series."""
         c = self.coefficients
         if c.size == 1:
-            return HardyFunction(np.zeros(1), self.r_max)
+            return HardyFunction(np.zeros(1))
         k = np.arange(1, c.size)
-        return HardyFunction(k * c[1:], self.r_max)
+        return HardyFunction(k * c[1:])
 
     def boundary(self, n=None):
         """Synthesize boundary samples on an n-point circular grid.
@@ -232,11 +242,11 @@ class HardyFunction:
         return CircularSignal(np.fft.ifft(padded) * n)
 
     def circle(self, r, n=None):
-        """Samples of f(r e^{it}) on an n-point grid, r <= r_max."""
-        if r > self.r_max * (1 + 1e-12):
-            raise InputError(f"radius {r} exceeds r_max {self.r_max}")
+        """Samples of f(r e^{it}) on an n-point grid, r <= INTERIOR_RADIUS."""
+        if r > INTERIOR_RADIUS * (1 + 1e-12):
+            raise InputError(f"radius {r} exceeds the interior radius {INTERIOR_RADIUS}")
         damped = self.coefficients * (r ** np.arange(self.coefficients.size))
-        return HardyFunction(damped, self.r_max).boundary(n).samples
+        return HardyFunction(damped).boundary(n).samples
 
     def energy(self):
         return float(np.sum(np.abs(self.coefficients) ** 2))
@@ -249,7 +259,7 @@ class HardyFunction:
         c = np.zeros(m + 1, dtype=complex)
         take = min(m + 1, self.coefficients.size)
         c[:take] = self.coefficients[:take]
-        return HardyFunction(c, self.r_max)
+        return HardyFunction(c)
 
     def _aligned(self, other):
         m = max(self.coefficients.size, other.coefficients.size)
@@ -261,14 +271,14 @@ class HardyFunction:
 
     def __add__(self, other):
         a, b = self._aligned(other)
-        return HardyFunction(a + b, min(self.r_max, other.r_max))
+        return HardyFunction(a + b)
 
     def __sub__(self, other):
         a, b = self._aligned(other)
-        return HardyFunction(a - b, min(self.r_max, other.r_max))
+        return HardyFunction(a - b)
 
     def __mul__(self, scalar):
-        return HardyFunction(self.coefficients * scalar, self.r_max)
+        return HardyFunction(self.coefficients * scalar)
 
     __rmul__ = __mul__
 
@@ -304,7 +314,7 @@ def hilbert_transform(s: CircularSignal) -> CircularSignal:
     return CircularSignal(np.fft.ifft(c))
 
 
-def analytic_signal(s: CircularSignal, tol=None) -> HardyFunction:
+def analytic_signal(s: CircularSignal) -> HardyFunction:
     """Hardy projection s+ = (s + iHs + c_0)/2 of a real signal.
 
     On coefficients: keeps c_0 and c_k for k >= 1, zeroes the rest
@@ -315,11 +325,14 @@ def analytic_signal(s: CircularSignal, tol=None) -> HardyFunction:
 
     Raises
     ------
+    NonFiniteEnergy
+        If a sample is nan or infinite.
     NonRealInput
-        If imaginary parts exceed tol relative to the signal's peak
-        (see CircularSignal.is_real).
+        If imaginary parts exceed DEFAULT_TOL.realness relative to the
+        signal's peak (see CircularSignal.is_real).
     """
-    if not s.is_real(tol):
+    _check_finite(s.samples, "analytic_signal")
+    if not s.is_real():
         raise NonRealInput("analytic_signal expects a real-valued signal")
     c = np.fft.fft(s.samples.real) / s.n
     coeffs = c[: s.n // 2].copy()
@@ -344,23 +357,22 @@ def to_hardy(s: CircularSignal, m=None):
     return HardyFunction(pos), leak
 
 
-def hardy_check(s: CircularSignal, tol=None) -> bool:
+def hardy_check(s: CircularSignal) -> bool:
     """Test the Hilbert characterization of Hardy boundary values.
 
-    True iff ||Hs - (-i)(s - mean(s))|| / ||s|| < tol.  The mean is
-    removed because sgn(0) = 0 makes H blind to constants: boundary
-    values of a Hardy function satisfy Hs = -is only modulo the mean.
+    True iff ||Hs - (-i)(s - mean(s))|| / ||s|| < DEFAULT_TOL.hardy.
+    The mean is removed because sgn(0) = 0 makes H blind to constants:
+    boundary values of a Hardy function satisfy Hs = -is only modulo
+    the mean.
     A numerically zero signal passes vacuously.
     """
-    if tol is None:
-        tol = DEFAULT_TOL.hardy
     nrm = s.norm()
     if nrm < DEFAULT_TOL.near_zero:
         return True
     h = hilbert_transform(s).samples
     target = -1j * (s.samples - s.mean())
     defect = np.sqrt(np.mean(np.abs(h - target) ** 2))
-    return bool(defect / nrm < tol)
+    return bool(defect / nrm < DEFAULT_TOL.hardy)
 
 
 def phase_amplitude(f: HardyFunction, r, n=None):

@@ -29,7 +29,7 @@ integral, using the phase derivative phi of the discrete analytic
 signal.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -38,7 +38,7 @@ from .config import DEFAULT_TOL
 from .core_afd import _check_boundary
 from .errors import InputError, NonRealInput, NonUniformGrid, TailEnergy, ZeroSignal
 from .hardy_atoms import tm_sweep
-from .signal_core import circle_grid
+from .signal_core import _check_finite, circle_grid
 
 __all__ = [
     "TFDAtom",
@@ -87,7 +87,6 @@ class UncertaintyReport:
     mean_w: float
     extra_bound: float
     cohen_bound: float
-    meta: dict = field(default_factory=dict)
 
     @property
     def product(self):
@@ -171,6 +170,7 @@ def uncertainty_report(s, t) -> UncertaintyReport:
 
     Raises
     ------
+    NonFiniteEnergy  if a sample is nan or infinite;
     NonRealInput  if s has imaginary content above DEFAULT_TOL.realness
                   of its peak;
     TailEnergy    if the outer sixteenth of the grid on either end
@@ -182,6 +182,7 @@ def uncertainty_report(s, t) -> UncertaintyReport:
     t = np.asarray(t, dtype=float)
     if s.shape != t.shape or s.ndim != 1:
         raise InputError("signal and grid must be 1-d arrays of equal length")
+    _check_finite(s, "uncertainty_report")
     if np.max(np.abs(np.imag(s))) > DEFAULT_TOL.realness * max(np.max(np.abs(s)), 1e-300):
         raise NonRealInput("uncertainty bounds are stated for real signals")
     s = np.real(s).astype(float)
@@ -232,5 +233,4 @@ def uncertainty_report(s, t) -> UncertaintyReport:
         mean_w=mean_w,
         extra_bound=extra,
         cohen_bound=cohen,
-        meta={"energy": energy, "tail": tail, "n": n},
     )

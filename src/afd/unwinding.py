@@ -203,7 +203,7 @@ def uwa_decompose(f: HardyFunction, max_terms) -> Decomposition:
         c = complex(psi.coefficients[0])
         rest = psi.coefficients.copy()
         rest[0] -= c
-        return None, c, HardyFunction(rest, f.r_max)
+        return None, c, HardyFunction(rest)
 
     return _unwind(f, max_terms, 0.0, "uwa", extract)
 
@@ -229,6 +229,6 @@ def uwafd_decompose(
     )
 
 
-def unwinding_reconstruct(u: Decomposition, n=None) -> CircularSignal:
-    """reconstruct(u, n), n defaulting to the meta["n"] grid of the inner factors."""
-    return reconstruct(u, u.meta["n"] if n is None else n)
+def unwinding_reconstruct(u: Decomposition) -> CircularSignal:
+    """reconstruct(u, n) on the meta["n"] grid of the inner factors, the only n it takes."""
+    return reconstruct(u, u.meta["n"])

@@ -32,7 +32,10 @@ own Mobius prefix, kept as the reference for the one TM sweep that
 sift with the kernel and Mobius formulas written out on a freshly built
 circle, the stacked derivative rows by `vstack` and the Newton point
 model through `series_values`, before the sift read a cached circle
-and the model its own power column, kept as their bit-level reference.
+and the model its own power column, kept as their bit-level reference;
+`sift_chain_objective` is the n-Blaschke objective by its own loop of
+sift calls in tuple order, kept as the bit-level reference for the one
+sift chain of `n_blaschke_objective` and the cyclic moves.
 """
 
 import copy
@@ -233,6 +236,14 @@ def schema1_record(record, decomposition):
     return old
 
 
+def sift_chain_objective(f, params):
+    """Energy of f sifted through params in tuple order, clamped at 0."""
+    g = f
+    for a in params:
+        g = sift(g, a)
+    return max(float(g.energy()), 0.0)
+
+
 def cyclic_reference(f, n, init=None, max_cycles=200, delta_tol=1e-10, search=DEFAULT_SEARCH):
     """Reference cyclic run, every move re-scored by the full sift chain.
 
@@ -384,7 +395,7 @@ def gram_schmidt_reference(space, params):
     params = tuple(complex(a) for a in params)
     vectors = np.zeros((len(params), space.order + 1), dtype=complex)
     for i, (a, l) in enumerate(zip(params, multiplicities(params))):
-        u = kernel(space, a, int(l)).sequence.astype(complex)
+        u = kernel(space, a, int(l)).astype(complex)
         for _ in range(2):
             for v in vectors[:i]:
                 u -= space.inner(u, v) * v

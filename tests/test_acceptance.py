@@ -334,7 +334,7 @@ def test_criterion_08_poafd_guarantees():
     for _ in range(10):
         g = np.pad(random_hardy(rng, m=40).coefficients, (0, 23))
         a = complex(rng.uniform(0, 0.9) * np.exp(2j * np.pi * rng.uniform()))
-        lhs = space.inner(g, kernel(space, a, 1).sequence)
+        lhs = space.inner(g, kernel(space, a, 1))
         rhs = np.polyval(g[::-1], a)
         repro_worst = max(repro_worst, abs(lhs - rhs))
     ok = ratio_ok and coeff_err < 1e-6 and repro_worst < 1e-8

@@ -650,11 +650,21 @@ def test_decompose_refuses_an_energy_beyond_the_double_range(tmp_path, algo, cap
     assert not out.exists()
 
 
+# afd info, byte for byte; its defaults line is read from the decompose parser
+INFO_TEXT = """afd 0.1.0
+algorithms: core, uwa, uwafd, cyclic, poafd   spaces: hardy, bergman
+input: CSV `t,value` or `t,re,im`, t = 2*pi*j/N, N a power of two >= 8
+       (check --mode uncertainty: any uniform real-line `t,value`)
+results: JSON, schema 2, complex numbers as {re, im}, unwinding inner
+         samples as base64 little-endian complex128; schema 1 still read
+defaults: --terms 10, --tol 1e-06, --grid 64x32, --n 2, --space hardy
+exit codes: 0 ok, 2 input error, 3 check failed, 4 numerical degeneracy
+"""
+
+
 def test_info_runs(capsys):
     assert main(["info"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "exit codes" in out
-    assert "schema 2" in out or "schema: 2" in out
+    assert capsys.readouterr().out == INFO_TEXT
 
 
 @pytest.mark.parametrize("command", ["decompose", "tfd", "check", "info"])

@@ -16,9 +16,16 @@ from afd import (
     n_blaschke_objective,
 )
 from afd.config import SearchConfig
-from afd.errors import InputError, ZeroSignal
+from afd.errors import InputError, ParamOutOfDisc, ZeroSignal
 
-from conftest import cyclic_reference, kernel_sum, planted_tm, random_params, residual_at
+from conftest import (
+    cyclic_reference,
+    kernel_sum,
+    planted_tm,
+    random_params,
+    residual_at,
+    sift_chain_objective,
+)
 
 PLANTED = (0.5, -0.3 + 0.2j)
 PLANTED_C = (1.0, 0.8 - 0.3j)
@@ -52,6 +59,16 @@ def test_objective_closed_form_single_param():
     for a in (0.0, 0.3, 0.5 + 0.4j):
         expect = 1.0 - (1.0 - abs(a) ** 2) * abs(a) ** 2
         assert n_blaschke_objective(f, (a,)) == pytest.approx(expect, abs=1e-14)
+
+
+def test_objective_is_the_sift_chain_bit_for_bit():
+    rng = np.random.default_rng(62)
+    f, _, _ = kernel_sum(rng, terms=3, r=0.8)
+    a, b, c = random_params(rng, 3, r=0.85)
+    for params in ((), (a,), (a, b, c), (a, b, a), (b, b, c)):
+        assert n_blaschke_objective(f, params) == sift_chain_objective(f, params)
+    with pytest.raises(ParamOutOfDisc):
+        n_blaschke_objective(f, (a, 1.0, b))
 
 
 def test_objective_permutation_invariance():

@@ -63,7 +63,7 @@ def test_reproducing_property():
     for space in _spaces():
         for a in (0.0, 0.35, -0.2 + 0.5j):
             k = kernel(space, a, 1)
-            lhs = space.inner(f, k.sequence)
+            lhs = space.inner(f, k)
             rhs = np.polyval(f[::-1], a)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
@@ -72,10 +72,10 @@ def test_kernel_norms_closed_form():
     hardy, bergman = _spaces()
     for a in (0.0, 0.4, 0.6j):
         r2 = abs(a) ** 2
-        assert hardy.norm(kernel(hardy, a, 1).sequence) ** 2 == pytest.approx(
+        assert hardy.norm(kernel(hardy, a, 1)) ** 2 == pytest.approx(
             1.0 / (1.0 - r2), rel=1e-10
         )
-        assert bergman.norm(kernel(bergman, a, 1).sequence) ** 2 == pytest.approx(
+        assert bergman.norm(kernel(bergman, a, 1)) ** 2 == pytest.approx(
             1.0 / (1.0 - r2) ** 2, rel=1e-10
         )
 
@@ -95,14 +95,14 @@ def test_derivative_kernel_reproduces_derivatives():
     for space in _spaces():
         for a in (0.3, -0.1 + 0.4j):
             k2 = kernel(space, a, 2)
-            assert space.inner(f, k2.sequence) == pytest.approx(
+            assert space.inner(f, k2) == pytest.approx(
                 np.polyval(fh.derivative().coefficients[::-1], a), abs=1e-8
             )
     # hand value: d/dz z^2 at 0.3
     hardy, _ = _spaces()
     zsq = np.zeros(64, dtype=complex)
     zsq[2] = 1.0
-    assert hardy.inner(zsq, kernel(hardy, 0.3, 2).sequence) == pytest.approx(0.6)
+    assert hardy.inner(zsq, kernel(hardy, 0.3, 2)) == pytest.approx(0.6)
 
 
 def test_gram_schmidt_matches_tm_system_in_hardy_space():
@@ -152,7 +152,7 @@ def test_gram_schmidt_degenerate_pair():
 def test_select_finds_kernel_parameter():
     for space in _spaces():
         b = 0.4 - 0.2j
-        f = kernel(space, b, 1).sequence
+        f = kernel(space, b, 1)
         system = gram_schmidt(space, ())
         a = poafd_select(space, f, system)
         assert abs(a - b) < 1e-5
@@ -212,7 +212,7 @@ def test_selection_objective_is_normalized_extension_coefficient():
         pts = np.array(random_params(rng, 6, r=0.8))
         got = selection_objective(space, pts, series_values(rows, pts))
         want = [
-            abs(space.inner(rows[0], _extend(space, system.vectors, kernel(space, a).sequence)[0])) ** 2
+            abs(space.inner(rows[0], _extend(space, system.vectors, kernel(space, a))[0])) ** 2
             for a in pts
         ]
         np.testing.assert_allclose(got, want, rtol=1e-9)

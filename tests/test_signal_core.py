@@ -12,13 +12,15 @@ from afd import (
     circle_grid,
     hardy_check,
     hilbert_transform,
+    monocomp_check,
     phase_amplitude,
     phase_derivative,
     synthesize,
     to_hardy,
+    uncertainty_report,
 )
-from afd.errors import InputError, NearZeroModulus, NonRealInput
-from afd.signal_core import series_values
+from afd.errors import InputError, NearZeroModulus, NonFiniteEnergy, NonRealInput
+from afd.signal_core import INTERIOR_RADIUS, series_values
 
 from conftest import band_limited_real, horner, random_hardy, series_bound
 
@@ -112,6 +114,25 @@ def test_analytic_signal_rejects_complex():
         analytic_signal(s)
 
 
+# the entry points that take samples from outside, each called on (x, t)
+SAMPLE_ENTRIES = {
+    "analytic_signal": lambda x, t: analytic_signal(CircularSignal(x)),
+    "monocomp_check": lambda x, t: monocomp_check(CircularSignal(x)),
+    "uncertainty_report": uncertainty_report,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SAMPLE_ENTRIES))
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_samples_are_refused_by_name(entry, kind, bad):
+    t = circle_grid(64)
+    x = np.cos(3 * t) if kind == "real" else np.exp(3j * t)
+    x[17] = bad
+    with pytest.raises(NonFiniteEnergy, match=f"{entry} expects finite samples"):
+        SAMPLE_ENTRIES[entry](x, t)
+
+
 @pytest.mark.parametrize("scale", [1e-20, 1e150])
 def test_realness_is_relative_to_the_peak(scale):
     # an imaginary part 1e6 times the real one is not dropped at any scale
@@ -165,8 +186,9 @@ def test_power_form_matches_horner_reference(m):
     rng = np.random.default_rng(500 + m)
     f = random_hardy(rng, m=m)
     c = f.coefficients
-    z = f.r_max * np.sqrt(rng.uniform(size=(5, 7))) * np.exp(2j * np.pi * rng.uniform(size=(5, 7)))
-    z[0, 0] = f.r_max
+    radii = INTERIOR_RADIUS * np.sqrt(rng.uniform(size=(5, 7)))
+    z = radii * np.exp(2j * np.pi * rng.uniform(size=(5, 7)))
+    z[0, 0] = INTERIOR_RADIUS
     for probe in (z, z[0], np.asarray(z[0, 0]), complex(z[1, 1])):
         got = f(probe)
         assert np.shape(got) == np.shape(probe)
