@@ -23,7 +23,8 @@ class Tolerances:
     hardy : float
         Default relative threshold for the Hardy-space boundary test.
     near_zero : float
-        Modulus floor below which a phase is considered undefined.
+        Modulus floor, relative to the peak modulus on the same circle,
+        below which a phase is considered undefined.
     param_boundary : float
         Pole parameters must satisfy abs(a) <= 1 - param_boundary.
     energy_total : float

@@ -11,8 +11,10 @@ it contains ordinary Fourier series as the special case.
 Boundary evaluation always uses the closed-form product; quadrature
 never enters these formulas.  tm_sweep holds them, together with the
 Poisson form of the boundary phase derivative, and every consumer of
-the system (synthesis, the coefficient cross-check, POAFD's reference
-rows, the time-frequency lines) reads B_k from it.
+the system (synthesis, the coefficient cross-check, the
+time-frequency lines) reads B_k from it.  POAFD needs no boundary
+samples: its Hardy rows take the TM phase from the Blaschke product of
+the earlier parameters at the new one (poafd._grow).
 """
 
 from dataclasses import dataclass
@@ -96,7 +98,7 @@ def mobius(a, z):
     return val if val.ndim else complex(val)
 
 
-def tm_sweep(params, z, prefix=None, phase=False):
+def tm_sweep(params, z, phase=False):
     """Walk the TM system of params at the points z, one parameter a step.
 
     Step k yields B_k(z) = e_{a_k}(z) * prefix and then carries the
@@ -112,15 +114,12 @@ def tm_sweep(params, z, prefix=None, phase=False):
     the Szego factor contributing (P_a - 1)/2 and each Mobius factor
     P_a; each P_a is positive with mean 1, and exactly 1 at a = 0.
 
-    prefix, when given, holds the Blaschke product of earlier
-    parameters at z and is advanced in place; theta' then counts only
-    the params of this sweep.  The yielded B_k is a work array that the
-    next step overwrites, so the sweep holds only the prefix and two
-    arrays of z's shape: copy B_k to keep it.
+    The yielded B_k is a work array that the next step overwrites, so
+    the sweep holds only the prefix and two arrays of z's shape: copy
+    B_k to keep it.
     """
     z = np.asarray(z, dtype=complex)
-    if prefix is None:
-        prefix = np.ones(z.shape, dtype=complex)
+    prefix = np.ones(z.shape, dtype=complex)
     b = np.empty(z.shape, dtype=complex)
     m = np.empty(z.shape, dtype=complex)
     poisson_sum = 0.0

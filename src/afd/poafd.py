@@ -13,10 +13,13 @@ kernel collapses to a point evaluation.  No quadrature anywhere.
 Parameter multiplicity is handled with derivative kernels: the m-th
 repeat of a contributes (d/d conj(a))^(m-1) k_a, whose pairing with f
 reproduces f^(m-1)(a).  Gram-Schmidt over these spans the same space
-a TM chain would, and in the Hardy instance the result is locked,
-phase and all, to the classical TM system so that coefficients agree
-with the one-by-one greedy machinery.  The system grows one row per
-parameter: a new row never changes the earlier ones.
+a TM chain would.  In the Hardy instance each row is also turned onto
+the phase of its TM function B_n: a new row's pairing with B_n is a
+positive multiple of the Blaschke product of the earlier parameters
+at a, so the turn is the unit phase of that product, in closed form,
+and coefficients agree with the one-by-one greedy machinery.  The
+system grows one row per parameter: a new row never changes the
+earlier ones.
 
 The maximal selection exploits that the normalized extension objective
 
@@ -38,13 +41,12 @@ from .errors import DegenerateGram, InputError, ZeroResidual
 from .core_afd import (
     Component,
     Decomposition,
-    _ScanPlan,
     _greedy,
     _grid_values,
     _hardy_norm2,
     _select,
 )
-from .hardy_atoms import _multiplicity, tm_sweep, validate_param
+from .hardy_atoms import _multiplicity, validate_param
 from .signal_core import HardyFunction
 
 __all__ = [
@@ -70,17 +72,12 @@ class KernelSpace:
 
     base[k] is the kernel coefficient profile (k_a coefficients are
     base[k] * conj(a)^k); the weights, derived as 1/base[k], make the
-    reproducing identity <f, k_a> = f(a) hold.  reference, when set,
-    pins the Gram-Schmidt phases to a conventional orthonormal system,
-    one row at a time: reference(state, a, order) returns that system's
-    row for a, appended to the parameters that state was carried
-    through (None: none yet), and the state carried through a.
+    reproducing identity <f, k_a> = f(a) hold.
     """
 
     name: str
     base: np.ndarray
     norm2_rule: object  # s = |a|^2 -> (||k_a||^2, d/ds, d2/ds2), closed form
-    reference: object = None
     weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -101,8 +98,6 @@ class KernelSpace:
 class OrthoSystem:
     """Orthonormal rows spanning the kernels of a parameter tuple.
 
-    reference_state is what the space's reference rule carried through
-    params (Hardy: the Blaschke prefix on the boundary); None without one.
     grid_sums maps each search grid the rows were scanned on, keyed by
     (n_angles, n_radii, r_max), to (rows covered, sum_j |B_j|^2 over
     them on that grid): one real value per grid point.  An entry is
@@ -112,7 +107,6 @@ class OrthoSystem:
 
     params: tuple
     vectors: np.ndarray  # (n, M+1)
-    reference_state: object = None
     grid_sums: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self):
@@ -146,7 +140,6 @@ def hardy_space(m=511) -> KernelSpace:
         name="hardy",
         base=np.ones(m + 1),
         norm2_rule=_hardy_norm2,
-        reference=_hardy_reference,
     )
 
 
@@ -164,21 +157,6 @@ def _bergman_norm2(s):
     """||k_a||^2 = 1/(1 - s)^2 of the Bergman kernel, s = |a|^2, with d/ds and d2/ds2."""
     u = 1.0 / (1.0 - s)
     return u * u, 2.0 * u**3, 6.0 * u**4
-
-
-def _hardy_reference(prefix, a, m):
-    """TM row of a after the Blaschke prefix, and the prefix times mobius(a).
-
-    prefix holds boundary samples of the Blaschke product of the earlier
-    parameters (None: there are none); one tm_sweep step advances a copy
-    of it, so a system grown from another leaves the other's prefix as
-    it was.  The row is projected to coefficients; its tail beyond order
-    m is |a|^m and irrelevant at the phase-alignment accuracy.
-    """
-    n = 1 << max(4, int(np.ceil(np.log2(2 * (m + 1)))))
-    prefix = np.ones(n, dtype=complex) if prefix is None else prefix.copy()
-    row = next(tm_sweep((a,), _ScanPlan.circle(n), prefix))
-    return (np.fft.fft(row) / n)[: m + 1], prefix
 
 
 def kernel(space: KernelSpace, a, l=1) -> np.ndarray:
@@ -233,25 +211,27 @@ def _grow(space, system, a):
     """system with one orthonormal row appended for the parameter a.
 
     The row is the multiplicity-aware kernel at a, orthogonalized
-    against the existing rows and normalized; with a reference rule on
-    file (Hardy) it is rotated by a unimodular factor onto the reference
-    row, which the rule builds from the state carried in system.
-    Earlier rows are left as they are, and the grid sums of system are
-    carried over to cover them.  a must already be validated.
+    against the existing rows and normalized.  In the Hardy space it is
+    then turned onto the TM function B_n of the parameters: with a of
+    multiplicity l, <B_n, row> = B_n^(l-1)(a) / ||u|| (u the row before
+    normalizing), a positive multiple of prod (a - b)/(1 - conj(b) a)
+    over the earlier parameters b not coincident with a, so the turn is
+    that product's unit phase, formed from unit factors so it cannot
+    underflow.  Earlier rows are left as they are, and the grid sums of
+    system are carried over to cover them.  a must already be validated.
     """
     raw = kernel(space, a, _multiplicity(system.params, a))
     v, _ = _extend(space, system.vectors, raw)
-    state = system.reference_state
-    if space.reference is not None:
-        ref, state = space.reference(state, a, space.order)
-        rho = space.inner(ref, v)
-        mag = abs(rho)
-        if mag > 1e-12:
-            v *= rho / mag
+    if space.norm2_rule is _hardy_norm2:
+        turn = 1.0
+        for b in system.params:
+            if abs(b - a) > DEFAULT_TOL.coincidence:
+                w = (a - b) / (1.0 - b.conjugate() * a)
+                turn *= w / abs(w)
+        v *= turn
     return OrthoSystem(
         params=system.params + (a,),
         vectors=np.vstack([system.vectors, v]),
-        reference_state=state,
         grid_sums=dict(system.grid_sums),
     )
 
@@ -262,10 +242,10 @@ def gram_schmidt(space: KernelSpace, params) -> OrthoSystem:
     Repeated parameters contribute derivative kernels of increasing
     order.  The system is grown one parameter at a time, each row
     orthogonalized against the rows before it, so gram_schmidt(params)
-    extended by a equals gram_schmidt(params + (a,)).  With a
-    conventional reference system on file (Hardy), each row is rotated
-    by a unimodular factor to match it; otherwise the usual
-    positive-inner-product normalization is kept.
+    extended by a equals gram_schmidt(params + (a,)).  In the Hardy
+    space each row is turned onto the phase of its TM function (see
+    _grow); otherwise the row keeps the positive pairing with its
+    kernel that normalization gives.
     """
     params = tuple(validate_param(a) for a in params)
     system = OrthoSystem(params=(), vectors=np.zeros((0, space.order + 1), dtype=complex))

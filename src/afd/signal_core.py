@@ -364,10 +364,11 @@ def hardy_check(s: CircularSignal) -> bool:
     The mean is removed because sgn(0) = 0 makes H blind to constants:
     boundary values of a Hardy function satisfy Hs = -is only modulo
     the mean.
-    A numerically zero signal passes vacuously.
+    The test is relative, so it reads alike at every scale; only the
+    zero signal passes vacuously.
     """
     nrm = s.norm()
-    if nrm < DEFAULT_TOL.near_zero:
+    if nrm == 0.0:
         return True
     h = hilbert_transform(s).samples
     target = -1j * (s.samples - s.mean())
@@ -384,14 +385,15 @@ def phase_amplitude(f: HardyFunction, r, n=None):
     Raises
     ------
     NearZeroModulus
-        If min |f| <= 1e-12 on the circle (phase undefined).
+        If min |f| <= DEFAULT_TOL.near_zero times max |f| on the circle
+        (phase undefined), so the floor follows the scale of f.
     PhaseUnresolved
         If the phase moves by >= pi between adjacent samples, so the
         unwrapping is not trustworthy.
     """
     values = f.circle(r, n)
     rho = np.abs(values)
-    if rho.min() <= DEFAULT_TOL.near_zero:
+    if rho.min() <= DEFAULT_TOL.near_zero * rho.max():
         raise NearZeroModulus(f"f vanishes on the circle r={r}")
     theta = np.unwrap(np.angle(values))
     if np.max(np.abs(np.diff(theta))) >= np.pi * (1 - 1e-9):
@@ -403,10 +405,13 @@ def phase_derivative(f: HardyFunction, r, n=None):
     """Instantaneous frequency Re{ r e^{it} f'(r e^{it}) / f(r e^{it}) }.
 
     Uses the coefficientwise derivative series; no phase unwrapping is
-    involved.  Requires f nonvanishing on the circle of radius r.
+    involved.  Requires f nonvanishing on the circle of radius r:
+    NearZeroModulus if min |f| there is at most DEFAULT_TOL.near_zero
+    times max |f|.
     """
     values = f.circle(r, n)
-    if np.min(np.abs(values)) <= DEFAULT_TOL.near_zero:
+    mod = np.abs(values)
+    if mod.min() <= DEFAULT_TOL.near_zero * mod.max():
         raise NearZeroModulus(f"f vanishes on the circle r={r}")
     dvalues = f.derivative().circle(r, n)
     if n is None:
@@ -423,7 +428,8 @@ def bedrosian_check(rho, theta):
     comparing: it is the imaginary part of the analytic mean, which
     the mean-blind discrete H cannot reproduce.  A residual at
     rounding level certifies that rho * e^{i theta} extends to a Hardy
-    function, the working form of the Bedrosian condition.
+    function, the working form of the Bedrosian condition.  The
+    residual is relative, so only rho = 0 is refused (InputError).
     """
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -435,6 +441,6 @@ def bedrosian_check(rho, theta):
     target = target - np.mean(target)
     resid = np.sqrt(np.mean(np.abs(h - target) ** 2))
     rho_norm = np.sqrt(np.mean(rho**2))
-    if rho_norm < DEFAULT_TOL.near_zero:
-        raise InputError("rho is numerically zero")
+    if rho_norm == 0.0:
+        raise InputError("rho is zero")
     return float(resid / rho_norm)

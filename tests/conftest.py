@@ -390,7 +390,9 @@ def gram_schmidt_reference(space, params):
     before it by sequential (modified) Gram-Schmidt, one space.inner per
     row, with one reorthogonalization pass, then normalized.  In the
     Hardy space every row is afterwards rotated onto the TM system of
-    the whole tuple, swept again by tm_system_boundary.
+    the whole tuple, swept again by tm_system_boundary on at least 4096
+    and 4(m+1) points, so the aliased tail of a TM row stays below
+    rounding at the 0.95 radius cap.
     """
     params = tuple(complex(a) for a in params)
     vectors = np.zeros((len(params), space.order + 1), dtype=complex)
@@ -402,7 +404,7 @@ def gram_schmidt_reference(space, params):
         vectors[i] = u / space.norm(u)
     if space.name == "hardy" and params:
         m = space.order
-        n = 1 << max(4, int(np.ceil(np.log2(2 * (m + 1)))))
+        n = max(4096, 4 * (m + 1))
         ref = (np.fft.fft(tm_system_boundary(params, n), axis=1) / n)[:, : m + 1]
         for i in range(len(params)):
             rho = space.inner(ref[i], vectors[i])

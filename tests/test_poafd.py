@@ -115,6 +115,26 @@ def test_gram_schmidt_matches_tm_system_in_hardy_space():
     np.testing.assert_allclose(system.vectors, ref, atol=1e-8)
 
 
+@pytest.mark.parametrize("m", [63, 127, 511])
+def test_hardy_rows_sit_on_tm_phase(m):
+    # <P_m B_k, v_k> is real and positive; B_k is sampled on enough
+    # points that its aliased tail, |a|^(2m) on 2(m+1) points, stays
+    # below rounding at the 0.95 cap
+    rng = np.random.default_rng(83)
+    space = hardy_space(m)
+    n = max(4096, 4 * (m + 1))
+    for length in range(1, 7):
+        a = rng.uniform(0.8, SELECTION_CAP, length) * np.exp(2j * np.pi * rng.uniform(size=length))
+        params = [complex(v) for v in a]
+        if length > 2:
+            params[-1] = params[0]  # repeats: derivative rows
+            params[-2] = params[0]
+        vectors = gram_schmidt(space, params).vectors
+        rows = (np.fft.fft(tm_system_boundary(params, n), axis=1) / n)[:, : m + 1]
+        for row, v in zip(rows, vectors):
+            assert abs(np.angle(space.inner(row, v))) <= 1e-13
+
+
 def test_gram_schmidt_orthonormal_with_repeats():
     # the clustered triple needs the second Gram-Schmidt pass: one pass
     # leaves a defect of 6e-8 in the Hardy space
@@ -125,7 +145,7 @@ def test_gram_schmidt_orthonormal_with_repeats():
 
 
 def test_grown_system_matches_rebuilt_reference():
-    # one row per step, classical passes and a carried Blaschke prefix
+    # one row per step, classical passes and a closed-form TM phase
     # against the rebuild: sequential MGS, then phase alignment at the end
     rng = np.random.default_rng(80)
     cases = [(0.5, 0.5, -0.2j), (0.3, 0.3, 0.3)]
@@ -136,7 +156,7 @@ def test_grown_system_matches_rebuilt_reference():
             want = gram_schmidt_reference(space, params)
             assert got.params == want.params
             np.testing.assert_allclose(got.vectors, want.vectors, rtol=0, atol=1e-12)
-            # growing leaves the carried prefix of the system it grew from as it was
+            # growing leaves the system it grew from as it was
             base = gram_schmidt(space, params[:-1])
             _grow(space, base, params[-1])
             np.testing.assert_array_equal(_grow(space, base, params[-1]).vectors, got.vectors)

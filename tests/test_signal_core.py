@@ -238,6 +238,23 @@ def test_phase_amplitude_near_zero_raises():
         phase_amplitude(f, 0.9, 256)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-13, 1e-100, 1e100])
+def test_near_zero_screens_follow_the_signal_scale(scale):
+    # each screen gives its scale-1 verdict at every scale, including
+    # 1e-13 and 1e-100, which lie below near_zero = 1e-12 in absolute terms
+    n = 64
+    t = circle_grid(n)
+    r = 1.0 - 2.0**-12
+    assert not hardy_check(CircularSignal(scale * np.cos(3 * t)))
+    assert monocomp_check(CircularSignal(scale * np.cos(6 * t))).passed
+    am = (1.0 + 0.5 * np.cos(t)) * np.cos(6 * t)
+    rho, theta = phase_amplitude(analytic_signal(CircularSignal(scale * am)), r)
+    rho1, theta1 = phase_amplitude(analytic_signal(CircularSignal(am)), r)
+    np.testing.assert_allclose(rho / scale, rho1, rtol=1e-12)
+    np.testing.assert_allclose(theta, theta1, rtol=0, atol=1e-12)
+    assert bedrosian_check(scale * np.ones(n), 6 * t) < 1e-12
+
+
 def test_phase_derivative_of_monomials():
     f = HardyFunction(np.array([0.0, 0.0, 0.0, 1.0], dtype=complex))
     np.testing.assert_allclose(phase_derivative(f, 0.5, 64), 3.0, atol=1e-10)
