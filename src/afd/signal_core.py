@@ -1,7 +1,8 @@
 """Sampled signals on the unit circle and their basic transforms.
 
 A signal lives on the uniform grid t_j = 2*pi*j/N.  Discrete Fourier
-analysis uses the 1/N convention, so the coefficient array of a signal
+analysis uses the 1/N convention (numpy's norm="forward"; the scaling
+is exact on power-of-two grids), so the coefficient array of a signal
 matches the integral coefficients c_k = (1/2pi) int s(t) e^{-ikt} dt
 and the squared circle norm is the plain mean of |s|^2.
 
@@ -237,9 +238,7 @@ class HardyFunction:
         _check_pow2(n)
         if n < m1:
             raise InputError(f"grid {n} cannot carry {m1} coefficients")
-        padded = np.zeros(n, dtype=complex)
-        padded[:m1] = self.coefficients
-        return CircularSignal(np.fft.ifft(padded) * n)
+        return CircularSignal(np.fft.ifft(self.coefficients, n, norm="forward"))
 
     def circle(self, r, n=None):
         """Samples of f(r e^{it}) on an n-point grid, r <= INTERIOR_RADIUS."""
@@ -291,14 +290,14 @@ def analyze(s: CircularSignal) -> Spectrum:
 
     Returned in increasing-k order, k = -N/2 .. N/2-1.
     """
-    c = np.fft.fft(s.samples) / s.n
+    c = np.fft.fft(s.samples, norm="forward")
     return Spectrum(np.fft.fftshift(c))
 
 
 def synthesize(spec: Spectrum) -> CircularSignal:
     """Inverse of analyze: s_j = sum_k c_k e^{ik t_j}."""
     c = np.fft.ifftshift(spec.coefficients)
-    return CircularSignal(np.fft.ifft(c) * spec.n)
+    return CircularSignal(np.fft.ifft(c, norm="forward"))
 
 
 def hilbert_transform(s: CircularSignal) -> CircularSignal:
@@ -312,6 +311,20 @@ def hilbert_transform(s: CircularSignal) -> CircularSignal:
     k = np.fft.fftfreq(s.n, d=1.0 / s.n)
     c *= -1j * np.sign(k)
     return CircularSignal(np.fft.ifft(c))
+
+
+def _conjugate_real(u):
+    """Real part of hilbert_transform for real samples u, by real FFT.
+
+    The multiplier -i*sgn(k) on the half spectrum, with the mean and
+    Nyquist bins dropped: the Nyquist bin of a real signal maps to an
+    imaginary line, which the real part discards.
+    """
+    c = np.fft.rfft(u)
+    c[0] = 0.0
+    c[-1] = 0.0
+    c[1:-1] *= -1j
+    return np.fft.irfft(c, u.size)
 
 
 def analytic_signal(s: CircularSignal) -> HardyFunction:
@@ -334,7 +347,7 @@ def analytic_signal(s: CircularSignal) -> HardyFunction:
     _check_finite(s.samples, "analytic_signal")
     if not s.is_real():
         raise NonRealInput("analytic_signal expects a real-valued signal")
-    c = np.fft.fft(s.samples.real) / s.n
+    c = np.fft.fft(s.samples.real, norm="forward")
     coeffs = c[: s.n // 2].copy()
     return HardyFunction(coeffs)
 
@@ -347,7 +360,7 @@ def to_hardy(s: CircularSignal, m=None):
     function the leak is rounding noise; a sizable leak means the
     samples were not Hardy to begin with.
     """
-    c = np.fft.fft(s.samples) / s.n
+    c = np.fft.fft(s.samples, norm="forward")
     half = s.n // 2
     pos = c[:half]
     neg = c[half:]

@@ -32,12 +32,7 @@ import numpy as np
 from .config import DEFAULT_SEARCH, DEFAULT_TOL
 from .errors import DegenerateModulus
 from .core_afd import Component, Decomposition, _afd_step, _greedy, reconstruct
-from .signal_core import (
-    CircularSignal,
-    HardyFunction,
-    hilbert_transform,
-    to_hardy,
-)
+from .signal_core import CircularSignal, HardyFunction, _conjugate_real
 
 __all__ = [
     "Factorization",
@@ -94,13 +89,16 @@ def outer_factor(f_boundary: CircularSignal) -> HardyFunction:
         raise DegenerateModulus("signal is numerically zero")
     floor = DEFAULT_TOL.log_clamp * peak
     clamped = np.maximum(mod, floor)
-    if np.mean(mod < floor) > 0.01:
+    if np.count_nonzero(mod < floor) > 0.01 * mod.size:
         raise DegenerateModulus("modulus below floor on more than 1% of samples")
-    u = np.log(clamped)
-    hu = hilbert_transform(CircularSignal(u)).samples.real
-    boundary = np.exp(u + 1j * hu)
-    out, _leak = to_hardy(CircularSignal(boundary))
-    return out
+    # on the circle O = exp(u + iHu) = |f| e^{iHu}: the clamped modulus
+    # times cos and sin of Hu, so the log is never exponentiated back
+    hu = _conjugate_real(np.log(clamped))
+    boundary = np.empty(mod.size, dtype=complex)
+    np.multiply(clamped, np.cos(hu), out=boundary.real)
+    np.multiply(clamped, np.sin(hu), out=boundary.imag)
+    # O has no negative frequencies; their bins are alias noise
+    return HardyFunction(np.fft.fft(boundary, norm="forward")[: mod.size // 2])
 
 
 def inner_factor(f_boundary: CircularSignal, outer: HardyFunction) -> CircularSignal:
@@ -154,9 +152,10 @@ def _unwind(f: HardyFunction, max_terms, energy_tol, kind, extract) -> Decomposi
     Each step factors f_k = I_k O_k and hands extract the outer factor
     truncated to f's order; extract selects its own parameter and
     returns (a, c, f_{k+1}).  The term is recorded as a Component of
-    the given kind whose inner holds the samples of I_1...I_k.  Besides the shared stopping rule, the recursion ends,
-    naming the reason in meta["stopped"], when a remainder cannot be
-    factored or extract refuses it.
+    the given kind whose inner holds the samples of I_1...I_k.
+    Besides the shared stopping rule, the recursion ends, naming the
+    reason in meta["stopped"], when a remainder cannot be factored or
+    extract refuses it.
     """
     # log|f| is not band limited even for polynomial f, so the whole
     # recursion runs on a padded grid; sampling f there is exact.
@@ -171,9 +170,10 @@ def _unwind(f: HardyFunction, max_terms, energy_tol, kind, extract) -> Decomposi
         fac = factorize(boundary)
         # the outer factor of an order-M polynomial free of boundary
         # zeros is again order M; truncation only sheds alias noise
-        a, c, f_next = extract(fac.outer.truncated(f.order))
+        outer = fac.outer.truncated(f.order)
+        a, c, f_next = extract(outer)
         meta["factor_consistency"].append(fac.consistency(boundary))
-        meta["front_loading"].append(front_loading_defect(f_k, fac.outer))
+        meta["front_loading"].append(front_loading_defect(f_k, outer))
         # a new array each step, so no stored inner is written again
         cumulative = cumulative * fac.inner.samples
         f_k = f_next

@@ -35,7 +35,14 @@ model through `series_values`, before the sift read a cached circle
 and the model its own power column, kept as their bit-level reference;
 `sift_chain_objective` is the n-Blaschke objective by its own loop of
 sift calls in tuple order, kept as the bit-level reference for the one
-sift chain of `n_blaschke_objective` and the cyclic moves.
+sift chain of `n_blaschke_objective` and the cyclic moves;
+`outer_factor_reference` is the outer factor by the complex Hilbert
+transform, `exp(u + iHu)` and `to_hardy`, kept as the reference for the
+real-FFT conjugate function and `|f| e^{iHu}` (compared by
+`check_outer_factor_against_reference`); `boundary_reference`,
+`to_hardy_reference`, `analytic_signal_reference`, `analyze_reference`
+and `synthesize_reference` are the transforms with an explicit zero pad,
+`/ n` and `* n`, kept as the bit-level reference for `norm="forward"`.
 """
 
 import copy
@@ -53,11 +60,14 @@ from afd import (
     circle_grid,
     coefficient,
     core_afd_decompose,
+    hilbert_transform,
+    inner_factor,
     kernel,
     maximal_selection,
     mobius,
     multiplicities,
     n_blaschke_objective,
+    outer_factor,
     poafd_select,
     sift,
     szego_kernel,
@@ -381,6 +391,55 @@ def unwinding_tfd_reference(u):
             prefix = prefix * (z - a) / (1.0 - np.conj(a) * z)
         out.append(ComponentTFD(index=k, a=comp.a, c=comp.c, t=t, omega=omega, weight=weight))
     return out
+
+
+def outer_factor_reference(f_boundary):
+    """Outer factor by the complex Hilbert transform, exp(u + iHu) and to_hardy."""
+    mod = np.abs(f_boundary.samples)
+    u = np.log(np.maximum(mod, DEFAULT_TOL.log_clamp * mod.max()))
+    hu = hilbert_transform(CircularSignal(u)).samples.real
+    out, _leak = to_hardy(CircularSignal(np.exp(u + 1j * hu)))
+    return out
+
+
+def check_outer_factor_against_reference(s):
+    """outer_factor's coefficients within 1e-13 ||O|| of the reference's,
+    and its inner factor's max||I| - 1| within 1e-13 of the reference's."""
+    want = outer_factor_reference(s)
+    got = outer_factor(s)
+    assert np.abs(got.coefficients - want.coefficients).max() <= 1e-13 * want.norm()
+    inner_got = np.abs(np.abs(inner_factor(s, got).samples) - 1.0).max()
+    inner_want = np.abs(np.abs(s.samples / want.boundary(s.n).samples) - 1.0).max()
+    assert abs(inner_got - inner_want) <= 1e-13
+
+
+def boundary_reference(coeffs, n):
+    """n boundary samples of the series coeffs: zero pad, ifft, * n."""
+    padded = np.zeros(n, dtype=complex)
+    padded[: len(coeffs)] = coeffs
+    return np.fft.ifft(padded) * n
+
+
+def to_hardy_reference(samples):
+    """Nonnegative-frequency coefficients and the leak norm, by fft / n."""
+    c = np.fft.fft(samples) / samples.size
+    half = samples.size // 2
+    return c[:half], float(np.sqrt(np.sum(np.abs(c[half:]) ** 2)))
+
+
+def analytic_signal_reference(real_samples):
+    """Hardy projection coefficients of real samples, by fft / n."""
+    return (np.fft.fft(real_samples) / real_samples.size)[: real_samples.size // 2]
+
+
+def analyze_reference(samples):
+    """Coefficients in increasing-k order, by fft / n."""
+    return np.fft.fftshift(np.fft.fft(samples) / samples.size)
+
+
+def synthesize_reference(coefficients):
+    """Samples from increasing-k coefficients, by ifft * n."""
+    return np.fft.ifft(np.fft.ifftshift(coefficients)) * coefficients.size
 
 
 def gram_schmidt_reference(space, params):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from afd import (
     Component,
     Decomposition,
+    HardyFunction,
     bergman_space,
     circle_grid,
     coefficient,
@@ -31,7 +32,7 @@ from afd.config import DEFAULT_TOL
 from afd.cli_io import _float_text, load_result, save_result
 from afd.core_afd import _sift
 
-from conftest import random_hardy
+from conftest import check_outer_factor_against_reference, random_hardy
 
 PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 
@@ -153,6 +154,21 @@ def test_sift_splits_the_energy(order, seed, exponent, radius, angle):
     assert abs(f.energy() - abs(c) ** 2 - g.energy()) <= 1e-12 * f.energy()
     # the loops hand the coefficient they already hold to _sift
     np.testing.assert_array_equal(_sift(f, a, c).coefficients, g.coefficients)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 48),
+    st.floats(1.05, 4.0),
+    st.sampled_from([256, 1024, 4096]),
+)
+def test_outer_factor_matches_the_complex_hilbert_reference(seed, order, margin, n):
+    # |c_0| = margin * sum_{k>=1} |c_k| keeps |f| >= (1 - 1/margin)|c_0| on
+    # the circle, so no sample is clamped and the quotient is well posed
+    c = random_hardy(np.random.default_rng(seed), m=order).coefficients.copy()
+    c[0] *= margin * np.abs(c[1:]).sum() / abs(c[0])
+    check_outer_factor_against_reference(HardyFunction(c).boundary(n))
 
 
 # every greedy algorithm, called as (f, max_terms, energy_tol); UWA has no

@@ -6,6 +6,7 @@ import pytest
 from afd import (
     CircularSignal,
     HardyFunction,
+    Spectrum,
     analytic_signal,
     analyze,
     bedrosian_check,
@@ -20,9 +21,21 @@ from afd import (
     uncertainty_report,
 )
 from afd.errors import InputError, NearZeroModulus, NonFiniteEnergy, NonRealInput
-from afd.signal_core import INTERIOR_RADIUS, series_values
+from afd.signal_core import INTERIOR_RADIUS, _conjugate_real, series_values
 
-from conftest import band_limited_real, horner, random_hardy, series_bound
+from conftest import (
+    analytic_signal_reference,
+    analyze_reference,
+    band_limited_real,
+    boundary_reference,
+    horner,
+    random_hardy,
+    series_bound,
+    synthesize_reference,
+    to_hardy_reference,
+)
+
+POWERS_OF_TWO = [1 << p for p in range(3, 15)]
 
 
 def test_circle_grid_values():
@@ -83,6 +96,19 @@ def test_hilbert_squares_to_mean_removal():
         np.testing.assert_allclose(
             hh.samples, -(s.samples - s.mean().real), atol=1e-10
         )
+
+
+@pytest.mark.parametrize("n", POWERS_OF_TWO)
+def test_real_conjugate_matches_hilbert_transform(n):
+    # a mean and a Nyquist line are both present; the helper drops the
+    # first, as sgn(0) = 0 does, and the second, whose image is imaginary
+    rng = np.random.default_rng(n)
+    t = circle_grid(n)
+    u = rng.standard_normal(n) + 3.0 + 2.0 * np.cos(n // 2 * t)
+    want = hilbert_transform(CircularSignal(u)).samples.real
+    got = _conjugate_real(u)
+    assert got.dtype == np.float64
+    assert np.abs(got - want).max() <= 1e-14 * np.sqrt(np.mean(u**2))
 
 
 def test_analytic_signal_of_cosines():
@@ -221,6 +247,27 @@ def test_boundary_padding_is_exact():
     z = np.exp(1j * circle_grid(4 * b1.n))
     direct = np.polyval(f.coefficients[::-1], z)
     np.testing.assert_allclose(b2.samples, direct, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", POWERS_OF_TWO)
+def test_forward_normalization_is_bit_identical(n):
+    # scaling by 1/n is exact on power-of-two grids, so norm="forward"
+    # gives the explicit zero pad, / n and * n formulas bit for bit
+    rng = np.random.default_rng(n)
+    s = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for m1 in (1, n // 2, n - 1, n):
+        c = rng.standard_normal(m1) + 1j * rng.standard_normal(m1)
+        np.testing.assert_array_equal(HardyFunction(c).boundary(n).samples, boundary_reference(c, n))
+    pos, leak = to_hardy_reference(s)
+    f, got_leak = to_hardy(CircularSignal(s))
+    np.testing.assert_array_equal(f.coefficients, pos)
+    assert got_leak == leak
+    real = rng.standard_normal(n)
+    np.testing.assert_array_equal(
+        analytic_signal(CircularSignal(real)).coefficients, analytic_signal_reference(real)
+    )
+    np.testing.assert_array_equal(analyze(CircularSignal(s)).coefficients, analyze_reference(s))
+    np.testing.assert_array_equal(synthesize(Spectrum(s)).samples, synthesize_reference(s))
 
 
 def test_phase_amplitude_of_z():

@@ -8,6 +8,7 @@ import pytest
 from afd import (
     CircularSignal,
     HardyFunction,
+    analytic_signal,
     circle_grid,
     coefficient_cross_check,
     dirac_tfd,
@@ -22,9 +23,11 @@ from afd import (
     uwafd_decompose,
 )
 from afd import core_afd, unwinding
+from afd.config import DEFAULT_TOL
 from afd.errors import DegenerateModulus, InputError
 
 from conftest import (
+    check_outer_factor_against_reference,
     kernel_sum,
     random_hardy,
     scaled_am_fm,
@@ -78,6 +81,20 @@ def test_inner_factor_unimodular():
     s = HardyFunction(c).boundary(n)
     i = inner_factor(s, outer_factor(s))
     np.testing.assert_allclose(np.abs(i.samples), 1.0, atol=1e-8)
+
+
+def test_clamped_outer_factor_matches_the_complex_hilbert_reference():
+    # 10 of 1024 samples (under the 1% limit) zeroed: the clamp raises
+    # them to the floor before the log, in both formulas alike
+    n = 1024
+    f, _, _ = kernel_sum(np.random.default_rng(58), terms=2, r=0.6)
+    c = f.coefficients.copy()
+    c[0] += 5.0
+    s = HardyFunction(c).boundary(n).samples.copy()
+    s[::103] = 0.0
+    s = CircularSignal(s)
+    assert np.count_nonzero(np.abs(s.samples) < DEFAULT_TOL.log_clamp * np.abs(s.samples).max()) == 10
+    check_outer_factor_against_reference(s)
 
 
 def test_factorize_rejects_vanishing_modulus():
@@ -195,6 +212,25 @@ def test_uwafd_random_signals():
     assert np.mean(np.abs(err) ** 2) == pytest.approx(
         u.residual_energy[-1], abs=1e-8 * f.energy()
     )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: step 4's inner factor is off the circle by 9.85, "
+    "so the reconstruction misses the recorded residual by 3.0e-7 of the source",
+)
+def test_uwafd_reconstructs_to_its_residual_on_the_seed_1784_am_fm():
+    # the benchmark's greedy op #5 at seed 1784: 6-term UWAFD on the
+    # analytic signal of an AM-FM input at N = 256; validate passes
+    t = circle_grid(256)
+    p1, p2, p3 = 3.7331896538086102, 3.0162811056028067, 5.995713453904674
+    x = (1.0 + 0.6 * np.cos(t + p1)) * np.cos(6 * t + np.sin(t + p2)) + 0.15 * np.cos(11 * t + p3)
+    f = analytic_signal(CircularSignal(x))
+    d = uwafd_decompose(f, max_terms=6, energy_tol=0.0)
+    d.validate()
+    n = d.meta["n"]
+    resid = np.mean(np.abs(f.boundary(n).samples - reconstruct(d, n).samples) ** 2)
+    assert abs(resid - d.residual_energy[-1]) <= DEFAULT_TOL.energy_total * d.source_energy
 
 
 @pytest.mark.parametrize("algo", [uwa_decompose, uwafd_decompose])
