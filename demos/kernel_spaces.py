@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """One selection rule, two kernel geometries.
 
-The pre-orthogonalized greedy step only needs point evaluations of the
-residual and of the running orthogonal system, so the same code drives
-the Hardy space (boundary energy) and the Bergman space (area energy).
+The pre-orthogonalized greedy step maximizes the normalized extension
+coefficient in the Hardy space (boundary energy) and in the Bergman
+space (area energy).  In the Hardy space that is core AFD's objective
+on the sifted remainder, so POAFD runs core AFD's sift chain there;
+the Bergman space carries its running orthonormal rows.
 The script decomposes one coefficient sequence in both spaces, shows
 that the Bergman kernel signal collapses in a single term, and prints
 the multiplicity-limit ladder: the orthogonal vector built from a

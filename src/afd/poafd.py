@@ -10,26 +10,31 @@ its weights and its kernel rule; the two shipped instances are
 and both satisfy <f, k_a> = f(a), so every inner product against a
 kernel collapses to a point evaluation.  No quadrature anywhere.
 
-Parameter multiplicity is handled with derivative kernels: the m-th
-repeat of a contributes (d/d conj(a))^(m-1) k_a, whose pairing with f
-reproduces f^(m-1)(a).  Gram-Schmidt over these spans the same space
-a TM chain would.  In the Hardy instance each row is also turned onto
-the phase of its TM function B_n: a new row's pairing with B_n is a
-positive multiple of the Blaschke product of the earlier parameters
-at a, so the turn is the unit phase of that product, in closed form,
-and coefficients agree with the one-by-one greedy machinery.  The
-system grows one row per parameter: a new row never changes the
-earlier ones.
+The selection maximizes the normalized extension objective
 
-The maximal selection exploits that the normalized extension objective
+    |<f, B_n^a>|^2 = |r(a)|^2 / (||k_a||^2 - sum_j |B_j(a)|^2)
 
-    |<f, B_n^a>| = |r(a)| / sqrt(||k_a||^2 - sum_j |B_j(a)|^2)
+(r the current residual sequence), which degrades toward the boundary;
+the search radius is capped at 0.95.
 
-(r the current residual sequence) degrades toward the boundary; the
-search radius is capped at 0.95.  Since rows never change, the system
-carries sum_j |B_j|^2 on each search grid it was scanned on, so every
-row is scanned once and a selection scans the residual and any rows
-appended since the last one.
+In the Hardy space Gram-Schmidt on Szego kernels gives the TM system,
+and sum_j |B_j(a)|^2 is the model-space kernel (1 - |Phi(a)|^2)/(1 -
+|a|^2), Phi the Blaschke product of the parameters (Beurling-Lax).  The
+objective is then (1 - |a|^2)|r(a)/Phi(a)|^2, core AFD's objective on
+the sifted remainder, and Hardy POAFD runs core AFD's sift chain with
+the radius capped: no rows are built or scanned.
+
+In the Bergman space no such identity holds, and the decomposition
+carries orthonormal rows.  Parameter multiplicity is handled with
+derivative kernels: the m-th repeat of a contributes (d/d conj(a))^(m-1)
+k_a, whose pairing with f reproduces f^(m-1)(a).  The system grows one
+row per parameter: a new row never changes the earlier ones.  Since
+rows never change, the system carries sum_j |B_j|^2 on each search grid
+it was scanned on, so every row is scanned once and a selection scans
+the residual and any rows appended since the last one.  The public
+gram_schmidt builds the same rows in the Hardy space too, each turned
+onto the phase of its TM function (see _grow), so they can be compared
+with the TM system.
 """
 
 from dataclasses import dataclass, field, replace
@@ -45,6 +50,10 @@ from .core_afd import (
     _grid_values,
     _hardy_norm2,
     _select,
+    _sift,
+    coefficient,
+    core_afd_decompose,
+    maximal_selection,
 )
 from .hardy_atoms import _multiplicity, validate_param
 from .signal_core import HardyFunction
@@ -159,6 +168,14 @@ def _bergman_norm2(s):
     return u * u, 2.0 * u**3, 6.0 * u**4
 
 
+def _capped(a):
+    """a as complex; InputError beyond SELECTION_CAP."""
+    a = complex(a)
+    if abs(a) > SELECTION_CAP + 1e-12:
+        raise InputError(f"kernel parameter |a|={abs(a):.4f} beyond the 0.95 cap")
+    return a
+
+
 def kernel(space: KernelSpace, a, l=1) -> np.ndarray:
     """Reproducing kernel at a, differentiated l-1 times in conj(a).
 
@@ -167,9 +184,7 @@ def kernel(space: KernelSpace, a, l=1) -> np.ndarray:
     f^(l-1)(a).  Derivative kernels grow fast near the boundary, hence
     the 0.95 cap.
     """
-    a = complex(a)
-    if abs(a) > SELECTION_CAP + 1e-12:
-        raise InputError(f"kernel parameter |a|={abs(a):.4f} beyond the 0.95 cap")
+    a = _capped(a)
     if l < 1:
         raise InputError("multiplicity order must be >= 1")
     m = space.order
@@ -242,10 +257,12 @@ def gram_schmidt(space: KernelSpace, params) -> OrthoSystem:
     Repeated parameters contribute derivative kernels of increasing
     order.  The system is grown one parameter at a time, each row
     orthogonalized against the rows before it, so gram_schmidt(params)
-    extended by a equals gram_schmidt(params + (a,)).  In the Hardy
-    space each row is turned onto the phase of its TM function (see
-    _grow); otherwise the row keeps the positive pairing with its
-    kernel that normalization gives.
+    extended by a equals gram_schmidt(params + (a,)).  These rows are
+    what Bergman POAFD selects and extracts on.  In the Hardy space,
+    where POAFD runs core AFD's sift chain instead, they are the TM
+    system truncated to the space's order: each row is turned onto the
+    phase of its TM function (see _grow); otherwise the row keeps the
+    positive pairing with its kernel that normalization gives.
     """
     params = tuple(validate_param(a) for a in params)
     system = OrthoSystem(params=(), vectors=np.zeros((0, space.order + 1), dtype=complex))
@@ -257,13 +274,19 @@ def gram_schmidt(space: KernelSpace, params) -> OrthoSystem:
 def poafd_select(space: KernelSpace, f, system: OrthoSystem, search=DEFAULT_SEARCH):
     """Parameter maximizing the next normalized extension coefficient.
 
-    f is the coefficient sequence of the current signal; the residual
-    against the system is formed internally, in one weighted mat-vec
-    pair, so passing either f or its residual selects the same point.
-    The selection engine is the one greedy AFD uses (grid scan,
-    tie-break, projected Newton polish), run on the stack [residual,
-    system rows] with the radius capped at min(search.r_max, 0.95); the
-    pick never scores below the best point of that grid.  The grid scan
+    f is the coefficient sequence of the current signal (or its residual
+    against the system), and the radius is capped at min(search.r_max,
+    0.95); the pick never scores below the best point of that grid.
+
+    In the Hardy space the objective |r(a)|^2 / (||k_a||^2 - sum_j
+    |B_j(a)|^2) equals (1 - |a|^2)|r(a)/Phi(a)|^2, Phi the Blaschke
+    product of system.params, since sum_j |B_j(a)|^2 is the model-space
+    kernel (1 - |Phi(a)|^2)/(1 - |a|^2).  So f is sifted through the
+    parameters with core AFD's step and the pick is maximal_selection's
+    on that remainder, the pick of capped core AFD.  In the other spaces
+    the residual against the rows is formed in one weighted mat-vec pair
+    and scored on the stack [residual, system rows] by the engine greedy
+    AFD uses (grid scan, tie-break, projected Newton polish); the scan
     covers the residual and the rows system has not yet summed on that
     grid (see OrthoSystem.grid_sq).
 
@@ -275,11 +298,16 @@ def poafd_select(space: KernelSpace, f, system: OrthoSystem, search=DEFAULT_SEAR
         included), so the floor does not depend on the signal's scale.
     """
     f = _as_sequence(space, f)
+    capped = replace(search, r_max=min(search.r_max, SELECTION_CAP))
+    if space.norm2_rule is _hardy_norm2:
+        source = g = HardyFunction(f)
+        for a in system.params:
+            g = _sift(g, a, coefficient(g, a))
+        return maximal_selection(g, capped, source=source)
     vectors = system.vectors
     resid = f - ((np.conj(vectors) * space.weights) @ f) @ vectors
     if not space.norm(resid) > DEFAULT_TOL.zero_residual * space.norm(f):
         raise ZeroResidual("residual norm below the selection floor")
-    capped = replace(search, r_max=min(search.r_max, SELECTION_CAP))
     return _select(
         np.vstack([resid, vectors]), space.norm2_rule, capped, grid_sq=system.grid_sq(capped)
     )
@@ -329,31 +357,48 @@ def poafd_decompose(
 ) -> Decomposition:
     """Greedy kernel decomposition f = sum_n <f, B_n> B_n + remainder.
 
-    Each selection grows the orthonormal system by one row (see
-    gram_schmidt), so the multiplicity rule and the Hardy phase
-    convention hold no matter how the parameters arrived, and earlier
-    rows and coefficients stay as they were.  Only the new coefficient
-    <f, B_n> is computed, and the remainder sequence loses its rank-one
-    term.  Selection sees the source f, so its floor is relative to the
-    signal.  Residual energies use the space norm of the explicit
-    remainder sequence; the run stops by the rule of core_afd._greedy.
-    kind of every component is "poafd"; meta records the space name.
+    In the Hardy space B_n is the TM system of the parameters and the
+    selection objective is core AFD's on the sifted remainder (see
+    poafd_select), so the run is core_afd_decompose on f with the search
+    radius capped at 0.95: picks, coefficients and residual trace are
+    capped core AFD's, bit for bit, and reconstruct(d) sums the exact TM
+    functions they belong to.  Forced parameters beyond the cap are
+    refused before the run (InputError), with kernel's message.
+
+    In the other spaces each selection grows the orthonormal system by
+    one row (see gram_schmidt), so the multiplicity rule holds no matter
+    how the parameters arrived, and earlier rows and coefficients stay
+    as they were.  Only the new coefficient <f, B_n> is computed, and
+    the remainder sequence loses its rank-one term.  Selection sees the
+    source f, so its floor is relative to the signal.  Residual energies
+    use the space norm of the explicit remainder sequence.
+
+    The run stops by the rule of core_afd._greedy.  kind of every
+    component is "poafd"; meta records the space name and order.
     ZeroSignal for a zero f, NonFiniteEnergy if its energy overflows.
     """
     f = _as_sequence(space, f)
-    system = gram_schmidt(space, ())
-    resid = f.copy()
+    if space.norm2_rule is _hardy_norm2:
+        if forced_params is not None:
+            forced_params = [_capped(validate_param(a)) for a in forced_params]
+        capped = replace(search, r_max=min(search.r_max, SELECTION_CAP))
+        d = core_afd_decompose(
+            HardyFunction(f), max_terms, energy_tol, capped, forced_params, kind="poafd"
+        )
+    else:
+        system = gram_schmidt(space, ())
+        resid = f.copy()
 
-    def step(a):
-        nonlocal system, resid
-        if a is None:
-            a = poafd_select(space, f, system, search)
-        system = _grow(space, system, a)
-        v = system.vectors[-1]
-        c = space.inner(f, v)
-        resid -= c * v
-        return Component(a=a, c=c, kind="poafd"), space.norm(resid) ** 2
+        def step(a):
+            nonlocal system, resid
+            if a is None:
+                a = poafd_select(space, f, system, search)
+            system = _grow(space, system, a)
+            v = system.vectors[-1]
+            c = space.inner(f, v)
+            resid -= c * v
+            return Component(a=a, c=c, kind="poafd"), space.norm(resid) ** 2
 
-    d, _ = _greedy(lambda: space.norm(f) ** 2, max_terms, energy_tol, step, forced_params)
+        d, _ = _greedy(lambda: space.norm(f) ** 2, max_terms, energy_tol, step, forced_params)
     d.meta = {"space": space.name, "order": space.order}
     return d

@@ -19,7 +19,9 @@ schema 2, kept as the reference for reading old files;
 by the full sift chain, kept as the reference for the moves that score
 themselves; `gram_schmidt_reference` and `poafd_reference` are the
 POAFD system rebuilt from scratch after every selection, kept as the
-reference for the system that grows one row per step;
+reference for the system that grows one row per step (`poafd_reference`
+serves the Bergman space only: Hardy POAFD is capped core AFD, and is
+checked against it bit for bit);
 `core_afd_reference` is the greedy loop that cross-checked every
 coefficient by quadrature in the loop, kept as the reference for the
 loop without the audit and for `coefficient_cross_check`;
@@ -479,7 +481,8 @@ def poafd_reference(space, f, max_terms, search=DEFAULT_SEARCH):
     gram_schmidt_reference, every coefficient <f, B_j> is recomputed and
     the remainder is formed from scratch as f - sum_j c_j B_j; the next
     selection runs on that remainder.  f is a full-length coefficient
-    sequence.  Returns (params, coefficients, residual energies).
+    sequence, and space a Bergman space: Hardy POAFD builds no rows.
+    Returns (params, coefficients, residual energies).
     """
     f = np.asarray(f, dtype=complex)
     params = []

@@ -1,5 +1,6 @@
 """Pre-orthogonalized greedy selection in reproducing-kernel spaces."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from afd import (
 )
 from afd.errors import DegenerateGram, InputError, ZeroResidual, ZeroSignal
 from afd import hardy_space
-from afd.config import DEFAULT_SEARCH, SearchConfig
+from afd.config import DEFAULT_SEARCH, DEFAULT_TOL, SearchConfig
 from afd.core_afd import _grid_values, _search_grid
 from afd.poafd import SELECTION_CAP, _extend, _grow
 from afd.signal_core import series_values
@@ -82,8 +83,13 @@ def test_kernel_norms_closed_form():
 
 def test_kernel_guards():
     hardy, _ = _spaces()
-    with pytest.raises(InputError):
+    beyond = re.escape("kernel parameter |a|=0.9600 beyond the 0.95 cap")
+    with pytest.raises(InputError, match=beyond):
         kernel(hardy, 0.96, 1)  # beyond the selection cap
+    # Hardy POAFD builds no kernels, yet refuses a forced parameter there alike
+    f = scaled_am_fm(1.0, 128).coefficients
+    with pytest.raises(InputError, match=beyond):
+        poafd_decompose(hardy, f, forced_params=(0.96,))
     with pytest.raises(InputError):
         kernel(hardy, 0.3, 0)
 
@@ -183,8 +189,17 @@ def test_select_agrees_with_core_in_hardy_space():
     f, _, _ = kernel_sum(rng, terms=3, m=63, r=0.7)
     space = hardy_space(m=63)
     a_poafd = poafd_select(space, f.coefficients, gram_schmidt(space, ()))
-    a_core = maximal_selection(f)
-    assert abs(a_poafd - a_core) < 1e-5
+    assert a_poafd == maximal_selection(f, replace(DEFAULT_SEARCH, r_max=SELECTION_CAP))
+
+
+def test_hardy_select_lands_on_a_double_pole():
+    # f = 1/(1 - conj(a) z)^2 with a taken: the remainder peaks at a again,
+    # where the row objective's denominator vanishes (8.1e-7 away on rows)
+    a = 0.6 + 0.3j
+    space = hardy_space(511)
+    k = np.arange(512)
+    f = (k + 1) * np.conj(a) ** k
+    assert abs(poafd_select(space, f, gram_schmidt(space, (a,))) - a) <= 1e-9
 
 
 def test_select_dominates_random_probes():
@@ -360,18 +375,31 @@ def test_poafd_energy_identity():
 
 
 def test_poafd_decompose_matches_rebuild_every_step_reference():
+    # Hardy POAFD is capped core AFD, bit for bit; Bergman grows its rows
+    # as the reference rebuilds them
     rng = np.random.default_rng(81)
-    for space in (hardy_space(m=127), bergman_space(m=127)):
-        for signal in (am_fm_real(rng), band_limited_real(rng, 256)):
-            f = analytic_signal(signal).coefficients
-            d = poafd_decompose(space, f, max_terms=6, energy_tol=0.0)
-            params, coeffs, residuals = poafd_reference(space, f, 6)
-            np.testing.assert_allclose(d.params, params, rtol=0, atol=1e-10)
-            scale = np.sqrt(d.source_energy)
-            np.testing.assert_allclose(d.coefficients, coeffs, rtol=0, atol=1e-10 * scale)
-            np.testing.assert_allclose(
-                d.residual_energy, residuals, rtol=0, atol=1e-12 * d.source_energy
-            )
+    capped = replace(DEFAULT_SEARCH, r_max=SELECTION_CAP)
+    for signal in (am_fm_real(rng), band_limited_real(rng, 256)):
+        f = analytic_signal(signal)
+        d = poafd_decompose(hardy_space(m=127), f.coefficients, max_terms=6, energy_tol=0.0)
+        want = core_afd_decompose(f, max_terms=6, energy_tol=0.0, search=capped, kind="poafd")
+        assert len(d) == 6
+        assert np.array_equal(d.params, want.params)
+        assert np.array_equal(d.coefficients, want.coefficients)
+        assert np.array_equal(d.residual_energy, want.residual_energy)
+        assert {comp.kind for comp in d.components} == {"poafd"}
+        assert d.meta == {"space": "hardy", "order": 127}
+    space = bergman_space(m=127)
+    for signal in (am_fm_real(rng), band_limited_real(rng, 256)):
+        f = analytic_signal(signal).coefficients
+        d = poafd_decompose(space, f, max_terms=6, energy_tol=0.0)
+        params, coeffs, residuals = poafd_reference(space, f, 6)
+        np.testing.assert_allclose(d.params, params, rtol=0, atol=1e-10)
+        scale = np.sqrt(d.source_energy)
+        np.testing.assert_allclose(d.coefficients, coeffs, rtol=0, atol=1e-10 * scale)
+        np.testing.assert_allclose(
+            d.residual_energy, residuals, rtol=0, atol=1e-12 * d.source_energy
+        )
 
 
 def test_poafd_builds_one_kernel_per_term(monkeypatch):
@@ -384,9 +412,28 @@ def test_poafd_builds_one_kernel_per_term(monkeypatch):
 
     monkeypatch.setattr(afd.poafd, "kernel", counting)
     f = analytic_signal(am_fm_real(np.random.default_rng(82))).coefficients
-    d = poafd_decompose(hardy_space(m=127), f, max_terms=10, energy_tol=0.0)
+    d = poafd_decompose(bergman_space(m=127), f, max_terms=10, energy_tol=0.0)
     assert len(d.components) == 10
     assert len(built) == 10
+    # Hardy POAFD runs core's sift chain and builds no rows
+    built.clear()
+    d = poafd_decompose(hardy_space(m=127), f, max_terms=10, energy_tol=0.0)
+    assert len(d.components) == 10
+    assert built == []
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_hardy_poafd_reconstructs_to_its_residual(n):
+    # reconstruct sums the exact TM functions; rows truncated at order
+    # N/2 - 1 missed the recorded residual by 6.1e-3 of the source energy
+    # at N = 64 and 6.7e-5 at N = 128
+    for seed in range(5):
+        f = analytic_signal(am_fm_real(np.random.default_rng(seed), n))
+        d = poafd_decompose(hardy_space(f.order), f.coefficients, max_terms=10, energy_tol=0.0)
+        assert len(d) == 10
+        grid = 4 * n
+        resid = np.mean(np.abs(f.boundary(grid).samples - reconstruct(d, grid).samples) ** 2)
+        assert abs(resid - d.residual_energy[-1]) <= DEFAULT_TOL.energy_total * d.source_energy
 
 
 def _fresh_grid_sq(system, search):
@@ -398,53 +445,54 @@ def _grid_key(search):
 
 
 def test_carried_grid_sum_matches_a_fresh_scan():
-    # repeated poles put multiplicity kernels among the rows
+    # Bergman only: Hardy selection sifts and scans no rows; repeated
+    # poles put multiplicity kernels among the rows
     rng = np.random.default_rng(83)
     params = (0.5, 0.2 - 0.6j, 0.5, -0.7j, 0.5, -0.7j)
     capped = replace(DEFAULT_SEARCH, r_max=SELECTION_CAP)
     coarse = SearchConfig(n_angles=24, n_radii=12)
-    for space in (hardy_space(m=127), bergman_space(m=127)):
-        f = random_hardy(rng, m=127).coefficients
-        system = gram_schmidt(space, ())
-        for a in params:
-            grown = _grow(space, system, a)
-            # the carried entry covers the earlier rows, scanned afresh
-            if system.grid_sums:
-                covered, total = grown.grid_sums[_grid_key(capped)]
-                assert covered == len(system)
-                assert np.array_equal(total, _fresh_grid_sq(system, capped))
-            system = grown
-            poafd_select(space, f, system)
-            covered, total = system.grid_sums[_grid_key(capped)]
+    space = bergman_space(m=127)
+    f = random_hardy(rng, m=127).coefficients
+    system = gram_schmidt(space, ())
+    for a in params:
+        grown = _grow(space, system, a)
+        # the carried entry covers the earlier rows, scanned afresh
+        if system.grid_sums:
+            covered, total = grown.grid_sums[_grid_key(capped)]
             assert covered == len(system)
             assert np.array_equal(total, _fresh_grid_sq(system, capped))
+        system = grown
+        poafd_select(space, f, system)
+        covered, total = system.grid_sums[_grid_key(capped)]
+        assert covered == len(system)
+        assert np.array_equal(total, _fresh_grid_sq(system, capped))
 
-        # selecting on an earlier system after growing a later one
-        earlier = gram_schmidt(space, params[:3])
-        first = poafd_select(space, f, earlier)
-        later = _grow(space, earlier, params[3])
-        poafd_select(space, f, later)
-        assert earlier.grid_sums[_grid_key(capped)][0] == 3
-        assert poafd_select(space, f, earlier) == first
-        assert first == poafd_select(space, f, gram_schmidt(space, params[:3]))
-        # two rows appended between selections are summed one by one
-        skipped = _grow(space, _grow(space, earlier, params[3]), params[4])
-        poafd_select(space, f, skipped)
-        covered, total = skipped.grid_sums[_grid_key(capped)]
-        assert covered == 5
-        assert np.array_equal(total, _fresh_grid_sq(skipped, capped))
+    # selecting on an earlier system after growing a later one
+    earlier = gram_schmidt(space, params[:3])
+    first = poafd_select(space, f, earlier)
+    later = _grow(space, earlier, params[3])
+    poafd_select(space, f, later)
+    assert earlier.grid_sums[_grid_key(capped)][0] == 3
+    assert poafd_select(space, f, earlier) == first
+    assert first == poafd_select(space, f, gram_schmidt(space, params[:3]))
+    # two rows appended between selections are summed one by one
+    skipped = _grow(space, _grow(space, earlier, params[3]), params[4])
+    poafd_select(space, f, skipped)
+    covered, total = skipped.grid_sums[_grid_key(capped)]
+    assert covered == 5
+    assert np.array_equal(total, _fresh_grid_sq(skipped, capped))
 
-        # one system on two grids: each carried sum matches its own fresh scan
-        both = gram_schmidt(space, params[:4])
-        on_capped = poafd_select(space, f, both)
-        on_coarse = poafd_select(space, f, both, coarse)
-        assert on_capped == poafd_select(space, f, gram_schmidt(space, params[:4]))
-        assert on_coarse == poafd_select(space, f, gram_schmidt(space, params[:4]), coarse)
-        # poafd_select caps the coarse grid too
-        for search in (capped, replace(coarse, r_max=SELECTION_CAP)):
-            covered, total = both.grid_sums[_grid_key(search)]
-            assert covered == 4
-            assert np.array_equal(total, _fresh_grid_sq(both, search))
+    # one system on two grids: each carried sum matches its own fresh scan
+    both = gram_schmidt(space, params[:4])
+    on_capped = poafd_select(space, f, both)
+    on_coarse = poafd_select(space, f, both, coarse)
+    assert on_capped == poafd_select(space, f, gram_schmidt(space, params[:4]))
+    assert on_coarse == poafd_select(space, f, gram_schmidt(space, params[:4]), coarse)
+    # poafd_select caps the coarse grid too
+    for search in (capped, replace(coarse, r_max=SELECTION_CAP)):
+        covered, total = both.grid_sums[_grid_key(search)]
+        assert covered == 4
+        assert np.array_equal(total, _fresh_grid_sq(both, search))
 
 
 def test_carried_picks_equal_fresh_picks():

@@ -31,6 +31,7 @@ from afd import cli_io
 from afd.config import DEFAULT_TOL
 from afd.cli_io import _float_text, load_result, save_result
 from afd.core_afd import _sift
+from afd.signal_core import series_values
 
 from conftest import check_outer_factor_against_reference, random_hardy
 
@@ -64,6 +65,20 @@ def repeated_poles(draw):
     # more entries than distinct poles: at least one repeat
     picks = draw(st.lists(st.integers(0, len(poles) - 1), min_size=len(poles) + 1, max_size=len(poles) + 2))
     return tuple(complex(poles[k]) for k in picks)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.one_of(repeated_poles(), lattice_poles(1, 7).map(tuple)))
+def test_hardy_rows_sum_to_the_model_space_kernel(seed, params):
+    # sum_j |B_j(z)|^2 = (1 - |Phi(z)|^2)/(1 - |z|^2), the kernel of
+    # H^2 minus Phi H^2 with Phi the Blaschke product of the parameters:
+    # POAFD's Hardy objective is core AFD's on the sifted remainder
+    rng = np.random.default_rng(seed)
+    z = 0.9 * np.sqrt(rng.uniform(size=50)) * np.exp(2j * np.pi * rng.uniform(size=50))
+    rows_sq = np.sum(np.abs(series_values(gram_schmidt(HARDY, params).vectors, z)) ** 2, axis=0)
+    phi = 1.0 / (1.0 - np.abs(z) ** 2)
+    blaschke = np.prod([(z - a) / (1.0 - np.conj(a) * z) for a in params], axis=0)
+    assert np.all(np.abs(rows_sq - (1.0 - np.abs(blaschke) ** 2) * phi) <= 1e-12 * phi)
 
 
 @PROPERTY_SETTINGS
