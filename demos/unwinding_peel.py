@@ -6,7 +6,7 @@ selection has to climb through the five-fold winding one pole at a
 time, while the unwinding recursion factors the whole inner part out
 in its first step and then reads the outer remainder off directly.
 The script prints both residual traces, the factorization health
-numbers (|I| deviation from 1, product consistency, front loading),
+numbers (|I| deviation from 1, its |f|-weighted RMS, front loading),
 and the hand-checkable first coefficients.
 """
 
@@ -52,11 +52,11 @@ def main():
     cons = fac.consistency(f.boundary(2048))
     g, _ = to_hardy(f.boundary(2048))
     front = front_loading_defect(g, fac.outer)
-    print(f"\nfactorization: | |I|-1 | = {inner_dev:.2e}, "
-          f"||I*O - f||/||f|| = {cons:.2e}")
+    print(f"\nfactorization: max | |I|-1 | = {inner_dev:.2e}, "
+          f"|f|-weighted RMS of |I|-1 = {cons:.2e}")
     print(f"front loading defect {front:+.2e} (<= 0 means the outer factor "
           "concentrates energy in low coefficients)")
-    print(f"per-step consistency during uwa: "
+    print(f"per-step weighted |I| defect during uwa: "
           f"{[f'{x:.1e}' for x in uwa.meta['factor_consistency']]}")
 
 

@@ -86,20 +86,12 @@ class SearchConfig:
         that leave the cap are projected back onto it.
     refine : bool
         Run the Newton polish after the grid scan.
-    refine_xatol : float
-        Step-size stop of the polish: it ends once an accepted step is
-        shorter than this, or once the line search has shrunk a step
-        below it without a rise.
-    refine_maxiter : int
-        Cap on the number of polish steps.
     """
 
     n_angles: int = 64
     n_radii: int = 32
     r_max: float = 1.0 - 1e-3
     refine: bool = True
-    refine_xatol: float = 1e-4
-    refine_maxiter: int = 200
 
 
 DEFAULT_TOL = Tolerances()

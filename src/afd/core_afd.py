@@ -318,6 +318,11 @@ def _selection_model(stack, norm2_rule, a):
     return q, g, h, c
 
 
+# step-size stop and step cap of _polish; it has been seen to stop within 21 steps
+_POLISH_XATOL = 1e-4
+_POLISH_MAXITER = 200
+
+
 def _polish(stack, norm2_rule, a, search):
     """Projected Newton ascent of Q from a, within |a| <= search.r_max.
 
@@ -327,8 +332,8 @@ def _polish(stack, norm2_rule, a, search):
     the cap circle with an outward gradient the step is the 1-D Newton
     step in the angle.  A backtracking line search accepts only steps
     that raise Q.  The ascent stops once an accepted step is shorter
-    than search.refine_xatol, once the line search shrinks a step below
-    it without a rise, or after search.refine_maxiter steps.
+    than _POLISH_XATOL, once the line search shrinks a step below it
+    without a rise, or after _POLISH_MAXITER steps.
     """
     cap = search.r_max
     # projections aim a few roundings inside the cap, so none lands outside
@@ -336,7 +341,7 @@ def _polish(stack, norm2_rule, a, search):
     model = _selection_model(stack, norm2_rule, a)
     if model is None or abs(a) > cap:
         return a
-    for _ in range(search.refine_maxiter):
+    for _ in range(_POLISH_MAXITER):
         q, g, h, c = model
         outward = (g * a.conjugate()).real
         if abs(a) >= rim * (1.0 - 1e-12) and outward > 0.0:
@@ -369,12 +374,12 @@ def _polish(stack, norm2_rule, a, search):
             trial = _selection_model(stack, norm2_rule, b)
             if trial is not None and trial[0] > q:
                 break
-            if abs(b - a) < search.refine_xatol:
+            if abs(b - a) < _POLISH_XATOL:
                 return a
             t *= 0.5
         stride = abs(b - a)
         a, model = b, trial
-        if stride < search.refine_xatol:
+        if stride < _POLISH_XATOL:
             break
     return a
 
@@ -476,6 +481,14 @@ def _sift(f, a, c):
             f"negative-frequency leakage {leak:.2e} in sift", RuntimeWarning
         )
     return f_next
+
+
+def _reduced_without(f, params, skip):
+    # remainder after sifting every coordinate except `skip` (None: all), in order
+    for i, a in enumerate(params):
+        if i != skip:
+            f = sift(f, a)
+    return f
 
 
 def _source_energy(energy):

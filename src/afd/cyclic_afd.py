@@ -41,7 +41,13 @@ import numpy as np
 
 from .config import DEFAULT_SEARCH, DEFAULT_TOL
 from .errors import AFDError, InputError, ZeroResidual
-from .core_afd import _source_energy, coefficient, core_afd_decompose, maximal_selection, sift
+from .core_afd import (
+    _reduced_without,
+    _source_energy,
+    coefficient,
+    core_afd_decompose,
+    maximal_selection,
+)
 from .hardy_atoms import validate_param
 from .signal_core import HardyFunction
 
@@ -93,16 +99,6 @@ def n_blaschke_objective(f: HardyFunction, params) -> float:
     """
     params = tuple(validate_param(a) for a in params)
     return max(float(_reduced_without(f, params, None).energy()), 0.0)
-
-
-def _reduced_without(f, params, skip):
-    # remainder after sifting every coordinate except `skip` (None: all), in order
-    g = f
-    for i, a in enumerate(params):
-        if i == skip:
-            continue
-        g = sift(g, a)
-    return g
 
 
 def coordinate_optimize(f: HardyFunction, params, index, search=DEFAULT_SEARCH):

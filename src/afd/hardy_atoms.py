@@ -215,8 +215,9 @@ def monocomp_check(s: CircularSignal) -> MonocompReport:
         f, _ = to_hardy(s)
     mins = np.empty(MONOCOMP_RADII.size)
     for i, r in enumerate(MONOCOMP_RADII):
-        mins[i] = float(np.min(phase_derivative(f, r, s.n)))
-    outer = phase_derivative(f, MONOCOMP_RADII[-1], s.n)
+        # the loop ends on the outermost circle, whose values are reported
+        outer = phase_derivative(f, r, s.n)
+        mins[i] = float(np.min(outer))
     frac = float(np.mean(outer < -1e-6))
     return MonocompReport(
         radii=MONOCOMP_RADII.copy(),

@@ -49,9 +49,8 @@ from .core_afd import (
     _greedy,
     _grid_values,
     _hardy_norm2,
+    _reduced_without,
     _select,
-    _sift,
-    coefficient,
     core_afd_decompose,
     maximal_selection,
 )
@@ -300,9 +299,8 @@ def poafd_select(space: KernelSpace, f, system: OrthoSystem, search=DEFAULT_SEAR
     f = _as_sequence(space, f)
     capped = replace(search, r_max=min(search.r_max, SELECTION_CAP))
     if space.norm2_rule is _hardy_norm2:
-        source = g = HardyFunction(f)
-        for a in system.params:
-            g = _sift(g, a, coefficient(g, a))
+        source = HardyFunction(f)
+        g = _reduced_without(source, system.params, None)
         return maximal_selection(g, capped, source=source)
     vectors = system.vectors
     resid = f - ((np.conj(vectors) * space.weights) @ f) @ vectors

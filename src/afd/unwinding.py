@@ -25,7 +25,7 @@ algorithm; each component carries the samples of its cumulative inner
 factor in Component.inner.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,23 +48,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Factorization:
-    """Inner boundary samples and outer coefficients with f = I*O.
-
-    outer_samples holds the outer factor's boundary samples on the
-    inner grid, the ones the inner quotient was divided by.
-    """
+    """Inner boundary samples and outer coefficients with f = I*O."""
 
     inner: CircularSignal
     outer: HardyFunction
-    outer_samples: np.ndarray = field(repr=False)
 
     def consistency(self, f_boundary: CircularSignal):
-        """Relative norm of I*O - f on the boundary."""
-        prod = self.inner.samples * self.outer_samples
-        return float(
-            np.sqrt(np.mean(np.abs(prod - f_boundary.samples) ** 2))
-            / max(f_boundary.norm(), 1e-300)
-        )
+        """Relative |f|-weighted RMS of |I| - 1 on the boundary.
+
+        I = f/O holds I*O = f by construction, so the one defect left
+        is an inner factor off the circle.  With w = |f|/max|f| this is
+        sqrt(mean((w(|I| - 1))^2) / mean(w^2)): the weight keeps
+        near-zero samples of f from dominating, and dividing by the
+        peak keeps it from underflowing on tiny signals.
+        """
+        w = np.abs(f_boundary.samples)
+        w /= max(w.max(), 1e-300)
+        defect = np.abs(self.inner.samples)
+        defect -= 1.0
+        defect *= w
+        return float(np.sqrt(np.mean(defect**2) / max(np.mean(w**2), 1e-300)))
 
 
 def outer_factor(f_boundary: CircularSignal) -> HardyFunction:
@@ -107,11 +110,7 @@ def inner_factor(f_boundary: CircularSignal, outer: HardyFunction) -> CircularSi
     Raises DegenerateModulus where |O| drops below near_zero times its
     own peak on the grid.
     """
-    return _quotient(f_boundary, outer.boundary(f_boundary.n).samples)
-
-
-def _quotient(f_boundary, o):
-    """f / O from the outer boundary samples o; see inner_factor."""
+    o = outer.boundary(f_boundary.n).samples
     mod = np.abs(o)
     peak = mod.max()
     if not peak > 0.0 or (mod < DEFAULT_TOL.near_zero * peak).any():
@@ -122,8 +121,7 @@ def _quotient(f_boundary, o):
 def factorize(f_boundary: CircularSignal) -> Factorization:
     """Inner/outer split of boundary data; see outer_factor for errors."""
     outer = outer_factor(f_boundary)
-    o = outer.boundary(f_boundary.n).samples
-    return Factorization(inner=_quotient(f_boundary, o), outer=outer, outer_samples=o)
+    return Factorization(inner=inner_factor(f_boundary, outer), outer=outer)
 
 
 def front_loading_defect(f: HardyFunction, outer: HardyFunction):

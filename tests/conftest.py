@@ -614,4 +614,4 @@ def planted_tm(params, coeffs, m=511, n=4096):
 @pytest.fixture
 def coarse_search():
     """Cheap grid for tests that only need qualitative selections."""
-    return SearchConfig(n_angles=24, n_radii=12, refine=True, refine_maxiter=60)
+    return SearchConfig(n_angles=24, n_radii=12)

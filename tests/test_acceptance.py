@@ -278,7 +278,7 @@ def test_criterion_07_cyclic_planted_two_blaschke():
     mono_ok = bool(np.all(np.diff(tr.d) <= 0.0))
     # random restarts keep the trace monotone as well
     rng = np.random.default_rng(107)
-    coarse = SearchConfig(n_angles=24, n_radii=12, refine=True, refine_maxiter=60)
+    coarse = SearchConfig(n_angles=24, n_radii=12)
     for _ in range(20):
         init = random_params(rng, 2, r=0.9)
         tri = cyclic_afd(f, 2, init=init, max_cycles=6, search=coarse)

@@ -203,7 +203,7 @@ def test_cyclic_zero_padded_warm_start_matches_reference():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_cycle_costs_n_times_n_minus_one_sifts(n, monkeypatch, coarse_search):
-    module = importlib.import_module("afd.cyclic_afd")
+    module = importlib.import_module("afd.core_afd")
     real_sift = module.sift
     calls = []
 
@@ -213,8 +213,9 @@ def test_cycle_costs_n_times_n_minus_one_sifts(n, monkeypatch, coarse_search):
 
     monkeypatch.setattr(module, "sift", counting_sift)
     f, _, _ = kernel_sum(np.random.default_rng(67), terms=3, m=127)
-    # the warm start sifts through core_afd's own binding, and its final
-    # residual scores the init, so only the moves count here
+    # the moves sift through core_afd._reduced_without; the warm start
+    # calls _sift directly, and its final residual scores the init, so
+    # only the moves count here
     tr = cyclic_afd(f, n, max_cycles=4, delta_tol=0.0, search=coarse_search)
     assert tr.cycles == 4
     assert len(calls) == n * (n - 1) * tr.cycles
