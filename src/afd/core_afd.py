@@ -41,7 +41,14 @@ from .errors import (
     ZeroSignal,
 )
 from .hardy_atoms import _kernel_and_mobius, tm_sweep, validate_param
-from .signal_core import CircularSignal, HardyFunction, circle_grid, series_values, to_hardy
+from .signal_core import (
+    INTERIOR_RADIUS,
+    CircularSignal,
+    HardyFunction,
+    circle_grid,
+    series_values,
+    to_hardy,
+)
 
 __all__ = [
     "Component",
@@ -128,10 +135,26 @@ def objective(f: HardyFunction, a):
     return val if val.ndim else float(val)
 
 
+def _power_column(a, m1):
+    """The column [1, a, a^2, ..., a^(m1-1)] that series_values builds for one point a."""
+    powers = np.empty((m1, 1), dtype=complex)
+    powers[0] = 1.0
+    powers[1:] = a
+    np.multiply.accumulate(powers[1:], axis=0, out=powers[1:])
+    return powers
+
+
 def coefficient(f: HardyFunction, a):
-    """Projection <f, e_a> = sqrt(1 - |a|^2) f(a) (reproducing kernel)."""
+    """Projection <f, e_a> = sqrt(1 - |a|^2) f(a) (reproducing kernel).
+
+    f(a) is read as series_values would read it, from one power column,
+    and within the same interior radius as HardyFunction.__call__.
+    """
     a = validate_param(a)
-    return complex(np.sqrt(1.0 - abs(a) ** 2) * f(a))
+    if abs(a) > INTERIOR_RADIUS * (1 + 1e-12):
+        raise InputError(f"interior evaluation limited to |z| <= {INTERIOR_RADIUS}")
+    value = complex((f.coefficients @ _power_column(a, f.coefficients.size))[0])
+    return complex(np.sqrt(1.0 - abs(a) ** 2) * value)
 
 
 def _search_radii(search):
@@ -150,18 +173,21 @@ def _search_grid(search):
 
 # a decomposition scans one order on one grid (POAFD on its capped grid), so
 # a few plans cover runs of mixed orders; at order 2047 on the default grid a
-# plan holds 544 KB
+# plan holds 56 KB, most of it the grid points
 _SCAN_PLANS = 8
 
 
 class _ScanPlan(NamedTuple):
     """Read-only tables for scanning series of one order on one grid.
 
-    powers[i, k] = radii[i]**k for k <= M, zero-padded to the fold
-    length (a multiple of n_angles); points is _search_grid.
+    With A = n_angles and B = ceil((M+1)/A) fold blocks, a power splits
+    as r^(A b + t) = r^(A b) r^t with t < A: blocks[i, b] =
+    radii[i]**(A b) and within[i, t] = radii[i]**t.  points is
+    _search_grid.
     """
 
-    powers: np.ndarray
+    blocks: np.ndarray
+    within: np.ndarray
     points: np.ndarray
 
     # the cache hangs off the class: a module-level lru_cache binding
@@ -171,9 +197,9 @@ class _ScanPlan(NamedTuple):
     @functools.lru_cache(maxsize=_SCAN_PLANS)
     def build(n_angles, n_radii, r_max, m1):
         search = SearchConfig(n_angles=n_angles, n_radii=n_radii, r_max=r_max)
-        powers = np.zeros((n_radii, -(-m1 // n_angles) * n_angles))
-        powers[:, :m1] = _search_radii(search)[:, None] ** np.arange(m1)
-        plan = _ScanPlan(powers, _search_grid(search))
+        radii = _search_radii(search)[:, None]
+        blocks = radii ** (n_angles * np.arange(-(-m1 // n_angles)))
+        plan = _ScanPlan(blocks, radii ** np.arange(n_angles), _search_grid(search))
         for table in plan:
             table.flags.writeable = False
         return plan
@@ -221,22 +247,26 @@ def _scan_plan(search, m1):
 def _grid_values(coeffs, search):
     """Values of one series (M+1,) or a stack (R, M+1) on _search_grid.
 
-    On the circle of radius r the n_angles samples are n_angles * ifft
-    of the damped coefficients c_k r^k folded modulo n_angles (exact
-    aliasing), so a scan costs one FFT per radius instead of one point
-    evaluation per grid point.  The powers r^k come from the cached
-    _scan_plan.  Values come in _search_grid order, the center c_0 last.
+    On the circle of radius r the n_angles samples are the unnormalized
+    inverse FFT of the damped coefficients c_k r^k folded modulo
+    n_angles (exact aliasing), so a scan costs one FFT per radius
+    instead of one point evaluation per grid point.  With k = A b + t
+    the fold is r^t sum_b r^(A b) c_{A b + t}: the plan's blocks times
+    the zero-padded coefficients viewed as (B, 2A) doubles, one real
+    matrix product, scaled in place by within.  A stack is one product
+    per row by matmul broadcasting, so each row's values are those of
+    its own scan.  Values come in _search_grid order, the center c_0
+    last.
     """
     c = np.asarray(coeffs, dtype=complex)
-    m1 = c.shape[-1]
-    powers = _scan_plan(search, m1).powers
-    a = search.n_angles
-    padded = np.zeros(c.shape[:-1] + (powers.shape[-1],), dtype=complex)
-    padded[..., :m1] = c
-    damped = padded[..., None, :] * powers
-    folded = damped.reshape(damped.shape[:-1] + (-1, a)).sum(axis=-2)
-    rings = np.fft.ifft(folded, axis=-1) * a
-    return np.concatenate([rings.reshape(c.shape[:-1] + (-1,)), c[..., :1]], axis=-1)
+    lead, m1 = c.shape[:-1], c.shape[-1]
+    plan = _scan_plan(search, m1)
+    padded = np.zeros(lead + (plan.blocks.shape[-1], search.n_angles), dtype=complex)
+    padded.reshape(lead + (-1,))[..., :m1] = c
+    folded = (plan.blocks @ padded.view(float)).view(complex)
+    folded *= plan.within
+    rings = np.fft.ifft(folded, axis=-1, norm="forward")
+    return np.concatenate([rings.reshape(lead + (-1,)), c[..., :1]], axis=-1)
 
 
 def _hardy_norm2(s):
@@ -258,8 +288,12 @@ def _selection_scores(norm2, r_values, rows_sq):
     the sum of |B_j|^2 over the system rows there (0 without rows).
     With no system rows and phi = 1/(1 - |a|^2) this is the greedy
     objective (1 - |a|^2)|f(a)|^2.  Q is 0 where the extension
-    degenerates.
+    degenerates, which phi > 0 never does without rows.
     """
+    if np.isscalar(rows_sq) and rows_sq == 0.0:
+        q = np.abs(r_values)
+        np.square(q, out=q)
+        return np.divide(q, norm2, out=q)
     denom2 = norm2 - rows_sq
     ok = denom2 > _DEGENERATE * norm2
     return np.divide(np.abs(r_values) ** 2, denom2, out=np.zeros(len(norm2)), where=ok)
@@ -293,11 +327,7 @@ def _selection_model(stack, norm2_rule, a):
     column [1, a, a^2, ...] that series_values would build for a, and
     the row sums are skipped without system rows.
     """
-    powers = np.empty((stack.shape[-1], 1), dtype=complex)
-    powers[0] = 1.0
-    powers[1:] = a
-    np.multiply.accumulate(powers[1:], axis=0, out=powers[1:])
-    v = (stack @ powers)[:, 0]
+    v = (stack @ _power_column(a, stack.shape[-1]))[:, 0]
     n = len(v) // 3
     r, r1, r2 = complex(v[0]), complex(v[n]), complex(v[2 * n])
     s = abs(a) ** 2
@@ -423,7 +453,9 @@ def _select(rows, norm2_rule, search, include=(), grid_sq=0.0):
     return best
 
 
-def maximal_selection(f: HardyFunction, search=DEFAULT_SEARCH, include=(), source=None):
+def maximal_selection(
+    f: HardyFunction, search=DEFAULT_SEARCH, include=(), source=None, *, _norms=None
+):
     """Polished grid maximum of the selection objective for one greedy step.
 
     Scans the polar grid for the largest (1 - |a|^2)|f(a)|^2, breaks
@@ -437,7 +469,9 @@ def maximal_selection(f: HardyFunction, search=DEFAULT_SEARCH, include=(), sourc
     `include` adds extra candidates, e.g. an incumbent parameter that
     must not be lost.  `source` is the signal the caller's iteration
     started from (default f itself); the selection floor is relative to
-    its norm, as in poafd_select.
+    its norm, as in poafd_select.  A caller that already holds ||f||
+    and ||source|| hands them over as _norms, so neither is summed
+    again.
 
     Raises
     ------
@@ -448,8 +482,10 @@ def maximal_selection(f: HardyFunction, search=DEFAULT_SEARCH, include=(), sourc
     ParamOutOfDisc
         If an `include` candidate is not strictly inside the disc.
     """
-    floor = DEFAULT_TOL.zero_residual * (f if source is None else source).norm()
-    if not f.norm() > floor:
+    if _norms is None:
+        norm = f.norm()
+        _norms = (norm, norm if source is None else source.norm())
+    if not _norms[0] > DEFAULT_TOL.zero_residual * _norms[1]:
         raise ZeroResidual("norm below selection floor")
     include = [validate_param(a) for a in include]
     return _select(f.coefficients[None], _hardy_norm2, search, include)
@@ -466,17 +502,18 @@ def sift(f: HardyFunction, a):
     return _sift(f, a, coefficient(f, a))
 
 
-def _sift(f, a, c):
+def _sift(f, a, c, norm=None):
     """sift(f, a) for a validated a and its coefficient c = coefficient(f, a).
 
     e_a and mobius(a, .) come from one denominator on the cached circle.
+    norm is ||f|| where the caller holds it; the leak check scales by it.
     """
     boundary = f.boundary()
     kern, quotient = _kernel_and_mobius(a, _ScanPlan.circle(boundary.n))
     g = np.subtract(boundary.samples, np.multiply(c, kern, out=kern), out=kern)
     g *= np.conj(quotient, out=quotient)
     f_next, leak = to_hardy(CircularSignal(g), m=f.order)
-    if leak > 1e-9 * max(f.norm(), 1e-300):
+    if leak > 1e-9 * max(f.norm() if norm is None else norm, 1e-300):
         warnings.warn(
             f"negative-frequency leakage {leak:.2e} in sift", RuntimeWarning
         )
@@ -508,10 +545,10 @@ def _source_energy(energy):
     return source
 
 
-def _greedy(energy, max_terms, energy_tol, step, forced_params=None):
+def _greedy(source, max_terms, energy_tol, step, forced_params=None):
     """The one loop over terms, behind core AFD, POAFD, UWA and UWAFD.
 
-    energy() gives the source energy, checked by _source_energy.
+    source is the source energy, as _source_energy returned it.
     step(a) extracts one term and returns (Component, residual energy
     after it); a is the next of forced_params, validated, or None when
     the step selects its own.  The run ends after max_terms steps, once
@@ -521,7 +558,6 @@ def _greedy(energy, max_terms, energy_tol, step, forced_params=None):
     Decomposition and the message that ended the run early (None
     otherwise).
     """
-    source = _source_energy(energy)
     components = []
     residuals = [source]
     stopped = None
@@ -541,16 +577,17 @@ def _greedy(energy, max_terms, energy_tol, step, forced_params=None):
     return Decomposition(components, np.array(residuals), source), stopped
 
 
-def _afd_step(f_k, a, search, source):
+def _afd_step(f_k, a, search, norms):
     """One maximal sifting step: (a, <f_k, e_a>, reduced remainder).
 
-    a None is selected by maximal_selection, its floor relative to the
-    signal source the run started from.
+    norms is (||f_k||, ||source||), source the signal the run started
+    from; a None is selected by maximal_selection, its floor relative
+    to ||source||.
     """
     if a is None:
-        a = maximal_selection(f_k, search, source=source)
+        a = maximal_selection(f_k, search, _norms=norms)
     c = coefficient(f_k, a)
-    return a, c, _sift(f_k, a, c)
+    return a, c, _sift(f_k, a, c, norms[0])
 
 
 def core_afd_decompose(
@@ -578,15 +615,20 @@ def core_afd_decompose(
 
     Returns a Decomposition whose residual trace starts at ||f||^2;
     ZeroSignal for a zero f, NonFiniteEnergy if ||f||^2 overflows.
+    Each residual energy is summed once, its norm serving the next
+    step's selection floor and leak check.
     """
-    f_k = f
+    source = _source_energy(f.energy)
+    f_k, norms = f, (float(np.sqrt(source)),) * 2
 
     def step(a):
-        nonlocal f_k
-        a, c, f_k = _afd_step(f_k, a, search, f)
-        return Component(a=a, c=c, kind=kind), f_k.energy()
+        nonlocal f_k, norms
+        a, c, f_k = _afd_step(f_k, a, search, norms)
+        energy = f_k.energy()
+        norms = (float(np.sqrt(energy)), norms[1])
+        return Component(a=a, c=c, kind=kind), energy
 
-    return _greedy(f.energy, max_terms, energy_tol, step, forced_params)[0]
+    return _greedy(source, max_terms, energy_tol, step, forced_params)[0]
 
 
 def _check_boundary(d, n):

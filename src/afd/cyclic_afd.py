@@ -101,7 +101,7 @@ def n_blaschke_objective(f: HardyFunction, params) -> float:
     return max(float(_reduced_without(f, params, None).energy()), 0.0)
 
 
-def coordinate_optimize(f: HardyFunction, params, index, search=DEFAULT_SEARCH):
+def coordinate_optimize(f: HardyFunction, params, index, search=DEFAULT_SEARCH, *, _f_norm=None):
     """One coordinate move: re-select entry `index` (1-based) maximally.
 
     Sifts through the other n-1 parameters in tuple order, runs a
@@ -115,18 +115,22 @@ def coordinate_optimize(f: HardyFunction, params, index, search=DEFAULT_SEARCH):
     The objective is ||g||^2 - |<g, e_a>|^2 for the new entry a, the
     energy split of the sift that would end the new tuple's chain (see
     the module docstring); it agrees with n_blaschke_objective of the
-    returned tuple to rounding, well below 1e-12 ||f||^2.
+    returned tuple to rounding, well below 1e-12 ||f||^2.  ||g||^2 is
+    summed once, for the selection floor and the objective; a caller
+    that holds ||f|| hands it over as _f_norm.
     """
     params = tuple(validate_param(a) for a in params)
     if not 1 <= index <= len(params):
         raise InputError(f"coordinate index {index} outside 1..{len(params)}")
     i = index - 1
     g = _reduced_without(f, params, i)
+    energy = g.energy()
+    norms = (float(np.sqrt(energy)), f.norm() if _f_norm is None else _f_norm)
     try:
-        a_new = maximal_selection(g, search, include=(params[i],), source=f)
+        a_new = maximal_selection(g, search, include=(params[i],), _norms=norms)
     except ZeroResidual:
         a_new = params[i]
-    objective = max(g.energy() - abs(coefficient(g, a_new)) ** 2, 0.0)
+    objective = max(energy - abs(coefficient(g, a_new)) ** 2, 0.0)
     return params[:i] + (a_new,) + params[i + 1 :], objective
 
 
@@ -187,7 +191,7 @@ def cyclic_afd(
     if n < 0:
         raise InputError(f"n wants a count >= 0, got {n}")
     source = _source_energy(f.energy)
-    scale = max(source, 1e-300)
+    scale, f_norm = max(source, 1e-300), float(np.sqrt(source))
     warm = None
     if init is None:
         warm = core_afd_decompose(f, max_terms=n, energy_tol=0.0, search=search)
@@ -206,7 +210,7 @@ def cyclic_afd(
     for cycles in range(1, max_cycles + 1):
         worst_step = 0.0
         for index in range(1, n + 1):
-            new, val = coordinate_optimize(f, tuples[-1], index, search)
+            new, val = coordinate_optimize(f, tuples[-1], index, search, _f_norm=f_norm)
             if val > d[-1]:
                 if val - d[-1] > 1e-12 * scale:
                     raise AFDError(

@@ -51,6 +51,7 @@ from .core_afd import (
     _hardy_norm2,
     _reduced_without,
     _select,
+    _source_energy,
     core_afd_decompose,
     maximal_selection,
 )
@@ -397,6 +398,7 @@ def poafd_decompose(
             resid -= c * v
             return Component(a=a, c=c, kind="poafd"), space.norm(resid) ** 2
 
-        d, _ = _greedy(lambda: space.norm(f) ** 2, max_terms, energy_tol, step, forced_params)
+        source = _source_energy(lambda: space.norm(f) ** 2)
+        d, _ = _greedy(source, max_terms, energy_tol, step, forced_params)
     d.meta = {"space": space.name, "order": space.order}
     return d

@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import DEFAULT_SEARCH, DEFAULT_TOL
 from .errors import DegenerateModulus
-from .core_afd import Component, Decomposition, _afd_step, _greedy, reconstruct
+from .core_afd import Component, Decomposition, _afd_step, _greedy, _source_energy, reconstruct
 from .signal_core import CircularSignal, HardyFunction, _conjugate_real
 
 __all__ = [
@@ -148,13 +148,15 @@ def _unwind(f: HardyFunction, max_terms, energy_tol, kind, extract) -> Decomposi
     """The unwinding recursion shared by UWA and UWAFD, run by _greedy.
 
     Each step factors f_k = I_k O_k and hands extract the outer factor
-    truncated to f's order; extract selects its own parameter and
-    returns (a, c, f_{k+1}).  The term is recorded as a Component of
+    truncated to f's order and ||f||; extract selects its own parameter
+    and returns (a, c, f_{k+1}).  The term is recorded as a Component of
     the given kind whose inner holds the samples of I_1...I_k.
     Besides the shared stopping rule, the recursion ends, naming the
     reason in meta["stopped"], when a remainder cannot be factored or
     extract refuses it.
     """
+    source = _source_energy(f.energy)
+    source_norm = float(np.sqrt(source))
     # log|f| is not band limited even for polynomial f, so the whole
     # recursion runs on a padded grid; sampling f there is exact.
     n = max(4 * f.boundary().n, 4096)
@@ -169,7 +171,7 @@ def _unwind(f: HardyFunction, max_terms, energy_tol, kind, extract) -> Decomposi
         # the outer factor of an order-M polynomial free of boundary
         # zeros is again order M; truncation only sheds alias noise
         outer = fac.outer.truncated(f.order)
-        a, c, f_next = extract(outer)
+        a, c, f_next = extract(outer, source_norm)
         meta["factor_consistency"].append(fac.consistency(boundary))
         meta["front_loading"].append(front_loading_defect(f_k, outer))
         # a new array each step, so no stored inner is written again
@@ -177,7 +179,7 @@ def _unwind(f: HardyFunction, max_terms, energy_tol, kind, extract) -> Decomposi
         f_k = f_next
         return Component(a=a, c=c, kind=kind, inner=cumulative), f_k.energy()
 
-    d, meta["stopped"] = _greedy(f.energy, max_terms, energy_tol, step)
+    d, meta["stopped"] = _greedy(source, max_terms, energy_tol, step)
     d.meta = meta
     return d
 
@@ -197,7 +199,7 @@ def uwa_decompose(f: HardyFunction, max_terms) -> Decomposition:
     ZeroSignal for a zero f, NonFiniteEnergy if its energy overflows.
     """
 
-    def extract(psi):
+    def extract(psi, _source_norm):
         c = complex(psi.coefficients[0])
         rest = psi.coefficients.copy()
         rest[0] -= c
@@ -222,9 +224,11 @@ def uwafd_decompose(
     have kind "uwafd".  ZeroSignal for a zero f, NonFiniteEnergy if its
     energy overflows.
     """
-    return _unwind(
-        f, max_terms, energy_tol, "uwafd", lambda o: _afd_step(o, None, search, f)
-    )
+
+    def extract(outer, source_norm):
+        return _afd_step(outer, None, search, (outer.norm(), source_norm))
+
+    return _unwind(f, max_terms, energy_tol, "uwafd", extract)
 
 
 def unwinding_reconstruct(u: Decomposition) -> CircularSignal:

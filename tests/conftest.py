@@ -6,8 +6,12 @@ boundary samples, Hardy functions with decaying random coefficients,
 and planted sums of Szego kernels or TM-system terms whose exact
 decomposition is known in advance.  `horner` and `grid_argmax` are
 the pointwise evaluation and selection the batched scan replaced,
-kept as its reference; `grid_values` is the scan before its power
-table was cached, kept as the bit-level reference for the cached one;
+kept as its reference; `grid_values` is the block-factored scan with
+its tables built on every call, kept as the bit-level reference for the
+cached plan, and `grid_values_per_ring` the scan by one power table
+r^k per ring before the powers were factored into blocks, kept as its
+reference within `series_bound`; `underflow_slack` is the absolute
+error gradual underflow adds to any of these evaluations;
 `central_differences` is the reference for the closed-form
 derivatives of the selection polish; `selection_objective` scores the
 POAFD objective from the values of a whole [residual, rows] stack;
@@ -116,11 +120,41 @@ def series_bound(coeffs, z):
     return 16 * m1 * np.finfo(float).eps * scale
 
 
+def underflow_slack(coeffs):
+    """Error bound 16 (M+1) (1 + sum_k |c_k|) times the smallest subnormal.
+
+    series_bound is relative to the absolute series; below the smallest
+    normal double a rounding errs by up to half a subnormal step instead,
+    so values near 1e-310 and below differ by a few such steps between
+    any two evaluation orders (on a default-grid ring of radius 0.475 a
+    series starting at z^1000 is there).
+    """
+    m1 = np.shape(coeffs)[-1]
+    total = np.sum(np.abs(coeffs), axis=-1, keepdims=True)
+    return 16 * m1 * np.finfo(float).smallest_subnormal * (1.0 + total)
+
+
 def grid_values(coeffs, search):
-    """Reference FFT grid scan, the power table built on every call."""
+    """Reference block-factored grid scan, its tables built on every call."""
     radii = _search_radii(search)
     if radii.max() > 1.0 - DEFAULT_TOL.param_boundary:
         raise InputError("search grid reaches outside the disc")
+    c = np.asarray(coeffs, dtype=complex)
+    m1 = c.shape[-1]
+    a = search.n_angles
+    lead = c.shape[:-1]
+    blocks = radii[:, None] ** (a * np.arange(-(-m1 // a)))
+    padded = np.zeros(lead + (blocks.shape[-1] * a,), dtype=complex)
+    padded[..., :m1] = c
+    folded = (blocks @ padded.reshape(lead + (-1, a)).view(float)).view(complex)
+    folded *= radii[:, None] ** np.arange(a)
+    rings = np.fft.ifft(folded, axis=-1, norm="forward")
+    return np.concatenate([rings.reshape(lead + (-1,)), c[..., :1]], axis=-1)
+
+
+def grid_values_per_ring(coeffs, search):
+    """Reference FFT grid scan by the power table r^k of every ring, built on every call."""
+    radii = _search_radii(search)
     c = np.asarray(coeffs, dtype=complex)
     m1 = c.shape[-1]
     a = search.n_angles

@@ -49,6 +49,7 @@ from conftest import (
     derivative_stack_reference,
     grid_argmax,
     grid_values,
+    grid_values_per_ring,
     horner,
     kernel_sum,
     random_hardy,
@@ -58,6 +59,7 @@ from conftest import (
     selection_model_reference,
     series_bound,
     sift_reference,
+    underflow_slack,
 )
 
 
@@ -72,6 +74,18 @@ def test_objective_and_coefficient_formulas():
     np.testing.assert_allclose(
         objective(f, pts), [objective(f, complex(p)) for p in pts]
     )
+
+
+def test_coefficient_is_bit_identical_to_the_point_evaluation_form():
+    # one power column read directly, as series_values reads it, and the
+    # same interior radius as HardyFunction.__call__
+    rng = np.random.default_rng(62)
+    for m in (0, 7, 255, 2047):
+        f = random_hardy(rng, m=m)
+        for a in random_params(rng, 6, r=0.99) + (0j,):
+            assert coefficient(f, a) == complex(np.sqrt(1.0 - abs(a) ** 2) * f(a))
+    with pytest.raises(InputError):
+        coefficient(f, 1.0 - 1e-7)
 
 
 def test_selection_recovers_kernel_parameter():
@@ -153,6 +167,64 @@ def test_scan_plans_are_keyed_by_grid_and_order():
             for search in searches:
                 assert np.array_equal(_grid_values(c, search), grid_values(c, search))
                 assert np.array_equal(_scan_plan(search, len(c)).points, _search_grid(search))
+
+
+@pytest.mark.parametrize("m", (0, 1, 63, 64, 65, 127, 511, 2047))
+def test_block_factored_scan_matches_the_per_ring_scan_and_horner(m):
+    # at small radii the late blocks r^(A b) are 0 or subnormal: a series
+    # whose first 1000 coefficients vanish keeps all its weight in them
+    rng = np.random.default_rng(60 + m)
+    grid = _search_grid(DEFAULT_SEARCH)
+    series = [random_hardy(rng, m=m).coefficients]
+    if m >= 1000:
+        late = rng.standard_normal(m + 1) + 1j * rng.standard_normal(m + 1)
+        late[:1000] = 0.0
+        series.append(late)
+    for c in series:
+        got = _grid_values(c, DEFAULT_SEARCH)
+        bound = series_bound(c, grid) + underflow_slack(c)
+        for want in (grid_values_per_ring(c, DEFAULT_SEARCH), horner(c, grid)):
+            assert np.all(np.abs(got - want) <= bound)
+
+
+def test_stacked_scan_is_bit_identical_to_single_row_scans():
+    # OrthoSystem.grid_sq adds rows scanned in whatever stacks they came
+    # in: a row's values must not depend on its stack, with one BLAS
+    # thread or the library's default
+    src = os.path.dirname(os.path.dirname(afd.__file__))
+    code = """
+import numpy as np
+from afd.config import DEFAULT_SEARCH, SearchConfig
+from afd.core_afd import _grid_values
+rng = np.random.default_rng(61)
+bad = []
+grids = (DEFAULT_SEARCH, SearchConfig(n_angles=1, n_radii=8), SearchConfig(n_angles=200, n_radii=5))
+for search in grids:
+    for m in (0, 63, 64, 511, 2047):
+        stack = rng.standard_normal((4, m + 1)) + 1j * rng.standard_normal((4, m + 1))
+        for k, vals in enumerate(_grid_values(stack, search)):
+            if not np.array_equal(vals, _grid_values(stack[k], search)):
+                bad.append((search.n_angles, m, k))
+print(bad)
+"""
+    capped = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
+    base = {k: v for k, v in os.environ.items() if k not in capped}
+    for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        env = dict(base, PYTHONPATH=src, **threads)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]", threads
+
+
+def test_scan_plan_holds_block_tables_only():
+    # no n_radii x (M+1) table: B = 32 blocks and A = 64 within-block
+    # powers per ring, the grid points the largest table
+    search = DEFAULT_SEARCH
+    plan = _scan_plan(search, 2048)
+    assert plan.blocks.shape == (search.n_radii, 2048 // search.n_angles)
+    assert plan.within.shape == (search.n_radii, search.n_angles)
+    assert sum(table.nbytes for table in plan) <= 64 * 1024
 
 
 def test_scan_plan_is_read_only_and_the_grid_is_checked_every_call():

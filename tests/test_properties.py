@@ -28,12 +28,18 @@ from afd import (
     uwafd_decompose,
 )
 from afd import cli_io
-from afd.config import DEFAULT_TOL
+from afd.config import DEFAULT_TOL, SearchConfig
 from afd.cli_io import _float_text, load_result, save_result
-from afd.core_afd import _sift
+from afd.core_afd import _grid_values, _search_grid, _sift
 from afd.signal_core import series_values
 
-from conftest import check_outer_factor_against_reference, random_hardy
+from conftest import (
+    check_outer_factor_against_reference,
+    horner,
+    random_hardy,
+    series_bound,
+    underflow_slack,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, derandomize=True, database=None)
 
@@ -299,3 +305,27 @@ def test_result_files_round_trip(drawn):
     assert got.residual_energy.tobytes() == d.residual_energy.tobytes()
     # the meta of other algorithms is rebuilt with the input's length
     assert got.meta == (d.meta if record["algorithm"] in cli_io.UNWINDING else {"n": 64})
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2047),
+    st.sampled_from([1, 7, 24, 64, 200]),
+    st.integers(1, 8),
+    st.integers(1, 4),
+)
+def test_grid_scan_matches_horner_row_by_row(seed, m, n_angles, n_radii, rows):
+    # from one block (A > M) to 2048 (A = 1), A dividing M+1 or not: every
+    # row of a stack scans to its own single-row values, within the
+    # rounding of the pointwise sum
+    rng = np.random.default_rng(seed)
+    search = SearchConfig(n_angles=n_angles, n_radii=n_radii)
+    grid = _search_grid(search)
+    stack = rng.standard_normal((rows, m + 1)) + 1j * rng.standard_normal((rows, m + 1))
+    got = _grid_values(stack, search)
+    assert got.shape == (rows, grid.size)
+    for row, vals in zip(stack, got):
+        np.testing.assert_array_equal(vals, _grid_values(row, search))
+        bound = series_bound(row, grid) + underflow_slack(row)
+        assert np.all(np.abs(vals - horner(row, grid)) <= bound)
