@@ -66,14 +66,15 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Controls for the argmax search over the open unit disc.
+    """The search grid of the argmax over the open unit disc.
 
     The search first scans a polar grid (Chebyshev-spaced radii so the
-    crowded region near the boundary is resolved), then polishes the
-    best cell by projected Newton ascent on the closed-form gradient
+    crowded region near the boundary is resolved), then always polishes
+    the best cell by projected Newton ascent on the closed-form gradient
     and Hessian of the selection objective.  The polish accepts only
     steps that raise the objective, so the returned point is never
-    worse than the best grid point.
+    worse than the best grid point.  A config is frozen and hashable:
+    it is the key of the cached tables built for its grid.
 
     Attributes
     ----------
@@ -84,14 +85,11 @@ class SearchConfig:
         of a sift grows like abs(a)**(2M), so the cap keeps selections
         where the fixed truncation order is trustworthy.  Polish steps
         that leave the cap are projected back onto it.
-    refine : bool
-        Run the Newton polish after the grid scan.
     """
 
     n_angles: int = 64
     n_radii: int = 32
     r_max: float = 1.0 - 1e-3
-    refine: bool = True
 
 
 DEFAULT_TOL = Tolerances()

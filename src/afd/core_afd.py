@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_SEARCH, DEFAULT_TOL, SearchConfig
+from .config import DEFAULT_SEARCH, DEFAULT_TOL
 from .errors import (
     AFDError,
     DegenerateModulus,
@@ -42,9 +42,9 @@ from .errors import (
 )
 from .hardy_atoms import _kernel_and_mobius, tm_sweep, validate_param
 from .signal_core import (
-    INTERIOR_RADIUS,
     CircularSignal,
     HardyFunction,
+    _power_table,
     circle_grid,
     series_values,
     to_hardy,
@@ -135,25 +135,14 @@ def objective(f: HardyFunction, a):
     return val if val.ndim else float(val)
 
 
-def _power_column(a, m1):
-    """The column [1, a, a^2, ..., a^(m1-1)] that series_values builds for one point a."""
-    powers = np.empty((m1, 1), dtype=complex)
-    powers[0] = 1.0
-    powers[1:] = a
-    np.multiply.accumulate(powers[1:], axis=0, out=powers[1:])
-    return powers
-
-
 def coefficient(f: HardyFunction, a):
     """Projection <f, e_a> = sqrt(1 - |a|^2) f(a) (reproducing kernel).
 
-    f(a) is read as series_values would read it, from one power column,
-    and within the same interior radius as HardyFunction.__call__.
+    f(a) is read as series_values reads it, from the power column
+    [1, a, a^2, ...], for any a that validate_param accepts.
     """
     a = validate_param(a)
-    if abs(a) > INTERIOR_RADIUS * (1 + 1e-12):
-        raise InputError(f"interior evaluation limited to |z| <= {INTERIOR_RADIUS}")
-    value = complex((f.coefficients @ _power_column(a, f.coefficients.size))[0])
+    value = complex((f.coefficients @ _power_table((a,), f.coefficients.size))[0])
     return complex(np.sqrt(1.0 - abs(a) ** 2) * value)
 
 
@@ -195,24 +184,30 @@ class _ScanPlan(NamedTuple):
     # takes for one of its own wrappers
     @staticmethod
     @functools.lru_cache(maxsize=_SCAN_PLANS)
-    def build(n_angles, n_radii, r_max, m1):
-        search = SearchConfig(n_angles=n_angles, n_radii=n_radii, r_max=r_max)
-        radii = _search_radii(search)[:, None]
-        blocks = radii ** (n_angles * np.arange(-(-m1 // n_angles)))
-        plan = _ScanPlan(blocks, radii ** np.arange(n_angles), _search_grid(search))
+    def build(search, m1):
+        """The plan for series of length m1 on the grid of search (a SearchConfig).
+
+        InputError if the grid reaches outside the disc.  The cache
+        keeps no raised error, so such a grid is refused on every call.
+        """
+        radii = _search_radii(search)
+        if radii.max() > 1.0 - DEFAULT_TOL.param_boundary:
+            raise InputError("search grid reaches outside the disc")
+        radii = radii[:, None]
+        blocks = radii ** (search.n_angles * np.arange(-(-m1 // search.n_angles)))
+        plan = _ScanPlan(blocks, radii ** np.arange(search.n_angles), _search_grid(search))
         for table in plan:
             table.flags.writeable = False
         return plan
 
     @staticmethod
     @functools.lru_cache(maxsize=_SCAN_PLANS)
-    def kernel_norm2(n_angles, n_radii, r_max, norm2_rule):
+    def kernel_norm2(search, norm2_rule):
         """Read-only phi = norm2_rule(|a|^2)[0], the squared kernel norm, on _search_grid.
 
         It does not depend on the order, so one table per grid and rule
         serves every plan on that grid.
         """
-        search = SearchConfig(n_angles=n_angles, n_radii=n_radii, r_max=r_max)
         phi = norm2_rule(np.abs(_search_grid(search)) ** 2)[0]
         phi.flags.writeable = False
         return phi
@@ -231,19 +226,6 @@ class _ScanPlan(NamedTuple):
         return z
 
 
-def _scan_plan(search, m1):
-    """The cached _ScanPlan for series of length m1 on search's grid.
-
-    The grid is checked on every call, ahead of the cache, so a grid
-    reaching outside the disc always raises InputError.
-    """
-    # the largest of _search_radii, radii[0], in scalar arithmetic
-    outer = search.r_max * 0.5 * (1.0 + math.cos(math.pi / (2 * search.n_radii)))
-    if outer > 1.0 - DEFAULT_TOL.param_boundary:
-        raise InputError("search grid reaches outside the disc")
-    return _ScanPlan.build(search.n_angles, search.n_radii, search.r_max, m1)
-
-
 def _grid_values(coeffs, search):
     """Values of one series (M+1,) or a stack (R, M+1) on _search_grid.
 
@@ -260,7 +242,7 @@ def _grid_values(coeffs, search):
     """
     c = np.asarray(coeffs, dtype=complex)
     lead, m1 = c.shape[:-1], c.shape[-1]
-    plan = _scan_plan(search, m1)
+    plan = _ScanPlan.build(search, m1)
     padded = np.zeros(lead + (plan.blocks.shape[-1], search.n_angles), dtype=complex)
     padded.reshape(lead + (-1,))[..., :m1] = c
     folded = (plan.blocks @ padded.view(float)).view(complex)
@@ -324,10 +306,10 @@ def _selection_model(stack, norm2_rule, a):
         D_abar_abar = phi'' a^2 - sum_j B_j conj(B_j''),
 
     phi' and phi'' taken in s = |a|^2.  stack is evaluated on the power
-    column [1, a, a^2, ...] that series_values would build for a, and
-    the row sums are skipped without system rows.
+    column [1, a, a^2, ...], as series_values evaluates it, and the row
+    sums are skipped without system rows.
     """
-    v = (stack @ _power_column(a, stack.shape[-1]))[:, 0]
+    v = (stack @ _power_table((a,), stack.shape[-1]))[:, 0]
     n = len(v) // 3
     r, r1, r2 = complex(v[0]), complex(v[n]), complex(v[2 * n])
     s = abs(a) ** 2
@@ -414,47 +396,58 @@ def _polish(stack, norm2_rule, a, search):
     return a
 
 
-def _select(rows, norm2_rule, search, include=(), grid_sq=0.0):
-    """Best point of Q over the search grid and include, then polished.
+def _grid_pick(rows, norm2_rule, search, floor=0.0, include=(), rows_sq=0.0):
+    """Best point of Q over the search grid and include, with the stack it scored.
 
     rows is the stack [residual, system rows] that Q is formed from and
-    grid_sq the sum of |B_j|^2 over the system rows on search's grid (0
-    without rows; POAFD carries it with its system), so the grid scan
-    covers the residual row alone.  The include candidates and the
-    polish evaluate every row at their points.
-    Q is homogeneous of degree 2 in the residual, so it is scaled to
-    unit coefficient norm first: the pick does not depend on the
-    signal's scale, nothing overflows for large signals, and Q is a
-    fraction of the residual's squared coefficient norm (its Hardy
-    energy).  Ties (within 1e-12 of that) go to small |a| and then to
-    small nonnegative argument.
-    The polish only ever raises Q and stays within search.r_max, so the
-    pick never scores below the best grid point or include candidate.
+    rows_sq the sum of |B_j|^2 over the system rows on search's grid (0
+    without rows; Bergman POAFD carries it through its run), so the
+    grid scan covers the residual row alone.  The include candidates
+    evaluate every row at their points.
+    Q is homogeneous of degree 2 in the residual, so it is scored on a
+    copy of rows whose residual is scaled to unit coefficient norm: the
+    pick does not depend on the signal's scale, nothing overflows for
+    large signals, and Q is a fraction of the residual's squared
+    coefficient norm (its Hardy energy).  Ties (within 1e-12 of that)
+    go to small |a| and then to small nonnegative argument.  Returns
+    (pick, scaled copy).
+
+    Raises ZeroResidual unless that coefficient norm is above floor.
     """
     rows = np.array(rows, dtype=complex)  # a copy, so the residual scales in place
-    rows[0] /= np.linalg.norm(rows[0])
-    candidates = _scan_plan(search, rows.shape[-1]).points
-    norm2 = _ScanPlan.kernel_norm2(search.n_angles, search.n_radii, search.r_max, norm2_rule)
-    vals = _selection_scores(norm2, _grid_values(rows[0], search), grid_sq)
+    norm = np.linalg.norm(rows[0])
+    if not norm > floor:
+        raise ZeroResidual("norm below selection floor")
+    rows[0] /= norm
+    candidates = _ScanPlan.build(search, rows.shape[-1]).points
+    norm2 = _ScanPlan.kernel_norm2(search, norm2_rule)
+    vals = _selection_scores(norm2, _grid_values(rows[0], search), rows_sq)
     if len(include):
         extra = np.asarray(include, dtype=complex)
         candidates = np.concatenate([candidates, extra])
         at = series_values(rows, extra)
-        rows_sq = np.sum(np.abs(at[1:]) ** 2, axis=0)
+        extra_sq = np.sum(np.abs(at[1:]) ** 2, axis=0)
         norm2 = norm2_rule(np.abs(extra) ** 2)[0]
-        vals = np.concatenate([vals, _selection_scores(norm2, at[0], rows_sq)])
+        vals = np.concatenate([vals, _selection_scores(norm2, at[0], extra_sq)])
     ties = np.flatnonzero(vals >= vals.max() - 1e-12)
     if len(ties) > 1:
         pts = candidates[ties]
         ties = ties[np.lexsort((np.mod(np.angle(pts), 2.0 * np.pi), np.abs(pts)))]
-    best = complex(candidates[ties[0]])
-    if search.refine:
-        best = _polish(_derivative_stack(rows), norm2_rule, best, search)
-    return best
+    return complex(candidates[ties[0]]), rows
+
+
+def _select(rows, norm2_rule, search, floor=0.0, include=(), rows_sq=0.0):
+    """The _grid_pick point, polished by _polish on the stack it scored.
+
+    The polish only ever raises Q and stays within search.r_max, so the
+    pick never scores below the best grid point or include candidate.
+    """
+    best, rows = _grid_pick(rows, norm2_rule, search, floor, include, rows_sq)
+    return _polish(_derivative_stack(rows), norm2_rule, best, search)
 
 
 def maximal_selection(
-    f: HardyFunction, search=DEFAULT_SEARCH, include=(), source=None, *, _norms=None
+    f: HardyFunction, search=DEFAULT_SEARCH, include=(), source=None, *, _source_norm=None
 ):
     """Polished grid maximum of the selection objective for one greedy step.
 
@@ -469,9 +462,8 @@ def maximal_selection(
     `include` adds extra candidates, e.g. an incumbent parameter that
     must not be lost.  `source` is the signal the caller's iteration
     started from (default f itself); the selection floor is relative to
-    its norm, as in poafd_select.  A caller that already holds ||f||
-    and ||source|| hands them over as _norms, so neither is summed
-    again.
+    its norm, as in poafd_select.  A caller that already holds
+    ||source|| hands it over as _source_norm, so it is not summed again.
 
     Raises
     ------
@@ -482,13 +474,11 @@ def maximal_selection(
     ParamOutOfDisc
         If an `include` candidate is not strictly inside the disc.
     """
-    if _norms is None:
-        norm = f.norm()
-        _norms = (norm, norm if source is None else source.norm())
-    if not _norms[0] > DEFAULT_TOL.zero_residual * _norms[1]:
-        raise ZeroResidual("norm below selection floor")
+    if _source_norm is None:
+        _source_norm = (f if source is None else source).norm()
     include = [validate_param(a) for a in include]
-    return _select(f.coefficients[None], _hardy_norm2, search, include)
+    floor = DEFAULT_TOL.zero_residual * _source_norm
+    return _select(f.coefficients[None], _hardy_norm2, search, floor, include)
 
 
 def sift(f: HardyFunction, a):
@@ -585,7 +575,7 @@ def _afd_step(f_k, a, search, norms):
     to ||source||.
     """
     if a is None:
-        a = maximal_selection(f_k, search, _norms=norms)
+        a = maximal_selection(f_k, search, _source_norm=norms[1])
     c = coefficient(f_k, a)
     return a, c, _sift(f_k, a, c, norms[0])
 
@@ -616,7 +606,7 @@ def core_afd_decompose(
     Returns a Decomposition whose residual trace starts at ||f||^2;
     ZeroSignal for a zero f, NonFiniteEnergy if ||f||^2 overflows.
     Each residual energy is summed once, its norm serving the next
-    step's selection floor and leak check.
+    step's leak check.
     """
     source = _source_energy(f.energy)
     f_k, norms = f, (float(np.sqrt(source)),) * 2

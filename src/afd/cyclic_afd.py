@@ -115,9 +115,9 @@ def coordinate_optimize(f: HardyFunction, params, index, search=DEFAULT_SEARCH, 
     The objective is ||g||^2 - |<g, e_a>|^2 for the new entry a, the
     energy split of the sift that would end the new tuple's chain (see
     the module docstring); it agrees with n_blaschke_objective of the
-    returned tuple to rounding, well below 1e-12 ||f||^2.  ||g||^2 is
-    summed once, for the selection floor and the objective; a caller
-    that holds ||f|| hands it over as _f_norm.
+    returned tuple to rounding, well below 1e-12 ||f||^2.  A caller
+    that holds ||f||, the reference of the selection floor, hands it
+    over as _f_norm.
     """
     params = tuple(validate_param(a) for a in params)
     if not 1 <= index <= len(params):
@@ -125,9 +125,9 @@ def coordinate_optimize(f: HardyFunction, params, index, search=DEFAULT_SEARCH, 
     i = index - 1
     g = _reduced_without(f, params, i)
     energy = g.energy()
-    norms = (float(np.sqrt(energy)), f.norm() if _f_norm is None else _f_norm)
+    f_norm = f.norm() if _f_norm is None else _f_norm
     try:
-        a_new = maximal_selection(g, search, include=(params[i],), _norms=norms)
+        a_new = maximal_selection(g, search, include=(params[i],), _source_norm=f_norm)
     except ZeroResidual:
         a_new = params[i]
     objective = max(energy - abs(coefficient(g, a_new)) ** 2, 0.0)

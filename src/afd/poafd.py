@@ -29,9 +29,10 @@ carries orthonormal rows.  Parameter multiplicity is handled with
 derivative kernels: the m-th repeat of a contributes (d/d conj(a))^(m-1)
 k_a, whose pairing with f reproduces f^(m-1)(a).  The system grows one
 row per parameter: a new row never changes the earlier ones.  Since
-rows never change, the system carries sum_j |B_j|^2 on each search grid
-it was scanned on, so every row is scanned once and a selection scans
-the residual and any rows appended since the last one.  The public
+rows never change, poafd_decompose carries sum_j |B_j|^2 on its search
+grid through the run, so every row is scanned once and a selection
+scans the residual and the row grown since the last one; poafd_select
+scans the rows of the system it is given.  The public
 gram_schmidt builds the same rows in the Hardy space too, each turned
 onto the phase of its TM function (see _grow), so they can be compared
 with the TM system.
@@ -105,35 +106,13 @@ class KernelSpace:
 
 @dataclass
 class OrthoSystem:
-    """Orthonormal rows spanning the kernels of a parameter tuple.
-
-    grid_sums maps each search grid the rows were scanned on, keyed by
-    (n_angles, n_radii, r_max), to (rows covered, sum_j |B_j|^2 over
-    them on that grid): one real value per grid point.  An entry is
-    replaced, never written in place, so a system grown from this one
-    may share its arrays.
-    """
+    """Orthonormal rows spanning the kernels of a parameter tuple."""
 
     params: tuple
     vectors: np.ndarray  # (n, M+1)
-    grid_sums: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self):
         return len(self.params)
-
-    def grid_sq(self, search):
-        """sum_j |B_j|^2 on search's grid, scanning only the rows not yet covered.
-
-        The rows are added in row order, so the sum is bit for bit
-        np.sum(np.abs(values) ** 2, axis=0) over one scan of all rows.
-        """
-        key = (search.n_angles, search.n_radii, search.r_max)
-        covered, total = self.grid_sums.get(key, (0, 0.0))
-        if covered < len(self):
-            for values in _grid_values(self.vectors[covered:], search):
-                total = total + np.abs(values) ** 2
-            self.grid_sums[key] = (len(self), total)
-        return total
 
     def gram_defect(self, space):
         """Largest deviation of the Gram matrix from the identity."""
@@ -232,8 +211,8 @@ def _grow(space, system, a):
     normalizing), a positive multiple of prod (a - b)/(1 - conj(b) a)
     over the earlier parameters b not coincident with a, so the turn is
     that product's unit phase, formed from unit factors so it cannot
-    underflow.  Earlier rows are left as they are, and the grid sums of
-    system are carried over to cover them.  a must already be validated.
+    underflow.  Earlier rows are left as they are.  a must already be
+    validated.
     """
     raw = kernel(space, a, _multiplicity(system.params, a))
     v, _ = _extend(space, system.vectors, raw)
@@ -244,11 +223,7 @@ def _grow(space, system, a):
                 w = (a - b) / (1.0 - b.conjugate() * a)
                 turn *= w / abs(w)
         v *= turn
-    return OrthoSystem(
-        params=system.params + (a,),
-        vectors=np.vstack([system.vectors, v]),
-        grid_sums=dict(system.grid_sums),
-    )
+    return OrthoSystem(params=system.params + (a,), vectors=np.vstack([system.vectors, v]))
 
 
 def gram_schmidt(space: KernelSpace, params) -> OrthoSystem:
@@ -287,8 +262,7 @@ def poafd_select(space: KernelSpace, f, system: OrthoSystem, search=DEFAULT_SEAR
     the residual against the rows is formed in one weighted mat-vec pair
     and scored on the stack [residual, system rows] by the engine greedy
     AFD uses (grid scan, tie-break, projected Newton polish); the scan
-    covers the residual and the rows system has not yet summed on that
-    grid (see OrthoSystem.grid_sq).
+    covers the residual and every row of system.
 
     Raises
     ------
@@ -303,13 +277,31 @@ def poafd_select(space: KernelSpace, f, system: OrthoSystem, search=DEFAULT_SEAR
         source = HardyFunction(f)
         g = _reduced_without(source, system.params, None)
         return maximal_selection(g, capped, source=source)
-    vectors = system.vectors
+    return _select_on_rows(space, f, system.vectors, capped, _scan_rows(system.vectors, capped))
+
+
+def _scan_rows(rows, search, total=0.0):
+    """total plus sum_j |B_j|^2 over rows on search's grid, added in row order.
+
+    Rows are summed one at a time, so the sum does not depend on how
+    they were split between calls.
+    """
+    if len(rows):
+        for values in _grid_values(rows, search):
+            total = total + np.abs(values) ** 2
+    return total
+
+
+def _select_on_rows(space, f, vectors, search, rows_sq):
+    """Pick for f against the rows vectors, rows_sq their _scan_rows on search's grid.
+
+    ZeroResidual unless the residual's space norm is above
+    DEFAULT_TOL.zero_residual times the norm of f.
+    """
     resid = f - ((np.conj(vectors) * space.weights) @ f) @ vectors
     if not space.norm(resid) > DEFAULT_TOL.zero_residual * space.norm(f):
         raise ZeroResidual("residual norm below the selection floor")
-    return _select(
-        np.vstack([resid, vectors]), space.norm2_rule, capped, grid_sq=system.grid_sq(capped)
-    )
+    return _select(np.vstack([resid, vectors]), space.norm2_rule, search, rows_sq=rows_sq)
 
 
 def multiplicity_limit_check(space: KernelSpace, params, a_n, h_seq=None):
@@ -368,7 +360,9 @@ def poafd_decompose(
     one row (see gram_schmidt), so the multiplicity rule holds no matter
     how the parameters arrived, and earlier rows and coefficients stay
     as they were.  Only the new coefficient <f, B_n> is computed, and
-    the remainder sequence loses its rank-one term.  Selection sees the
+    the remainder sequence loses its rank-one term.  Selection is
+    poafd_select's, with the rows' sum_j |B_j|^2 on the capped grid
+    carried through the run, so each row is scanned once; it sees the
     source f, so its floor is relative to the signal.  Residual energies
     use the space norm of the explicit remainder sequence.
 
@@ -377,21 +371,25 @@ def poafd_decompose(
     ZeroSignal for a zero f, NonFiniteEnergy if its energy overflows.
     """
     f = _as_sequence(space, f)
+    capped = replace(search, r_max=min(search.r_max, SELECTION_CAP))
     if space.norm2_rule is _hardy_norm2:
         if forced_params is not None:
             forced_params = [_capped(validate_param(a)) for a in forced_params]
-        capped = replace(search, r_max=min(search.r_max, SELECTION_CAP))
         d = core_afd_decompose(
             HardyFunction(f), max_terms, energy_tol, capped, forced_params, kind="poafd"
         )
     else:
         system = gram_schmidt(space, ())
         resid = f.copy()
+        rows_sq = 0.0
 
         def step(a):
-            nonlocal system, resid
+            nonlocal system, resid, rows_sq
             if a is None:
-                a = poafd_select(space, f, system, search)
+                # every step of a run selects or none does, so the row the
+                # last step grew is the only one missing from the sum
+                rows_sq = _scan_rows(system.vectors[-1:], capped, rows_sq)
+                a = _select_on_rows(space, f, system.vectors, capped, rows_sq)
             system = _grow(space, system, a)
             v = system.vectors[-1]
             c = space.inner(f, v)

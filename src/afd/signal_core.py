@@ -53,13 +53,22 @@ def circle_grid(n):
 _SERIES_BLOCK = 1 << 14
 
 
+def _power_table(z, m1):
+    """The (m1, len(z)) table of z^0, z^1, ..., z^(m1-1) at the points z, a running product."""
+    powers = np.empty((m1, len(z)), dtype=complex)
+    powers[0] = 1.0
+    powers[1:] = z
+    np.multiply.accumulate(powers[1:], axis=0, out=powers[1:])
+    return powers
+
+
 def series_values(coeffs, z):
     """Values of sum_k c_k z^k at every point of z, in power form.
 
     coeffs holds one series (M+1,) or a stack of series (R, M+1); the
-    result has shape z.shape or (R,) + z.shape.  The power table z^k is
-    a running product multiplied by the coefficient matrix, built for a
-    block of points at a time so its memory stays bounded.
+    result has shape z.shape or (R,) + z.shape.  The coefficient matrix
+    multiplies the _power_table of a block of points at a time, so its
+    memory stays bounded.
     """
     c = np.asarray(coeffs, dtype=complex)
     z = np.asarray(z, dtype=complex)
@@ -68,12 +77,7 @@ def series_values(coeffs, z):
     out = np.empty(c.shape[:-1] + pts.shape, dtype=complex)
     step = max(1, _SERIES_BLOCK // m1)
     for lo in range(0, pts.size, step):
-        block = pts[lo : lo + step]
-        powers = np.empty((m1, block.size), dtype=complex)
-        powers[0] = 1.0
-        powers[1:] = block
-        np.multiply.accumulate(powers[1:], axis=0, out=powers[1:])
-        out[..., lo : lo + step] = c @ powers
+        out[..., lo : lo + step] = c @ _power_table(pts[lo : lo + step], m1)
     return out.reshape(c.shape[:-1] + z.shape)
 
 

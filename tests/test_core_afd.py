@@ -27,10 +27,10 @@ from afd.config import DEFAULT_SEARCH, DEFAULT_TOL, SearchConfig
 from afd.core_afd import (
     _ScanPlan,
     _derivative_stack,
+    _grid_pick,
     _grid_values,
     _hardy_norm2,
     _polish,
-    _scan_plan,
     _search_grid,
     _search_radii,
     _selection_model,
@@ -39,6 +39,7 @@ from afd.core_afd import (
 from afd.cyclic_afd import cyclic_afd
 from afd.errors import InputError, NonFiniteEnergy, ZeroResidual, ZeroSignal
 from afd.poafd import _bergman_norm2, bergman_space, gram_schmidt, hardy_space, poafd_decompose
+from afd.signal_core import series_values
 from afd.unwinding import uwa_decompose, uwafd_decompose
 
 from conftest import (
@@ -77,15 +78,35 @@ def test_objective_and_coefficient_formulas():
 
 
 def test_coefficient_is_bit_identical_to_the_point_evaluation_form():
-    # one power column read directly, as series_values reads it, and the
-    # same interior radius as HardyFunction.__call__
+    # one power column read directly, as series_values reads it; beyond
+    # HardyFunction.__call__'s interior radius too
     rng = np.random.default_rng(62)
     for m in (0, 7, 255, 2047):
         f = random_hardy(rng, m=m)
         for a in random_params(rng, 6, r=0.99) + (0j,):
             assert coefficient(f, a) == complex(np.sqrt(1.0 - abs(a) ** 2) * f(a))
-    with pytest.raises(InputError):
-        coefficient(f, 1.0 - 1e-7)
+        for a in (1.0 - 1e-7, 1j * (1.0 - 1e-9)):
+            value = series_values(f.coefficients, [a])[0]
+            assert coefficient(f, a) == complex(np.sqrt(1.0 - abs(a) ** 2) * value)
+
+
+@pytest.mark.parametrize("m", (127, 2047))
+def test_sift_and_forced_params_reach_the_parameter_bound(m):
+    # validate_param accepts |a| <= 1 - 1e-9; coefficient refused |a| above
+    # HardyFunction's interior radius 1 - 1e-6, so sift and forced
+    # parameters between the two raised InputError.  The rounding of
+    # 1 - |a|^2 grows like 1e-16 / (1 - |a|): the split holds to 1.8e-11
+    # of ||f||^2 here over 20 seeds, and to 2.3e-13 at 1 - 1e-6
+    rng = np.random.default_rng(63)
+    f = random_hardy(rng, m=m)
+    energy = f.energy()
+    for a in (1.0 - 1e-7, -(1.0 - 1e-9), 1j * (1.0 - 1e-9)):
+        split = energy - abs(coefficient(f, a)) ** 2 - sift(f, a).energy()
+        assert abs(split) <= 1e-10 * energy
+    params = [1.0 - 1e-7, 0.5j, -(1.0 - 1e-9)]
+    d = core_afd_decompose(f, forced_params=params, energy_tol=0.0)
+    assert np.array_equal(d.params, params)
+    d.validate()
 
 
 def test_selection_recovers_kernel_parameter():
@@ -166,7 +187,14 @@ def test_scan_plans_are_keyed_by_grid_and_order():
         for c in series.values():
             for search in searches:
                 assert np.array_equal(_grid_values(c, search), grid_values(c, search))
-                assert np.array_equal(_scan_plan(search, len(c)).points, _search_grid(search))
+                assert np.array_equal(_ScanPlan.build(search, len(c)).points, _search_grid(search))
+    # the key is the config itself: equal configs share one plan and one norm table
+    equal = SearchConfig(n_angles=48, n_radii=32, r_max=1.0 - 1e-3)
+    assert equal == searches[3] and equal is not searches[3]
+    assert _ScanPlan.build(equal, 128) is _ScanPlan.build(searches[3], 128)
+    assert _ScanPlan.kernel_norm2(equal, _hardy_norm2) is _ScanPlan.kernel_norm2(
+        searches[3], _hardy_norm2
+    )
 
 
 @pytest.mark.parametrize("m", (0, 1, 63, 64, 65, 127, 511, 2047))
@@ -188,9 +216,9 @@ def test_block_factored_scan_matches_the_per_ring_scan_and_horner(m):
 
 
 def test_stacked_scan_is_bit_identical_to_single_row_scans():
-    # OrthoSystem.grid_sq adds rows scanned in whatever stacks they came
-    # in: a row's values must not depend on its stack, with one BLAS
-    # thread or the library's default
+    # Bergman POAFD sums rows scanned one at a time, poafd_select scans
+    # all rows of a system at once: a row's values must not depend on its
+    # stack, with one BLAS thread or the library's default
     src = os.path.dirname(os.path.dirname(afd.__file__))
     code = """
 import numpy as np
@@ -221,20 +249,23 @@ def test_scan_plan_holds_block_tables_only():
     # no n_radii x (M+1) table: B = 32 blocks and A = 64 within-block
     # powers per ring, the grid points the largest table
     search = DEFAULT_SEARCH
-    plan = _scan_plan(search, 2048)
+    plan = _ScanPlan.build(search, 2048)
     assert plan.blocks.shape == (search.n_radii, 2048 // search.n_angles)
     assert plan.within.shape == (search.n_radii, search.n_angles)
     assert sum(table.nbytes for table in plan) <= 64 * 1024
 
 
 def test_scan_plan_is_read_only_and_the_grid_is_checked_every_call():
-    plan = _scan_plan(DEFAULT_SEARCH, 128)
+    plan = _ScanPlan.build(DEFAULT_SEARCH, 128)
     for table in plan:
         with pytest.raises(ValueError):
             table[0] = 0.0
     f = random_hardy(np.random.default_rng(51), m=127)
     outside = replace(DEFAULT_SEARCH, r_max=3.0)
+    # the cache keeps no raised error: a refused grid is refused again
     for _ in range(2):
+        with pytest.raises(InputError):
+            _ScanPlan.build(outside, 128)
         with pytest.raises(InputError):
             _grid_values(f.coefficients, outside)
         with pytest.raises(InputError):
@@ -245,9 +276,8 @@ def test_cached_tables_are_read_only():
     # every table the selection and the sift share between calls refuses writes
     for search in (DEFAULT_SEARCH, SearchConfig(n_angles=48, n_radii=16, r_max=0.95)):
         for m1 in (8, 256):
-            tables = list(_scan_plan(search, m1))
-            grid = (search.n_angles, search.n_radii, search.r_max)
-            tables += [_ScanPlan.kernel_norm2(*grid, rule) for rule in (_hardy_norm2, _bergman_norm2)]
+            tables = list(_ScanPlan.build(search, m1))
+            tables += [_ScanPlan.kernel_norm2(search, rule) for rule in (_hardy_norm2, _bergman_norm2)]
             for table in tables:
                 with pytest.raises(ValueError):
                     table[0] = 0.0
@@ -267,7 +297,7 @@ def test_scores_from_cached_kernel_norms_equal_scores_from_recomputed_ones():
     for search in (DEFAULT_SEARCH, SearchConfig(n_angles=48, n_radii=16, r_max=0.95)):
         fresh_sq = np.abs(_search_grid(search)) ** 2
         for rule in (_hardy_norm2, _bergman_norm2):
-            cached = _ScanPlan.kernel_norm2(search.n_angles, search.n_radii, search.r_max, rule)
+            cached = _ScanPlan.kernel_norm2(search, rule)
             np.testing.assert_array_equal(cached, rule(fresh_sq)[0])
             # without rows, and with row sums reaching phi or past it (scored 0)
             norm2 = rule(fresh_sq)[0]
@@ -343,8 +373,8 @@ def test_energy_overflow_is_refused_by_every_algorithm(scale):
 
 
 def test_grid_check_matches_the_largest_radius():
-    # the check computes radii[0] in scalar arithmetic; it must agree with
-    # the grid itself right at the boundary
+    # the check runs on the radii the plan is built from, so it agrees
+    # with the grid itself right at the boundary
     limit = 1.0 - DEFAULT_TOL.param_boundary
     for n_radii in (1, 3, 32, 200):
         top = _search_radii(SearchConfig(n_radii=n_radii, r_max=1.0)).max()
@@ -352,7 +382,7 @@ def test_grid_check_matches_the_largest_radius():
             search = SearchConfig(n_radii=n_radii, r_max=limit / top * (1.0 + k * 2.2e-16))
             outside = _search_radii(search).max() > limit
             try:
-                _scan_plan(search, 8)
+                _ScanPlan.build(search, 8)
             except InputError:
                 assert outside
             else:
@@ -360,7 +390,7 @@ def test_grid_check_matches_the_largest_radius():
 
 
 def test_selection_ignores_the_signal_scale():
-    # Q is homogeneous of degree 2 in the residual, which _select scales
+    # Q is homogeneous of degree 2 in the residual, which _grid_pick scales
     # to unit norm: at 1e150 nothing overflows and the picks are those at 1
     unit, large = scaled_am_fm(1.0), scaled_am_fm(1e150)
     space = hardy_space(unit.order)
@@ -397,17 +427,21 @@ def test_selection_floor_refuses_relative_to_the_source():
         maximal_selection(f, source=scaled_am_fm(1e-7))
 
 
+def unpolished_pick(f, search):
+    """maximal_selection's grid stage on f: scan and tie-break, no polish."""
+    return _grid_pick(f.coefficients[None], _hardy_norm2, search)[0]
+
+
 def test_unpolished_selection_is_pointwise_grid_argmax():
     # the scan's values must line up with _search_grid, ties included:
     # real coefficients tie conjugate points, z^3 ties a whole ring
     rng = np.random.default_rng(34)
-    search = replace(DEFAULT_SEARCH, refine=False)
-    grid = _search_grid(search)
+    grid = _search_grid(DEFAULT_SEARCH)
     cases = [random_hardy(rng, m=m) for m in (7, 127, 511)]
     cases += [HardyFunction(random_hardy(rng, m=63).coefficients.real)]
     cases += [HardyFunction([0, 0, 0, 1]), HardyFunction([2.0])]
     for f in cases:
-        assert maximal_selection(f, search) == grid_argmax(grid, objective(f, grid))
+        assert unpolished_pick(f, DEFAULT_SEARCH) == grid_argmax(grid, objective(f, grid))
 
 
 def test_selection_leaves_the_real_axis():
@@ -458,7 +492,6 @@ def test_selection_climbs_on_benchmark_like_signals():
     # where the polish moved off the grid start the objective rose
     rng = np.random.default_rng(43)
     grid = _search_grid(DEFAULT_SEARCH)
-    unpolished = replace(DEFAULT_SEARCH, refine=False)
     moved = 0
     for signal in (am_fm_real(rng), am_fm_real(rng), band_limited_real(rng, 256)):
         f = analytic_signal(signal)
@@ -468,7 +501,7 @@ def test_selection_climbs_on_benchmark_like_signals():
             assert abs(a) <= DEFAULT_SEARCH.r_max
             # the tie-break may start 1e-12 below the grid maximum
             assert objective(g, a) >= objective(g, grid).max() - 1e-12
-            start = maximal_selection(g, unpolished)
+            start = unpolished_pick(g, DEFAULT_SEARCH)
             if a != start:
                 moved += 1
                 assert objective(g, a) > objective(g, start)
@@ -480,11 +513,10 @@ def test_polish_never_lowers_the_grid_start(coarse_search):
     # from a coarse grid's start the first steps are long; a step is
     # taken only if it raises the objective
     rng = np.random.default_rng(47)
-    unpolished = replace(coarse_search, refine=False)
     for _ in range(100):
         f = random_hardy(rng, m=63, decay=rng.uniform(0.3, 1.5))
         a = maximal_selection(f, coarse_search)
-        start = maximal_selection(f, unpolished)
+        start = unpolished_pick(f, coarse_search)
         assert a == start or objective(f, a) > objective(f, start)
 
 

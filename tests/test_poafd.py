@@ -23,9 +23,9 @@ from afd import (
 )
 from afd.errors import DegenerateGram, InputError, ZeroResidual, ZeroSignal
 from afd import hardy_space
-from afd.config import DEFAULT_SEARCH, DEFAULT_TOL, SearchConfig
-from afd.core_afd import _grid_values, _search_grid
-from afd.poafd import SELECTION_CAP, _extend, _grow
+from afd.config import DEFAULT_SEARCH, DEFAULT_TOL
+from afd.core_afd import _grid_pick, _grid_values, _hardy_norm2, _reduced_without, _search_grid
+from afd.poafd import SELECTION_CAP, _extend, _grow, _scan_rows
 from afd.signal_core import series_values
 
 from conftest import (
@@ -253,15 +253,26 @@ def test_selection_objective_is_normalized_extension_coefficient():
         np.testing.assert_allclose(got, want, rtol=1e-9)
 
 
+def unpolished_select(space, f, system):
+    """poafd_select's grid stage: the pick on the capped default grid before the polish."""
+    capped = replace(DEFAULT_SEARCH, r_max=SELECTION_CAP)
+    if space.norm2_rule is _hardy_norm2:
+        g = _reduced_without(HardyFunction(f), system.params, None)
+        return _grid_pick(g.coefficients[None], _hardy_norm2, capped)[0]
+    vectors = system.vectors
+    resid = f - ((np.conj(vectors) * space.weights) @ f) @ vectors
+    rows = np.vstack([resid, vectors])
+    return _grid_pick(rows, space.norm2_rule, capped, rows_sq=_scan_rows(vectors, capped))[0]
+
+
 def test_unpolished_select_is_pointwise_grid_argmax():
     # the scan runs on the capped grid and lines up with its points
     rng = np.random.default_rng(76)
-    search = replace(DEFAULT_SEARCH, refine=False)
-    grid = _search_grid(replace(search, r_max=SELECTION_CAP))
+    grid = _search_grid(replace(DEFAULT_SEARCH, r_max=SELECTION_CAP))
     for space in _spaces():
         f, system, rows = _residual_rows(space, rng, 2)
         vals = selection_objective(space, grid, series_values(rows, grid))
-        assert poafd_select(space, f, system, search) == grid_argmax(grid, vals)
+        assert unpolished_select(space, f, system) == grid_argmax(grid, vals)
 
 
 def test_selection_derivatives_match_central_differences():
@@ -299,7 +310,6 @@ def test_select_climbs_on_benchmark_like_signals():
     # and where the polish moved off the grid start the objective rose
     rng = np.random.default_rng(79)
     grid = _search_grid(replace(DEFAULT_SEARCH, r_max=SELECTION_CAP))
-    unpolished = replace(DEFAULT_SEARCH, refine=False)
     moved = 0
     signals = (am_fm_real(rng), band_limited_real(rng, 256))
     for space in (hardy_space(m=127), bergman_space(m=127)):
@@ -317,7 +327,7 @@ def test_select_climbs_on_benchmark_like_signals():
                 assert abs(a) <= SELECTION_CAP
                 # the tie-break may start 1e-12 below the grid maximum
                 assert q([a])[0] >= q(grid).max() - 1e-12
-                start = poafd_select(space, f, system, unpolished)
+                start = unpolished_select(space, f, system)
                 if a != start:
                     moved += 1
                     assert q([a])[0] > q([start])[0]
@@ -436,79 +446,57 @@ def test_hardy_poafd_reconstructs_to_its_residual(n):
         assert abs(resid - d.residual_energy[-1]) <= DEFAULT_TOL.energy_total * d.source_energy
 
 
-def _fresh_grid_sq(system, search):
-    return np.sum(np.abs(_grid_values(system.vectors, search)) ** 2, axis=0)
+def test_bergman_run_scans_each_row_once(monkeypatch):
+    # k selections scan k - 1 single rows, each the row the step before
+    # grew; the carried sum each selection scores with is a fresh scan of
+    # all its rows
+    scans, sums = [], []
+    select = afd.poafd._select
 
+    def counting(rows, search):
+        scans.append(rows.shape)
+        return _grid_values(rows, search)
 
-def _grid_key(search):
-    return (search.n_angles, search.n_radii, search.r_max)
+    def recording(rows, norm2_rule, search, floor=0.0, include=(), rows_sq=0.0):
+        sums.append((rows[1:], search, rows_sq))
+        return select(rows, norm2_rule, search, floor, include, rows_sq)
 
-
-def test_carried_grid_sum_matches_a_fresh_scan():
-    # Bergman only: Hardy selection sifts and scans no rows; repeated
-    # poles put multiplicity kernels among the rows
-    rng = np.random.default_rng(83)
-    params = (0.5, 0.2 - 0.6j, 0.5, -0.7j, 0.5, -0.7j)
-    capped = replace(DEFAULT_SEARCH, r_max=SELECTION_CAP)
-    coarse = SearchConfig(n_angles=24, n_radii=12)
+    monkeypatch.setattr(afd.poafd, "_grid_values", counting)
+    monkeypatch.setattr(afd.poafd, "_select", recording)
     space = bergman_space(m=127)
-    f = random_hardy(rng, m=127).coefficients
-    system = gram_schmidt(space, ())
-    for a in params:
-        grown = _grow(space, system, a)
-        # the carried entry covers the earlier rows, scanned afresh
-        if system.grid_sums:
-            covered, total = grown.grid_sums[_grid_key(capped)]
-            assert covered == len(system)
-            assert np.array_equal(total, _fresh_grid_sq(system, capped))
-        system = grown
-        poafd_select(space, f, system)
-        covered, total = system.grid_sums[_grid_key(capped)]
-        assert covered == len(system)
-        assert np.array_equal(total, _fresh_grid_sq(system, capped))
-
-    # selecting on an earlier system after growing a later one
-    earlier = gram_schmidt(space, params[:3])
-    first = poafd_select(space, f, earlier)
-    later = _grow(space, earlier, params[3])
-    poafd_select(space, f, later)
-    assert earlier.grid_sums[_grid_key(capped)][0] == 3
-    assert poafd_select(space, f, earlier) == first
-    assert first == poafd_select(space, f, gram_schmidt(space, params[:3]))
-    # two rows appended between selections are summed one by one
-    skipped = _grow(space, _grow(space, earlier, params[3]), params[4])
-    poafd_select(space, f, skipped)
-    covered, total = skipped.grid_sums[_grid_key(capped)]
-    assert covered == 5
-    assert np.array_equal(total, _fresh_grid_sq(skipped, capped))
-
-    # one system on two grids: each carried sum matches its own fresh scan
-    both = gram_schmidt(space, params[:4])
-    on_capped = poafd_select(space, f, both)
-    on_coarse = poafd_select(space, f, both, coarse)
-    assert on_capped == poafd_select(space, f, gram_schmidt(space, params[:4]))
-    assert on_coarse == poafd_select(space, f, gram_schmidt(space, params[:4]), coarse)
-    # poafd_select caps the coarse grid too
-    for search in (capped, replace(coarse, r_max=SELECTION_CAP)):
-        covered, total = both.grid_sums[_grid_key(search)]
-        assert covered == 4
-        assert np.array_equal(total, _fresh_grid_sq(both, search))
+    f = analytic_signal(am_fm_real(np.random.default_rng(83))).coefficients
+    d = poafd_decompose(space, f, max_terms=8, energy_tol=0.0)
+    assert len(d) == 8
+    assert scans == [(1, space.order + 1)] * 7
+    assert len(sums) == 8 and not len(sums[0][0]) and sums[0][2] == 0.0
+    for rows, search, total in sums[1:]:
+        assert search.r_max == SELECTION_CAP
+        assert np.array_equal(total, np.sum(np.abs(_grid_values(rows, search)) ** 2, axis=0))
+    # poafd_select scans the rows of the system it is given, at once,
+    # multiplicity kernels of repeated poles among them
+    scans.clear()
+    system = gram_schmidt(space, (0.5, 0.2 - 0.6j, 0.5, -0.7j, 0.5))
+    poafd_select(space, f, system)
+    assert scans == [(5, space.order + 1)]
+    # forced parameters select nothing and scan nothing
+    scans.clear()
+    poafd_decompose(space, f, forced_params=system.params, energy_tol=0.0)
+    assert scans == []
 
 
 def test_carried_picks_equal_fresh_picks():
-    # every pick of the loop, whose system carries its grid sum, is the
-    # pick on a system rebuilt for that step and scanned in full
+    # every pick of the loop, which carries its grid sum, is the pick on
+    # a system rebuilt for that step and scanned in full
     rng = np.random.default_rng(84)
     signals = (am_fm_real(rng), band_limited_real(rng, 256))
-    for search in (DEFAULT_SEARCH, replace(DEFAULT_SEARCH, refine=False)):
-        for space in (hardy_space(m=127), bergman_space(m=127)):
-            for signal in signals:
-                f = analytic_signal(signal).coefficients
-                d = poafd_decompose(space, f, max_terms=6, energy_tol=0.0, search=search)
-                assert len(d.params) == 6
-                for k, a in enumerate(d.params):
-                    fresh = gram_schmidt(space, tuple(d.params[:k]))
-                    assert a == poafd_select(space, f, fresh, search)
+    for space in (hardy_space(m=127), bergman_space(m=127)):
+        for signal in signals:
+            f = analytic_signal(signal).coefficients
+            d = poafd_decompose(space, f, max_terms=6, energy_tol=0.0)
+            assert len(d.params) == 6
+            for k, a in enumerate(d.params):
+                fresh = gram_schmidt(space, tuple(d.params[:k]))
+                assert a == poafd_select(space, f, fresh)
 
 
 def test_poafd_floor_is_relative_to_the_signal():
