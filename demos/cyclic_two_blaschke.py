@@ -17,7 +17,6 @@ from afd import (
     cmp_check,
     core_afd_decompose,
     cyclic_afd,
-    cyclic_restarts,
     n_blaschke_objective,
     tm_system_boundary,
     to_hardy,
@@ -66,7 +65,8 @@ def main():
     inits = [tuple(0.8 * rng.uniform(size=2) *
                    np.exp(2j * np.pi * rng.uniform(size=2)))
              for _ in range(4)]
-    runs = cyclic_restarts(f, 2, inits, max_cycles=40)
+    runs = sorted((cyclic_afd(f, 2, init=init, max_cycles=40) for init in inits),
+                  key=lambda tr: tr.objective)
     print("random restarts, best first:")
     for tr in runs:
         print(f"  objective {tr.objective / energy:.3e}  cycles {tr.cycles:>3}  "

@@ -21,6 +21,7 @@ from afd import (
     multiplicity_limit_check,
     poafd_decompose,
 )
+from afd.poafd import MULTIPLICITY_OFFSETS
 
 
 def main():
@@ -48,14 +49,13 @@ def main():
           f"a = {d.params[0]:.9f}, relative residual "
           f"{d.residual_energy[-1] / d.source_energy:.2e}\n")
 
-    h_seq = 2.0 ** -np.arange(4, 11)
     print("multiplicity limit ladder, ||B(a+h) - B_limit|| per h:")
     for make, params, a_n in ((hardy_space, (0.4,), 0.4),
                               (bergman_space, (0.3, 0.3), 0.3)):
         space = make(m=63)
-        errors = multiplicity_limit_check(space, params, a_n, h_seq)
+        errors = multiplicity_limit_check(space, params, a_n)
         print(f"  {space.name}, repeat at {a_n}:")
-        for h, e in zip(h_seq, errors):
+        for h, e in zip(MULTIPLICITY_OFFSETS, errors):
             print(f"    h = 2^{int(np.log2(h)):>3}   error {e:.3e}")
         ratios = errors[1:] / errors[:-1]
         print(f"    successive ratios {' '.join(f'{r:.2f}' for r in ratios)} "

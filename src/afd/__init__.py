@@ -80,7 +80,6 @@ from .cyclic_afd import (
     coordinate_optimize,
     cyclic_afd,
     cyclic_decomposition,
-    cyclic_restarts,
     n_blaschke_objective,
 )
 from .poafd import (

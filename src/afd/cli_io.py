@@ -93,8 +93,6 @@ def read_signal_csv(path, allow_complex=False) -> CircularSignal:
     t, cols = _read_csv(path, {"t,value": 2, "t,re,im": 3})
     n = len(t)
     expected = 2.0 * np.pi * np.arange(n) / n
-    if n == 0:
-        raise ParseError(f"{path}: no data rows")
     if np.max(np.abs(t - expected)) > DEFAULT_TOL.grid_uniform:
         raise NonUniformGrid(
             f"{path}: time column is not the uniform circle grid 2*pi*j/{n}"
@@ -201,7 +199,6 @@ def _record(args, algorithm, n_input, result, extra_meta=None):
             "space": args.space,
             "grid": args.grid,
             "init": args.init,
-            "seed": args.seed,
             "complex": bool(args.complex),
         },
         "source_energy": float(result.source_energy),
@@ -748,8 +745,6 @@ def _build_parser():
                    help="kernel space for --algo poafd")
     d.add_argument("--grid", default=f"{DEFAULT_SEARCH.n_angles}x{DEFAULT_SEARCH.n_radii}",
                    help="selection grid ANGLESxRADII (default %(default)s)")
-    d.add_argument("--seed", type=int, default=0,
-                   help="recorded in the result for audit reruns")
     d.add_argument("--output", help="result path (default: input with .afd.json)")
     d.add_argument("--complex", action="store_true",
                    help="accept complex input as Hardy boundary data")

@@ -126,11 +126,10 @@ class Decomposition:
 def objective(f: HardyFunction, a):
     """Extracted energy (1 - |a|^2) |f(a)|^2 = |<f, e_a>|^2.
 
-    a may be a scalar or an array of disc points.
+    a may be a scalar or an array of disc points; f(a) raises
+    ParamOutOfDisc where validate_param would.
     """
     a = np.asarray(a, dtype=complex)
-    if np.any(np.abs(a) > 1.0 - DEFAULT_TOL.param_boundary):
-        raise InputError("objective probed on or outside the circle")
     val = (1.0 - np.abs(a) ** 2) * np.abs(f(a)) ** 2
     return val if val.ndim else float(val)
 

@@ -56,7 +56,6 @@ __all__ = [
     "n_blaschke_objective",
     "coordinate_optimize",
     "cyclic_afd",
-    "cyclic_restarts",
     "cmp_check",
     "cyclic_decomposition",
 ]
@@ -232,33 +231,20 @@ def cyclic_afd(
     )
 
 
-def cyclic_restarts(f, n, inits, max_cycles=200, delta_tol=1e-10, search=DEFAULT_SEARCH):
-    """Independent cyclic runs from several inits, best objective first.
-
-    Restarts share nothing, so they are safe to run concurrently; this
-    helper keeps them sequential and just sorts the traces by final
-    objective.
-    """
-    traces = [
-        cyclic_afd(f, n, init=init, max_cycles=max_cycles, delta_tol=delta_tol, search=search)
-        for init in inits
-    ]
-    return sorted(traces, key=lambda tr: tr.objective)
-
-
-def cmp_check(f: HardyFunction, params, search=DEFAULT_SEARCH) -> bool:
+def cmp_check(f: HardyFunction, params) -> bool:
     """True when no single coordinate move improves A noticeably.
 
     The threshold is 1e-8 * ||f||^2, matching the convergence floor of
     the cyclic iteration rather than machine precision: selection-grid
     polish can always shave dust off the objective.  Each trial move
-    is scored by the objective coordinate_optimize returns, so it costs
-    n-1 sifts; only the base value runs the full sift chain.
+    is a coordinate_optimize on the default grid, scored by the
+    objective it returns, so it costs n-1 sifts; only the base value
+    runs the full sift chain.
     """
     base = n_blaschke_objective(f, params)
     floor = DEFAULT_TOL.cmp_rel * max(f.energy(), 1e-300)
     for index in range(1, len(params) + 1):
-        _new, val = coordinate_optimize(f, params, index, search)
+        _new, val = coordinate_optimize(f, params, index)
         if base - val >= floor:
             return False
     return True

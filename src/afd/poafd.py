@@ -304,22 +304,25 @@ def _select_on_rows(space, f, vectors, search, rows_sq):
     return _select(np.vstack([resid, vectors]), space.norm2_rule, search, rows_sq=rows_sq)
 
 
-def multiplicity_limit_check(space: KernelSpace, params, a_n, h_seq=None):
-    """Errors ||B_n^(a_n + h) - B_n^(a_n)|| along real offsets h.
+# the real offsets h that multiplicity_limit_check probes, in decreasing order
+MULTIPLICITY_OFFSETS = 2.0 ** -np.arange(4, 11)
 
-    The limit vector extends the system with the multiplicity-aware
-    kernel at a_n; the probes use plain kernels at the offset points.
-    A decreasing sequence confirms the continuity of the extension
-    through coincident parameters.
+
+def multiplicity_limit_check(space: KernelSpace, params, a_n):
+    """Errors ||B_n^(a_n + h) - B_n^(a_n)|| for h in MULTIPLICITY_OFFSETS.
+
+    The offsets are the real h = 2^-m, m = 4..10.  The limit vector
+    extends the system with the multiplicity-aware kernel at a_n; the
+    probes use plain kernels at the offset points.  A decreasing
+    sequence confirms the continuity of the extension through
+    coincident parameters.
     """
-    if h_seq is None:
-        h_seq = 2.0 ** -np.arange(4, 11)
     system = gram_schmidt(space, params)
     a_n = validate_param(a_n)
     l = _multiplicity(system.params, a_n)
     limit, _ = _extend(space, system.vectors, kernel(space, a_n, l))
     errors = []
-    for h in h_seq:
+    for h in MULTIPLICITY_OFFSETS:
         probe, _ = _extend(space, system.vectors, kernel(space, a_n + float(h), 1))
         errors.append(space.norm(probe - limit))
     return np.array(errors)

@@ -23,6 +23,7 @@ from .errors import (
     NearZeroModulus,
     NonFiniteEnergy,
     NonRealInput,
+    ParamOutOfDisc,
     PhaseUnresolved,
 )
 
@@ -183,17 +184,15 @@ class Spectrum:
         return float(np.sum(np.abs(self.coefficients) ** 2))
 
 
-# interior evaluation of a HardyFunction (f(z), circle) is limited to |z| <= this
-INTERIOR_RADIUS = 1.0 - 1e-6
-
-
 class HardyFunction:
     """Truncated power series sum_{k=0}^{M} c_k z^k on the unit disc.
 
     Represents a Hardy-space function by its Taylor coefficients; all
     negative-frequency content is zero by construction.  Interior
-    values come from power-form evaluation (series_values), for
-    |z| <= INTERIOR_RADIUS.
+    values come from power-form evaluation (series_values) at every
+    |z| <= 1 - DEFAULT_TOL.param_boundary, the bound validate_param
+    puts on pole parameters; beyond it f(z) and circle raise
+    ParamOutOfDisc.
     Boundary values come from FFT synthesis on a power-of-two grid.
 
     Parameters
@@ -214,11 +213,8 @@ class HardyFunction:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        if (np.abs(z) > INTERIOR_RADIUS * (1 + 1e-12)).any():
-            raise InputError(
-                f"interior evaluation limited to |z| <= {INTERIOR_RADIUS}; "
-                "use boundary() for circle samples"
-            )
+        if (np.abs(z) > 1.0 - DEFAULT_TOL.param_boundary).any():
+            raise ParamOutOfDisc("f(z) probed too close to the circle; use boundary()")
         out = series_values(self.coefficients, z)
         return out if out.ndim else complex(out)
 
@@ -245,9 +241,9 @@ class HardyFunction:
         return CircularSignal(np.fft.ifft(self.coefficients, n, norm="forward"))
 
     def circle(self, r, n=None):
-        """Samples of f(r e^{it}) on an n-point grid, r <= INTERIOR_RADIUS."""
-        if r > INTERIOR_RADIUS * (1 + 1e-12):
-            raise InputError(f"radius {r} exceeds the interior radius {INTERIOR_RADIUS}")
+        """Samples of f(r e^{it}) on an n-point grid, r <= 1 - DEFAULT_TOL.param_boundary."""
+        if r > 1.0 - DEFAULT_TOL.param_boundary:
+            raise ParamOutOfDisc(f"radius {r} too close to the circle; use boundary()")
         damped = self.coefficients * (r ** np.arange(self.coefficients.size))
         return HardyFunction(damped).boundary(n).samples
 

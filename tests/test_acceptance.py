@@ -52,6 +52,7 @@ from afd import (
 )
 from afd.config import DEFAULT_SEARCH, SearchConfig
 from afd.core_afd import _search_grid, objective
+from afd.poafd import MULTIPLICITY_OFFSETS
 from afd.cli_io import EXIT_CHECK, EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK, main
 
 from conftest import (
@@ -313,15 +314,14 @@ def test_criterion_07_cyclic_planted_two_blaschke():
 
 def test_criterion_08_poafd_guarantees():
     # multiplicity limit: probe error contracts once h is below 1e-2
-    h_seq = 2.0 ** -np.arange(4, 11)
     ratio_ok = True
     for space, params, a_n in (
         (hardy_space(m=63), (0.4,), 0.4),
         (bergman_space(m=63), (0.3, 0.3), 0.3),
     ):
-        errors = multiplicity_limit_check(space, params, a_n, h_seq)
+        errors = multiplicity_limit_check(space, params, a_n)
         ratios = errors[1:] / errors[:-1]
-        ratio_ok = ratio_ok and bool(np.all(ratios[h_seq[:-1] < 1e-2] <= 0.6))
+        ratio_ok = ratio_ok and bool(np.all(ratios[MULTIPLICITY_OFFSETS[:-1] < 1e-2] <= 0.6))
     # Hardy instance reproduces the core algorithm on a planted signal
     f = planted_tm(PLANTED3, PLANTED3_C)
     dp = poafd_decompose(hardy_space(m=f.order), f.coefficients, max_terms=3, energy_tol=0.0)

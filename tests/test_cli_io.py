@@ -263,6 +263,61 @@ def test_decompose_cyclic_explicit_init(tmp_path, cosine_csv):
     assert rec["config"]["init"] == "0.1+0.1i,-0.2i"
 
 
+def test_decompose_complex_input_recovers_a_kernel(tmp_path, capsys):
+    # (1.3 + 0.5i) e_a on the circle, a = 0.4 - 0.2i: one term captures it
+    a, c = 0.4 - 0.2j, 1.3 + 0.5j
+    z = np.exp(1j * circle_grid(256))
+    path = _write_complex(tmp_path / "k.csv", c * np.sqrt(1 - abs(a) ** 2) / (1 - np.conj(a) * z))
+    out = str(tmp_path / "k.json")
+    assert main(["decompose", path, "--complex", "--output", out]) == EXIT_OK
+    rec, d = load_result(out)
+    assert rec["config"]["complex"] is True
+    assert abs(d.params[0] - a) < 1e-9
+    assert abs(d.coefficients[0] - c) < 1e-9
+    assert d.residual_energy[1] < 1e-20 * d.source_energy
+    d.validate()
+    assert main(["tfd", out, "--output", str(tmp_path / "k.tfd.csv")]) == EXIT_OK
+    # the same file read as a real signal is refused
+    capsys.readouterr()
+    assert main(["decompose", path, "--output", str(tmp_path / "r.json")]) == EXIT_INPUT
+    assert "--complex" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--grid", "64"], "--grid wants ANGLESxRADII"),
+        (["--grid", "0x8"], "--grid counts must be positive"),
+        (["--algo", "cyclic", "--n", "2", "--init", "0.1,0.2,0.3"], "--init supplies 3 values"),
+        (["--algo", "cyclic", "--init", "abc"], "--init wants 'auto'"),
+    ],
+)
+def test_decompose_rejects_bad_grid_and_init(tmp_path, capsys, cosine_csv, flags, message):
+    out = tmp_path / "r.json"
+    assert main(["decompose", cosine_csv, *flags, "--output", str(out)]) == EXIT_INPUT
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_decompose_has_no_seed_and_reads_records_with_one(tmp_path, cosine_csv):
+    # --seed is no option; records that carry config.seed still load
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", cosine_csv, "--seed", "1"])
+    assert exc.value.code == 2
+    out = tmp_path / "r.json"
+    assert main(["decompose", cosine_csv, "--terms", "2", "--output", str(out)]) == EXIT_OK
+    rec = json.loads(out.read_text())
+    assert "seed" not in rec["config"]
+    rec["config"]["seed"] = 0
+    out.write_text(json.dumps(rec))
+    old, d = load_result(str(out))
+    assert old == rec
+    assert len(d) == 2
+    d.validate()
+    assert main(["tfd", str(out), "--output", str(tmp_path / "r.tfd.csv")]) == EXIT_OK
+
+
 def test_decompose_rejects_negative_terms(tmp_path, cosine_csv):
     out = tmp_path / "r.json"
     assert main(["decompose", cosine_csv, "--terms", "-1", "--output", str(out)]) == EXIT_INPUT
@@ -633,6 +688,14 @@ def test_exit_codes_for_bad_input(tmp_path):
     t[3] -= 1e-3
     skewed = _write_real(tmp_path / "sk.csv", np.cos(t), t=t)
     assert main(["decompose", skewed]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("header", ["t,value", "t,re,im"])
+def test_decompose_refuses_a_header_without_rows(tmp_path, capsys, header):
+    path = tmp_path / "h.csv"
+    path.write_text(header + "\n")
+    assert main(["decompose", str(path), "--complex"]) == EXIT_INPUT
+    assert "no data rows" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("algo", ["core", "uwa", "uwafd", "cyclic", "poafd"])

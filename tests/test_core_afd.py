@@ -37,7 +37,7 @@ from afd.core_afd import (
     _selection_scores,
 )
 from afd.cyclic_afd import cyclic_afd
-from afd.errors import InputError, NonFiniteEnergy, ZeroResidual, ZeroSignal
+from afd.errors import InputError, NonFiniteEnergy, ParamOutOfDisc, ZeroResidual, ZeroSignal
 from afd.poafd import _bergman_norm2, bergman_space, gram_schmidt, hardy_space, poafd_decompose
 from afd.signal_core import series_values
 from afd.unwinding import uwa_decompose, uwafd_decompose
@@ -78,25 +78,37 @@ def test_objective_and_coefficient_formulas():
 
 
 def test_coefficient_is_bit_identical_to_the_point_evaluation_form():
-    # one power column read directly, as series_values reads it; beyond
-    # HardyFunction.__call__'s interior radius too
+    # one power column read directly, as series_values reads it, up to
+    # the parameter bound
     rng = np.random.default_rng(62)
     for m in (0, 7, 255, 2047):
         f = random_hardy(rng, m=m)
-        for a in random_params(rng, 6, r=0.99) + (0j,):
+        for a in random_params(rng, 6, r=0.99) + (0j, 1.0 - 1e-7, 1j * (1.0 - 1e-9)):
             assert coefficient(f, a) == complex(np.sqrt(1.0 - abs(a) ** 2) * f(a))
-        for a in (1.0 - 1e-7, 1j * (1.0 - 1e-9)):
-            value = series_values(f.coefficients, [a])[0]
-            assert coefficient(f, a) == complex(np.sqrt(1.0 - abs(a) ** 2) * value)
+
+
+@pytest.mark.parametrize("m", (0, 127, 2047))
+def test_interior_evaluation_has_the_parameter_bound(m):
+    # f(a), f.circle and objective take every |a| <= 1 - param_boundary,
+    # as validate_param does, and refuse just beyond it
+    f = random_hardy(np.random.default_rng(64), m=m)
+    for a in (1.0 - 1e-7, 1j * (1.0 - 1e-9)):
+        assert f(a) == series_values(f.coefficients, [a])[0]
+        assert objective(f, a) == pytest.approx(abs(coefficient(f, a)) ** 2, rel=1e-12)
+    assert np.isfinite(f.circle(1.0 - 1e-7)).all()
+    beyond = np.nextafter(1.0 - DEFAULT_TOL.param_boundary, 2.0)
+    for probe in (lambda: f(beyond), lambda: f(1j * beyond), lambda: f([0.5, beyond]),
+                  lambda: objective(f, beyond), lambda: f.circle(beyond)):
+        with pytest.raises(ParamOutOfDisc):
+            probe()
 
 
 @pytest.mark.parametrize("m", (127, 2047))
 def test_sift_and_forced_params_reach_the_parameter_bound(m):
-    # validate_param accepts |a| <= 1 - 1e-9; coefficient refused |a| above
-    # HardyFunction's interior radius 1 - 1e-6, so sift and forced
-    # parameters between the two raised InputError.  The rounding of
-    # 1 - |a|^2 grows like 1e-16 / (1 - |a|): the split holds to 1.8e-11
-    # of ||f||^2 here over 20 seeds, and to 2.3e-13 at 1 - 1e-6
+    # sift and forced parameters take every |a| <= 1 - 1e-9 that
+    # validate_param accepts.  The rounding of 1 - |a|^2 grows like
+    # 1e-16 / (1 - |a|): the split holds to 1.8e-11 of ||f||^2 here over
+    # 20 seeds, and to 2.3e-13 at 1 - 1e-6
     rng = np.random.default_rng(63)
     f = random_hardy(rng, m=m)
     energy = f.energy()

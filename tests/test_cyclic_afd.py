@@ -12,7 +12,6 @@ from afd import (
     core_afd_decompose,
     cyclic_afd,
     cyclic_decomposition,
-    cyclic_restarts,
     n_blaschke_objective,
 )
 from afd.config import SearchConfig
@@ -237,15 +236,6 @@ def test_cyclic_beats_greedy_on_planted_form():
     tr = cyclic_afd(f, 2)
     assert tr.objective <= residual_at(greedy, 2) + 1e-9
     assert residual_at(greedy, 2) > 1e-3 * f.energy()
-
-
-def test_cyclic_restarts_sorted(coarse_search):
-    rng = np.random.default_rng(63)
-    f = _planted()
-    inits = [random_params(rng, 2, r=0.8) for _ in range(3)]
-    traces = cyclic_restarts(f, 2, inits, max_cycles=10, search=coarse_search)
-    objectives = [tr.objective for tr in traces]
-    assert objectives == sorted(objectives)
 
 
 def test_cmp_check_accepts_optimum_rejects_random():

@@ -25,7 +25,7 @@ from afd.errors import DegenerateGram, InputError, ZeroResidual, ZeroSignal
 from afd import hardy_space
 from afd.config import DEFAULT_SEARCH, DEFAULT_TOL
 from afd.core_afd import _grid_pick, _grid_values, _hardy_norm2, _reduced_without, _search_grid
-from afd.poafd import SELECTION_CAP, _extend, _grow, _scan_rows
+from afd.poafd import MULTIPLICITY_OFFSETS, SELECTION_CAP, _extend, _grow, _scan_rows
 from afd.signal_core import series_values
 
 from conftest import (
@@ -336,15 +336,14 @@ def test_select_climbs_on_benchmark_like_signals():
 
 def test_multiplicity_limit_ratios():
     hardy, bergman = _spaces()
-    h_seq = 2.0 ** -np.arange(4, 11)
     for space, params, a_n in (
         (hardy, (0.4,), 0.4),
         (bergman, (0.3, 0.3), 0.3),
     ):
-        errors = multiplicity_limit_check(space, params, a_n, h_seq)
+        errors = multiplicity_limit_check(space, params, a_n)
         ratios = errors[1:] / errors[:-1]
         # once h is small the probe vector converges linearly in h
-        assert np.all(ratios[h_seq[:-1] < 1e-2] <= 0.6)
+        assert np.all(ratios[MULTIPLICITY_OFFSETS[:-1] < 1e-2] <= 0.6)
         assert errors[-1] < 1e-2
 
 

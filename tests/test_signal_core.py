@@ -21,7 +21,8 @@ from afd import (
     uncertainty_report,
 )
 from afd.errors import InputError, NearZeroModulus, NonFiniteEnergy, NonRealInput
-from afd.signal_core import INTERIOR_RADIUS, _conjugate_real, series_values
+from afd.config import DEFAULT_TOL
+from afd.signal_core import _conjugate_real, series_values
 
 from conftest import (
     analytic_signal_reference,
@@ -212,9 +213,10 @@ def test_power_form_matches_horner_reference(m):
     rng = np.random.default_rng(500 + m)
     f = random_hardy(rng, m=m)
     c = f.coefficients
-    radii = INTERIOR_RADIUS * np.sqrt(rng.uniform(size=(5, 7)))
+    outer = 1.0 - DEFAULT_TOL.param_boundary
+    radii = outer * np.sqrt(rng.uniform(size=(5, 7)))
     z = radii * np.exp(2j * np.pi * rng.uniform(size=(5, 7)))
-    z[0, 0] = INTERIOR_RADIUS
+    z[0, 0] = outer
     for probe in (z, z[0], np.asarray(z[0, 0]), complex(z[1, 1])):
         got = f(probe)
         assert np.shape(got) == np.shape(probe)
