@@ -356,15 +356,13 @@ def cmd_decompose(args):
             "cycles": trace.cycles,
             "converged": trace.converged,
         }
-    elif args.algo == "poafd":
+    else:  # poafd, the last of the ALGORITHMS argparse accepts
         make = hardy_space if args.space == "hardy" else bergman_space
         space = make(len(f.coefficients) - 1)
         result = poafd_decompose(
             space, f.coefficients, max_terms=args.terms, energy_tol=args.tol,
             search=search,
         )
-    else:  # argparse choices make this unreachable
-        raise InputError(f"unknown algorithm {args.algo}")
     elapsed = time.perf_counter() - t0
 
     record = _record(args, args.algo, s.n, result, extra)

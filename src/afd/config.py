@@ -40,8 +40,11 @@ class Tolerances:
         Two pole parameters closer than this are treated as equal
         (kernel multiplicities).
     gram : float
-        Norm of a normalized kernel after projection must exceed this,
-        or the Gram-Schmidt step is declared degenerate.
+        The span floor: a kernel whose norm after projection onto the
+        orthonormal rows is below this fraction of its norm lies in
+        their span.  Gram-Schmidt refuses it as degenerate, and POAFD
+        selection scores it 0 (the same test on squared norms), so
+        selection does not pick a kernel that Gram-Schmidt refuses.
     cmp_rel : float
         Relative single-coordinate improvement below which a cyclic
         search is accepted as conditionally optimal.

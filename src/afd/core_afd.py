@@ -256,11 +256,6 @@ def _hardy_norm2(s):
     return u, u * u, 2.0 * u**3
 
 
-# Q is scored 0 where phi - sum_j |B_j|^2 is not above this fraction of
-# phi: the kernel at a lies numerically in the span of the system rows
-_DEGENERATE = 1e-13
-
-
 def _selection_scores(norm2, r_values, rows_sq):
     """Q = |r(a)|^2 / (phi(|a|^2) - sum_j |B_j(a)|^2) at each probe.
 
@@ -268,15 +263,18 @@ def _selection_scores(norm2, r_values, rows_sq):
     value of a norm2 rule), r_values the residual r there and rows_sq
     the sum of |B_j|^2 over the system rows there (0 without rows).
     With no system rows and phi = 1/(1 - |a|^2) this is the greedy
-    objective (1 - |a|^2)|f(a)|^2.  Q is 0 where the extension
-    degenerates, which phi > 0 never does without rows.
+    objective (1 - |a|^2)|f(a)|^2.  Q is 0 where the kernel at a lies
+    in the span of the rows: where phi - sum_j |B_j|^2, its squared
+    norm after projection, is not above DEFAULT_TOL.gram**2 phi, the
+    floor below which Gram-Schmidt refuses it.  phi > 0 never meets it
+    without rows.
     """
     if np.isscalar(rows_sq) and rows_sq == 0.0:
         q = np.abs(r_values)
         np.square(q, out=q)
         return np.divide(q, norm2, out=q)
     denom2 = norm2 - rows_sq
-    ok = denom2 > _DEGENERATE * norm2
+    ok = denom2 > DEFAULT_TOL.gram**2 * norm2
     return np.divide(np.abs(r_values) ** 2, denom2, out=np.zeros(len(norm2)), where=ok)
 
 
@@ -296,7 +294,8 @@ def _selection_model(stack, norm2_rule, a):
 
     stack is the _derivative_stack of [r, B_1, ...]: the residual row
     and the system rows, if any.  Returns (Q, dQ/d conj(a),
-    d2Q/da d conj(a), d2Q/d conj(a)^2), or None where Q is scored 0.
+    d2Q/da d conj(a), d2Q/d conj(a)^2), or None where Q is scored 0
+    (D not above DEFAULT_TOL.gram**2 phi, as in _selection_scores).
     With N = |r|^2 and D = phi - sum_j |B_j|^2, Q = N / D and
 
         N_abar = r conj(r'),   N_a_abar = |r'|^2,   N_abar_abar = r conj(r''),
@@ -320,7 +319,7 @@ def _selection_model(stack, norm2_rule, a):
         den_g -= complex(np.vdot(b1, b))
         den_h -= float(np.vdot(b1, b1).real)
         den_c -= complex(np.vdot(b2, b))
-    if not den > _DEGENERATE * phi:
+    if not den > DEFAULT_TOL.gram**2 * phi:
         return None
     q = abs(r) ** 2 / den
     g = (r * r1.conjugate() - q * den_g) / den

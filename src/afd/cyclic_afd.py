@@ -83,9 +83,6 @@ class CyclicTrace:
     def objective(self):
         return float(self.d[-1])
 
-    def __len__(self):
-        return len(self.tuples)
-
 
 def n_blaschke_objective(f: HardyFunction, params) -> float:
     """Energy of f outside the span of the TM system on params.

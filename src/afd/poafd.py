@@ -15,7 +15,17 @@ The selection maximizes the normalized extension objective
     |<f, B_n^a>|^2 = |r(a)|^2 / (||k_a||^2 - sum_j |B_j(a)|^2)
 
 (r the current residual sequence), which degrades toward the boundary;
-the search radius is capped at 0.95.
+the search radius is capped at 0.95.  The denominator is the squared
+norm of k_a after projection onto the rows, and one floor, DEFAULT_TOL.gram,
+says when it vanishes: selection scores 0 where it is not above gram**2
+||k_a||^2, and Gram-Schmidt (_extend) refuses a kernel below gram of its
+norm.  So selection does not pick a kernel that Gram-Schmidt refuses,
+also where picks cluster around a pole of higher multiplicity.
+Selection takes ||k_a||^2 in closed form for the untruncated kernel.
+In the Bergman space that exceeds the squared norm of the truncated row
+that _extend measures by a share s^(M+1) ((M+2) - (M+1) s), s = |a|^2
+(2.7e-5 at |a| = 0.95 and order M = 127), so the two tests part only
+near the cap at low order.
 
 In the Hardy space Gram-Schmidt on Szego kernels gives the TM system,
 and sum_j |B_j(a)|^2 is the model-space kernel (1 - |Phi(a)|^2)/(1 -

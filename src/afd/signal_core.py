@@ -119,10 +119,6 @@ class CircularSignal:
     def n(self):
         return self.samples.size
 
-    @property
-    def t(self):
-        return circle_grid(self.n)
-
     def energy(self):
         """Squared circle norm, (1/N) sum |s_j|^2."""
         return float(np.mean(np.abs(self.samples) ** 2))
@@ -142,12 +138,6 @@ class CircularSignal:
         """
         peak = float(np.max(np.abs(self.samples)))
         return float(np.max(np.abs(self.samples.imag))) <= DEFAULT_TOL.realness * peak
-
-    def __sub__(self, other):
-        return CircularSignal(self.samples - other.samples)
-
-    def __add__(self, other):
-        return CircularSignal(self.samples + other.samples)
 
 
 @dataclass(frozen=True)
@@ -259,22 +249,6 @@ class HardyFunction:
         take = min(m + 1, self.coefficients.size)
         c[:take] = self.coefficients[:take]
         return HardyFunction(c)
-
-    def _aligned(self, other):
-        m = max(self.coefficients.size, other.coefficients.size)
-        a = np.zeros(m, dtype=complex)
-        b = np.zeros(m, dtype=complex)
-        a[: self.coefficients.size] = self.coefficients
-        b[: other.coefficients.size] = other.coefficients
-        return a, b
-
-    def __add__(self, other):
-        a, b = self._aligned(other)
-        return HardyFunction(a + b)
-
-    def __sub__(self, other):
-        a, b = self._aligned(other)
-        return HardyFunction(a - b)
 
     def __mul__(self, scalar):
         return HardyFunction(self.coefficients * scalar)

@@ -82,7 +82,6 @@ from afd import (
 )
 from afd.config import DEFAULT_SEARCH, DEFAULT_TOL, SearchConfig
 from afd.core_afd import (
-    _DEGENERATE,
     Component,
     Decomposition,
     _derivative_stack,
@@ -210,7 +209,7 @@ def selection_model_reference(stack, norm2_rule, a):
     s = abs(a) ** 2
     phi, phi1, phi2 = norm2_rule(s)
     den = phi - float(np.vdot(b, b).real)
-    if not den > _DEGENERATE * phi:
+    if not den > DEFAULT_TOL.gram**2 * phi:
         return None
     q = abs(r) ** 2 / den
     den_g = phi1 * a - complex(np.vdot(b1, b))

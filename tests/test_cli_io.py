@@ -673,6 +673,27 @@ def test_check_uncertainty(tmp_path, capsys):
     assert main(["check", bad, "--mode", "uncertainty"]) == EXIT_DEGENERATE
 
 
+def test_check_uncertainty_refuses_a_grid_it_cannot_read(tmp_path, capsys):
+    one = _write_real(tmp_path / "one.csv", [1.0], t=[0.0])
+    assert main(["check", one, "--mode", "uncertainty"]) == EXIT_INPUT
+    assert "need at least two samples" in capsys.readouterr().err
+    t = np.array([0.0, 0.1, 0.2, 0.35, 0.4, 0.5])
+    uneven = _write_real(tmp_path / "uneven.csv", np.cos(t), t=t)
+    assert main(["check", uneven, "--mode", "uncertainty"]) == EXIT_INPUT
+    assert "time column is not uniform" in capsys.readouterr().err
+
+
+def test_decompose_prints_why_an_unwinding_run_stopped_early(tmp_path, capsys):
+    # (1 + e^{it})^8 vanishes to eighth order at t = pi, so its modulus is
+    # below the floor on more than 1% of the 256 samples: no term, exit 0
+    z = np.exp(1j * circle_grid(256))
+    path = _write_complex(tmp_path / "zero8.csv", (1.0 + z) ** 8)
+    out = str(tmp_path / "zero8.afd.json")
+    assert main(["decompose", path, "--complex", "--algo", "uwa", "--output", out]) == EXIT_OK
+    assert "stopped early: modulus below floor on more than 1% of samples" in capsys.readouterr().out
+    assert len(load_result(out)[1]) == 0
+
+
 # ---------------------------------------------------------------- exit codes
 
 

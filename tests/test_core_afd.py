@@ -12,6 +12,7 @@ import pytest
 import afd
 from afd import (
     Component,
+    Decomposition,
     HardyFunction,
     analytic_signal,
     circle_grid,
@@ -37,7 +38,7 @@ from afd.core_afd import (
     _selection_scores,
 )
 from afd.cyclic_afd import cyclic_afd
-from afd.errors import InputError, NonFiniteEnergy, ParamOutOfDisc, ZeroResidual, ZeroSignal
+from afd.errors import AFDError, InputError, NonFiniteEnergy, ParamOutOfDisc, ZeroResidual, ZeroSignal
 from afd.poafd import _bergman_norm2, bergman_space, gram_schmidt, hardy_space, poafd_decompose
 from afd.signal_core import series_values
 from afd.unwinding import uwa_decompose, uwafd_decompose
@@ -318,7 +319,7 @@ def test_scores_from_cached_kernel_norms_equal_scores_from_recomputed_ones():
             for rows_sq in (0.0, near):
                 values = _grid_values(random_hardy(rng, m=127).coefficients, search)
                 # the scoring before the masked divide
-                ok = norm2 - rows_sq > 1e-13 * norm2
+                ok = norm2 - rows_sq > DEFAULT_TOL.gram**2 * norm2
                 want = np.zeros(len(values))
                 want[ok] = np.abs(values[ok]) ** 2 / (norm2 - rows_sq)[ok]
                 np.testing.assert_array_equal(_selection_scores(cached, values, rows_sq), want)
@@ -667,3 +668,17 @@ def test_components_compare_and_hash_without_their_inner_samples():
     assert first == second and hash(first) == hash(second)
     assert len({first, second, replace(first, inner=None)}) == 1
     assert first != replace(first, kind="uwafd")
+
+
+def test_validate_refuses_a_rising_trace_and_a_tampered_coefficient():
+    f = random_hardy(np.random.default_rng(91), m=63)
+    d = core_afd_decompose(f, max_terms=4, energy_tol=0.0)
+    d.validate()
+    rising = d.residual_energy.copy()
+    rising[2] = rising[1] * 1.01
+    with pytest.raises(AFDError, match="trace increased"):
+        Decomposition(d.components, rising, d.source_energy).validate()
+    tampered = list(d.components)
+    tampered[1] = replace(tampered[1], c=tampered[1].c * 1.01)
+    with pytest.raises(AFDError, match="energy identity defect"):
+        Decomposition(tampered, d.residual_energy, d.source_energy).validate()

@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from afd import (
+    CircularSignal,
     HardyFunction,
+    circle_grid,
     cmp_check,
     coordinate_optimize,
     core_afd_decompose,
     cyclic_afd,
     cyclic_decomposition,
     n_blaschke_objective,
+    szego_kernel,
+    to_hardy,
 )
 from afd.config import SearchConfig
 from afd.errors import InputError, ParamOutOfDisc, ZeroSignal
@@ -95,6 +99,15 @@ def test_coordinate_optimize_index_is_one_based():
         coordinate_optimize(f, PLANTED, 0)
     with pytest.raises(InputError):
         coordinate_optimize(f, PLANTED, 3)
+
+
+def test_coordinate_optimize_keeps_a_free_coordinate():
+    # e_a sifted through a leaves nothing to select from: the incumbent stays
+    a = 0.5 - 0.2j
+    f, _leak = to_hardy(CircularSignal(szego_kernel(a, np.exp(1j * circle_grid(256)))))
+    params, objective = coordinate_optimize(f, (a, 0.3), 2)
+    assert params == (a, 0.3)
+    assert objective <= 1e-24 * f.energy()
 
 
 def test_coordinate_steps_never_increase_objective(coarse_search):

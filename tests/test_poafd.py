@@ -232,7 +232,7 @@ def test_selection_objective_scan_and_probes_match_horner():
         denom2 = norm2 - np.sum(mag[1:] ** 2, axis=0)
         d_num = 2 * mag[0] * err[0] + err[0] ** 2
         d_den = np.sum(2 * mag[1:] * err[1:] + err[1:] ** 2, axis=0) + 4 * eps * norm2
-        assert np.all(denom2 - d_den > 1e-13 * norm2)
+        assert np.all(denom2 - d_den > DEFAULT_TOL.gram**2 * norm2)
         bound = (d_num + ref * d_den) / (denom2 - d_den) + 4 * eps * ref
         for vals in (_grid_values(rows, search), series_values(rows, grid)):
             assert np.all(np.abs(selection_objective(space, grid, vals) - ref) <= bound)
@@ -518,3 +518,46 @@ def test_poafd_rejects_zero():
     space = hardy_space(m=15)
     with pytest.raises(ZeroSignal):
         poafd_decompose(space, np.zeros(8, dtype=complex))
+
+
+def test_as_sequence_refuses_a_sequence_longer_than_the_order():
+    space = bergman_space(m=15)
+    with pytest.raises(InputError, match="length 17 does not fit order 15"):
+        poafd_decompose(space, np.ones(17, dtype=complex))
+
+
+def _double_pole_plants(space, count):
+    """(a, f) with f = w_1 k_2/||k_2|| + w_2 k_1/||k_1||, k_l = kernel(space, a, l).
+
+    a is uniform in [-0.6, 0.6]^2 and w complex normal, drawn from
+    default_rng(0); ||.|| is the coefficient 2-norm.  POAFD's picks on
+    such a double pole cluster around a.
+    """
+    rng = np.random.default_rng(0)
+    for _ in range(count):
+        x, y = rng.uniform(-0.6, 0.6, 2)
+        w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        a = complex(x, y)
+        k1, k2 = kernel(space, a, 1), kernel(space, a, 2)
+        yield a, w[0] * k2 / np.linalg.norm(k2) + w[1] * k1 / np.linalg.norm(k1)
+
+
+@pytest.mark.parametrize("m", [63, 127, 255])
+def test_bergman_poafd_runs_ten_terms_on_double_poles(m):
+    # selection scored kernels as outside the span down to 1e-13 phi of
+    # projected norm, Gram-Schmidt refused them below 1e-12 phi: picks in
+    # between raised DegenerateGram on 5, 6 and 7 of these plants
+    space = bergman_space(m)
+    for _a, f in _double_pole_plants(space, 8):
+        d = poafd_decompose(space, f, max_terms=10, energy_tol=0.0)
+        assert len(d) == 10
+        d.validate()
+
+
+def test_bergman_select_never_picks_a_kernel_gram_schmidt_refuses():
+    # plant 29 at order 255: the pick next to a once had a Gram-Schmidt
+    # ratio of 9.48e-7, below DEFAULT_TOL.gram
+    space = bergman_space(255)
+    *_, (a, f) = _double_pole_plants(space, 30)
+    pick = poafd_select(space, f, gram_schmidt(space, [a]))
+    assert len(gram_schmidt(space, [a, pick])) == 2

@@ -10,15 +10,18 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from afd import (
+    CircularSignal,
     Component,
     Decomposition,
     HardyFunction,
+    analytic_signal,
     bergman_space,
     circle_grid,
     coefficient,
     core_afd_decompose,
     gram_schmidt,
     hardy_space,
+    kernel,
     n_blaschke_objective,
     poafd_decompose,
     sift,
@@ -97,6 +100,48 @@ def test_tm_gram_identity_with_repeated_poles(params):
     np.testing.assert_allclose(hardy.vectors, tm, rtol=0, atol=1e-8)
     assert hardy.gram_defect(HARDY) < 1e-9
     assert gram_schmidt(BERGMAN, params).gram_defect(BERGMAN) < 1e-9
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+@st.composite
+def bergman_stress(draw):
+    """A Bergman space of order 63, 127 or 255 and a coefficient sequence on it.
+
+    Three families, each drawn from a seeded Generator: a triple pole
+    (unit kernels of multiplicity 1 to 3 at one a in [-0.6, 0.6]^2), a
+    pair of double poles (one at |a| = 0.93, one in that square), and
+    the analytic signal of an AM-FM input.  Complex weights are normal.
+    """
+    space = bergman_space(draw(st.sampled_from((63, 127, 255))))
+    family = draw(st.sampled_from(("triple", "double pair", "am-fm")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if family == "am-fm":
+        t = circle_grid(2 * (space.order + 1))
+        p = rng.uniform(0.0, 2.0 * np.pi, 3)
+        x = (1.0 + 0.6 * np.cos(t + p[0])) * np.cos(6 * t + np.sin(t + p[1])) + 0.15 * np.cos(11 * t + p[2])
+        return space, analytic_signal(CircularSignal(x)).coefficients
+    if family == "triple":
+        a = complex(*rng.uniform(-0.6, 0.6, 2))
+        poles = [(a, l) for l in (1, 2, 3)]
+    else:
+        a, b = 0.93 * np.exp(2j * np.pi * rng.uniform()), complex(*rng.uniform(-0.6, 0.6, 2))
+        poles = [(p, l) for p in (a, b) for l in (1, 2)]
+    w = rng.standard_normal(len(poles)) + 1j * rng.standard_normal(len(poles))
+    return space, sum(wj * _unit(kernel(space, p, l)) for wj, (p, l) in zip(w, poles))
+
+
+@PROPERTY_SETTINGS
+@given(bergman_stress())
+def test_bergman_poafd_never_refuses_its_own_pick(case):
+    # selection and Gram-Schmidt read one span floor, so a 30-term run
+    # ends only by the stopping rule, with a valid record
+    space, f = case
+    d = poafd_decompose(space, f, max_terms=30, energy_tol=0.0)
+    d.validate()
+    assert len(d) == 30 or d.residual_energy[-1] < DEFAULT_TOL.residual_floor * d.source_energy
 
 
 @st.composite

@@ -327,3 +327,18 @@ def test_bedrosian_split_cases():
     assert bedrosian_check(np.ones(256), 3 * t) < 1e-12
     # overlapping spectra leave a real obstruction
     assert bedrosian_check(1.0 + 0.5 * np.cos(3 * t), t) > 1e-2
+
+
+def test_bedrosian_check_refuses_mismatched_grids_and_a_zero_rho():
+    t = circle_grid(256)
+    with pytest.raises(InputError, match="grids differ"):
+        bedrosian_check(np.ones(128), t)
+    with pytest.raises(InputError, match="rho is zero"):
+        bedrosian_check(np.zeros(256), t)
+
+
+def test_boundary_refuses_a_grid_below_the_coefficient_count():
+    f = HardyFunction(np.ones(16))
+    assert f.boundary(16).n == 16
+    with pytest.raises(InputError, match="grid 8 cannot carry 16 coefficients"):
+        f.boundary(8)

@@ -189,6 +189,8 @@ def test_uncertainty_input_guards():
         uncertainty_report(np.exp(1j * t), t)
     with pytest.raises(ZeroSignal):
         uncertainty_report(np.zeros(n), t)
+    with pytest.raises(InputError, match="equal length"):
+        uncertainty_report(_gauss(t), t[:-1])
     bad = t.copy()
     bad[10] += 1e-3
     from afd.errors import NonUniformGrid
