@@ -176,18 +176,10 @@ def _record(args, algorithm, n_input, result, extra_meta=None):
         {"a": None if comp.a is None else _c2j(comp.a), "c": _c2j(comp.c), "kind": comp.kind}
         for comp in result.components
     ]
+    meta = dict(result.meta, **(extra_meta or {}))
     if algorithm in UNWINDING:
-        meta = {
-            "inner_n": int(result.meta["n"]),
-            "inner": [_encode_inner(comp.inner) for comp in result.components],
-            "factor_consistency": [float(x) for x in result.meta["factor_consistency"]],
-            "front_loading": [float(x) for x in result.meta["front_loading"]],
-            "stopped": result.meta["stopped"],
-        }
-    else:
-        meta = {k: v for k, v in result.meta.items() if _json_safe(v)}
-    if extra_meta:
-        meta.update(extra_meta)
+        meta["inner_n"] = int(meta.pop("n"))
+        meta["inner"] = [_encode_inner(comp.inner) for comp in result.components]
     return {
         "schema": SCHEMA,
         "algorithm": algorithm,
@@ -206,10 +198,6 @@ def _record(args, algorithm, n_input, result, extra_meta=None):
         "components": components,
         "meta": meta,
     }
-
-
-def _json_safe(v):
-    return isinstance(v, (int, float, str, bool, type(None)))
 
 
 def save_result(record, path):
@@ -273,21 +261,14 @@ def _rebuild(rec):
     trace = np.array(rec["residual_trace"], dtype=float)
     source = float(rec["source_energy"])
     unwinding = rec["algorithm"] in UNWINDING
-    meta, comps = rec["meta"], rec["components"]
+    meta, comps = dict(rec["meta"]), rec["components"]
     inner = [None] * len(comps)
     if unwinding:
-        n = int(meta["inner_n"])
-        if len(meta["inner"]) != len(comps):
-            raise ValueError(f"{len(meta['inner'])} inner entries for {len(comps)} components")
-        inner = [_decode_inner(entry, rec["schema"], n) for entry in meta["inner"]]
-        meta = {
-            "n": n,
-            "factor_consistency": meta["factor_consistency"],
-            "front_loading": meta["front_loading"],
-            "stopped": meta["stopped"],
-        }
-    else:
-        meta = dict(meta, n=rec["config"]["n"])
+        n = meta["n"] = int(meta.pop("inner_n"))
+        entries = meta.pop("inner")
+        if len(entries) != len(comps):
+            raise ValueError(f"{len(entries)} inner entries for {len(comps)} components")
+        inner = [_decode_inner(entry, rec["schema"], n) for entry in entries]
     comps = [
         Component(
             # only unwinding records hold terms without a parameter (UWA's)
@@ -399,7 +380,9 @@ def cmd_tfd(args):
     if args.bins < 0:
         raise InputError(f"--bins wants a count >= 0, got {args.bins}")
     rec, obj = load_result(args.result)
-    comps = dirac_tfd(obj, grid=obj.meta["n"])
+    # inner factors exist on their own grid only; other terms go on the input's
+    grid = obj.meta["n"] if rec["algorithm"] in UNWINDING else rec["config"]["n"]
+    comps = dirac_tfd(obj, grid=grid)
     # record and decomposition hold every term's inner samples; free them
     # before writing
     del rec, obj

@@ -44,6 +44,7 @@ from .hardy_atoms import _kernel_and_mobius, tm_sweep, validate_param
 from .signal_core import (
     CircularSignal,
     HardyFunction,
+    _boundary_n,
     _power_table,
     circle_grid,
     series_values,
@@ -619,20 +620,25 @@ def core_afd_decompose(
     return _greedy(source, max_terms, energy_tol, step, forced_params)[0]
 
 
-def _check_boundary(d, n):
-    """InputError unless d has boundary samples on the grid n, a count or times.
+def _circle_terms(d, grid, phase=False):
+    """(t, terms): the times of grid, a count or an array, and the terms of d there.
 
-    Bergman components have no boundary trace, and unwinding components
-    carry their inner factors only on the meta["n"] grid.
+    terms walks one tm_sweep and yields per component B_k at e^{it}
+    (its work array), (B_k, theta_k') with phase, or None for a UWA
+    term.  The one rule: only Hardy-space terms have boundary values, so
+    a meta["space"] other than "hardy" is refused (InputError), a
+    Hardy-rule KernelSpace under another name too; unwinding terms
+    exist only on their meta["n"] grid, so any other grid is refused.
     """
-    if d.meta.get("space") == "bergman":
-        raise InputError(
-            "components live in a Bergman coefficient space; "
-            "boundary synthesis is undefined for them"
-        )
+    space = d.meta.get("space", "hardy")
+    if space != "hardy":
+        raise InputError(f"components live in the {space!r} space; only Hardy-space terms have boundary values")
     unwinding = any(comp.inner is not None for comp in d.components)
-    if unwinding and not (np.isscalar(n) and n == d.meta["n"]):
+    if unwinding and not (np.isscalar(grid) and grid == d.meta["n"]):
         raise InputError(f"inner factors are stored on the {d.meta['n']}-point grid only")
+    t = circle_grid(int(grid)) if np.isscalar(grid) else np.asarray(grid, dtype=float)
+    sweep = tm_sweep([c.a for c in d.components if c.a is not None], np.exp(1j * t), phase)
+    return t, (None if comp.a is None else next(sweep) for comp in d.components)
 
 
 def coefficient_cross_check(f: HardyFunction, d: Decomposition):
@@ -644,17 +650,19 @@ def coefficient_cross_check(f: HardyFunction, d: Decomposition):
     f conj(B_k) is not band limited, hence the padding; sampling f
     there is exact.  Returns max_k max(|c_k - <f, B_k>|, |c_k - <g_k,
     B_k>|), 0.0 for no terms; it sits at rounding level (relative to
-    ||f||) when the sifts behind d were exact.  Unwinding results are
-    refused: their terms carry inner factors, and the TM chain alone
-    does not reproduce them.
+    ||f||) when the sifts behind d were exact.  Refuses (InputError)
+    what _circle_terms refuses, and unwinding records, whose inner
+    factors the TM chain cannot reproduce (their meta["n"] is this
+    padded grid, which that rule lets through).
     """
     if any(comp.inner is not None for comp in d.components):
         raise InputError("unwinding components carry inner factors; compare reconstruct with f instead")
-    n = max(4 * f.boundary().n, 4096)
+    n = max(4 * _boundary_n(f.coefficients.size), 4096)
+    _, terms = _circle_terms(d, n)
     boundary = f.boundary(n)
     partial = np.zeros(n, dtype=complex)  # sum c_l B_l so far
     worst = 0.0
-    for comp, b_k in zip(d.components, tm_sweep(d.params, np.exp(1j * circle_grid(n)))):
+    for comp, b_k in zip(d.components, terms):
         c = comp.c
         c_direct = complex(np.mean(boundary.samples * np.conj(b_k)))
         c_remainder = complex(np.mean((boundary.samples - partial) * np.conj(b_k)))
@@ -668,16 +676,14 @@ def reconstruct(d: Decomposition, n) -> CircularSignal:
 
     I_k is the cumulative inner factor of an unwinding term (1 for the
     other algorithms) and B_k the TM function over the parameters so
-    far (1 for a UWA term, which has none).  Bergman results, and
-    unwinding results at any n but their meta["n"], are refused
-    (InputError).
+    far (1 for a UWA term, which has none).  Records are read by
+    _circle_terms and refused (InputError) by its rule.
     """
-    _check_boundary(d, n)
+    _, terms = _circle_terms(d, n)
     out = np.zeros(n, dtype=complex)
-    sweep = tm_sweep([c.a for c in d.components if c.a is not None], np.exp(1j * circle_grid(n)))
-    for comp in d.components:
+    for comp, b_k in zip(d.components, terms):
         term = comp.c if comp.inner is None else comp.c * comp.inner
-        if comp.a is not None:
-            term = term * next(sweep)
+        if b_k is not None:
+            term = term * b_k
         out += term
     return CircularSignal(out)

@@ -180,8 +180,8 @@ def kernel(space: KernelSpace, a, l=1) -> np.ndarray:
     p = l - 1
     k = np.arange(m + 1, dtype=float)
     seq = np.zeros(m + 1, dtype=complex)
-    falling = np.ones(m + 1 - p)
-    kk = k[p:]
+    kk = k[p:]  # empty for l > m + 1, whose kernel is the zero sequence
+    falling = np.ones(kk.size)
     for j in range(p):
         falling = falling * (kk - j)
     seq[p:] = space.base[p:] * falling * np.conj(a) ** (kk - p)

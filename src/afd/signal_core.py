@@ -82,6 +82,11 @@ def series_values(coeffs, z):
     return out.reshape(c.shape[:-1] + z.shape)
 
 
+def _boundary_n(m1):
+    """HardyFunction.boundary's default grid for m1 coefficients: the smallest power of two >= max(2*m1, 8)."""
+    return 1 << max(3, int(np.ceil(np.log2(2 * m1))))
+
+
 def _check_pow2(n):
     if n < 8 or (n & (n - 1)) != 0:
         raise InputError(f"sample count must be a power of two >= 8, got {n}")
@@ -195,6 +200,8 @@ class HardyFunction:
 
     def __init__(self, coefficients):
         self.coefficients = np.atleast_1d(np.asarray(coefficients, dtype=complex))
+        if not self.coefficients.size:
+            raise InputError("a Hardy function needs at least one coefficient")
 
     @property
     def order(self):
@@ -224,7 +231,7 @@ class HardyFunction:
         """
         m1 = self.coefficients.size
         if n is None:
-            n = 1 << max(3, int(np.ceil(np.log2(2 * m1))))
+            n = _boundary_n(m1)
         _check_pow2(n)
         if n < m1:
             raise InputError(f"grid {n} cannot carry {m1} coefficients")

@@ -35,10 +35,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .core_afd import _check_boundary
+from .core_afd import _circle_terms
 from .errors import InputError, NonRealInput, NonUniformGrid, TailEnergy, ZeroSignal
 from .hardy_atoms import tm_sweep
-from .signal_core import _check_finite, circle_grid
+from .signal_core import _check_finite
 
 __all__ = [
     "TFDAtom",
@@ -126,20 +126,17 @@ def dirac_tfd(d, grid=512):
     frequency theta_k', both from one tm_sweep.  A term with an inner
     factor (unwinding) adds the spectral phase derivative of its
     samples and takes the factor as unimodular in its weight (|c_k|^2
-    for a UWA term).  The samples exist only on the meta["n"] grid, so
-    an unwinding record at any other grid is refused (InputError), and
-    so is a Bergman decomposition, which has no boundary values.
+    for a UWA term).  Records are read by core_afd._circle_terms and
+    refused (InputError) by its rule.
     """
-    _check_boundary(d, grid)
-    t = circle_grid(int(grid)) if np.isscalar(grid) else np.asarray(grid, dtype=float)
-    sweep = tm_sweep([c.a for c in d.components if c.a is not None], np.exp(1j * t), phase=True)
+    t, terms = _circle_terms(d, grid, phase=True)
     out = []
-    for k, comp in enumerate(d.components, start=1):
-        if comp.a is None:
+    for k, (comp, term) in enumerate(zip(d.components, terms), start=1):
+        if term is None:
             omega = _spectral_phase_derivative(comp.inner)
             weight = np.full(len(t), abs(comp.c) ** 2)
         else:
-            b_k, omega = next(sweep)
+            b_k, omega = term
             weight = np.abs(comp.c * b_k) ** 2
             if comp.inner is not None:
                 omega = _spectral_phase_derivative(comp.inner) + omega
@@ -170,6 +167,8 @@ def uncertainty_report(s, t) -> UncertaintyReport:
 
     Raises
     ------
+    InputError    unless s and t are 1-d, alike and hold two samples;
+    NonUniformGrid  unless the times step uniformly upward;
     NonFiniteEnergy  if a sample is nan or infinite;
     NonRealInput  if s has imaginary content above DEFAULT_TOL.realness
                   of its peak;
@@ -180,15 +179,15 @@ def uncertainty_report(s, t) -> UncertaintyReport:
     """
     s = np.asarray(s)
     t = np.asarray(t, dtype=float)
-    if s.shape != t.shape or s.ndim != 1:
-        raise InputError("signal and grid must be 1-d arrays of equal length")
+    if s.shape != t.shape or s.ndim != 1 or len(t) < 2:
+        raise InputError("signal and grid must be 1-d arrays of equal length, two at least")
     _check_finite(s, "uncertainty_report")
     if np.max(np.abs(np.imag(s))) > DEFAULT_TOL.realness * max(np.max(np.abs(s)), 1e-300):
         raise NonRealInput("uncertainty bounds are stated for real signals")
     s = np.real(s).astype(float)
     dt = t[1] - t[0]
-    if np.max(np.abs(np.diff(t) - dt)) > DEFAULT_TOL.grid_uniform * abs(dt):
-        raise NonUniformGrid("time grid must be uniform")
+    if not dt > 0 or np.max(np.abs(np.diff(t) - dt)) > DEFAULT_TOL.grid_uniform * dt:
+        raise NonUniformGrid("time grid must be uniform and increasing")
     energy = float(np.sum(s**2) * dt)
     if energy <= 0.0:
         raise ZeroSignal("zero signal")

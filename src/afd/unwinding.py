@@ -32,7 +32,7 @@ import numpy as np
 from .config import DEFAULT_SEARCH, DEFAULT_TOL
 from .errors import DegenerateModulus
 from .core_afd import Component, Decomposition, _afd_step, _greedy, _source_energy, reconstruct
-from .signal_core import CircularSignal, HardyFunction, _conjugate_real
+from .signal_core import CircularSignal, HardyFunction, _boundary_n, _conjugate_real
 
 __all__ = [
     "Factorization",
@@ -159,7 +159,7 @@ def _unwind(f: HardyFunction, max_terms, energy_tol, kind, extract) -> Decomposi
     source_norm = float(np.sqrt(source))
     # log|f| is not band limited even for polynomial f, so the whole
     # recursion runs on a padded grid; sampling f there is exact.
-    n = max(4 * f.boundary().n, 4096)
+    n = max(4 * _boundary_n(f.coefficients.size), 4096)
     meta = {"n": n, "factor_consistency": [], "front_loading": []}
     f_k = f
     cumulative = np.ones(n, dtype=complex)

@@ -22,7 +22,7 @@ from afd.cli_io import (
     save_result,
 )
 from afd.config import DEFAULT_SEARCH
-from afd.errors import NonRealInput, NonUniformGrid, ParseError
+from afd.errors import AFDError, NonRealInput, NonUniformGrid, ParseError
 from afd import (
     CircularSignal,
     Decomposition,
@@ -250,8 +250,9 @@ def test_decompose_poafd_bergman(tmp_path, cosine_csv):
     out = str(tmp_path / "b.json")
     assert main(["decompose", cosine_csv, "--algo", "poafd", "--space", "bergman",
                  "--terms", "2", "--grid", "24x12", "--output", out]) == EXIT_OK
-    rec, _ = load_result(out)
-    assert rec["meta"]["space"] == "bergman"
+    rec, d = load_result(out)
+    # the loaded record keeps the meta it stored, and nothing more
+    assert d.meta == rec["meta"] == {"space": "bergman", "order": 63}
 
 
 def test_decompose_cyclic_explicit_init(tmp_path, cosine_csv):
@@ -632,6 +633,25 @@ def test_tfd_refuses_bergman_results(tmp_path, cosine_csv):
     assert main(["tfd", res]) == EXIT_INPUT
 
 
+def test_tfd_raster_of_a_single_frequency(tmp_path):
+    # a constant is one term at a = 0 with omega = 0 everywhere: the omega
+    # range is empty, so the raster spans [0, 1] and its bins centre at
+    # 0.125 .. 0.875, all weight in the first
+    sig = _write_real(tmp_path / "c.csv", np.full(64, 0.7))
+    res = str(tmp_path / "c.json")
+    assert main(["decompose", sig, "--output", res]) == EXIT_OK
+    d = load_result(res)[1]
+    assert len(d) == 1 and d.params[0] == 0
+    atoms = str(tmp_path / "c.tfd.csv")
+    assert main(["tfd", res, "--bins", "4", "--output", atoms]) == EXIT_OK
+    lines = open(tmp_path / "c.tfd.raster.csv").read().splitlines()
+    assert lines[0] == "t,0.125,0.375,0.625,0.875"
+    assert len(lines) == 1 + 64
+    for line in lines[1:]:
+        cells = [float(x) for x in line.split(",")[2:]]
+        assert float(line.split(",")[1]) == pytest.approx(0.49, rel=1e-14) and cells == [0.0] * 3
+
+
 def test_tfd_rejects_bad_result_files(tmp_path):
     bad = tmp_path / "x.json"
     bad.write_text("{not json")
@@ -761,3 +781,14 @@ def test_main_calls_the_command_bound_at_call_time(monkeypatch, command):
             "check": ["check", "x.csv", "--mode", "mono"], "info": ["info"]}[command]
     assert main(argv) == 7
     assert seen == [command]
+
+
+def test_main_maps_any_other_package_error_to_exit_4(monkeypatch, capsys):
+    # an AFDError that is neither an input error nor a numerical
+    # degeneracy (cyclic_afd's "objective increased", say)
+    def fail(_args):
+        raise AFDError("objective increased")
+
+    monkeypatch.setattr(cli_io, "cmd_info", fail)
+    assert main(["info"]) == EXIT_DEGENERATE
+    assert capsys.readouterr().err == "error: objective increased\n"

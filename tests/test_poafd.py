@@ -94,6 +94,16 @@ def test_kernel_guards():
         kernel(hardy, 0.3, 0)
 
 
+def test_kernel_of_multiplicity_beyond_the_order_is_zero():
+    # the (l-1)-th derivative of a degree-m polynomial vanishes for l > m + 1
+    for space in _spaces():
+        m = space.order
+        assert np.any(kernel(space, 0.3, m + 1))
+        for l in (m + 2, m + 3, m + 10):
+            seq = kernel(space, 0.3, l)
+            assert seq.shape == (m + 1,) and not np.any(seq)
+
+
 def test_derivative_kernel_reproduces_derivatives():
     rng = np.random.default_rng(72)
     f = np.pad(random_hardy(rng, m=20).coefficients, (0, 43))
@@ -145,6 +155,7 @@ def test_gram_schmidt_orthonormal_with_repeats():
     # the clustered triple needs the second Gram-Schmidt pass: one pass
     # leaves a defect of 6e-8 in the Hardy space
     for space in _spaces():
+        assert gram_schmidt(space, ()).gram_defect(space) == 0.0
         for params in ((0.5, 0.5, -0.2j), (0.3, 0.3, 0.3), (0.4, 0.401, 0.402)):
             system = gram_schmidt(space, params)
             assert system.gram_defect(space) < 1e-9

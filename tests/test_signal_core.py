@@ -20,7 +20,7 @@ from afd import (
     to_hardy,
     uncertainty_report,
 )
-from afd.errors import InputError, NearZeroModulus, NonFiniteEnergy, NonRealInput
+from afd.errors import InputError, NearZeroModulus, NonFiniteEnergy, NonRealInput, PhaseUnresolved
 from afd.config import DEFAULT_TOL
 from afd.signal_core import _conjugate_real, series_values
 
@@ -68,6 +68,9 @@ def test_analyze_picks_out_lines():
     assert spec.coefficient(-3) == pytest.approx(0.5)
     assert spec.coefficient(5) == pytest.approx(-1j, abs=1e-14)
     assert spec.coefficient(0) == pytest.approx(0.0, abs=1e-14)
+    for k in (-33, 32):
+        with pytest.raises(InputError, match="outside"):
+            spec.coefficient(k)
 
 
 def test_analyze_synthesize_roundtrip_and_parseval():
@@ -175,6 +178,8 @@ def test_hardy_check_examples():
     t = circle_grid(64)
     assert hardy_check(CircularSignal(np.exp(5j * t)))
     assert not hardy_check(CircularSignal(np.exp(-3j * t)))
+    # the relative test has no scale for the zero signal, which passes
+    assert hardy_check(CircularSignal(np.zeros(64))) is True
 
 
 def test_hardy_check_needs_enough_samples():
@@ -238,6 +243,7 @@ def test_hardy_function_energy_truncate_derivative():
     np.testing.assert_allclose(g.coefficients, [1.0, 0.5])
     d = f.derivative()
     np.testing.assert_allclose(d.coefficients, [0.5, 0.5])
+    np.testing.assert_array_equal(HardyFunction([2.0 + 1.0j]).derivative().coefficients, [0.0])
 
 
 def test_boundary_padding_is_exact():
@@ -342,3 +348,24 @@ def test_boundary_refuses_a_grid_below_the_coefficient_count():
     assert f.boundary(16).n == 16
     with pytest.raises(InputError, match="grid 8 cannot carry 16 coefficients"):
         f.boundary(8)
+
+
+def test_hardy_function_refuses_an_empty_coefficient_array():
+    # with no coefficient there is no order: f(z) would divide by zero
+    # and boundary() would take the log of 0
+    with pytest.raises(InputError, match="at least one coefficient"):
+        HardyFunction([])
+
+
+def test_phase_derivative_refuses_a_zero_on_the_circle_and_has_a_default_grid():
+    f = HardyFunction([-0.5, 1.0])  # z - 0.5 vanishes at z = 0.5, t = 0
+    with pytest.raises(NearZeroModulus):
+        phase_derivative(f, 0.5, 8)
+    # the default grid is boundary()'s: 8 points for two coefficients
+    np.testing.assert_array_equal(phase_derivative(f, 0.3), phase_derivative(f, 0.3, 8))
+
+
+def test_phase_amplitude_refuses_a_step_of_pi():
+    # z^4 on 8 points turns by 4 * 2pi/8 = pi between samples
+    with pytest.raises(PhaseUnresolved):
+        phase_amplitude(HardyFunction([0.0, 0.0, 0.0, 0.0, 1.0]), 0.9, 8)

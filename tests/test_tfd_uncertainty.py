@@ -5,19 +5,22 @@ import pytest
 
 from afd import (
     HardyFunction,
-    bergman_space,
+    KernelSpace,
     blaschke_phase_derivative,
     circle_grid,
+    coefficient_cross_check,
     core_afd_decompose,
     dirac_tfd,
     poafd_decompose,
+    reconstruct,
     tm_eval,
     tm_phase_derivative,
     uncertainty_report,
     unwinding_tfd,
     uwa_decompose,
 )
-from afd.errors import InputError, NonRealInput, TailEnergy, ZeroSignal
+from afd.errors import InputError, NonRealInput, NonUniformGrid, TailEnergy, ZeroSignal
+from afd.poafd import _bergman_norm2
 from afd.tfd_uncertainty import TFDAtom
 
 from conftest import band_limited_real, random_hardy, random_params
@@ -109,11 +112,21 @@ def test_dirac_tfd_atoms_are_scalars():
 
 
 def test_dirac_tfd_refuses_bergman_components():
-    space = bergman_space(m=15)
+    # Bergman rows have no boundary values: the three readers of terms on
+    # the circle refuse the record, also when the space has another name
     k = np.arange(16)
-    d = poafd_decompose(space, (k + 1.0) * 0.5**k, max_terms=1)
-    with pytest.raises(InputError):
-        dirac_tfd(d, grid=64)
+    f = HardyFunction((k + 1.0) * 0.5**k)
+    readers = {
+        "dirac_tfd": lambda d: dirac_tfd(d, grid=64),
+        "reconstruct": lambda d: reconstruct(d, 64),
+        "coefficient_cross_check": lambda d: coefficient_cross_check(f, d),
+    }
+    for name in ("bergman", "weighted-bergman"):
+        space = KernelSpace(name=name, base=k + 1.0, norm2_rule=_bergman_norm2)
+        d = poafd_decompose(space, f.coefficients, max_terms=1)
+        for reader, read in readers.items():
+            with pytest.raises(InputError, match=name):
+                read(d)
 
 
 def test_unwinding_tfd_hand_case():
@@ -193,7 +206,13 @@ def test_uncertainty_input_guards():
         uncertainty_report(_gauss(t), t[:-1])
     bad = t.copy()
     bad[10] += 1e-3
-    from afd.errors import NonUniformGrid
-
     with pytest.raises(NonUniformGrid):
         uncertainty_report(_gauss(bad), bad)
+    # as read_line_csv does for the CLI: two samples at least, and times
+    # that step upward (a reversed or constant grid read as a zero signal)
+    for m in (0, 1):
+        with pytest.raises(InputError, match="two at least"):
+            uncertainty_report(np.ones(m), np.arange(m, dtype=float))
+    for times in (t[::-1], np.zeros(n)):
+        with pytest.raises(NonUniformGrid, match="increasing"):
+            uncertainty_report(_gauss(t), times)

@@ -381,3 +381,9 @@ def test_params_refused_for_parameterless_terms():
     u = uwa_decompose(scaled_am_fm(1.0), 2)
     with pytest.raises(InputError, match="no kernel parameter"):
         u.params
+
+
+def test_inner_factor_refuses_an_outer_factor_that_vanishes_on_the_grid():
+    # 1 + z vanishes at t = pi, the fifth of 8 grid points
+    with pytest.raises(DegenerateModulus, match="vanishes"):
+        inner_factor(CircularSignal(np.ones(8)), HardyFunction([1.0, 1.0]))
