@@ -49,7 +49,7 @@ from .errors import (
     ZeroSignal,
 )
 from .hardy_atoms import monocomp_check
-from .poafd import bergman_space, hardy_space, poafd_decompose
+from .poafd import _SPACES, KernelSpace, poafd_decompose
 from .signal_core import (
     CircularSignal,
     analytic_signal,
@@ -313,6 +313,8 @@ def cmd_decompose(args):
         raise InputError(f"--terms wants a count >= 0, got {args.terms}")
     if args.n < 0:
         raise InputError(f"--n wants a count >= 0, got {args.n}")
+    if not (np.isfinite(args.tol) and args.tol >= 0):
+        raise InputError(f"--tol wants a finite value >= 0, got {args.tol}")
     search = _search_from_args(args)
     s, f = _ingest(args)
     extra = None
@@ -338,8 +340,7 @@ def cmd_decompose(args):
             "converged": trace.converged,
         }
     else:  # poafd, the last of the ALGORITHMS argparse accepts
-        make = hardy_space if args.space == "hardy" else bergman_space
-        space = make(len(f.coefficients) - 1)
+        space = KernelSpace(args.space, len(f.coefficients) - 1)
         result = poafd_decompose(
             space, f.coefficients, max_terms=args.terms, energy_tol=args.tol,
             search=search,
@@ -690,7 +691,7 @@ def cmd_info(args):
     from . import __version__
 
     print(f"afd {__version__}")
-    print(f"algorithms: {', '.join(ALGORITHMS)}   spaces: hardy, bergman")
+    print(f"algorithms: {', '.join(ALGORITHMS)}   spaces: {', '.join(_SPACES)}")
     print("input: CSV `t,value` or `t,re,im`, t = 2*pi*j/N, N a power of two >= 8")
     print("       (check --mode uncertainty: any uniform real-line `t,value`)")
     print("results: JSON, schema 2, complex numbers as {re, im}, unwinding inner")
@@ -717,12 +718,12 @@ def _build_parser():
     d.add_argument("--terms", type=int, default=10,
                    help="maximum number of terms (default 10)")
     d.add_argument("--tol", type=float, default=1e-6,
-                   help="relative residual-energy stop (default 1e-6)")
+                   help="relative residual-energy stop, finite and >= 0 (default 1e-6)")
     d.add_argument("--n", type=int, default=2,
                    help="tuple order for --algo cyclic (default 2)")
     d.add_argument("--init", default="auto",
                    help="cyclic init: 'auto' or comma-separated complex values")
-    d.add_argument("--space", choices=("hardy", "bergman"), default="hardy",
+    d.add_argument("--space", choices=tuple(_SPACES), default="hardy",
                    help="kernel space for --algo poafd")
     d.add_argument("--grid", default=f"{DEFAULT_SEARCH.n_angles}x{DEFAULT_SEARCH.n_radii}",
                    help="selection grid ANGLESxRADII (default %(default)s)")

@@ -459,7 +459,8 @@ def maximal_selection(
     global maximum over the disc, since the polish climbs the winning
     cell's peak and a higher peak between grid points can be missed.
     `include` adds extra candidates, e.g. an incumbent parameter that
-    must not be lost.  `source` is the signal the caller's iteration
+    must not be lost; one beyond r_max is kept as given if it wins, not
+    polished.  `source` is the signal the caller's iteration
     started from (default f itself); the selection floor is relative to
     its norm, as in poafd_select.  A caller that already holds
     ||source|| hands it over as _source_norm, so it is not summed again.
@@ -626,13 +627,15 @@ def _circle_terms(d, grid, phase=False):
     terms walks one tm_sweep and yields per component B_k at e^{it}
     (its work array), (B_k, theta_k') with phase, or None for a UWA
     term.  The one rule: only Hardy-space terms have boundary values, so
-    a meta["space"] other than "hardy" is refused (InputError), a
-    Hardy-rule KernelSpace under another name too; unwinding terms
-    exist only on their meta["n"] grid, so any other grid is refused.
+    a meta["space"] other than "hardy" is refused (InputError); unwinding
+    terms exist only on their meta["n"] grid, so any other grid is
+    refused.  A count must be a positive integer (InputError).
     """
     space = d.meta.get("space", "hardy")
     if space != "hardy":
         raise InputError(f"components live in the {space!r} space; only Hardy-space terms have boundary values")
+    if np.isscalar(grid) and not (isinstance(grid, (int, np.integer)) and grid > 0):
+        raise InputError(f"sample count wants a positive integer, got {grid!r}")
     unwinding = any(comp.inner is not None for comp in d.components)
     if unwinding and not (np.isscalar(grid) and grid == d.meta["n"]):
         raise InputError(f"inner factors are stored on the {d.meta['n']}-point grid only")

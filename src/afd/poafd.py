@@ -1,8 +1,8 @@
 """Pre-orthogonal AFD over reproducing-kernel coefficient spaces.
 
 Everything lives on truncated coefficient sequences with a weighted
-inner product <f, g> = sum_k w_k f_k conj(g_k).  A space is fixed by
-its weights and its kernel rule; the two shipped instances are
+inner product <f, g> = sum_k w_k f_k conj(g_k).  The name of a space
+KernelSpace("hardy" | "bergman", order) fixes its weights and kernel:
 
     Hardy    w_k = 1,        k_a has coefficients conj(a)^k,
     Bergman  w_k = 1/(k+1),  k_a has coefficients (k+1) conj(a)^k,
@@ -86,26 +86,40 @@ __all__ = [
 SELECTION_CAP = 0.95
 
 
+def _bergman_norm2(s):
+    """||k_a||^2 = 1/(1 - s)^2 of the Bergman kernel, s = |a|^2, with d/ds and d2/ds2."""
+    u = 1.0 / (1.0 - s)
+    return u * u, 2.0 * u**3, 6.0 * u**4
+
+
+# name -> (kernel coefficient profile base[k] of k, closed-form norm2 rule)
+_SPACES = {
+    "hardy": (np.ones_like, _hardy_norm2),
+    "bergman": (lambda k: k + 1.0, _bergman_norm2),
+}
+
+
 @dataclass(frozen=True, eq=False)
 class KernelSpace:
-    """Weighted coefficient space with a reproducing kernel rule.
+    """The Hardy or Bergman coefficient space of an order, set by its name.
 
-    base[k] is the kernel coefficient profile (k_a coefficients are
-    base[k] * conj(a)^k); the weights, derived as 1/base[k], make the
-    reproducing identity <f, k_a> = f(a) hold.
+    k_a has coefficients base[k] * conj(a)^k and the weights 1/base[k]
+    make <f, k_a> = f(a) hold; other names are refused (InputError).
     """
 
     name: str
-    base: np.ndarray
-    norm2_rule: object  # s = |a|^2 -> (||k_a||^2, d/ds, d2/ds2), closed form
+    order: int
+    base: np.ndarray = field(init=False)
     weights: np.ndarray = field(init=False)
+    norm2_rule: object = field(init=False)  # s = |a|^2 -> (||k_a||^2, d/ds, d2/ds2), closed form
 
     def __post_init__(self):
+        if self.name not in _SPACES:
+            raise InputError(f"kernel space {self.name!r} is not one of {', '.join(_SPACES)}")
+        profile, rule = _SPACES[self.name]
+        object.__setattr__(self, "base", profile(np.arange(self.order + 1, dtype=float)))
         object.__setattr__(self, "weights", 1.0 / self.base)
-
-    @property
-    def order(self):
-        return len(self.weights) - 1
+        object.__setattr__(self, "norm2_rule", rule)
 
     def inner(self, f, g):
         return complex(np.sum(self.weights * f * np.conj(g)))
@@ -134,27 +148,12 @@ class OrthoSystem:
 
 def hardy_space(m=511) -> KernelSpace:
     """Hardy coefficient space: flat weights, Szego kernels."""
-    return KernelSpace(
-        name="hardy",
-        base=np.ones(m + 1),
-        norm2_rule=_hardy_norm2,
-    )
+    return KernelSpace("hardy", m)
 
 
 def bergman_space(m=511) -> KernelSpace:
     """Weighted Bergman coefficient space: w_k = 1/(k+1)."""
-    k = np.arange(m + 1, dtype=float)
-    return KernelSpace(
-        name="bergman",
-        base=k + 1.0,
-        norm2_rule=_bergman_norm2,
-    )
-
-
-def _bergman_norm2(s):
-    """||k_a||^2 = 1/(1 - s)^2 of the Bergman kernel, s = |a|^2, with d/ds and d2/ds2."""
-    u = 1.0 / (1.0 - s)
-    return u * u, 2.0 * u**3, 6.0 * u**4
+    return KernelSpace("bergman", m)
 
 
 def _capped(a):
@@ -226,7 +225,7 @@ def _grow(space, system, a):
     """
     raw = kernel(space, a, _multiplicity(system.params, a))
     v, _ = _extend(space, system.vectors, raw)
-    if space.norm2_rule is _hardy_norm2:
+    if space.name == "hardy":
         turn = 1.0
         for b in system.params:
             if abs(b - a) > DEFAULT_TOL.coincidence:
@@ -283,7 +282,7 @@ def poafd_select(space: KernelSpace, f, system: OrthoSystem, search=DEFAULT_SEAR
     """
     f = _as_sequence(space, f)
     capped = replace(search, r_max=min(search.r_max, SELECTION_CAP))
-    if space.norm2_rule is _hardy_norm2:
+    if space.name == "hardy":
         source = HardyFunction(f)
         g = _reduced_without(source, system.params, None)
         return maximal_selection(g, capped, source=source)
@@ -385,7 +384,7 @@ def poafd_decompose(
     """
     f = _as_sequence(space, f)
     capped = replace(search, r_max=min(search.r_max, SELECTION_CAP))
-    if space.norm2_rule is _hardy_norm2:
+    if space.name == "hardy":
         if forced_params is not None:
             forced_params = [_capped(validate_param(a)) for a in forced_params]
         d = core_afd_decompose(

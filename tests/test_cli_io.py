@@ -325,6 +325,16 @@ def test_decompose_rejects_negative_terms(tmp_path, cosine_csv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3"])
+def test_decompose_rejects_a_tol_that_is_not_finite_and_nonnegative(tmp_path, capsys, cosine_csv, tol):
+    # nan never stops a run, and nan or inf would be written into the record,
+    # which strict JSON parsers refuse
+    out = tmp_path / "r.json"
+    assert main(["decompose", cosine_csv, f"--tol={tol}", "--output", str(out)]) == EXIT_INPUT
+    assert "--tol wants a finite value >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_decompose_rejects_negative_n_before_reading(tmp_path, capsys, cosine_csv):
     out = tmp_path / "r.json"
     argv = ["decompose", cosine_csv, "--algo", "cyclic", "--output", str(out)]

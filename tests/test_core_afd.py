@@ -145,6 +145,15 @@ def test_selection_include_keeps_better_candidate():
     assert abs(a - params[0]) < 1e-12
 
 
+def test_selection_keeps_an_include_candidate_beyond_r_max_as_given():
+    # the polish only climbs within r_max, so it leaves such a candidate as it is
+    b = 0.9 + 0.1j
+    f = HardyFunction(np.sqrt(1.0 - abs(b) ** 2) * np.conj(b) ** np.arange(256))
+    search = replace(DEFAULT_SEARCH, r_max=0.5)
+    assert maximal_selection(f, search, include=(b,)) == b
+    assert maximal_selection(f, search) == pytest.approx(0.4969418673 + 0.0552157630j, abs=1e-9)
+
+
 def test_selection_rejects_zero():
     with pytest.raises(ZeroResidual):
         maximal_selection(HardyFunction(np.zeros(4, dtype=complex)))

@@ -19,7 +19,7 @@ from afd import (
     to_hardy,
 )
 from afd.config import SearchConfig
-from afd.errors import InputError, ParamOutOfDisc, ZeroSignal
+from afd.errors import AFDError, InputError, ParamOutOfDisc, ZeroSignal
 
 from conftest import (
     cyclic_reference,
@@ -235,6 +235,21 @@ def test_cycle_costs_n_times_n_minus_one_sifts(n, monkeypatch, coarse_search):
     calls.clear()
     tr = cyclic_afd(f, n, init=tr.params, max_cycles=4, delta_tol=0.0, search=coarse_search)
     assert len(calls) == n * (n - 1) * tr.cycles + n
+
+
+def test_cyclic_refuses_a_move_that_raises_the_objective(monkeypatch):
+    # the second coordinate's move keeps the tuple and reports a rise of 1e-6 ||f||^2
+    module = importlib.import_module("afd.cyclic_afd")
+    real = module.coordinate_optimize
+
+    def rising(f, params, index, search, **kw):
+        if index == 2:
+            return params, n_blaschke_objective(f, params) + 1e-6 * f.energy()
+        return real(f, params, index, search, **kw)
+
+    monkeypatch.setattr(module, "coordinate_optimize", rising)
+    with pytest.raises(AFDError, match="at coordinate 2"):
+        cyclic_afd(_planted(), 2)
 
 
 def test_cyclic_rejects_zero_signal():

@@ -9,6 +9,7 @@ import pytest
 import afd.poafd
 from afd import (
     HardyFunction,
+    KernelSpace,
     analytic_signal,
     bergman_space,
     core_afd_decompose,
@@ -267,7 +268,7 @@ def test_selection_objective_is_normalized_extension_coefficient():
 def unpolished_select(space, f, system):
     """poafd_select's grid stage: the pick on the capped default grid before the polish."""
     capped = replace(DEFAULT_SEARCH, r_max=SELECTION_CAP)
-    if space.norm2_rule is _hardy_norm2:
+    if space.name == "hardy":
         g = _reduced_without(HardyFunction(f), system.params, None)
         return _grid_pick(g.coefficients[None], _hardy_norm2, capped)[0]
     vectors = system.vectors
@@ -523,6 +524,23 @@ def test_poafd_floor_is_relative_to_the_signal():
         for f in (np.zeros(space.order + 1), 1e-30 * system.vectors[0]):
             with pytest.raises(ZeroResidual):
                 poafd_select(space, f, system)
+
+
+def test_a_space_is_hardy_or_bergman():
+    # the name alone sets the weights and the kernel rule
+    for name, weights in (("hardy", np.ones(8)), ("bergman", 1.0 / np.arange(1, 9))):
+        space = KernelSpace(name, 7)
+        assert space.order == 7
+        np.testing.assert_array_equal(space.weights, weights)
+    with pytest.raises(InputError, match="'weighted-bergman' is not one of hardy, bergman"):
+        KernelSpace("weighted-bergman", 7)
+
+
+def test_gram_schmidt_refuses_a_zero_kernel_vector():
+    # at order 1 the third repeat's kernel, the second derivative, is the zero sequence
+    for space in (hardy_space(m=1), bergman_space(m=1)):
+        with pytest.raises(DegenerateGram, match="zero kernel vector"):
+            gram_schmidt(space, (0.3, 0.3, 0.3))
 
 
 def test_poafd_rejects_zero():

@@ -20,7 +20,6 @@ from afd import (
     uwa_decompose,
 )
 from afd.errors import InputError, NonRealInput, NonUniformGrid, TailEnergy, ZeroSignal
-from afd.poafd import _bergman_norm2
 from afd.tfd_uncertainty import TFDAtom
 
 from conftest import band_limited_real, random_hardy, random_params
@@ -99,6 +98,13 @@ def test_dirac_tfd_accepts_explicit_grid():
     t = circle_grid(128)
     comps = dirac_tfd(d, grid=t)
     np.testing.assert_allclose(comps[0].t, t)
+    # a numpy integer is a count; any count that is not a positive integer is refused
+    np.testing.assert_array_equal(dirac_tfd(d, grid=np.int64(128))[0].t, t)
+    for read, count in (
+        (dirac_tfd, 0), (dirac_tfd, -5), (dirac_tfd, 2.5), (reconstruct, -5), (reconstruct, 8.0),
+    ):
+        with pytest.raises(InputError, match="positive integer"):
+            read(d, count)
 
 
 def test_dirac_tfd_atoms_are_scalars():
@@ -113,20 +119,17 @@ def test_dirac_tfd_atoms_are_scalars():
 
 def test_dirac_tfd_refuses_bergman_components():
     # Bergman rows have no boundary values: the three readers of terms on
-    # the circle refuse the record, also when the space has another name
+    # the circle refuse the record
     k = np.arange(16)
     f = HardyFunction((k + 1.0) * 0.5**k)
-    readers = {
-        "dirac_tfd": lambda d: dirac_tfd(d, grid=64),
-        "reconstruct": lambda d: reconstruct(d, 64),
-        "coefficient_cross_check": lambda d: coefficient_cross_check(f, d),
-    }
-    for name in ("bergman", "weighted-bergman"):
-        space = KernelSpace(name=name, base=k + 1.0, norm2_rule=_bergman_norm2)
-        d = poafd_decompose(space, f.coefficients, max_terms=1)
-        for reader, read in readers.items():
-            with pytest.raises(InputError, match=name):
-                read(d)
+    d = poafd_decompose(KernelSpace("bergman", 15), f.coefficients, max_terms=1)
+    for read in (
+        lambda: dirac_tfd(d, grid=64),
+        lambda: reconstruct(d, 64),
+        lambda: coefficient_cross_check(f, d),
+    ):
+        with pytest.raises(InputError, match="bergman"):
+            read()
 
 
 def test_unwinding_tfd_hand_case():
