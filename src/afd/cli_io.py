@@ -171,18 +171,18 @@ def _j2c(d):
     return complex(d["re"], d["im"])
 
 
-def _record(args, algorithm, n_input, result, extra_meta=None):
+def _record(args, n_input, result, extra_meta=None):
     components = [
-        {"a": None if comp.a is None else _c2j(comp.a), "c": _c2j(comp.c), "kind": comp.kind}
+        {"a": None if comp.a is None else _c2j(comp.a), "c": _c2j(comp.c), "kind": args.algo}
         for comp in result.components
     ]
     meta = dict(result.meta, **(extra_meta or {}))
-    if algorithm in UNWINDING:
+    if args.algo in UNWINDING:
         meta["inner_n"] = int(meta.pop("n"))
         meta["inner"] = [_encode_inner(comp.inner) for comp in result.components]
     return {
         "schema": SCHEMA,
-        "algorithm": algorithm,
+        "algorithm": args.algo,
         "config": {
             "n": int(n_input),
             "terms": args.terms,
@@ -236,7 +236,8 @@ def load_result(path):
     """JSON result file -> (record dict, rebuilt Decomposition).
 
     Reads schemas 1 and 2.  Raises ParseError for a file that is not
-    JSON, has no known schema marker, lacks a key the rebuild needs, or
+    JSON, has no known schema marker, lacks a key the rebuild needs,
+    holds a component whose kind is not the record's algorithm, or
     whose inner samples do not decode to one inner_n-long array per
     component.
     """
@@ -262,6 +263,8 @@ def _rebuild(rec):
     source = float(rec["source_energy"])
     unwinding = rec["algorithm"] in UNWINDING
     meta, comps = dict(rec["meta"]), rec["components"]
+    if any(c["kind"] != rec["algorithm"] for c in comps):
+        raise ValueError(f"a component's kind is not the algorithm {rec['algorithm']!r}")
     inner = [None] * len(comps)
     if unwinding:
         n = meta["n"] = int(meta.pop("inner_n"))
@@ -274,7 +277,6 @@ def _rebuild(rec):
             # only unwinding records hold terms without a parameter (UWA's)
             a=None if unwinding and c["a"] is None else _j2c(c["a"]),
             c=_j2c(c["c"]),
-            kind=c["kind"],
             inner=samples,
         )
         for c, samples in zip(comps, inner)
@@ -347,19 +349,19 @@ def cmd_decompose(args):
         )
     elapsed = time.perf_counter() - t0
 
-    record = _record(args, args.algo, s.n, result, extra)
+    record = _record(args, s.n, result, extra)
     out = args.output or str(Path(args.input).with_suffix(".afd.json"))
     save_result(record, out)
-    _print_energy_table(args.algo, record)
+    _print_energy_table(record)
     # wall time stays on the console so reruns stay byte-identical
     print(f"result written to {out} ({elapsed:.3f}s)")
     return EXIT_OK
 
 
-def _print_energy_table(algo, record):
+def _print_energy_table(record):
     source = record["source_energy"]
     trace = record["residual_trace"]
-    print(f"algorithm {algo}, N={record['config']['n']}, energy {source:.6e}")
+    print(f"algorithm {record['algorithm']}, N={record['config']['n']}, energy {source:.6e}")
     print(f"{'step':>4}  {'a':>24}  {'|c|':>12}  {'residual':>13}  {'relative':>10}")
     for k, comp in enumerate(record["components"], start=1):
         if comp["a"] is None:

@@ -44,7 +44,7 @@ from .hardy_atoms import _kernel_and_mobius, tm_sweep, validate_param
 from .signal_core import (
     CircularSignal,
     HardyFunction,
-    _boundary_n,
+    _padded_n,
     _power_table,
     circle_grid,
     series_values,
@@ -66,10 +66,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Component:
-    """One extracted term: parameter a, coefficient c, and origin tag.
+    """One extracted term: parameter a and coefficient c.
 
-    kind names the algorithm that extracted the term.  Unwinding terms
-    ("uwa", "uwafd") also carry inner, the samples of the cumulative
+    Unwinding terms also carry inner, the samples of the cumulative
     inner factor phi_1...phi_k on the decomposition's meta["n"] grid;
     a is None for UWA terms, which involve no kernel parameter.  inner
     takes no part in comparison or hashing.
@@ -77,7 +76,6 @@ class Component:
 
     a: complex | None
     c: complex
-    kind: str = "core"
     inner: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
@@ -581,12 +579,7 @@ def _afd_step(f_k, a, search, norms):
 
 
 def core_afd_decompose(
-    f: HardyFunction,
-    max_terms=50,
-    energy_tol=1e-6,
-    search=DEFAULT_SEARCH,
-    forced_params=None,
-    kind="core",
+    f: HardyFunction, max_terms=50, energy_tol=1e-6, search=DEFAULT_SEARCH, forced_params=None
 ):
     """Greedy decomposition f = sum_k c_k B_k + remainder.
 
@@ -616,7 +609,7 @@ def core_afd_decompose(
         a, c, f_k = _afd_step(f_k, a, search, norms)
         energy = f_k.energy()
         norms = (float(np.sqrt(energy)), norms[1])
-        return Component(a=a, c=c, kind=kind), energy
+        return Component(a=a, c=c), energy
 
     return _greedy(source, max_terms, energy_tol, step, forced_params)[0]
 
@@ -649,18 +642,18 @@ def coefficient_cross_check(f: HardyFunction, d: Decomposition):
 
     Each c_k of d is compared with <f, B_k> and with <g_k, B_k>, g_k =
     f - sum_{l<k} c_l B_l the orthogonal-projection remainder, both by
-    quadrature on a padded grid of max(4N, 4096) points.  The product
-    f conj(B_k) is not band limited, hence the padding; sampling f
-    there is exact.  Returns max_k max(|c_k - <f, B_k>|, |c_k - <g_k,
-    B_k>|), 0.0 for no terms; it sits at rounding level (relative to
-    ||f||) when the sifts behind d were exact.  Refuses (InputError)
-    what _circle_terms refuses, and unwinding records, whose inner
-    factors the TM chain cannot reproduce (their meta["n"] is this
-    padded grid, which that rule lets through).
+    quadrature on the padded grid _padded_n of max(4N, 4096) points.
+    The product f conj(B_k) is not band limited, hence the padding;
+    sampling f there is exact.  Returns max_k max(|c_k - <f, B_k>|,
+    |c_k - <g_k, B_k>|), 0.0 for no terms; it sits at rounding level
+    (relative to ||f||) when the sifts behind d were exact.  Refuses
+    (InputError) what _circle_terms refuses, and unwinding records,
+    whose inner factors the TM chain cannot reproduce (they are stored
+    on this same _padded_n grid, which that rule lets through).
     """
     if any(comp.inner is not None for comp in d.components):
         raise InputError("unwinding components carry inner factors; compare reconstruct with f instead")
-    n = max(4 * _boundary_n(f.coefficients.size), 4096)
+    n = _padded_n(f.coefficients.size)
     _, terms = _circle_terms(d, n)
     boundary = f.boundary(n)
     partial = np.zeros(n, dtype=complex)  # sum c_l B_l so far

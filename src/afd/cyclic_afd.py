@@ -253,11 +253,4 @@ def cyclic_decomposition(f: HardyFunction, params):
     Coefficients come from the sifting chain, so the residual trace
     ends at the n-Blaschke objective of the tuple.
     """
-    d = core_afd_decompose(
-        f,
-        max_terms=len(params),
-        energy_tol=0.0,
-        forced_params=tuple(params),
-        kind="cyclic",
-    )
-    return d
+    return core_afd_decompose(f, max_terms=len(params), energy_tol=0.0, forced_params=tuple(params))

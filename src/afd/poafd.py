@@ -104,7 +104,8 @@ class KernelSpace:
     """The Hardy or Bergman coefficient space of an order, set by its name.
 
     k_a has coefficients base[k] * conj(a)^k and the weights 1/base[k]
-    make <f, k_a> = f(a) hold; other names are refused (InputError).
+    make <f, k_a> = f(a) hold.  Other names, and an order that is not an
+    integer >= 0, are refused (InputError).
     """
 
     name: str
@@ -116,6 +117,8 @@ class KernelSpace:
     def __post_init__(self):
         if self.name not in _SPACES:
             raise InputError(f"kernel space {self.name!r} is not one of {', '.join(_SPACES)}")
+        if isinstance(self.order, bool) or not (isinstance(self.order, (int, np.integer)) and self.order >= 0):
+            raise InputError(f"kernel space order wants an integer >= 0, got {self.order!r}")
         profile, rule = _SPACES[self.name]
         object.__setattr__(self, "base", profile(np.arange(self.order + 1, dtype=float)))
         object.__setattr__(self, "weights", 1.0 / self.base)
@@ -139,11 +142,15 @@ class OrthoSystem:
         return len(self.params)
 
     def gram_defect(self, space):
-        """Largest deviation of the Gram matrix from the identity."""
-        if not len(self):
-            return 0.0
+        """Largest deviation of the Gram matrix from the identity; InputError off space's order."""
+        _check_fits(space, self)
         g = (self.vectors * space.weights) @ np.conj(self.vectors.T)
-        return float(np.max(np.abs(g - np.eye(len(self)))))
+        return float(np.max(np.abs(g - np.eye(len(self))), initial=0.0))
+
+
+def _check_fits(space, system):
+    if system.vectors.shape[1] != space.order + 1:
+        raise InputError(f"system of order {system.vectors.shape[1] - 1} does not fit order {space.order}")
 
 
 def hardy_space(m=511) -> KernelSpace:
@@ -260,7 +267,8 @@ def poafd_select(space: KernelSpace, f, system: OrthoSystem, search=DEFAULT_SEAR
 
     f is the coefficient sequence of the current signal (or its residual
     against the system), and the radius is capped at min(search.r_max,
-    0.95); the pick never scores below the best point of that grid.
+    0.95); the pick never scores below the best point of that grid.  A
+    system whose rows are not of space's order is refused (InputError).
 
     In the Hardy space the objective |r(a)|^2 / (||k_a||^2 - sum_j
     |B_j(a)|^2) equals (1 - |a|^2)|r(a)/Phi(a)|^2, Phi the Blaschke
@@ -280,6 +288,7 @@ def poafd_select(space: KernelSpace, f, system: OrthoSystem, search=DEFAULT_SEAR
         DEFAULT_TOL.zero_residual times the norm of f (an exact zero
         included), so the floor does not depend on the signal's scale.
     """
+    _check_fits(space, system)
     f = _as_sequence(space, f)
     capped = replace(search, r_max=min(search.r_max, SELECTION_CAP))
     if space.name == "hardy":
@@ -378,8 +387,8 @@ def poafd_decompose(
     source f, so its floor is relative to the signal.  Residual energies
     use the space norm of the explicit remainder sequence.
 
-    The run stops by the rule of core_afd._greedy.  kind of every
-    component is "poafd"; meta records the space name and order.
+    The run stops by the rule of core_afd._greedy; meta records the
+    space name and order.
     ZeroSignal for a zero f, NonFiniteEnergy if its energy overflows.
     """
     f = _as_sequence(space, f)
@@ -387,9 +396,7 @@ def poafd_decompose(
     if space.name == "hardy":
         if forced_params is not None:
             forced_params = [_capped(validate_param(a)) for a in forced_params]
-        d = core_afd_decompose(
-            HardyFunction(f), max_terms, energy_tol, capped, forced_params, kind="poafd"
-        )
+        d = core_afd_decompose(HardyFunction(f), max_terms, energy_tol, capped, forced_params)
     else:
         system = gram_schmidt(space, ())
         resid = f.copy()
@@ -406,7 +413,7 @@ def poafd_decompose(
             v = system.vectors[-1]
             c = space.inner(f, v)
             resid -= c * v
-            return Component(a=a, c=c, kind="poafd"), space.norm(resid) ** 2
+            return Component(a=a, c=c), space.norm(resid) ** 2
 
         source = _source_energy(lambda: space.norm(f) ** 2)
         d, _ = _greedy(source, max_terms, energy_tol, step, forced_params)

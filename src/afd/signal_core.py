@@ -87,6 +87,11 @@ def _boundary_n(m1):
     return 1 << max(3, int(np.ceil(np.log2(2 * m1))))
 
 
+def _padded_n(m1):
+    """The grid for products of m1-coefficient signals that are not band limited."""
+    return max(4 * _boundary_n(m1), 4096)
+
+
 def _check_pow2(n):
     if n < 8 or (n & (n - 1)) != 0:
         raise InputError(f"sample count must be a power of two >= 8, got {n}")

@@ -32,7 +32,7 @@ import numpy as np
 from .config import DEFAULT_SEARCH, DEFAULT_TOL
 from .errors import DegenerateModulus
 from .core_afd import Component, Decomposition, _afd_step, _greedy, _source_energy, reconstruct
-from .signal_core import CircularSignal, HardyFunction, _boundary_n, _conjugate_real
+from .signal_core import CircularSignal, HardyFunction, _conjugate_real, _padded_n
 
 __all__ = [
     "Factorization",
@@ -144,22 +144,21 @@ def front_loading_defect(f: HardyFunction, outer: HardyFunction):
     return float(np.max(tail_d[1:] - tail_c[1:]))
 
 
-def _unwind(f: HardyFunction, max_terms, energy_tol, kind, extract) -> Decomposition:
+def _unwind(f: HardyFunction, max_terms, energy_tol, extract) -> Decomposition:
     """The unwinding recursion shared by UWA and UWAFD, run by _greedy.
 
     Each step factors f_k = I_k O_k and hands extract the outer factor
     truncated to f's order and ||f||; extract selects its own parameter
-    and returns (a, c, f_{k+1}).  The term is recorded as a Component of
-    the given kind whose inner holds the samples of I_1...I_k.
+    and returns (a, c, f_{k+1}).  The term is recorded as a Component
+    whose inner holds the samples of I_1...I_k.
     Besides the shared stopping rule, the recursion ends, naming the
     reason in meta["stopped"], when a remainder cannot be factored or
     extract refuses it.
     """
     source = _source_energy(f.energy)
     source_norm = float(np.sqrt(source))
-    # log|f| is not band limited even for polynomial f, so the whole
-    # recursion runs on a padded grid; sampling f there is exact.
-    n = max(4 * _boundary_n(f.coefficients.size), 4096)
+    # log|f| is not band limited even for polynomial f; sampling f on _padded_n is exact
+    n = _padded_n(f.coefficients.size)
     meta = {"n": n, "factor_consistency": [], "front_loading": []}
     f_k = f
     cumulative = np.ones(n, dtype=complex)
@@ -177,7 +176,7 @@ def _unwind(f: HardyFunction, max_terms, energy_tol, kind, extract) -> Decomposi
         # a new array each step, so no stored inner is written again
         cumulative = cumulative * fac.inner.samples
         f_k = f_next
-        return Component(a=a, c=c, kind=kind, inner=cumulative), f_k.energy()
+        return Component(a=a, c=c, inner=cumulative), f_k.energy()
 
     d, meta["stopped"] = _greedy(source, max_terms, energy_tol, step)
     d.meta = meta
@@ -195,8 +194,8 @@ def uwa_decompose(f: HardyFunction, max_terms) -> Decomposition:
 
     Stops early once the residual falls below the residual floor, or
     with a diagnostic if a residual becomes degenerate (numerically zero
-    or massively clamped).  Components have kind "uwa" and a = None.
-    ZeroSignal for a zero f, NonFiniteEnergy if its energy overflows.
+    or massively clamped).  Components have a = None.  ZeroSignal for
+    a zero f, NonFiniteEnergy if its energy overflows.
     """
 
     def extract(psi, _source_norm):
@@ -205,7 +204,7 @@ def uwa_decompose(f: HardyFunction, max_terms) -> Decomposition:
         rest[0] -= c
         return None, c, HardyFunction(rest)
 
-    return _unwind(f, max_terms, 0.0, "uwa", extract)
+    return _unwind(f, max_terms, 0.0, extract)
 
 
 def uwafd_decompose(
@@ -220,15 +219,14 @@ def uwafd_decompose(
     remainder norm because all the accumulated factors are unimodular.
 
     Stops early, naming the reason in meta["stopped"], when a remainder
-    cannot be factored or falls below the selection floor.  Components
-    have kind "uwafd".  ZeroSignal for a zero f, NonFiniteEnergy if its
-    energy overflows.
+    cannot be factored or falls below the selection floor.  ZeroSignal
+    for a zero f, NonFiniteEnergy if its energy overflows.
     """
 
     def extract(outer, source_norm):
         return _afd_step(outer, None, search, (outer.norm(), source_norm))
 
-    return _unwind(f, max_terms, energy_tol, "uwafd", extract)
+    return _unwind(f, max_terms, energy_tol, extract)
 
 
 def unwinding_reconstruct(u: Decomposition) -> CircularSignal:

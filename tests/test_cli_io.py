@@ -438,6 +438,11 @@ def _malform(rec, case):
         meta["inner"] = [[[0.0] * 3, [0.0] * 3]] * 2
     elif case == "bad-coefficient":
         rec["components"][0]["c"] = "1+2j"
+    elif case == "other-kind":
+        # the record names the algorithm; a component may not name another
+        rec["components"][1]["kind"] = "uwafd"
+    elif case == "no-kind":
+        del rec["components"][0]["kind"]
     else:
         raise AssertionError(case)
 
@@ -445,7 +450,7 @@ def _malform(rec, case):
 MALFORMED = [
     "core-without-trace", "no-algorithm", "no-inner", "no-inner-n", "bad-base64",
     "list-in-schema-2", "short-inner", "inner-count", "schema-1-short-lists",
-    "bad-coefficient",
+    "bad-coefficient", "other-kind", "no-kind",
 ]
 
 
@@ -466,6 +471,7 @@ def test_tfd_rejects_malformed_records(tmp_path, capsys, case):
     assert main(["tfd", str(res)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith(f"error: {res}: ")
+    assert not (tmp_path / "r.tfd.csv").exists()
 
 
 # ---------------------------------------------------------------- tfd

@@ -403,12 +403,11 @@ def test_poafd_decompose_matches_rebuild_every_step_reference():
     for signal in (am_fm_real(rng), band_limited_real(rng, 256)):
         f = analytic_signal(signal)
         d = poafd_decompose(hardy_space(m=127), f.coefficients, max_terms=6, energy_tol=0.0)
-        want = core_afd_decompose(f, max_terms=6, energy_tol=0.0, search=capped, kind="poafd")
+        want = core_afd_decompose(f, max_terms=6, energy_tol=0.0, search=capped)
         assert len(d) == 6
         assert np.array_equal(d.params, want.params)
         assert np.array_equal(d.coefficients, want.coefficients)
         assert np.array_equal(d.residual_energy, want.residual_energy)
-        assert {comp.kind for comp in d.components} == {"poafd"}
         assert d.meta == {"space": "hardy", "order": 127}
     space = bergman_space(m=127)
     for signal in (am_fm_real(rng), band_limited_real(rng, 256)):
@@ -534,6 +533,29 @@ def test_a_space_is_hardy_or_bergman():
         np.testing.assert_array_equal(space.weights, weights)
     with pytest.raises(InputError, match="'weighted-bergman' is not one of hardy, bergman"):
         KernelSpace("weighted-bergman", 7)
+
+
+@pytest.mark.parametrize(
+    "name, order",
+    [("hardy", 2.5), ("bergman", -3), ("hardy", True), ("hardy", "7"), ("bergman", np.int64(7))],
+)
+def test_a_space_order_is_an_integer_at_least_zero(name, order):
+    # numpy integers pass; a float, a negative count, a bool or a string does not
+    if isinstance(order, np.integer):
+        assert KernelSpace(name, order).weights.size == order + 1
+    else:
+        with pytest.raises(InputError, match="order wants an integer >= 0"):
+            KernelSpace(name, order)
+
+
+def test_a_system_of_another_order_is_refused():
+    # the rows of a system must have the order of the space they are read in
+    f = np.random.default_rng(0).standard_normal(64) + 0j
+    for make in (hardy_space, bergman_space):
+        with pytest.raises(InputError, match="system of order 31 does not fit order 63"):
+            poafd_select(make(63), f, gram_schmidt(make(31), (0.3,)))
+    with pytest.raises(InputError, match="system of order 63 does not fit order 31"):
+        gram_schmidt(hardy_space(63), (0.3, 0.5j)).gram_defect(bergman_space(31))
 
 
 def test_gram_schmidt_refuses_a_zero_kernel_vector():

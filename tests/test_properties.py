@@ -280,8 +280,6 @@ def test_greedy_algorithms_share_the_stopping_rule(algo, seed, order, max_terms,
         assert ratios[-1] < threshold or d.meta.get("stopped") is not None
 
 
-# the decompose options at their CLI defaults, as _record reads them
-CLI_DEFAULTS = cli_io._build_parser().parse_args(["decompose", "signal.csv"])
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 
 
@@ -308,7 +306,7 @@ def records(draw):
         if unwinding:
             phases = draw(st.lists(st.floats(0.0, 2.0 * np.pi), min_size=inner_n, max_size=inner_n))
             inner = np.exp(1j * np.array(phases))
-        components.append(Component(a=a, c=c, kind=algorithm, inner=inner))
+        components.append(Component(a=a, c=c, inner=inner))
     trace = sorted(draw(st.lists(st.floats(0.0, 1e6), min_size=size + 1, max_size=size + 1)), reverse=True)
     meta = {}
     if unwinding:
@@ -325,13 +323,15 @@ def records(draw):
         source_energy=trace[0],
         meta=meta,
     )
-    return cli_io._record(CLI_DEFAULTS, algorithm, 64, d), d
+    # the decompose options at their CLI defaults, the drawn algorithm as --algo
+    args = cli_io._PARSER.parse_args(["decompose", "signal.csv", "--algo", algorithm])
+    return cli_io._record(args, 64, d), d
 
 
 @PROPERTY_SETTINGS
 @given(records())
 def test_result_files_round_trip(drawn):
-    # save -> load gives back every a, c, kind and inner sample bit for
+    # save -> load gives back every a, c and inner sample bit for
     # bit, and save -> load -> save gives back the file byte for byte
     record, d = drawn
     with tempfile.TemporaryDirectory() as tmp:
@@ -343,7 +343,6 @@ def test_result_files_round_trip(drawn):
             assert fh.read() == gh.read()
     assert len(got) == len(d)
     for back, comp in zip(got.components, d.components):
-        assert back.kind == comp.kind
         assert (back.a is None) == (comp.a is None)
         if comp.a is not None:
             assert np.array(back.a).tobytes() == np.array(comp.a).tobytes()

@@ -210,7 +210,6 @@ def test_uwafd_peels_inner_then_selects():
     assert abs(u.components[0].a - 0.3) < 1e-6
     assert abs(u.components[0].c - 1.0) < 1e-6
     assert u.residual_energy[-1] < 1e-10
-    assert [comp.kind for comp in u.components] == ["uwafd"]
     u.validate()
 
 
