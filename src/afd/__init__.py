@@ -29,26 +29,19 @@ from .errors import (
 from .signal_core import (
     CircularSignal,
     HardyFunction,
-    Spectrum,
     analytic_signal,
-    analyze,
     bedrosian_check,
     circle_grid,
-    hardy_check,
     hilbert_transform,
     phase_amplitude,
     phase_derivative,
-    synthesize,
     to_hardy,
 )
 from .hardy_atoms import (
     MonocompReport,
-    blaschke_phase_derivative,
     mobius,
     monocomp_check,
-    multiplicities,
     szego_kernel,
-    tm_eval,
     tm_sweep,
     tm_system_boundary,
     validate_param,
@@ -98,7 +91,6 @@ from .tfd_uncertainty import (
     TFDAtom,
     UncertaintyReport,
     dirac_tfd,
-    tm_phase_derivative,
     uncertainty_report,
     unwinding_tfd,
 )

@@ -237,9 +237,10 @@ def load_result(path):
 
     Reads schemas 1 and 2.  Raises ParseError for a file that is not
     JSON, has no known schema marker, lacks a key the rebuild needs,
-    holds a component whose kind is not the record's algorithm, or
-    whose inner samples do not decode to one inner_n-long array per
-    component.
+    holds a source_energy that is not the first entry of a nonempty
+    residual_trace or a component whose kind is not the record's
+    algorithm, or whose inner samples do not decode to one inner_n-long
+    array per component.
     """
     try:
         with open(path) as fh:
@@ -260,7 +261,8 @@ def load_result(path):
 
 def _rebuild(rec):
     trace = np.array(rec["residual_trace"], dtype=float)
-    source = float(rec["source_energy"])
+    if not trace.size or float(rec["source_energy"]) != trace[0]:
+        raise ValueError("source_energy is not the first entry of a nonempty residual_trace")
     unwinding = rec["algorithm"] in UNWINDING
     meta, comps = dict(rec["meta"]), rec["components"]
     if any(c["kind"] != rec["algorithm"] for c in comps):
@@ -281,9 +283,7 @@ def _rebuild(rec):
         )
         for c, samples in zip(comps, inner)
     ]
-    return Decomposition(
-        components=comps, residual_energy=trace, source_energy=source, meta=meta
-    )
+    return Decomposition(components=comps, residual_energy=trace, meta=meta)
 
 
 # ---------------------------------------------------------------- commands

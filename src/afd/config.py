@@ -20,8 +20,6 @@ class Tolerances:
     realness : float
         Largest imaginary part, relative to the signal's peak modulus,
         that a real signal may carry.
-    hardy : float
-        Default relative threshold for the Hardy-space boundary test.
     near_zero : float
         Modulus floor, relative to the peak modulus on the same circle,
         below which a phase is considered undefined.
@@ -54,7 +52,6 @@ class Tolerances:
 
     grid_uniform: float = 1e-9
     realness: float = 1e-12
-    hardy: float = 1e-8
     near_zero: float = 1e-12
     param_boundary: float = 1e-9
     energy_total: float = 1e-8

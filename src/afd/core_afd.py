@@ -90,8 +90,12 @@ class Decomposition:
 
     components: list
     residual_energy: np.ndarray
-    source_energy: float
     meta: dict = field(default_factory=dict)
+
+    @property
+    def source_energy(self):
+        """Energy of the decomposed signal, the first entry of the trace."""
+        return float(self.residual_energy[0])
 
     @property
     def params(self):
@@ -443,9 +447,7 @@ def _select(rows, norm2_rule, search, floor=0.0, include=(), rows_sq=0.0):
     return _polish(_derivative_stack(rows), norm2_rule, best, search)
 
 
-def maximal_selection(
-    f: HardyFunction, search=DEFAULT_SEARCH, include=(), source=None, *, _source_norm=None
-):
+def maximal_selection(f: HardyFunction, search=DEFAULT_SEARCH, include=(), source_norm=None):
     """Polished grid maximum of the selection objective for one greedy step.
 
     Scans the polar grid for the largest (1 - |a|^2)|f(a)|^2, breaks
@@ -458,24 +460,23 @@ def maximal_selection(
     cell's peak and a higher peak between grid points can be missed.
     `include` adds extra candidates, e.g. an incumbent parameter that
     must not be lost; one beyond r_max is kept as given if it wins, not
-    polished.  `source` is the signal the caller's iteration
-    started from (default f itself); the selection floor is relative to
-    its norm, as in poafd_select.  A caller that already holds
-    ||source|| hands it over as _source_norm, so it is not summed again.
+    polished.  source_norm is the norm of the signal the caller's
+    iteration started from (default ||f||); the selection floor is
+    relative to it, as in poafd_select.
 
     Raises
     ------
     ZeroResidual
-        If ||f|| is not above DEFAULT_TOL.zero_residual times ||source||
+        If ||f|| is not above DEFAULT_TOL.zero_residual times source_norm
         (an exact zero included), so the floor does not depend on the
         signal's scale; the caller's iteration should have stopped.
     ParamOutOfDisc
         If an `include` candidate is not strictly inside the disc.
     """
-    if _source_norm is None:
-        _source_norm = (f if source is None else source).norm()
+    if source_norm is None:
+        source_norm = f.norm()
     include = [validate_param(a) for a in include]
-    floor = DEFAULT_TOL.zero_residual * _source_norm
+    floor = DEFAULT_TOL.zero_residual * source_norm
     return _select(f.coefficients[None], _hardy_norm2, search, floor, include)
 
 
@@ -562,7 +563,7 @@ def _greedy(source, max_terms, energy_tol, step, forced_params=None):
             break
         components.append(comp)
         residuals.append(resid)
-    return Decomposition(components, np.array(residuals), source), stopped
+    return Decomposition(components, np.array(residuals)), stopped
 
 
 def _afd_step(f_k, a, search, norms):
@@ -573,7 +574,7 @@ def _afd_step(f_k, a, search, norms):
     to ||source||.
     """
     if a is None:
-        a = maximal_selection(f_k, search, _source_norm=norms[1])
+        a = maximal_selection(f_k, search, source_norm=norms[1])
     c = coefficient(f_k, a)
     return a, c, _sift(f_k, a, c, norms[0])
 

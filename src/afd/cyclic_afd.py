@@ -123,7 +123,7 @@ def coordinate_optimize(f: HardyFunction, params, index, search=DEFAULT_SEARCH, 
     energy = g.energy()
     f_norm = f.norm() if _f_norm is None else _f_norm
     try:
-        a_new = maximal_selection(g, search, include=(params[i],), _source_norm=f_norm)
+        a_new = maximal_selection(g, search, include=(params[i],), source_norm=f_norm)
     except ZeroResidual:
         a_new = params[i]
     objective = max(energy - abs(coefficient(g, a_new)) ** 2, 0.0)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .errors import InputError, ParamOutOfDisc
+from .errors import ParamOutOfDisc
 from .signal_core import (
     CircularSignal,
     _check_finite,
@@ -34,13 +34,10 @@ from .signal_core import (
 
 __all__ = [
     "validate_param",
-    "multiplicities",
     "szego_kernel",
     "mobius",
     "tm_sweep",
-    "tm_eval",
     "tm_system_boundary",
-    "blaschke_phase_derivative",
     "MonocompReport",
     "monocomp_check",
 ]
@@ -57,21 +54,10 @@ def validate_param(a):
     return a
 
 
-def multiplicities(params):
-    """Occurrence count of each parameter among its predecessors and itself.
-
-    Parameters closer than DEFAULT_TOL.coincidence are treated as
-    coincident.  Returns an integer array l with
-    l[n] = #{ m <= n : |a_m - a_n| <= DEFAULT_TOL.coincidence }.
-    """
-    params = [complex(a) for a in params]
-    return np.array([_multiplicity(params[:n], a) for n, a in enumerate(params)], dtype=int)
-
-
 def _multiplicity(params, a):
     """Occurrence count of a appended to params: 1 + its coincidences there.
 
-    The last entry of multiplicities((*params, a)) in one pass.
+    b in params coincides with a when |b - a| <= DEFAULT_TOL.coincidence.
     """
     return 1 + sum(1 for b in params if abs(b - a) <= DEFAULT_TOL.coincidence)
 
@@ -138,14 +124,6 @@ def tm_sweep(params, z, phase=False):
         yield (b, theta) if phase else b
 
 
-def tm_eval(params, k, z):
-    """Value of the k-th TM function (1-based) at z, from tm_sweep."""
-    if not 1 <= k <= len(params):
-        raise InputError(f"k = {k} outside 1..{len(params)}")
-    *_, val = tm_sweep(params[:k], z)
-    return val if val.ndim else complex(val)
-
-
 def tm_system_boundary(params, n):
     """Boundary samples of B_1..B_len(params) on the n-point grid.
 
@@ -155,21 +133,6 @@ def tm_system_boundary(params, n):
     for row, b in zip(out, tm_sweep(params, np.exp(1j * circle_grid(n)))):
         row[:] = b
     return out
-
-
-def blaschke_phase_derivative(params, t):
-    """Boundary phase derivative of the Blaschke product with the given zeros.
-
-    Each Mobius factor contributes the Poisson kernel of its parameter,
-    so the result is sum_k P_{a_k}(t): pointwise positive, with mean 1
-    per factor.  The product is the TM function of params followed by
-    a = 0 (e_0 = 1, P_0 = 1), so this is that function's theta' from
-    tm_sweep.
-    """
-    if len(params) == 0:
-        raise InputError("empty parameter list")
-    *_, (_, theta) = tm_sweep((*params, 0.0), np.exp(1j * np.asarray(t, dtype=float)), phase=True)
-    return theta
 
 
 @dataclass(frozen=True)

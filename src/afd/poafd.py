@@ -133,8 +133,9 @@ class KernelSpace:
 
 @dataclass
 class OrthoSystem:
-    """Orthonormal rows spanning the kernels of a parameter tuple."""
+    """Orthonormal rows spanning the kernels of a parameter tuple in space."""
 
+    space: KernelSpace
     params: tuple
     vectors: np.ndarray  # (n, M+1)
 
@@ -142,15 +143,19 @@ class OrthoSystem:
         return len(self.params)
 
     def gram_defect(self, space):
-        """Largest deviation of the Gram matrix from the identity; InputError off space's order."""
+        """Largest deviation of the Gram matrix from the identity; InputError off the system's space."""
         _check_fits(space, self)
         g = (self.vectors * space.weights) @ np.conj(self.vectors.T)
         return float(np.max(np.abs(g - np.eye(len(self))), initial=0.0))
 
 
 def _check_fits(space, system):
-    if system.vectors.shape[1] != space.order + 1:
-        raise InputError(f"system of order {system.vectors.shape[1] - 1} does not fit order {space.order}")
+    """InputError unless system was built in a space of space's order and name."""
+    built = system.space
+    if built.order != space.order:
+        raise InputError(f"system of order {built.order} does not fit order {space.order}")
+    if built.name != space.name:
+        raise InputError(f"system of the {built.name} space does not fit the {space.name} space")
 
 
 def hardy_space(m=511) -> KernelSpace:
@@ -239,7 +244,7 @@ def _grow(space, system, a):
                 w = (a - b) / (1.0 - b.conjugate() * a)
                 turn *= w / abs(w)
         v *= turn
-    return OrthoSystem(params=system.params + (a,), vectors=np.vstack([system.vectors, v]))
+    return OrthoSystem(space, system.params + (a,), np.vstack([system.vectors, v]))
 
 
 def gram_schmidt(space: KernelSpace, params) -> OrthoSystem:
@@ -256,7 +261,7 @@ def gram_schmidt(space: KernelSpace, params) -> OrthoSystem:
     positive pairing with its kernel that normalization gives.
     """
     params = tuple(validate_param(a) for a in params)
-    system = OrthoSystem(params=(), vectors=np.zeros((0, space.order + 1), dtype=complex))
+    system = OrthoSystem(space, (), np.zeros((0, space.order + 1), dtype=complex))
     for a in params:
         system = _grow(space, system, a)
     return system
@@ -268,7 +273,8 @@ def poafd_select(space: KernelSpace, f, system: OrthoSystem, search=DEFAULT_SEAR
     f is the coefficient sequence of the current signal (or its residual
     against the system), and the radius is capped at min(search.r_max,
     0.95); the pick never scores below the best point of that grid.  A
-    system whose rows are not of space's order is refused (InputError).
+    system built in a space of another order or name is refused
+    (InputError).
 
     In the Hardy space the objective |r(a)|^2 / (||k_a||^2 - sum_j
     |B_j(a)|^2) equals (1 - |a|^2)|r(a)/Phi(a)|^2, Phi the Blaschke
@@ -294,7 +300,7 @@ def poafd_select(space: KernelSpace, f, system: OrthoSystem, search=DEFAULT_SEAR
     if space.name == "hardy":
         source = HardyFunction(f)
         g = _reduced_without(source, system.params, None)
-        return maximal_selection(g, capped, source=source)
+        return maximal_selection(g, capped, source_norm=source.norm())
     return _select_on_rows(space, f, system.vectors, capped, _scan_rows(system.vectors, capped))
 
 

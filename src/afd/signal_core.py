@@ -7,10 +7,8 @@ matches the integral coefficients c_k = (1/2pi) int s(t) e^{-ikt} dt
 and the squared circle norm is the plain mean of |s|^2.
 
 The circular Hilbert transform is the Fourier multiplier -i*sgn(k) with
-sgn(0) = 0.  That convention makes the transform blind to means, which
-shows up in two places: the Hardy-space test compares against the
-mean-removed signal, and the Bedrosian residual is computed modulo the
-mean of rho*sin(theta).
+sgn(0) = 0.  That convention makes the transform blind to means, so the
+Bedrosian residual is computed modulo the mean of rho*sin(theta).
 """
 
 from dataclasses import dataclass
@@ -29,16 +27,11 @@ from .errors import (
 
 __all__ = [
     "CircularSignal",
-    "Spectrum",
     "HardyFunction",
     "circle_grid",
-    "series_values",
-    "analyze",
-    "synthesize",
     "hilbert_transform",
     "analytic_signal",
     "to_hardy",
-    "hardy_check",
     "phase_amplitude",
     "phase_derivative",
     "bedrosian_check",
@@ -136,10 +129,6 @@ class CircularSignal:
     def norm(self):
         return float(np.sqrt(self.energy()))
 
-    def mean(self):
-        """The coefficient c_0."""
-        return complex(np.mean(self.samples))
-
     def is_real(self):
         """max|Im s| <= DEFAULT_TOL.realness max|s|.
 
@@ -148,40 +137,6 @@ class CircularSignal:
         """
         peak = float(np.max(np.abs(self.samples)))
         return float(np.max(np.abs(self.samples.imag))) <= DEFAULT_TOL.realness * peak
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Discrete Fourier coefficients c_k for k = -N/2 .. N/2-1.
-
-    ``coefficients`` is stored in increasing-k order; ``k`` gives the
-    matching index array.
-    """
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.coefficients, dtype=complex)
-        _check_pow2(arr.size)
-        object.__setattr__(self, "coefficients", arr)
-
-    @property
-    def n(self):
-        return self.coefficients.size
-
-    @property
-    def k(self):
-        return np.arange(-self.n // 2, self.n // 2)
-
-    def coefficient(self, k):
-        """Single c_k, with k in [-N/2, N/2)."""
-        n = self.n
-        if not -n // 2 <= k < n // 2:
-            raise InputError(f"index {k} outside [-{n//2}, {n//2})")
-        return complex(self.coefficients[k + n // 2])
-
-    def energy(self):
-        return float(np.sum(np.abs(self.coefficients) ** 2))
 
 
 class HardyFunction:
@@ -271,21 +226,6 @@ class HardyFunction:
         return f"HardyFunction(order={self.order})"
 
 
-def analyze(s: CircularSignal) -> Spectrum:
-    """Discrete Fourier coefficients, c_k = (1/N) sum_j s_j e^{-ik t_j}.
-
-    Returned in increasing-k order, k = -N/2 .. N/2-1.
-    """
-    c = np.fft.fft(s.samples, norm="forward")
-    return Spectrum(np.fft.fftshift(c))
-
-
-def synthesize(spec: Spectrum) -> CircularSignal:
-    """Inverse of analyze: s_j = sum_k c_k e^{ik t_j}."""
-    c = np.fft.ifftshift(spec.coefficients)
-    return CircularSignal(np.fft.ifft(c, norm="forward"))
-
-
 def hilbert_transform(s: CircularSignal) -> CircularSignal:
     """Circular Hilbert transform, the Fourier multiplier -i*sgn(k).
 
@@ -354,25 +294,6 @@ def to_hardy(s: CircularSignal, m=None):
     if m is not None:
         return HardyFunction(pos).truncated(m), leak
     return HardyFunction(pos), leak
-
-
-def hardy_check(s: CircularSignal) -> bool:
-    """Test the Hilbert characterization of Hardy boundary values.
-
-    True iff ||Hs - (-i)(s - mean(s))|| / ||s|| < DEFAULT_TOL.hardy.
-    The mean is removed because sgn(0) = 0 makes H blind to constants:
-    boundary values of a Hardy function satisfy Hs = -is only modulo
-    the mean.
-    The test is relative, so it reads alike at every scale; only the
-    zero signal passes vacuously.
-    """
-    nrm = s.norm()
-    if nrm == 0.0:
-        return True
-    h = hilbert_transform(s).samples
-    target = -1j * (s.samples - s.mean())
-    defect = np.sqrt(np.mean(np.abs(h - target) ** 2))
-    return bool(defect / nrm < DEFAULT_TOL.hardy)
 
 
 def phase_amplitude(f: HardyFunction, r, n=None):

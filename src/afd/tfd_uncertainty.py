@@ -37,14 +37,12 @@ import numpy as np
 from .config import DEFAULT_TOL
 from .core_afd import _circle_terms
 from .errors import InputError, NonRealInput, NonUniformGrid, TailEnergy, ZeroSignal
-from .hardy_atoms import tm_sweep
 from .signal_core import _check_finite
 
 __all__ = [
     "TFDAtom",
     "ComponentTFD",
     "UncertaintyReport",
-    "tm_phase_derivative",
     "dirac_tfd",
     "unwinding_tfd",
     "uncertainty_report",
@@ -107,14 +105,6 @@ class UncertaintyReport:
             and self.extra_bound >= self.cohen_bound - 1e-9
             and self.cohen_bound >= 0.25 - slack
         )
-
-
-def tm_phase_derivative(params, k, t):
-    """theta_k'(t) for the k-th TM function, in Poisson form (see tm_sweep)."""
-    if not 1 <= k <= len(params):
-        raise InputError(f"k = {k} outside 1..{len(params)}")
-    *_, (_, theta) = tm_sweep(params[:k], np.exp(1j * np.asarray(t, dtype=float)), phase=True)
-    return theta
 
 
 def dirac_tfd(d, grid=512):

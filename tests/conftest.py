@@ -29,6 +29,8 @@ checked against it bit for bit);
 `core_afd_reference` is the greedy loop that cross-checked every
 coefficient by quadrature in the loop, kept as the reference for the
 loop without the audit and for `coefficient_cross_check`;
+`tm_lines` is every TM function of a tuple with its phase derivative
+from one `tm_sweep`, each copied out of the sweep's work array;
 `tm_phase_derivative_rational`, `unwinding_reconstruct_reference` and
 `unwinding_tfd_reference` are the rational phase derivative and the
 unwinding-only synthesis and distribution loops that each formed their
@@ -46,9 +48,9 @@ sift chain of `n_blaschke_objective` and the cyclic moves;
 transform, `exp(u + iHu)` and `to_hardy`, kept as the reference for the
 real-FFT conjugate function and `|f| e^{iHu}` (compared by
 `check_outer_factor_against_reference`); `boundary_reference`,
-`to_hardy_reference`, `analytic_signal_reference`, `analyze_reference`
-and `synthesize_reference` are the transforms with an explicit zero pad,
-`/ n` and `* n`, kept as the bit-level reference for `norm="forward"`.
+`to_hardy_reference` and `analytic_signal_reference` are the transforms
+with an explicit zero pad, `/ n` and `* n`, kept as the bit-level
+reference for `norm="forward"`.
 """
 
 import copy
@@ -71,12 +73,12 @@ from afd import (
     kernel,
     maximal_selection,
     mobius,
-    multiplicities,
     n_blaschke_objective,
     outer_factor,
     poafd_select,
     sift,
     szego_kernel,
+    tm_sweep,
     tm_system_boundary,
     to_hardy,
 )
@@ -90,6 +92,7 @@ from afd.core_afd import (
     _selection_scores,
 )
 from afd.errors import InputError, ZeroResidual
+from afd.hardy_atoms import _multiplicity
 from afd.signal_core import series_values
 from afd.tfd_uncertainty import ComponentTFD, _spectral_phase_derivative
 
@@ -354,7 +357,7 @@ def core_afd_reference(f, max_terms=50, energy_tol=1e-6, search=DEFAULT_SEARCH):
         if resid / source < energy_tol or resid / source < DEFAULT_TOL.residual_floor:
             break
         try:
-            a = maximal_selection(f_k, search, source=f)
+            a = maximal_selection(f_k, search, source_norm=f.norm())
         except ZeroResidual:
             break
         c = coefficient(f_k, a)
@@ -370,9 +373,18 @@ def core_afd_reference(f, max_terms=50, energy_tol=1e-6, search=DEFAULT_SEARCH):
     return Decomposition(
         components=components,
         residual_energy=np.array(residuals),
-        source_energy=source,
         meta={"n": n, "triple_defect": triple_defect},
     )
+
+
+def tm_lines(params, t):
+    """[(B_k, theta_k')] of every TM function of params at the times t.
+
+    One tm_sweep walk; each B_k is copied out of the work array that the
+    sweep's next step overwrites.
+    """
+    z = np.exp(1j * np.asarray(t, dtype=float))
+    return [(b.copy(), theta) for b, theta in tm_sweep(params, z, phase=True)]
 
 
 def tm_phase_derivative_rational(params, k, t):
@@ -467,16 +479,6 @@ def analytic_signal_reference(real_samples):
     return (np.fft.fft(real_samples) / real_samples.size)[: real_samples.size // 2]
 
 
-def analyze_reference(samples):
-    """Coefficients in increasing-k order, by fft / n."""
-    return np.fft.fftshift(np.fft.fft(samples) / samples.size)
-
-
-def synthesize_reference(coefficients):
-    """Samples from increasing-k coefficients, by ifft * n."""
-    return np.fft.ifft(np.fft.ifftshift(coefficients)) * coefficients.size
-
-
 def gram_schmidt_reference(space, params):
     """Reference system rebuilt from scratch for the whole tuple.
 
@@ -490,8 +492,8 @@ def gram_schmidt_reference(space, params):
     """
     params = tuple(complex(a) for a in params)
     vectors = np.zeros((len(params), space.order + 1), dtype=complex)
-    for i, (a, l) in enumerate(zip(params, multiplicities(params))):
-        u = kernel(space, a, int(l)).astype(complex)
+    for i, a in enumerate(params):
+        u = kernel(space, a, _multiplicity(params[:i], a)).astype(complex)
         for _ in range(2):
             for v in vectors[:i]:
                 u -= space.inner(u, v) * v
@@ -504,7 +506,7 @@ def gram_schmidt_reference(space, params):
             rho = space.inner(ref[i], vectors[i])
             if abs(rho) > 1e-12:
                 vectors[i] *= rho / abs(rho)
-    return OrthoSystem(params=params, vectors=vectors)
+    return OrthoSystem(space=space, params=params, vectors=vectors)
 
 
 def poafd_reference(space, f, max_terms, search=DEFAULT_SEARCH):

@@ -21,9 +21,7 @@ from afd import (
     CircularSignal,
     HardyFunction,
     analytic_signal,
-    analyze,
     bergman_space,
-    blaschke_phase_derivative,
     circle_grid,
     cmp_check,
     core_afd_decompose,
@@ -42,8 +40,6 @@ from afd import (
     phase_derivative,
     poafd_decompose,
     sift,
-    tm_eval,
-    tm_phase_derivative,
     tm_system_boundary,
     to_hardy,
     uncertainty_report,
@@ -62,6 +58,8 @@ from conftest import (
     random_hardy,
     random_params,
     residual_at,
+    tm_lines,
+    tm_phase_derivative_rational,
 )
 
 PLANTED3 = (0.5, 0.2 - 0.4j, -0.6j)
@@ -87,16 +85,21 @@ def test_criterion_01_spectral_exactness():
     ]
     rng = np.random.default_rng(101)
     signals += [band_limited_real(rng, n=n) for _ in range(100)]
+    # coefficients c_k in increasing-k order, k = -n/2 .. n/2-1
+    k = np.arange(-n // 2, n // 2)
+
+    def spectrum(x):
+        return np.fft.fftshift(np.fft.fft(x.samples, norm="forward"))
+
     worst = 0.0
     for s in signals:
-        spec = analyze(s)
-        mult = -1j * np.sign(spec.k)
-        h_spec = analyze(hilbert_transform(s))
-        worst = max(worst, np.abs(h_spec.coefficients - mult * spec.coefficients).max())
+        spec = spectrum(s)
+        h_spec = spectrum(hilbert_transform(s))
+        worst = max(worst, np.abs(h_spec - -1j * np.sign(k) * spec).max())
         f = analytic_signal(s)
         back = 2.0 * f.boundary(n).samples.real - f.coefficients[0].real
         worst = max(worst, np.abs(back - s.samples).max())
-        worst = max(worst, abs(spec.energy() - s.energy()))
+        worst = max(worst, abs(np.sum(np.abs(spec) ** 2) - s.energy()))
     ok = worst < 1e-10
     assert _line(1, "spectral exactness", ok, f"worst defect {worst:.2e}")
 
@@ -352,34 +355,29 @@ def test_criterion_09_instantaneous_frequency_lines():
     n = 4096
     t = circle_grid(n)
     dt = t[1] - t[0]
-    z = np.exp(1j * t)
-    worst_fd = worst_poisson = 0.0
+    worst_fd = worst_rational = 0.0
     for _ in range(10):
         length = int(rng.integers(2, 5))
         params = random_params(rng, length, r=0.8)
-        for k in range(1, length + 1):
-            w = tm_phase_derivative(params, k, t)
-            theta = np.unwrap(np.angle(tm_eval(params, k, z)))
+        for k, (b, w) in enumerate(tm_lines(params, t), start=1):
+            theta = np.unwrap(np.angle(b))
             fd = (
                 -np.roll(theta, -2) + 8 * np.roll(theta, -1)
                 - 8 * np.roll(theta, 1) + np.roll(theta, 2)
             ) / (12 * dt)
             worst_fd = max(worst_fd, np.abs(w - fd)[2 : n - 2].max())
-            ref = 0.5 * (blaschke_phase_derivative((params[k - 1],), t) - 1.0)
-            if k > 1:
-                ref = ref + blaschke_phase_derivative(params[: k - 1], t)
-            worst_poisson = max(worst_poisson, np.abs(w - ref).max())
+            ref = tm_phase_derivative_rational(params, k, t)
+            worst_rational = max(worst_rational, np.abs(w - ref).max())
     lines_exact = all(
-        bool(np.all(tm_phase_derivative((0,) * 6, k, t) == float(k - 1)))
-        for k in range(1, 7)
+        bool(np.all(w == float(k - 1))) for k, (_, w) in enumerate(tm_lines((0,) * 6, t), start=1)
     )
-    ok = worst_fd < 1e-6 and worst_poisson < 1e-8 and lines_exact
+    ok = worst_fd < 1e-6 and worst_rational < 1e-8 and lines_exact
     assert _line(
         9,
         "instantaneous frequency lines",
         ok,
-        f"finite-difference defect {worst_fd:.2e}, poisson defect "
-        f"{worst_poisson:.2e}, integer lines exact {lines_exact}",
+        f"finite-difference defect {worst_fd:.2e}, rational-form defect "
+        f"{worst_rational:.2e}, integer lines exact {lines_exact}",
     )
 
 

@@ -443,6 +443,11 @@ def _malform(rec, case):
         rec["components"][1]["kind"] = "uwafd"
     elif case == "no-kind":
         del rec["components"][0]["kind"]
+    elif case == "other-source-energy":
+        # the source energy is stored twice on disk, the copies must agree
+        rec["source_energy"] = float(np.nextafter(rec["source_energy"], np.inf))
+    elif case == "empty-trace":
+        rec["residual_trace"] = []
     else:
         raise AssertionError(case)
 
@@ -450,7 +455,7 @@ def _malform(rec, case):
 MALFORMED = [
     "core-without-trace", "no-algorithm", "no-inner", "no-inner-n", "bad-base64",
     "list-in-schema-2", "short-inner", "inner-count", "schema-1-short-lists",
-    "bad-coefficient", "other-kind", "no-kind",
+    "bad-coefficient", "other-kind", "no-kind", "other-source-energy", "empty-trace",
 ]
 
 

@@ -444,9 +444,9 @@ def test_selection_floor_is_relative_to_the_signal(lam):
 
 def test_selection_floor_refuses_relative_to_the_source():
     f = scaled_am_fm(1e-20)
-    assert maximal_selection(f) == maximal_selection(f, source=f)
+    assert maximal_selection(f) == maximal_selection(f, source_norm=f.norm())
     with pytest.raises(ZeroResidual):
-        maximal_selection(f, source=scaled_am_fm(1e-7))
+        maximal_selection(f, source_norm=scaled_am_fm(1e-7).norm())
 
 
 def unpolished_pick(f, search):
@@ -685,8 +685,8 @@ def test_validate_refuses_a_rising_trace_and_a_tampered_coefficient():
     rising = d.residual_energy.copy()
     rising[2] = rising[1] * 1.01
     with pytest.raises(AFDError, match="trace increased"):
-        Decomposition(d.components, rising, d.source_energy).validate()
+        Decomposition(d.components, rising).validate()
     tampered = list(d.components)
     tampered[1] = replace(tampered[1], c=tampered[1].c * 1.01)
     with pytest.raises(AFDError, match="energy identity defect"):
-        Decomposition(tampered, d.residual_energy, d.source_energy).validate()
+        Decomposition(tampered, d.residual_energy).validate()

@@ -558,6 +558,18 @@ def test_a_system_of_another_order_is_refused():
         gram_schmidt(hardy_space(63), (0.3, 0.5j)).gram_defect(bergman_space(31))
 
 
+def test_a_system_of_another_space_is_refused():
+    # Hardy rows read in the Bergman space of the same order: both calls
+    # are refused, where the pick read them as Bergman rows before
+    rng = np.random.default_rng(0)
+    f = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    hardy = gram_schmidt(hardy_space(63), (0.3, 0.5j))
+    with pytest.raises(InputError, match="system of the hardy space does not fit the bergman space"):
+        poafd_select(bergman_space(63), f, hardy)
+    with pytest.raises(InputError, match="system of the hardy space does not fit the bergman space"):
+        hardy.gram_defect(bergman_space(63))
+
+
 def test_gram_schmidt_refuses_a_zero_kernel_vector():
     # at order 1 the third repeat's kernel, the second derivative, is the zero sequence
     for space in (hardy_space(m=1), bergman_space(m=1)):

@@ -27,7 +27,6 @@ from afd import (
     n_blaschke_objective,
     poafd_decompose,
     sift,
-    tm_phase_derivative,
     tm_system_boundary,
     uwa_decompose,
     uwafd_decompose,
@@ -46,6 +45,7 @@ from conftest import (
     horner,
     random_hardy,
     series_bound,
+    tm_lines,
     underflow_slack,
 )
 
@@ -163,8 +163,7 @@ def test_tm_phase_derivative_winds_k_minus_1_times_above_minus_half(params):
     # theta_k' = sum_{l<k} P_{a_l} + (P_{a_k} - 1)/2 with Poisson kernels P > 0
     # of mean 1; at |a| <= 0.95 the 1024-point grid resolves each P to 1e-22
     t = circle_grid(1024)
-    for k in range(1, len(params) + 1):
-        theta = tm_phase_derivative(params, k, t)
+    for k, (_, theta) in enumerate(tm_lines(params, t), start=1):
         assert abs(theta.mean() - (k - 1)) < 1e-12
         assert theta.min() > -0.5
 
@@ -320,7 +319,6 @@ def records(draw):
     d = Decomposition(
         components=components,
         residual_energy=np.array(trace),
-        source_energy=trace[0],
         meta=meta,
     )
     # the decompose options at their CLI defaults, the drawn algorithm as --algo

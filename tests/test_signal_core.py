@@ -1,4 +1,4 @@
-"""Boundary sampling, spectra, Hilbert transform, analytic signals."""
+"""Boundary sampling, Hilbert transform, analytic signals."""
 
 import numpy as np
 import pytest
@@ -6,17 +6,13 @@ import pytest
 from afd import (
     CircularSignal,
     HardyFunction,
-    Spectrum,
     analytic_signal,
-    analyze,
     bedrosian_check,
     circle_grid,
-    hardy_check,
     hilbert_transform,
     monocomp_check,
     phase_amplitude,
     phase_derivative,
-    synthesize,
     to_hardy,
     uncertainty_report,
 )
@@ -26,13 +22,11 @@ from afd.signal_core import _conjugate_real, series_values
 
 from conftest import (
     analytic_signal_reference,
-    analyze_reference,
     band_limited_real,
     boundary_reference,
     horner,
     random_hardy,
     series_bound,
-    synthesize_reference,
     to_hardy_reference,
 )
 
@@ -56,30 +50,8 @@ def test_signal_basic_properties():
     s = CircularSignal(2.0 + np.cos(3 * t))
     assert s.n == 64
     assert s.is_real()
-    assert s.mean() == pytest.approx(2.0)
     assert s.energy() == pytest.approx(4.5)  # 4 + 1/2
     assert s.norm() == pytest.approx(np.sqrt(4.5))
-
-
-def test_analyze_picks_out_lines():
-    t = circle_grid(64)
-    spec = analyze(CircularSignal(np.cos(3 * t) + 2.0 * np.sin(5 * t)))
-    assert spec.coefficient(3) == pytest.approx(0.5)
-    assert spec.coefficient(-3) == pytest.approx(0.5)
-    assert spec.coefficient(5) == pytest.approx(-1j, abs=1e-14)
-    assert spec.coefficient(0) == pytest.approx(0.0, abs=1e-14)
-    for k in (-33, 32):
-        with pytest.raises(InputError, match="outside"):
-            spec.coefficient(k)
-
-
-def test_analyze_synthesize_roundtrip_and_parseval():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        s = band_limited_real(rng, n=256)
-        spec = analyze(s)
-        np.testing.assert_allclose(synthesize(spec).samples, s.samples, atol=1e-12)
-        assert spec.energy() == pytest.approx(s.energy(), rel=1e-12)
 
 
 def test_hilbert_on_lines():
@@ -98,7 +70,7 @@ def test_hilbert_squares_to_mean_removal():
         s = band_limited_real(rng, n=512)
         hh = hilbert_transform(hilbert_transform(s))
         np.testing.assert_allclose(
-            hh.samples, -(s.samples - s.mean().real), atol=1e-10
+            hh.samples, -(s.samples - np.mean(s.samples.real)), atol=1e-10
         )
 
 
@@ -174,23 +146,16 @@ def test_realness_is_relative_to_the_peak(scale):
         analytic_signal(mixed)
 
 
-def test_hardy_check_examples():
-    t = circle_grid(64)
-    assert hardy_check(CircularSignal(np.exp(5j * t)))
-    assert not hardy_check(CircularSignal(np.exp(-3j * t)))
-    # the relative test has no scale for the zero signal, which passes
-    assert hardy_check(CircularSignal(np.zeros(64))) is True
-
-
-def test_hardy_check_needs_enough_samples():
+def test_to_hardy_leak_needs_enough_samples():
     # Szego kernel boundary values: at n = 64 the 0.6^32 tail aliases
-    # into negative bins and the check correctly refuses; a finer grid
-    # pushes the wraparound below tolerance
+    # into negative bins and leaks 8.0e-8 of ||s||; a finer grid pushes
+    # the wraparound below rounding (1.9e-16 at n = 256)
     a = 0.6
-    for n, expected in ((64, False), (256, True)):
+    for n, lo, hi in ((64, 1e-8, 1e-6), (256, 0.0, 1e-14)):
         t = circle_grid(n)
         s = CircularSignal(np.sqrt(1 - a**2) / (1 - a * np.exp(1j * t)))
-        assert hardy_check(s) is expected
+        _, leak = to_hardy(s)
+        assert lo <= leak / s.norm() < hi
 
 
 def test_to_hardy_projection_and_leak():
@@ -274,8 +239,6 @@ def test_forward_normalization_is_bit_identical(n):
     np.testing.assert_array_equal(
         analytic_signal(CircularSignal(real)).coefficients, analytic_signal_reference(real)
     )
-    np.testing.assert_array_equal(analyze(CircularSignal(s)).coefficients, analyze_reference(s))
-    np.testing.assert_array_equal(synthesize(Spectrum(s)).samples, synthesize_reference(s))
 
 
 def test_phase_amplitude_of_z():
@@ -300,7 +263,6 @@ def test_near_zero_screens_follow_the_signal_scale(scale):
     n = 64
     t = circle_grid(n)
     r = 1.0 - 2.0**-12
-    assert not hardy_check(CircularSignal(scale * np.cos(3 * t)))
     assert monocomp_check(CircularSignal(scale * np.cos(6 * t))).passed
     am = (1.0 + 0.5 * np.cos(t)) * np.cos(6 * t)
     rho, theta = phase_amplitude(analytic_signal(CircularSignal(scale * am)), r)

@@ -6,15 +6,12 @@ import pytest
 from afd import (
     HardyFunction,
     KernelSpace,
-    blaschke_phase_derivative,
     circle_grid,
     coefficient_cross_check,
     core_afd_decompose,
     dirac_tfd,
     poafd_decompose,
     reconstruct,
-    tm_eval,
-    tm_phase_derivative,
     uncertainty_report,
     unwinding_tfd,
     uwa_decompose,
@@ -22,13 +19,18 @@ from afd import (
 from afd.errors import InputError, NonRealInput, NonUniformGrid, TailEnergy, ZeroSignal
 from afd.tfd_uncertainty import TFDAtom
 
-from conftest import band_limited_real, random_hardy, random_params
+from conftest import (
+    band_limited_real,
+    random_hardy,
+    random_params,
+    tm_lines,
+    tm_phase_derivative_rational,
+)
 
 
 def test_phase_derivative_fourier_lines_are_exact_integers():
     t = circle_grid(256)
-    for k in (1, 2, 4):
-        w = tm_phase_derivative((0,) * 4, k, t)
+    for k, (_, w) in enumerate(tm_lines((0,) * 4, t), start=1):
         assert np.all(w == float(k - 1))
 
 
@@ -38,10 +40,8 @@ def test_phase_derivative_matches_finite_difference():
     t = circle_grid(n)
     dt = t[1] - t[0]
     params = random_params(rng, 4, r=0.8)
-    z = np.exp(1j * t)
-    for k in range(1, 5):
-        w = tm_phase_derivative(params, k, t)
-        theta = np.unwrap(np.angle(tm_eval(params, k, z)))
+    for b, w in tm_lines(params, t):
+        theta = np.unwrap(np.angle(b))
         # fourth-order central stencil; second order is not accurate enough
         fd = (
             -np.roll(theta, -2) + 8 * np.roll(theta, -1)
@@ -52,24 +52,21 @@ def test_phase_derivative_matches_finite_difference():
 
 
 def test_phase_derivative_against_poisson_sums():
+    # theta_k' = sum_{l<k} P_{a_l} + (P_{a_k} - 1)/2, each Poisson kernel
+    # P_a(t) = (1 - |a|^2)/|1 - conj(a) e^{it}|^2 written out, and the
+    # rational form Re{z B_k'/B_k} summed factor by factor
     rng = np.random.default_rng(82)
     t = circle_grid(512)
+    z = np.exp(1j * t)
     for _ in range(5):
         m = int(rng.integers(1, 5))
         params = random_params(rng, m, r=0.85)
         k = int(rng.integers(1, m + 1))
-        w = tm_phase_derivative(params, k, t)
-        ref = 0.5 * (blaschke_phase_derivative((params[k - 1],), t) - 1.0)
-        if k > 1:
-            ref = ref + blaschke_phase_derivative(params[: k - 1], t)
+        _, w = tm_lines(params, t)[k - 1]
+        poisson = [(1 - abs(a) ** 2) / np.abs(1 - np.conj(a) * z) ** 2 for a in params[:k]]
+        ref = sum(poisson[:-1]) + 0.5 * (poisson[-1] - 1.0)
         assert np.abs(w - ref).max() < 1e-8
-
-
-def test_phase_derivative_index_bounds():
-    with pytest.raises(InputError):
-        tm_phase_derivative((0.5,), 0, circle_grid(64))
-    with pytest.raises(InputError):
-        tm_phase_derivative((0.5,), 2, circle_grid(64))
+        assert np.abs(w - tm_phase_derivative_rational(params, k, t)).max() < 1e-8
 
 
 def test_dirac_tfd_fourier_case():
