@@ -52,6 +52,7 @@ from .hardy_atoms import monocomp_check
 from .poafd import _SPACES, KernelSpace, poafd_decompose
 from .signal_core import (
     CircularSignal,
+    _check_pow2,
     analytic_signal,
     bedrosian_check,
     phase_amplitude,
@@ -237,6 +238,8 @@ def load_result(path):
 
     Reads schemas 1 and 2.  Raises ParseError for a file that is not
     JSON, has no known schema marker, lacks a key the rebuild needs,
+    names an algorithm not in ALGORITHMS or a config.n that is not a
+    power of two >= 8 (the sample counts read_signal_csv accepts),
     holds a source_energy that is not the first entry of a nonempty
     residual_trace or a component whose kind is not the record's
     algorithm, or whose inner samples do not decode to one inner_n-long
@@ -255,11 +258,15 @@ def load_result(path):
         return rec, _rebuild(rec)
     except KeyError as exc:
         raise ParseError(f"{path}: result record lacks key {exc}") from exc
-    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+    # binascii.Error is a ValueError, _check_pow2 raises InputError
+    except (TypeError, ValueError, InputError) as exc:
         raise ParseError(f"{path}: malformed result record ({exc})") from exc
 
 
 def _rebuild(rec):
+    if rec["algorithm"] not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {rec['algorithm']!r}")
+    _check_pow2(rec["config"]["n"])
     trace = np.array(rec["residual_trace"], dtype=float)
     if not trace.size or float(rec["source_energy"]) != trace[0]:
         raise ValueError("source_energy is not the first entry of a nonempty residual_trace")
@@ -768,6 +775,12 @@ def main(argv=None):
     except AFDError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except OSError as exc:
+        # an output that cannot be written; inputs that cannot be read
+        # are ParseErrors already
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

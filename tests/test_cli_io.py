@@ -368,6 +368,11 @@ def test_unwinding_records_round_trip(tmp_path, capsys, algo):
     rec, obj = load_result(a)
     assert rec["schema"] == 2
     assert all(isinstance(entry, str) for entry in rec["meta"]["inner"])
+    # each step records how far its inner factor is off the circle
+    # (|f|-weighted); on this smooth signal every step is clean
+    cons = rec["meta"]["factor_consistency"]
+    assert len(cons) == len(rec["components"])
+    assert all(np.isfinite(x) and x <= 1e-12 for x in cons), cons
     save_result(rec, c)
     assert _bytes(a) == _bytes(c)  # so is load -> save
 
@@ -448,6 +453,16 @@ def _malform(rec, case):
         rec["source_energy"] = float(np.nextafter(rec["source_energy"], np.inf))
     elif case == "empty-trace":
         rec["residual_trace"] = []
+    elif case == "no-config":
+        del rec["config"]
+    elif case == "bad-config-n":
+        # the input's sample count, which read_signal_csv keeps to powers of two >= 8
+        rec["config"]["n"] = 3
+    elif case == "unknown-algorithm":
+        # named by every component too, each with a parameter as core's have
+        rec["algorithm"] = "bogus"
+        for comp in rec["components"]:
+            comp.update(kind="bogus", a={"re": 0.5, "im": 0.0})
     else:
         raise AssertionError(case)
 
@@ -456,6 +471,7 @@ MALFORMED = [
     "core-without-trace", "no-algorithm", "no-inner", "no-inner-n", "bad-base64",
     "list-in-schema-2", "short-inner", "inner-count", "schema-1-short-lists",
     "bad-coefficient", "other-kind", "no-kind", "other-source-energy", "empty-trace",
+    "no-config", "bad-config-n", "unknown-algorithm",
 ]
 
 
@@ -546,14 +562,15 @@ def test_tfd_bytes_match_csv_writer(tmp_path, capsys, algo, n, flags):
         assert n_atoms == rec["meta"]["inner_n"] * len(rec["components"])
 
 
-@pytest.mark.parametrize("algo", ["core", "uwa"])
+@pytest.mark.parametrize("algo", ["core", "uwa", "uwafd", "cyclic", "poafd"])
 def test_tfd_of_a_result_without_components(tmp_path, capsys, algo):
-    # both are scale invariant and save no components only when asked
-    # for none
+    # every algorithm is scale invariant and saves no components only
+    # when asked for none (no terms; cyclic: no poles)
     tiny = 1e-20 * am_fm_real(np.random.default_rng(3), 1024).samples.real
     sig = _write_real(tmp_path / "s.csv", tiny)
     res = str(tmp_path / "r.json")
-    assert main(["decompose", sig, "--algo", algo, "--terms", "0", "--output", res]) == EXIT_OK
+    argv = ["decompose", sig, "--algo", algo, "--terms", "0", "--n", "0", "--output", res]
+    assert main(argv) == EXIT_OK
     assert load_result(res)[0]["components"] == []
     capsys.readouterr()
     atoms = str(tmp_path / "r.tfd.csv")
@@ -652,6 +669,7 @@ def test_tfd_refuses_bergman_results(tmp_path, cosine_csv):
     main(["decompose", cosine_csv, "--algo", "poafd", "--space", "bergman",
           "--terms", "2", "--grid", "24x12", "--output", res])
     assert main(["tfd", res]) == EXIT_INPUT
+    assert not (tmp_path / "r.tfd.csv").exists()
 
 
 def test_tfd_raster_of_a_single_frequency(tmp_path):
@@ -752,6 +770,17 @@ def test_exit_codes_for_bad_input(tmp_path):
     assert main(["decompose", skewed]) == EXIT_INPUT
 
 
+def test_an_output_that_cannot_be_written_is_an_input_error(tmp_path, capsys, cosine_csv):
+    # no traceback: exit 2, naming the path and the reason
+    res = str(tmp_path / "r.json")
+    assert main(["decompose", cosine_csv, "--terms", "2", "--output", res]) == EXIT_OK
+    for argv in (["decompose", cosine_csv, "--terms", "2"], ["tfd", res]):
+        out = tmp_path / "missing" / "out"
+        capsys.readouterr()
+        assert main(argv + ["--output", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
+
+
 @pytest.mark.parametrize("header", ["t,value", "t,re,im"])
 def test_decompose_refuses_a_header_without_rows(tmp_path, capsys, header):
     path = tmp_path / "h.csv"
@@ -760,18 +789,24 @@ def test_decompose_refuses_a_header_without_rows(tmp_path, capsys, header):
     assert "no data rows" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("algo", ["core", "uwa", "uwafd", "cyclic", "poafd"])
-def test_decompose_refuses_an_energy_beyond_the_double_range(tmp_path, algo, capsys):
-    # a 1e200 signal has a finite peak but an energy that overflows: exit 2,
-    # naming the cause, no result file and no numpy overflow warning
+@pytest.mark.parametrize(
+    "algo, scale, cause",
+    [(algo, 1e200, "not a finite double") for algo in cli_io.ALGORITHMS]
+    + [(algo, 1e-200, "zero signal") for algo in cli_io.ALGORITHMS],
+    ids=[*cli_io.ALGORITHMS, *(f"{algo}-underflow" for algo in cli_io.ALGORITHMS)],
+)
+def test_decompose_refuses_an_energy_beyond_the_double_range(tmp_path, algo, scale, cause, capsys):
+    # a 1e200 signal has a finite peak but an energy that overflows, a
+    # 1e-200 signal a nonzero peak but an energy that underflows to 0:
+    # exit 2, naming the cause, no result file and no numpy warning
     t = circle_grid(256)
-    signal = 1e200 * (1 + 0.6 * np.cos(t)) * np.cos(6 * t + 0.4 * np.sin(3 * t))
+    signal = scale * (1 + 0.6 * np.cos(t)) * np.cos(6 * t + 0.4 * np.sin(3 * t))
     path = _write_real(tmp_path / "huge.csv", signal)
     out = tmp_path / "huge.afd.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["decompose", path, "--algo", algo, "--output", str(out)]) == EXIT_INPUT
-    assert "not a finite double" in capsys.readouterr().err
+    assert cause in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,7 +1,8 @@
 """The demo scripts and the README's python examples run to exit 0.
 
-Each runs in a fresh interpreter on the source tree, where a numerical
-warning (RuntimeWarning) is an error, as it is in the test suite.  The
+Each runs in a fresh interpreter on the package the suite imported (the
+source tree, or an installed copy), where a numerical warning
+(RuntimeWarning) is an error, as it is in the test suite.  The
 README's python blocks are joined in order into one script.
 """
 
@@ -13,11 +14,13 @@ from pathlib import Path
 
 import pytest
 
+import afd
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run(script, cwd):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(afd.__file__)))
     done = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", str(script)],
         cwd=cwd,
