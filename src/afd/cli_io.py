@@ -53,8 +53,10 @@ from .poafd import _SPACES, KernelSpace, poafd_decompose
 from .signal_core import (
     CircularSignal,
     _check_pow2,
+    _padded_n,
     analytic_signal,
     bedrosian_check,
+    circle_grid,
     phase_amplitude,
     to_hardy,
 )
@@ -93,8 +95,7 @@ def read_signal_csv(path, allow_complex=False) -> CircularSignal:
     """
     t, cols = _read_csv(path, {"t,value": 2, "t,re,im": 3})
     n = len(t)
-    expected = 2.0 * np.pi * np.arange(n) / n
-    if np.max(np.abs(t - expected)) > DEFAULT_TOL.grid_uniform:
+    if np.max(np.abs(t - circle_grid(n))) > DEFAULT_TOL.grid_uniform:
         raise NonUniformGrid(
             f"{path}: time column is not the uniform circle grid 2*pi*j/{n}"
         )
@@ -172,12 +173,12 @@ def _j2c(d):
     return complex(d["re"], d["im"])
 
 
-def _record(args, n_input, result, extra_meta=None):
+def _record(args, n_input, result):
     components = [
         {"a": None if comp.a is None else _c2j(comp.a), "c": _c2j(comp.c), "kind": args.algo}
         for comp in result.components
     ]
-    meta = dict(result.meta, **(extra_meta or {}))
+    meta = dict(result.meta)
     if args.algo in UNWINDING:
         meta["inner_n"] = int(meta.pop("n"))
         meta["inner"] = [_encode_inner(comp.inner) for comp in result.components]
@@ -242,8 +243,9 @@ def load_result(path):
     power of two >= 8 (the sample counts read_signal_csv accepts),
     holds a source_energy that is not the first entry of a nonempty
     residual_trace or a component whose kind is not the record's
-    algorithm, or whose inner samples do not decode to one inner_n-long
-    array per component.
+    algorithm, an inner_n other than the unwinding grid of config.n
+    (_padded_n of its n // 2 coefficients), or inner samples that do
+    not decode to one inner_n-long array per component.
     """
     try:
         with open(path) as fh:
@@ -277,6 +279,9 @@ def _rebuild(rec):
     inner = [None] * len(comps)
     if unwinding:
         n = meta["n"] = int(meta.pop("inner_n"))
+        # the unwinding grid of the n // 2 Hardy coefficients an n-sample input gives
+        if n != _padded_n(rec["config"]["n"] // 2):
+            raise ValueError(f"inner_n {n} is not the unwinding grid of config.n {rec['config']['n']}")
         entries = meta.pop("inner")
         if len(entries) != len(comps):
             raise ValueError(f"{len(entries)} inner entries for {len(comps)} components")
@@ -326,7 +331,6 @@ def cmd_decompose(args):
         raise InputError(f"--tol wants a finite value >= 0, got {args.tol}")
     search = _search_from_args(args)
     s, f = _ingest(args)
-    extra = None
     t0 = time.perf_counter()
     if args.algo == "core":
         result = core_afd_decompose(
@@ -343,11 +347,7 @@ def cmd_decompose(args):
             f, args.n, init=_parse_init(args.init, args.n), search=search
         )
         result = cyclic_decomposition(f, trace.params)
-        extra = {
-            "objective": trace.objective,
-            "cycles": trace.cycles,
-            "converged": trace.converged,
-        }
+        result.meta.update(objective=trace.objective, cycles=trace.cycles, converged=trace.converged)
     else:  # poafd, the last of the ALGORITHMS argparse accepts
         space = KernelSpace(args.space, len(f.coefficients) - 1)
         result = poafd_decompose(
@@ -356,7 +356,7 @@ def cmd_decompose(args):
         )
     elapsed = time.perf_counter() - t0
 
-    record = _record(args, s.n, result, extra)
+    record = _record(args, s.n, result)
     out = args.output or str(Path(args.input).with_suffix(".afd.json"))
     save_result(record, out)
     _print_energy_table(record)

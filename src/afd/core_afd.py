@@ -491,18 +491,18 @@ def sift(f: HardyFunction, a):
     return _sift(f, a, coefficient(f, a))
 
 
-def _sift(f, a, c, norm=None):
+def _sift(f, a, c):
     """sift(f, a) for a validated a and its coefficient c = coefficient(f, a).
 
-    e_a and mobius(a, .) come from one denominator on the cached circle.
-    norm is ||f|| where the caller holds it; the leak check scales by it.
+    e_a and mobius(a, .) come from one denominator on the cached circle;
+    the leak check scales by ||f||.
     """
     boundary = f.boundary()
     kern, quotient = _kernel_and_mobius(a, _ScanPlan.circle(boundary.n))
     g = np.subtract(boundary.samples, np.multiply(c, kern, out=kern), out=kern)
     g *= np.conj(quotient, out=quotient)
     f_next, leak = to_hardy(CircularSignal(g), m=f.order)
-    if leak > 1e-9 * max(f.norm() if norm is None else norm, 1e-300):
+    if leak > 1e-9 * max(f.norm(), 1e-300):
         warnings.warn(
             f"negative-frequency leakage {leak:.2e} in sift", RuntimeWarning
         )
@@ -566,17 +566,16 @@ def _greedy(source, max_terms, energy_tol, step, forced_params=None):
     return Decomposition(components, np.array(residuals)), stopped
 
 
-def _afd_step(f_k, a, search, norms):
+def _afd_step(f_k, a, search, source_norm):
     """One maximal sifting step: (a, <f_k, e_a>, reduced remainder).
 
-    norms is (||f_k||, ||source||), source the signal the run started
-    from; a None is selected by maximal_selection, its floor relative
-    to ||source||.
+    source_norm is the norm of the signal the run started from; a None
+    is selected by maximal_selection, its floor relative to source_norm.
     """
     if a is None:
-        a = maximal_selection(f_k, search, source_norm=norms[1])
+        a = maximal_selection(f_k, search, source_norm=source_norm)
     c = coefficient(f_k, a)
-    return a, c, _sift(f_k, a, c, norms[0])
+    return a, c, _sift(f_k, a, c)
 
 
 def core_afd_decompose(
@@ -599,18 +598,15 @@ def core_afd_decompose(
 
     Returns a Decomposition whose residual trace starts at ||f||^2;
     ZeroSignal for a zero f, NonFiniteEnergy if ||f||^2 overflows.
-    Each residual energy is summed once, its norm serving the next
-    step's leak check.
     """
     source = _source_energy(f.energy)
-    f_k, norms = f, (float(np.sqrt(source)),) * 2
+    source_norm = float(np.sqrt(source))
+    f_k = f
 
     def step(a):
-        nonlocal f_k, norms
-        a, c, f_k = _afd_step(f_k, a, search, norms)
-        energy = f_k.energy()
-        norms = (float(np.sqrt(energy)), norms[1])
-        return Component(a=a, c=c), energy
+        nonlocal f_k
+        a, c, f_k = _afd_step(f_k, a, search, source_norm)
+        return Component(a=a, c=c), f_k.energy()
 
     return _greedy(source, max_terms, energy_tol, step, forced_params)[0]
 

@@ -97,7 +97,7 @@ def n_blaschke_objective(f: HardyFunction, params) -> float:
     return max(float(_reduced_without(f, params, None).energy()), 0.0)
 
 
-def coordinate_optimize(f: HardyFunction, params, index, search=DEFAULT_SEARCH, *, _f_norm=None):
+def coordinate_optimize(f: HardyFunction, params, index, search=DEFAULT_SEARCH):
     """One coordinate move: re-select entry `index` (1-based) maximally.
 
     Sifts through the other n-1 parameters in tuple order, runs a
@@ -111,9 +111,8 @@ def coordinate_optimize(f: HardyFunction, params, index, search=DEFAULT_SEARCH, 
     The objective is ||g||^2 - |<g, e_a>|^2 for the new entry a, the
     energy split of the sift that would end the new tuple's chain (see
     the module docstring); it agrees with n_blaschke_objective of the
-    returned tuple to rounding, well below 1e-12 ||f||^2.  A caller
-    that holds ||f||, the reference of the selection floor, hands it
-    over as _f_norm.
+    returned tuple to rounding, well below 1e-12 ||f||^2.  The
+    selection floor is relative to ||f||.
     """
     params = tuple(validate_param(a) for a in params)
     if not 1 <= index <= len(params):
@@ -121,9 +120,8 @@ def coordinate_optimize(f: HardyFunction, params, index, search=DEFAULT_SEARCH, 
     i = index - 1
     g = _reduced_without(f, params, i)
     energy = g.energy()
-    f_norm = f.norm() if _f_norm is None else _f_norm
     try:
-        a_new = maximal_selection(g, search, include=(params[i],), source_norm=f_norm)
+        a_new = maximal_selection(g, search, include=(params[i],), source_norm=f.norm())
     except ZeroResidual:
         a_new = params[i]
     objective = max(energy - abs(coefficient(g, a_new)) ** 2, 0.0)
@@ -187,7 +185,6 @@ def cyclic_afd(
     if n < 0:
         raise InputError(f"n wants a count >= 0, got {n}")
     source = _source_energy(f.energy)
-    scale, f_norm = max(source, 1e-300), float(np.sqrt(source))
     warm = None
     if init is None:
         warm = core_afd_decompose(f, max_terms=n, energy_tol=0.0, search=search)
@@ -206,9 +203,9 @@ def cyclic_afd(
     for cycles in range(1, max_cycles + 1):
         worst_step = 0.0
         for index in range(1, n + 1):
-            new, val = coordinate_optimize(f, tuples[-1], index, search, _f_norm=f_norm)
+            new, val = coordinate_optimize(f, tuples[-1], index, search)
             if val > d[-1]:
-                if val - d[-1] > 1e-12 * scale:
+                if val - d[-1] > 1e-12 * source:
                     raise AFDError(
                         f"objective increased by {val - d[-1]:.3e} "
                         f"at coordinate {index}"
@@ -217,7 +214,7 @@ def cyclic_afd(
             worst_step = max(worst_step, d[-1] - val)
             tuples.append(new)
             d.append(val)
-        if worst_step < delta_tol * scale:
+        if worst_step < delta_tol * source:
             converged = True
             break
     return CyclicTrace(

@@ -142,20 +142,10 @@ class OrthoSystem:
     def __len__(self):
         return len(self.params)
 
-    def gram_defect(self, space):
-        """Largest deviation of the Gram matrix from the identity; InputError off the system's space."""
-        _check_fits(space, self)
-        g = (self.vectors * space.weights) @ np.conj(self.vectors.T)
+    def gram_defect(self):
+        """Largest deviation of the Gram matrix in the system's space from the identity."""
+        g = (self.vectors * self.space.weights) @ np.conj(self.vectors.T)
         return float(np.max(np.abs(g - np.eye(len(self))), initial=0.0))
-
-
-def _check_fits(space, system):
-    """InputError unless system was built in a space of space's order and name."""
-    built = system.space
-    if built.order != space.order:
-        raise InputError(f"system of order {built.order} does not fit order {space.order}")
-    if built.name != space.name:
-        raise InputError(f"system of the {built.name} space does not fit the {space.name} space")
 
 
 def hardy_space(m=511) -> KernelSpace:
@@ -267,14 +257,13 @@ def gram_schmidt(space: KernelSpace, params) -> OrthoSystem:
     return system
 
 
-def poafd_select(space: KernelSpace, f, system: OrthoSystem, search=DEFAULT_SEARCH):
+def poafd_select(f, system: OrthoSystem, search=DEFAULT_SEARCH):
     """Parameter maximizing the next normalized extension coefficient.
 
     f is the coefficient sequence of the current signal (or its residual
-    against the system), and the radius is capped at min(search.r_max,
-    0.95); the pick never scores below the best point of that grid.  A
-    system built in a space of another order or name is refused
-    (InputError).
+    against the system) in system.space, and the radius is capped at
+    min(search.r_max, 0.95); the pick never scores below the best point
+    of that grid.
 
     In the Hardy space the objective |r(a)|^2 / (||k_a||^2 - sum_j
     |B_j(a)|^2) equals (1 - |a|^2)|r(a)/Phi(a)|^2, Phi the Blaschke
@@ -294,7 +283,7 @@ def poafd_select(space: KernelSpace, f, system: OrthoSystem, search=DEFAULT_SEAR
         DEFAULT_TOL.zero_residual times the norm of f (an exact zero
         included), so the floor does not depend on the signal's scale.
     """
-    _check_fits(space, system)
+    space = system.space
     f = _as_sequence(space, f)
     capped = replace(search, r_max=min(search.r_max, SELECTION_CAP))
     if space.name == "hardy":

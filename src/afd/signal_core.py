@@ -296,6 +296,15 @@ def to_hardy(s: CircularSignal, m=None):
     return HardyFunction(pos), leak
 
 
+def _nonvanishing_circle(f, r, n):
+    """(f, |f|) on the circle of radius r; NearZeroModulus if min |f| <= DEFAULT_TOL.near_zero max |f|."""
+    values = f.circle(r, n)
+    mod = np.abs(values)
+    if mod.min() <= DEFAULT_TOL.near_zero * mod.max():
+        raise NearZeroModulus(f"f vanishes on the circle r={r}")
+    return values, mod
+
+
 def phase_amplitude(f: HardyFunction, r, n=None):
     """Polar form of f on the circle of radius r.
 
@@ -311,10 +320,7 @@ def phase_amplitude(f: HardyFunction, r, n=None):
         If the phase moves by >= pi between adjacent samples, so the
         unwrapping is not trustworthy.
     """
-    values = f.circle(r, n)
-    rho = np.abs(values)
-    if rho.min() <= DEFAULT_TOL.near_zero * rho.max():
-        raise NearZeroModulus(f"f vanishes on the circle r={r}")
+    values, rho = _nonvanishing_circle(f, r, n)
     theta = np.unwrap(np.angle(values))
     if np.max(np.abs(np.diff(theta))) >= np.pi * (1 - 1e-9):
         raise PhaseUnresolved("phase step of size >= pi; refine the grid")
@@ -329,10 +335,7 @@ def phase_derivative(f: HardyFunction, r, n=None):
     NearZeroModulus if min |f| there is at most DEFAULT_TOL.near_zero
     times max |f|.
     """
-    values = f.circle(r, n)
-    mod = np.abs(values)
-    if mod.min() <= DEFAULT_TOL.near_zero * mod.max():
-        raise NearZeroModulus(f"f vanishes on the circle r={r}")
+    values, _ = _nonvanishing_circle(f, r, n)
     dvalues = f.derivative().circle(r, n)
     if n is None:
         n = values.size

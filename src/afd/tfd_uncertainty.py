@@ -30,7 +30,6 @@ signal.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from .errors import InputError, NonRealInput, NonUniformGrid, TailEnergy, ZeroSi
 from .signal_core import _check_finite
 
 __all__ = [
-    "TFDAtom",
     "ComponentTFD",
     "UncertaintyReport",
     "dirac_tfd",
@@ -49,20 +47,12 @@ __all__ = [
 ]
 
 
-class TFDAtom(NamedTuple):
-    """One exact point mass of the distribution."""
-
-    t: float
-    omega: float
-    weight: float
-
-
 @dataclass(frozen=True)
 class ComponentTFD:
     """The delta line of one component, sampled along the time grid.
 
     Scanning over t, the component contributes the atom
-    (t, omega(t), weight(t)); atoms() materializes them one by one.
+    (t, omega(t), weight(t)).
     """
 
     index: int
@@ -71,10 +61,6 @@ class ComponentTFD:
     t: np.ndarray
     omega: np.ndarray
     weight: np.ndarray
-
-    def atoms(self):
-        for tj, wj, pj in zip(self.t, self.omega, self.weight):
-            yield TFDAtom(float(tj), float(wj), float(pj))
 
 
 @dataclass(frozen=True)

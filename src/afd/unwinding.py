@@ -224,7 +224,7 @@ def uwafd_decompose(
     """
 
     def extract(outer, source_norm):
-        return _afd_step(outer, None, search, (outer.norm(), source_norm))
+        return _afd_step(outer, None, search, source_norm)
 
     return _unwind(f, max_terms, energy_tol, extract)
 

@@ -526,7 +526,7 @@ def poafd_reference(space, f, max_terms, search=DEFAULT_SEARCH):
     resid = f.copy()
     residuals = [space.norm(f) ** 2]
     for _ in range(max_terms):
-        params.append(poafd_select(space, resid, system, search))
+        params.append(poafd_select(resid, system, search))
         system = gram_schmidt_reference(space, params)
         coeffs = np.array([space.inner(f, v) for v in system.vectors])
         resid = f - coeffs @ system.vectors

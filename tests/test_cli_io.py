@@ -430,6 +430,14 @@ def _malform(rec, case):
         del meta["inner"]
     elif case == "no-inner-n":
         del meta["inner_n"]
+    elif case == "zero-inner-n":
+        # empty entries decode to inner_n = 0 samples each
+        meta["inner_n"] = 0
+        meta["inner"] = ["" for _ in inner]
+    elif case == "other-inner-n":
+        # entries cut to inner_n samples decode; the grid is not the input's
+        meta["inner_n"] = 2048
+        meta["inner"] = [base64.b64encode(base64.b64decode(e)[: 16 * 2048]).decode("ascii") for e in inner]
     elif case == "bad-base64":
         inner[0] = "not base64!"
     elif case == "list-in-schema-2":
@@ -468,7 +476,8 @@ def _malform(rec, case):
 
 
 MALFORMED = [
-    "core-without-trace", "no-algorithm", "no-inner", "no-inner-n", "bad-base64",
+    "core-without-trace", "no-algorithm", "no-inner", "no-inner-n", "zero-inner-n",
+    "other-inner-n", "bad-base64",
     "list-in-schema-2", "short-inner", "inner-count", "schema-1-short-lists",
     "bad-coefficient", "other-kind", "no-kind", "other-source-energy", "empty-trace",
     "no-config", "bad-config-n", "unknown-algorithm",

@@ -36,7 +36,7 @@ from afd.config import DEFAULT_SEARCH, DEFAULT_TOL, SearchConfig
 from afd.cli_io import _float_text, load_result, save_result
 from afd.core_afd import _ScanPlan, _grid_values, _hardy_norm2, _search_grid, _selection_scores, _sift
 from afd.poafd import SELECTION_CAP, _bergman_norm2
-from afd.signal_core import series_values
+from afd.signal_core import _padded_n, series_values
 
 from conftest import (
     am_fm_real,
@@ -103,8 +103,8 @@ def test_tm_gram_identity_with_repeated_poles(params):
     tm = (np.fft.fft(tm_system_boundary(params, n), axis=1) / n)[:, : HARDY.order + 1]
     hardy = gram_schmidt(HARDY, params)
     np.testing.assert_allclose(hardy.vectors, tm, rtol=0, atol=1e-8)
-    assert hardy.gram_defect(HARDY) < 1e-9
-    assert gram_schmidt(BERGMAN, params).gram_defect(BERGMAN) < 1e-9
+    assert hardy.gram_defect() < 1e-9
+    assert gram_schmidt(BERGMAN, params).gram_defect() < 1e-9
 
 
 def _unit(v):
@@ -287,13 +287,15 @@ def records(draw):
     """A random result record of any algorithm, as cli_io._record builds it.
 
     0-6 components with a in the disc (None for uwa) and a complex c;
-    unwinding components also carry unit-modulus inner samples on one
-    small grid.  The residual trace is nonincreasing.
+    unwinding components also carry unit-modulus inner samples on the
+    unwinding grid of a 64-sample input, a drawn run of 1-16 phases
+    repeated.  The residual trace is nonincreasing.
     """
     size = draw(st.integers(0, 6))
     algorithm = draw(st.sampled_from(cli_io.ALGORITHMS))
     unwinding = algorithm in cli_io.UNWINDING
-    inner_n = draw(st.integers(1, 16))
+    inner_n = _padded_n(64 // 2)
+    period = draw(st.integers(1, 16))
     components = []
     for _ in range(size):
         a = None
@@ -303,8 +305,8 @@ def records(draw):
         c = complex(draw(finite), draw(finite))
         inner = None
         if unwinding:
-            phases = draw(st.lists(st.floats(0.0, 2.0 * np.pi), min_size=inner_n, max_size=inner_n))
-            inner = np.exp(1j * np.array(phases))
+            phases = draw(st.lists(st.floats(0.0, 2.0 * np.pi), min_size=period, max_size=period))
+            inner = np.resize(np.exp(1j * np.array(phases)), inner_n)
         components.append(Component(a=a, c=c, inner=inner))
     trace = sorted(draw(st.lists(st.floats(0.0, 1e6), min_size=size + 1, max_size=size + 1)), reverse=True)
     meta = {}

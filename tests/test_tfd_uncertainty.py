@@ -17,7 +17,6 @@ from afd import (
     uwa_decompose,
 )
 from afd.errors import InputError, NonRealInput, NonUniformGrid, TailEnergy, ZeroSignal
-from afd.tfd_uncertainty import TFDAtom
 
 from conftest import (
     band_limited_real,
@@ -108,10 +107,9 @@ def test_dirac_tfd_atoms_are_scalars():
     f = HardyFunction(np.array([0.0, 1.0], dtype=complex))
     d = core_afd_decompose(f, max_terms=1, energy_tol=0.0)
     comp = dirac_tfd(d, grid=16)[0]
-    atoms = list(comp.atoms())
+    atoms = list(zip(comp.t, comp.omega, comp.weight))
     assert len(atoms) == 16
-    assert all(isinstance(a, TFDAtom) for a in atoms)
-    assert all(np.isscalar(a.t) and np.isscalar(a.omega) for a in atoms)
+    assert all(np.isscalar(t) and np.isscalar(omega) and np.isscalar(w) for t, omega, w in atoms)
 
 
 def test_dirac_tfd_refuses_bergman_components():
