@@ -49,7 +49,7 @@ def main():
 
     fac = factorize(f.boundary(2048))
     inner_dev = np.abs(np.abs(fac.inner.samples) - 1.0).max()
-    cons = fac.consistency(f.boundary(2048))
+    cons = fac.consistency
     g, _ = to_hardy(f.boundary(2048))
     front = front_loading_defect(g, fac.outer)
     print(f"\nfactorization: max | |I|-1 | = {inner_dev:.2e}, "

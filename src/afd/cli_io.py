@@ -48,7 +48,7 @@ from .errors import (
     ParseError,
     ZeroSignal,
 )
-from .hardy_atoms import monocomp_check
+from .hardy_atoms import monocomp_check, validate_param
 from .poafd import _SPACES, KernelSpace, poafd_decompose
 from .signal_core import (
     CircularSignal,
@@ -245,7 +245,11 @@ def load_result(path):
     residual_trace or a component whose kind is not the record's
     algorithm, an inner_n other than the unwinding grid of config.n
     (_padded_n of its n // 2 coefficients), or inner samples that do
-    not decode to one inner_n-long array per component.
+    not decode to one inner_n-long array per component.  Also refused,
+    since decompose never writes them: a residual_trace that is not one
+    entry longer than the components, a pole on a uwa term or none on
+    another, a pole that validate_param refuses, and a trace entry,
+    coefficient or pole that is not finite (json reads NaN and Infinity).
     """
     try:
         with open(path) as fh:
@@ -272,12 +276,14 @@ def _rebuild(rec):
     trace = np.array(rec["residual_trace"], dtype=float)
     if not trace.size or float(rec["source_energy"]) != trace[0]:
         raise ValueError("source_energy is not the first entry of a nonempty residual_trace")
-    unwinding = rec["algorithm"] in UNWINDING
+    algorithm = rec["algorithm"]
     meta, comps = dict(rec["meta"]), rec["components"]
-    if any(c["kind"] != rec["algorithm"] for c in comps):
-        raise ValueError(f"a component's kind is not the algorithm {rec['algorithm']!r}")
+    if any(c["kind"] != algorithm for c in comps):
+        raise ValueError(f"a component's kind is not the algorithm {algorithm!r}")
+    if len(trace) != len(comps) + 1:
+        raise ValueError(f"{len(trace)} residual_trace entries for {len(comps)} components")
     inner = [None] * len(comps)
-    if unwinding:
+    if algorithm in UNWINDING:
         n = meta["n"] = int(meta.pop("inner_n"))
         # the unwinding grid of the n // 2 Hardy coefficients an n-sample input gives
         if n != _padded_n(rec["config"]["n"] // 2):
@@ -287,15 +293,24 @@ def _rebuild(rec):
             raise ValueError(f"{len(entries)} inner entries for {len(comps)} components")
         inner = [_decode_inner(entry, rec["schema"], n) for entry in entries]
     comps = [
-        Component(
-            # only unwinding records hold terms without a parameter (UWA's)
-            a=None if unwinding and c["a"] is None else _j2c(c["a"]),
-            c=_j2c(c["c"]),
-            inner=samples,
-        )
+        Component(a=_pole(c["a"], algorithm), c=_j2c(c["c"]), inner=samples)
         for c, samples in zip(comps, inner)
     ]
+    numbers = [comp.c for comp in comps] + [comp.a for comp in comps if comp.a is not None]
+    if not (np.isfinite(trace).all() and np.isfinite(np.array(numbers, dtype=complex)).all()):
+        raise ValueError("a residual_trace entry, coefficient or pole is not finite")
     return Decomposition(components=comps, residual_energy=trace, meta=meta)
+
+
+def _pole(entry, algorithm):
+    """A stored pole: None for a UWA term (its only form), else validate_param's."""
+    if algorithm == "uwa":
+        if entry is not None:
+            raise ValueError("a uwa term holds a pole")
+        return None
+    if entry is None:
+        raise ValueError(f"a {algorithm} term lacks its pole")
+    return validate_param(_j2c(entry))
 
 
 # ---------------------------------------------------------------- commands

@@ -112,10 +112,14 @@ class Decomposition:
         return len(self.components)
 
     def validate(self):
-        """Energy identity and monotone residual trace; raises on defect.
+        """Finite records, energy identity and monotone residual trace; raises on defect.
 
-        The identity holds to DEFAULT_TOL.energy_total of the source energy.
+        Every trace entry and coefficient must be finite (a NaN passes
+        every comparison below), and the identity holds to
+        DEFAULT_TOL.energy_total of the source energy.
         """
+        if not (np.isfinite(self.residual_energy).all() and np.isfinite(self.coefficients).all()):
+            raise AFDError("residual energy trace or coefficient not finite")
         scale = max(self.source_energy, 1e-300)
         steps = np.diff(self.residual_energy)
         if steps.size and steps.max() > 1e-12 * scale:
@@ -461,8 +465,8 @@ def maximal_selection(f: HardyFunction, search=DEFAULT_SEARCH, include=(), sourc
     `include` adds extra candidates, e.g. an incumbent parameter that
     must not be lost; one beyond r_max is kept as given if it wins, not
     polished.  source_norm is the norm of the signal the caller's
-    iteration started from (default ||f||); the selection floor is
-    relative to it, as in poafd_select.
+    iteration started from (default ||f||, so only a zero f is
+    refused); the selection floor is relative to it, as in poafd_select.
 
     Raises
     ------
@@ -534,19 +538,22 @@ def _source_energy(energy):
     return source
 
 
-def _greedy(source, max_terms, energy_tol, step, forced_params=None):
+def _greedy(energy, max_terms, energy_tol, step, forced_params=None):
     """The one loop over terms, behind core AFD, POAFD, UWA and UWAFD.
 
-    source is the source energy, as _source_energy returned it.
+    energy() is the energy of the signal to decompose, refused by
+    _source_energy (ZeroSignal, NonFiniteEnergy) before any step.
     step(a) extracts one term and returns (Component, residual energy
     after it); a is the next of forced_params, validated, or None when
     the step selects its own.  The run ends after max_terms steps, once
     the relative residual energy is below max(energy_tol,
     residual_floor), once forced_params are used up, or when step
-    raises ZeroResidual or DegenerateModulus.  Returns the
-    Decomposition and the message that ended the run early (None
+    raises ZeroResidual or DegenerateModulus.  That floor is positive,
+    so it ends a run before any step sees a zero remainder.  Returns
+    the Decomposition and the message that ended the run early (None
     otherwise).
     """
+    source = _source_energy(energy)
     components = []
     residuals = [source]
     stopped = None
@@ -566,14 +573,13 @@ def _greedy(source, max_terms, energy_tol, step, forced_params=None):
     return Decomposition(components, np.array(residuals)), stopped
 
 
-def _afd_step(f_k, a, search, source_norm):
+def _afd_step(f_k, a, search):
     """One maximal sifting step: (a, <f_k, e_a>, reduced remainder).
 
-    source_norm is the norm of the signal the run started from; a None
-    is selected by maximal_selection, its floor relative to source_norm.
+    A None a is selected by maximal_selection on f_k.
     """
     if a is None:
-        a = maximal_selection(f_k, search, source_norm=source_norm)
+        a = maximal_selection(f_k, search)
     c = coefficient(f_k, a)
     return a, c, _sift(f_k, a, c)
 
@@ -583,12 +589,11 @@ def core_afd_decompose(
 ):
     """Greedy decomposition f = sum_k c_k B_k + remainder.
 
-    Runs maximal_selection and sift until max_terms, until the
+    Runs maximal_selection and sift until max_terms or until the
     relative residual energy drops below energy_tol (or the residual
-    floor), or until the residual is numerically zero: the stopping
-    rule of _greedy.  With forced_params the selection is skipped and
-    the given parameters are consumed in order (all zeros reproduces
-    the Taylor/Fourier expansion).
+    floor): the stopping rule of _greedy.  With forced_params the
+    selection is skipped and the given parameters are consumed in order
+    (all zeros reproduces the Taylor/Fourier expansion).
 
     Each c_k = <f_k, e_{a_k}> comes from the reproducing kernel, once
     per step.  The sift is an exact polynomial division (see the module
@@ -599,16 +604,14 @@ def core_afd_decompose(
     Returns a Decomposition whose residual trace starts at ||f||^2;
     ZeroSignal for a zero f, NonFiniteEnergy if ||f||^2 overflows.
     """
-    source = _source_energy(f.energy)
-    source_norm = float(np.sqrt(source))
     f_k = f
 
     def step(a):
         nonlocal f_k
-        a, c, f_k = _afd_step(f_k, a, search, source_norm)
+        a, c, f_k = _afd_step(f_k, a, search)
         return Component(a=a, c=c), f_k.energy()
 
-    return _greedy(source, max_terms, energy_tol, step, forced_params)[0]
+    return _greedy(f.energy, max_terms, energy_tol, step, forced_params)[0]
 
 
 def _circle_terms(d, grid, phase=False):

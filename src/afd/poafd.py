@@ -62,7 +62,6 @@ from .core_afd import (
     _hardy_norm2,
     _reduced_without,
     _select,
-    _source_energy,
     core_afd_decompose,
     maximal_selection,
 )
@@ -189,14 +188,15 @@ def kernel(space: KernelSpace, a, l=1) -> np.ndarray:
     return seq
 
 
-def _extend(space, vectors, raw):
-    """Orthogonal complement of raw against the rows of vectors.
+def _extend(system, raw):
+    """Orthogonal complement of raw against the rows of system, in its space.
 
     Returns (unit vector, residual norm); DegenerateGram when the
     normalized residual drops below DEFAULT_TOL.gram (numerically
     dependent set).  Each classical Gram-Schmidt pass is one weighted
     mat-vec pair; the second pass keeps the Gram defect at rounding.
     """
+    space, vectors = system.space, system.vectors
     u = raw.astype(complex)
     scale = space.norm(u)
     if scale <= 0.0:
@@ -212,7 +212,7 @@ def _extend(space, vectors, raw):
     return u / nrm, nrm
 
 
-def _grow(space, system, a):
+def _grow(system, a):
     """system with one orthonormal row appended for the parameter a.
 
     The row is the multiplicity-aware kernel at a, orthogonalized
@@ -225,8 +225,8 @@ def _grow(space, system, a):
     underflow.  Earlier rows are left as they are.  a must already be
     validated.
     """
-    raw = kernel(space, a, _multiplicity(system.params, a))
-    v, _ = _extend(space, system.vectors, raw)
+    space = system.space
+    v, _ = _extend(system, kernel(space, a, _multiplicity(system.params, a)))
     if space.name == "hardy":
         turn = 1.0
         for b in system.params:
@@ -253,7 +253,7 @@ def gram_schmidt(space: KernelSpace, params) -> OrthoSystem:
     params = tuple(validate_param(a) for a in params)
     system = OrthoSystem(space, (), np.zeros((0, space.order + 1), dtype=complex))
     for a in params:
-        system = _grow(space, system, a)
+        system = _grow(system, a)
     return system
 
 
@@ -290,7 +290,7 @@ def poafd_select(f, system: OrthoSystem, search=DEFAULT_SEARCH):
         source = HardyFunction(f)
         g = _reduced_without(source, system.params, None)
         return maximal_selection(g, capped, source_norm=source.norm())
-    return _select_on_rows(space, f, system.vectors, capped, _scan_rows(system.vectors, capped))
+    return _select_on_rows(system, f, capped, _scan_rows(system.vectors, capped))
 
 
 def _scan_rows(rows, search, total=0.0):
@@ -305,12 +305,13 @@ def _scan_rows(rows, search, total=0.0):
     return total
 
 
-def _select_on_rows(space, f, vectors, search, rows_sq):
-    """Pick for f against the rows vectors, rows_sq their _scan_rows on search's grid.
+def _select_on_rows(system, f, search, rows_sq):
+    """Pick for f against the rows of system, rows_sq their _scan_rows on search's grid.
 
     ZeroResidual unless the residual's space norm is above
     DEFAULT_TOL.zero_residual times the norm of f.
     """
+    space, vectors = system.space, system.vectors
     resid = f - ((np.conj(vectors) * space.weights) @ f) @ vectors
     if not space.norm(resid) > DEFAULT_TOL.zero_residual * space.norm(f):
         raise ZeroResidual("residual norm below the selection floor")
@@ -333,10 +334,10 @@ def multiplicity_limit_check(space: KernelSpace, params, a_n):
     system = gram_schmidt(space, params)
     a_n = validate_param(a_n)
     l = _multiplicity(system.params, a_n)
-    limit, _ = _extend(space, system.vectors, kernel(space, a_n, l))
+    limit, _ = _extend(system, kernel(space, a_n, l))
     errors = []
     for h in MULTIPLICITY_OFFSETS:
-        probe, _ = _extend(space, system.vectors, kernel(space, a_n + float(h), 1))
+        probe, _ = _extend(system, kernel(space, a_n + float(h), 1))
         errors.append(space.norm(probe - limit))
     return np.array(errors)
 
@@ -403,14 +404,13 @@ def poafd_decompose(
                 # every step of a run selects or none does, so the row the
                 # last step grew is the only one missing from the sum
                 rows_sq = _scan_rows(system.vectors[-1:], capped, rows_sq)
-                a = _select_on_rows(space, f, system.vectors, capped, rows_sq)
-            system = _grow(space, system, a)
+                a = _select_on_rows(system, f, capped, rows_sq)
+            system = _grow(system, a)
             v = system.vectors[-1]
             c = space.inner(f, v)
             resid -= c * v
             return Component(a=a, c=c), space.norm(resid) ** 2
 
-        source = _source_energy(lambda: space.norm(f) ** 2)
-        d, _ = _greedy(source, max_terms, energy_tol, step, forced_params)
+        d, _ = _greedy(lambda: space.norm(f) ** 2, max_terms, energy_tol, step, forced_params)
     d.meta = {"space": space.name, "order": space.order}
     return d

@@ -31,13 +31,11 @@ import numpy as np
 
 from .config import DEFAULT_SEARCH, DEFAULT_TOL
 from .errors import DegenerateModulus
-from .core_afd import Component, Decomposition, _afd_step, _greedy, _source_energy, reconstruct
+from .core_afd import Component, Decomposition, _afd_step, _greedy, reconstruct
 from .signal_core import CircularSignal, HardyFunction, _conjugate_real, _padded_n
 
 __all__ = [
     "Factorization",
-    "outer_factor",
-    "inner_factor",
     "factorize",
     "uwa_decompose",
     "uwafd_decompose",
@@ -48,29 +46,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Factorization:
-    """Inner boundary samples and outer coefficients with f = I*O."""
+    """Inner boundary samples and outer coefficients with f = I*O.
+
+    consistency is the relative |f|-weighted RMS of |I| - 1 on the
+    boundary.  I = f/O holds I*O = f by construction, so the one defect
+    left is an inner factor off the circle.  With w = |f|/max|f| it is
+    sqrt(mean((w(|I| - 1))^2) / mean(w^2)): the weight keeps near-zero
+    samples of f from dominating, and dividing by the peak keeps it
+    from underflowing on tiny signals.
+    """
 
     inner: CircularSignal
     outer: HardyFunction
-
-    def consistency(self, f_boundary: CircularSignal):
-        """Relative |f|-weighted RMS of |I| - 1 on the boundary.
-
-        I = f/O holds I*O = f by construction, so the one defect left
-        is an inner factor off the circle.  With w = |f|/max|f| this is
-        sqrt(mean((w(|I| - 1))^2) / mean(w^2)): the weight keeps
-        near-zero samples of f from dominating, and dividing by the
-        peak keeps it from underflowing on tiny signals.
-        """
-        w = np.abs(f_boundary.samples)
-        w /= max(w.max(), 1e-300)
-        defect = np.abs(self.inner.samples)
-        defect -= 1.0
-        defect *= w
-        return float(np.sqrt(np.mean(defect**2) / max(np.mean(w**2), 1e-300)))
+    consistency: float
 
 
-def outer_factor(f_boundary: CircularSignal) -> HardyFunction:
+def _outer_factor(f_boundary: CircularSignal) -> HardyFunction:
     """Outer factor from boundary moduli, normalized with O(0) > 0.
 
     Clamps |f| below at 1e-8 * max|f| before taking logs; boundary
@@ -104,7 +95,7 @@ def outer_factor(f_boundary: CircularSignal) -> HardyFunction:
     return HardyFunction(np.fft.fft(boundary, norm="forward")[: mod.size // 2])
 
 
-def inner_factor(f_boundary: CircularSignal, outer: HardyFunction) -> CircularSignal:
+def _inner_factor(f_boundary: CircularSignal, outer: HardyFunction) -> CircularSignal:
     """Boundary quotient I = f / O; unimodular where the data is honest.
 
     Raises DegenerateModulus where |O| drops below near_zero times its
@@ -119,9 +110,19 @@ def inner_factor(f_boundary: CircularSignal, outer: HardyFunction) -> CircularSi
 
 
 def factorize(f_boundary: CircularSignal) -> Factorization:
-    """Inner/outer split of boundary data; see outer_factor for errors."""
-    outer = outer_factor(f_boundary)
-    return Factorization(inner=inner_factor(f_boundary, outer), outer=outer)
+    """Inner/outer split of boundary data; see _outer_factor for errors.
+
+    _outer_factor refuses a boundary without a positive finite peak, so
+    the weight w of Factorization.consistency peaks at exactly 1.
+    """
+    outer = _outer_factor(f_boundary)
+    inner = _inner_factor(f_boundary, outer)
+    w = np.abs(f_boundary.samples)
+    w /= w.max()
+    defect = np.abs(inner.samples)
+    defect -= 1.0
+    defect *= w
+    return Factorization(inner, outer, float(np.sqrt(np.mean(defect**2) / np.mean(w**2))))
 
 
 def front_loading_defect(f: HardyFunction, outer: HardyFunction):
@@ -148,15 +149,12 @@ def _unwind(f: HardyFunction, max_terms, energy_tol, extract) -> Decomposition:
     """The unwinding recursion shared by UWA and UWAFD, run by _greedy.
 
     Each step factors f_k = I_k O_k and hands extract the outer factor
-    truncated to f's order and ||f||; extract selects its own parameter
-    and returns (a, c, f_{k+1}).  The term is recorded as a Component
+    truncated to f's order; extract selects its own parameter and
+    returns (a, c, f_{k+1}).  The term is recorded as a Component
     whose inner holds the samples of I_1...I_k.
     Besides the shared stopping rule, the recursion ends, naming the
-    reason in meta["stopped"], when a remainder cannot be factored or
-    extract refuses it.
+    reason in meta["stopped"], when a remainder cannot be factored.
     """
-    source = _source_energy(f.energy)
-    source_norm = float(np.sqrt(source))
     # log|f| is not band limited even for polynomial f; sampling f on _padded_n is exact
     n = _padded_n(f.coefficients.size)
     meta = {"n": n, "factor_consistency": [], "front_loading": []}
@@ -165,20 +163,19 @@ def _unwind(f: HardyFunction, max_terms, energy_tol, extract) -> Decomposition:
 
     def step(_a):
         nonlocal f_k, cumulative
-        boundary = f_k.boundary(n)
-        fac = factorize(boundary)
+        fac = factorize(f_k.boundary(n))
         # the outer factor of an order-M polynomial free of boundary
         # zeros is again order M; truncation only sheds alias noise
         outer = fac.outer.truncated(f.order)
-        a, c, f_next = extract(outer, source_norm)
-        meta["factor_consistency"].append(fac.consistency(boundary))
+        a, c, f_next = extract(outer)
+        meta["factor_consistency"].append(fac.consistency)
         meta["front_loading"].append(front_loading_defect(f_k, outer))
         # a new array each step, so no stored inner is written again
         cumulative = cumulative * fac.inner.samples
         f_k = f_next
         return Component(a=a, c=c, inner=cumulative), f_k.energy()
 
-    d, meta["stopped"] = _greedy(source, max_terms, energy_tol, step)
+    d, meta["stopped"] = _greedy(f.energy, max_terms, energy_tol, step)
     d.meta = meta
     return d
 
@@ -198,7 +195,7 @@ def uwa_decompose(f: HardyFunction, max_terms) -> Decomposition:
     a zero f, NonFiniteEnergy if its energy overflows.
     """
 
-    def extract(psi, _source_norm):
+    def extract(psi):
         c = complex(psi.coefficients[0])
         rest = psi.coefficients.copy()
         rest[0] -= c
@@ -218,15 +215,12 @@ def uwafd_decompose(
     B_k the TM chain over a_1..a_k; the residual norm equals the
     remainder norm because all the accumulated factors are unimodular.
 
-    Stops early, naming the reason in meta["stopped"], when a remainder
-    cannot be factored or falls below the selection floor.  ZeroSignal
-    for a zero f, NonFiniteEnergy if its energy overflows.
+    Stops by the residual floor of core_afd._greedy, as core AFD does,
+    or, naming the reason in meta["stopped"], when a remainder cannot
+    be factored.  ZeroSignal for a zero f, NonFiniteEnergy if its
+    energy overflows.
     """
-
-    def extract(outer, source_norm):
-        return _afd_step(outer, None, search, source_norm)
-
-    return _unwind(f, max_terms, energy_tol, extract)
+    return _unwind(f, max_terms, energy_tol, lambda outer: _afd_step(outer, None, search))
 
 
 def unwinding_reconstruct(u: Decomposition) -> CircularSignal:

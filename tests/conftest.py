@@ -69,12 +69,10 @@ from afd import (
     coefficient,
     core_afd_decompose,
     hilbert_transform,
-    inner_factor,
     kernel,
     maximal_selection,
     mobius,
     n_blaschke_objective,
-    outer_factor,
     poafd_select,
     sift,
     szego_kernel,
@@ -95,6 +93,7 @@ from afd.errors import InputError, ZeroResidual
 from afd.hardy_atoms import _multiplicity
 from afd.signal_core import series_values
 from afd.tfd_uncertainty import ComponentTFD, _spectral_phase_derivative
+from afd.unwinding import _inner_factor, _outer_factor
 
 
 def residual_at(d, n):
@@ -450,12 +449,12 @@ def outer_factor_reference(f_boundary):
 
 
 def check_outer_factor_against_reference(s):
-    """outer_factor's coefficients within 1e-13 ||O|| of the reference's,
+    """_outer_factor's coefficients within 1e-13 ||O|| of the reference's,
     and its inner factor's max||I| - 1| within 1e-13 of the reference's."""
     want = outer_factor_reference(s)
-    got = outer_factor(s)
+    got = _outer_factor(s)
     assert np.abs(got.coefficients - want.coefficients).max() <= 1e-13 * want.norm()
-    inner_got = np.abs(np.abs(inner_factor(s, got).samples) - 1.0).max()
+    inner_got = np.abs(np.abs(_inner_factor(s, got).samples) - 1.0).max()
     inner_want = np.abs(np.abs(s.samples / want.boundary(s.n).samples) - 1.0).max()
     assert abs(inner_got - inner_want) <= 1e-13
 

@@ -258,7 +258,7 @@ def test_criterion_06_factorization_corpus():
         s = CircularSignal(samples)
         fac = factorize(s)
         worst_inner = max(worst_inner, np.abs(np.abs(fac.inner.samples) - 1.0).max())
-        worst_cons = max(worst_cons, fac.consistency(s))
+        worst_cons = max(worst_cons, fac.consistency)
         f, _ = to_hardy(s)
         worst_front = max(
             worst_front, front_loading_defect(f, fac.outer) / max(f.energy(), 1e-300)

@@ -466,6 +466,21 @@ def _malform(rec, case):
     elif case == "bad-config-n":
         # the input's sample count, which read_signal_csv keeps to powers of two >= 8
         rec["config"]["n"] = 3
+    elif case == "nan-coefficient":
+        # json reads NaN and Infinity, which decompose never writes
+        rec["components"][0]["c"]["re"] = float("nan")
+    elif case == "infinite-trace":
+        rec["residual_trace"][-1] = float("inf")
+    elif case in ("pole-outside-disc", "null-pole-in-uwafd"):
+        # a uwafd record, so every term needs a pole inside the disc
+        rec["algorithm"] = "uwafd"
+        for comp in rec["components"]:
+            comp.update(kind="uwafd", a={"re": 0.3, "im": 0.0})
+        rec["components"][1]["a"] = {"re": 1.5, "im": 0.0} if case == "pole-outside-disc" else None
+    elif case == "pole-in-uwa":
+        rec["components"][0]["a"] = {"re": 0.3, "im": 0.0}
+    elif case == "short-trace":
+        rec["residual_trace"] = rec["residual_trace"][:2]
     elif case == "unknown-algorithm":
         # named by every component too, each with a parameter as core's have
         rec["algorithm"] = "bogus"
@@ -480,7 +495,8 @@ MALFORMED = [
     "other-inner-n", "bad-base64",
     "list-in-schema-2", "short-inner", "inner-count", "schema-1-short-lists",
     "bad-coefficient", "other-kind", "no-kind", "other-source-energy", "empty-trace",
-    "no-config", "bad-config-n", "unknown-algorithm",
+    "no-config", "bad-config-n", "unknown-algorithm", "nan-coefficient", "infinite-trace",
+    "pole-outside-disc", "null-pole-in-uwafd", "pole-in-uwa", "short-trace",
 ]
 
 

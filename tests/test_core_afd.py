@@ -690,3 +690,10 @@ def test_validate_refuses_a_rising_trace_and_a_tampered_coefficient():
     tampered[1] = replace(tampered[1], c=tampered[1].c * 1.01)
     with pytest.raises(AFDError, match="energy identity defect"):
         Decomposition(tampered, d.residual_energy).validate()
+    # every comparison with a NaN is false, so non-finite records are refused by name
+    first = d.components[:1]
+    for trace in ([1.0, np.nan], [np.nan, np.nan], [1.0, np.inf]):
+        with pytest.raises(AFDError, match="not finite"):
+            Decomposition(first, np.array(trace)).validate()
+    with pytest.raises(AFDError, match="not finite"):
+        Decomposition([replace(first[0], c=complex(np.nan))], d.residual_energy[:2]).validate()

@@ -176,8 +176,8 @@ def test_grown_system_matches_rebuilt_reference():
             np.testing.assert_allclose(got.vectors, want.vectors, rtol=0, atol=1e-12)
             # growing leaves the system it grew from as it was
             base = gram_schmidt(space, params[:-1])
-            _grow(space, base, params[-1])
-            np.testing.assert_array_equal(_grow(space, base, params[-1]).vectors, got.vectors)
+            _grow(base, params[-1])
+            np.testing.assert_array_equal(_grow(base, params[-1]).vectors, got.vectors)
 
 
 def test_gram_schmidt_degenerate_pair():
@@ -259,7 +259,7 @@ def test_selection_objective_is_normalized_extension_coefficient():
         pts = np.array(random_params(rng, 6, r=0.8))
         got = selection_objective(space, pts, series_values(rows, pts))
         want = [
-            abs(space.inner(rows[0], _extend(space, system.vectors, kernel(space, a))[0])) ** 2
+            abs(space.inner(rows[0], _extend(system, kernel(space, a))[0])) ** 2
             for a in pts
         ]
         np.testing.assert_allclose(got, want, rtol=1e-9)

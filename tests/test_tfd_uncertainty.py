@@ -164,6 +164,21 @@ def test_uncertainty_modulated_gaussian():
     assert rep.chain_ok
 
 
+@pytest.mark.parametrize("n", [511, 512])
+def test_uncertainty_odd_and_even_grids(n):
+    # an odd grid has no Nyquist bin for the one-sided mask to halve; on
+    # either parity the Riemann sums of e^{-t^2/2} cos 3t give the closed
+    # form (0.5 - 8.5q)(9.5 + 0.5q)/(1 + q)^2, q = e^{-9}
+    t = np.linspace(-20, 20, n, endpoint=False)
+    rep = uncertainty_report(np.exp(-(t**2) / 2) * np.cos(3 * t), t)
+    q = np.exp(-9.0)
+    assert rep.sigma_t2 == pytest.approx((0.5 - 8.5 * q) / (1 + q), rel=1e-12)
+    assert rep.sigma_w2 == pytest.approx((9.5 + 0.5 * q) / (1 + q), rel=1e-12)
+    assert rep.product == pytest.approx(4.73889572148517, rel=1e-12)
+    assert rep.mean_w == pytest.approx(2.9998, abs=1e-6)
+    assert rep.chain_ok
+
+
 def test_uncertainty_chirp_separates_bounds():
     n = 2048
     t = np.linspace(0, 2 * np.pi, n, endpoint=False)
