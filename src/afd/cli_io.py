@@ -27,7 +27,9 @@ degeneracy.
 import argparse
 import base64
 import csv
+import io
 import json
+import re
 import sys
 import time
 from dataclasses import replace
@@ -121,28 +123,45 @@ def read_line_csv(path):
     return t, cols[0]
 
 
+# A row whose cells are all blank (whitespace, quoted or not), with the
+# line break before it; only a quoted blank may span lines.
+_BLANK_CELL = r'(?:"\s*")?[^\S\n]*'
+_BLANK_ROW = re.compile(rf"\n{_BLANK_CELL}(?:,{_BLANK_CELL})*(?=\n|\Z)")
+
+
 def _read_csv(path, headers):
+    """(first column, [other columns]) of a CSV with one of the headers.
+
+    Rows of blank cells are skipped, the first other row is the header
+    and the rest are parsed by one np.loadtxt call: a cell reads as
+    float() reads it, quotes and surrounding spaces aside, but without
+    underscores between digits.
+    """
     try:
-        with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
-    if not rows:
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not a text file ({exc})") from exc
+    text = _BLANK_ROW.sub("", "\n" + text)
+    if not text:
         raise ParseError(f"{path}: empty file")
-    header = ",".join(c.strip().lower() for c in rows[0])
+    first, _, data = text[1:].partition("\n")
+    header = ",".join(c.strip().lower() for c in next(csv.reader([first])))
     if header not in headers:
         raise ParseError(
             f"{path}: header '{header}' not one of {sorted(headers)}"
         )
     width = headers[header]
-    data = rows[1:]
     if not data:
         raise ParseError(f"{path}: no data rows")
     try:
-        # numpy parses each cell as float() does, in one call
-        arr = np.array(data, dtype=float)
+        arr = np.loadtxt(
+            io.StringIO(data), delimiter=",", comments=None, quotechar='"', ndmin=2
+        )
     except ValueError as exc:
-        raise ParseError(f"{path}: non-numeric cell ({exc})") from exc
+        raise ParseError(f"{path}: unreadable data row ({exc})") from exc
     if not np.isfinite(arr).all():
         raise ParseError(f"{path}: non-finite cell (nan or infinity)")
     if arr.shape[1] != width:
@@ -202,10 +221,46 @@ def _record(args, n_input, result):
     }
 
 
+# The layout of a result file, as json.dump writes it.
+_JSON = dict(sort_keys=True, indent=1)
+# A string of these characters is its own JSON text between quotes, so
+# the base64 entries of meta.inner are written as they are; the encoder
+# sees the stand-in "\0" (JSON text "\u0000") in their place.
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/="
+_STAND_IN = "\0"
+
+
 def save_result(record, path):
+    """Write record as json.dump(record, fh, sort_keys=True, indent=1) and a newline."""
     with open(path, "w") as fh:
-        json.dump(record, fh, sort_keys=True, indent=1)
+        fh.writelines(_json_pieces(record))
         fh.write("\n")
+
+
+def _json_pieces(record):
+    """Strings that join to json.dumps(record, sort_keys=True, indent=1).
+
+    Each meta.inner entry in the base64 alphabet is one piece of its own,
+    the entry itself, so it is neither scanned for escapes nor copied.
+    """
+    meta = record.get("meta")
+    inner = meta.get("inner") if isinstance(meta, dict) else None
+    if not isinstance(inner, list):
+        return [json.dumps(record, **_JSON)]
+    plain = [
+        isinstance(e, str) and e.isascii() and not e.encode("ascii").translate(None, _BASE64)
+        for e in inner
+    ]
+    stand_ins = [_STAND_IN if p else e for e, p in zip(inner, plain)]
+    text = json.dumps({**record, "meta": {**meta, "inner": stand_ins}}, **_JSON)
+    parts = text.split(json.dumps(_STAND_IN))
+    entries = [e for e, p in zip(inner, plain) if p]
+    if len(parts) != len(entries) + 1:  # a caller's own string holds the stand-in's text
+        return [json.dumps(record, **_JSON)]
+    pieces = [parts[0]]
+    for entry, part in zip(entries, parts[1:]):
+        pieces += ['"', entry, '"' + part]
+    return pieces
 
 
 def _encode_inner(samples):
@@ -231,7 +286,8 @@ def _decode_inner(entry, schema, n):
         raise ValueError(
             f"inner entry holds {len(raw)} bytes, not inner_n = {n} complex128"
         )
-    return np.frombuffer(raw, dtype="<c16").astype(complex)
+    # a read-only view of raw where complex is little-endian, a copy elsewhere
+    return np.frombuffer(raw, dtype="<c16").astype(complex, copy=False)
 
 
 def load_result(path):
@@ -256,7 +312,7 @@ def load_result(path):
             rec = json.load(fh)
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(rec, dict) or rec.get("schema") not in READ_SCHEMAS:
         raise ParseError(f"{path}: missing or unsupported schema marker")
@@ -452,28 +508,37 @@ def _write_rows(fh, lead, times, columns):
 
     fh is a binary file, lead a bytes prefix and times the _float_text
     matrix of the time column; columns are float arrays as long as
-    times.  Within a block of rows, a column that repeats one float
-    (same bits) is formatted once and joined into the literal text
-    between cells; the others are formatted by one _float_text call.
-    The block is one uint8 matrix [lead, time text, literal, column
-    text, ..., literal and CRLF], written with its NUL padding dropped
-    in one write.
+    times.  A column that repeats one float (same bits) is formatted
+    once and joined into the literal text between cells; the v others
+    are formatted a block of rows at a time, by one _float_text call
+    each.  A block holds _BLOCK_CELLS // v rows, fewer when a row's
+    literal text is longer than v cells of _TEXT_WIDTH bytes, so its
+    size is bounded however wide the row.  The block is one uint8
+    matrix [lead, time text, literal, column text, ..., literal and
+    CRLF], written with its NUL padding dropped in one write.
     """
-    step = max(1, _BLOCK_CELLS // (len(columns) + 1))
+    # (literal before the column, column) for each column that varies;
+    # the literal after the last one ends every line
+    varying, literal = [], b""
+    for col in columns:
+        values = np.asarray(col, dtype=float)
+        bits = values.view(np.uint64)
+        literal += b","
+        if len(values) and (bits == bits[0]).all():
+            literal += repr(float(values[0])).encode("ascii")
+        else:
+            varying.append((literal, values))
+            literal = b""
+    tail = literal + b"\r\n"
+    width = len(lead) + sum(len(lit) for lit, _ in varying) + len(tail)
+    step = max(1, _BLOCK_CELLS // max(1, len(varying), width // _TEXT_WIDTH))
     for start in range(0, len(times), step):
         rows = slice(start, start + step)
         text = times[rows]
-        pieces, literal = [_repeated(lead, len(text)), text], b""
-        for col in columns:
-            values = np.asarray(col[rows], dtype=float)
-            bits = values.view(np.uint64)
-            literal += b","
-            if (bits == bits[0]).all():
-                literal += repr(float(values[0])).encode("ascii")
-            else:
-                pieces += [_repeated(literal, len(text)), _float_text(values)]
-                literal = b""
-        pieces.append(_repeated(literal + b"\r\n", len(text)))
+        pieces = [_repeated(lead, len(text)), text]
+        for lit, values in varying:
+            pieces += [_repeated(lit, len(text)), _float_text(values[rows])]
+        pieces.append(_repeated(tail, len(text)))
         block = np.concatenate(pieces, axis=1).ravel()
         fh.write(block[block != 0].tobytes())
 

@@ -46,11 +46,14 @@ __all__ = [
 def validate_param(a):
     """Require a strictly inside the disc; returns a as complex.
 
-    Raises ParamOutOfDisc when |a| > 1 - DEFAULT_TOL.param_boundary.
+    Raises ParamOutOfDisc unless |a| <= 1 - DEFAULT_TOL.param_boundary,
+    so also for a NaN part.
     """
     a = complex(a)
-    if abs(a) > 1.0 - DEFAULT_TOL.param_boundary:
-        raise ParamOutOfDisc(f"|a| = {abs(a):.12f} too close to the circle")
+    if not abs(a) <= 1.0 - DEFAULT_TOL.param_boundary:
+        raise ParamOutOfDisc(
+            f"|a| = {abs(a):.12f} is not inside the disc |a| <= 1 - {DEFAULT_TOL.param_boundary:g}"
+        )
     return a
 
 

@@ -170,7 +170,7 @@ class HardyFunction:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        if (np.abs(z) > 1.0 - DEFAULT_TOL.param_boundary).any():
+        if not (np.abs(z) <= 1.0 - DEFAULT_TOL.param_boundary).all():
             raise ParamOutOfDisc("f(z) probed too close to the circle; use boundary()")
         out = series_values(self.coefficients, z)
         return out if out.ndim else complex(out)
@@ -199,7 +199,7 @@ class HardyFunction:
 
     def circle(self, r, n=None):
         """Samples of f(r e^{it}) on an n-point grid, r <= 1 - DEFAULT_TOL.param_boundary."""
-        if r > 1.0 - DEFAULT_TOL.param_boundary:
+        if not r <= 1.0 - DEFAULT_TOL.param_boundary:
             raise ParamOutOfDisc(f"radius {r} too close to the circle; use boundary()")
         damped = self.coefficients * (r ** np.arange(self.coefficients.size))
         return HardyFunction(damped).boundary(n).samples

@@ -130,6 +130,54 @@ def test_read_rejects_bad_headers_and_cells(tmp_path):
             read_line_csv(str(bad))
 
 
+ROWS = [[0.0, 1.5], [0.5, -2.0]]
+# (CSV text, the rows _read_csv returns or ParseError): rows of blank
+# cells are skipped wherever they stand, cells read as float() reads
+# them, and every other irregular row is refused
+READ_CASES = {
+    "crlf": ("t,value\r\n0.0,1.5\r\n0.5,-2.0\r\n", ROWS),
+    "cr": ("t,value\r0.0,1.5\r0.5,-2.0\r", ROWS),
+    "blank rows": ("\nt,value\n\n0.0,1.5\n\n\n0.5,-2.0\n\n", ROWS),
+    "whitespace rows": (" \t\nt,value\n0.0,1.5\n   \n0.5,-2.0\n\t", ROWS),
+    "comma rows": (",\nt,value\n0.0,1.5\n,\n , \n0.5,-2.0\n,,", ROWS),
+    "quoted blank rows": ('"",""\nt,value\n0.0,1.5\n" ",\n0.5,-2.0\n', ROWS),
+    "quoted cells": ('"t","value"\n"0.0","1.5"\n0.5,"-2.0"\n', ROWS),
+    "space-padded cells": (" t , Value \n 0.0 ,\t1.5 \n0.5, -2.0\n", ROWS),
+    "no final line break": ("t,value\n0.0,1.5\n0.5,-2.0", ROWS),
+    "signs and exponents": ("t,value\n+0.0,+15e-1\n5E-1,-2.\n", ROWS),
+    "three columns": ("t,re,im\n0.0,1.5,0.25\n", [[0.0, 1.5, 0.25]]),
+    "ragged row": ("t,value\n0.0,1.5\n0.5\n", ParseError),
+    "trailing comma": ("t,value\n0.0,1.5,\n0.5,-2.0,\n", ParseError),
+    "extra column": ("t,value\n0.0,1.5,2.0\n", ParseError),
+    "space before a quote": ('t,value\n0.0, "1.5"\n', ParseError),
+    "nan": ("t,value\n0.0,nan\n", ParseError),
+    "inf": ("t,value\ninf,1.5\n", ParseError),
+    "-Infinity": ("t,value\n0.0,-Infinity\n", ParseError),
+    "word": ("t,value\n0.0,one\n", ParseError),
+    "underscore": ("t,value\n0.0,1_0\n", ParseError),  # float() reads 10.0
+    "header only": ("t,value\n", ParseError),
+    "header and blank rows": ("t,value\n\n , \n", ParseError),
+    "empty file": ("", ParseError),
+    "blank rows only": (" \n,\n", ParseError),
+    "unknown header": ("time,value\n0.0,1.5\n", ParseError),
+    "not UTF-8": ("t,value\n0.0,1.5\xff\n", ParseError),
+}
+
+
+@pytest.mark.parametrize("text, want", READ_CASES.values(), ids=READ_CASES.keys())
+def test_read_csv_skips_blank_rows_and_refuses_irregular_ones(tmp_path, text, want):
+    path = tmp_path / "s.csv"
+    path.write_bytes(text.encode("latin-1"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on any input
+        if want is ParseError:
+            with pytest.raises(ParseError):
+                cli_io._read_csv(str(path), {"t,value": 2, "t,re,im": 3})
+        else:
+            t, cols = cli_io._read_csv(str(path), {"t,value": 2, "t,re,im": 3})
+            assert np.column_stack([t, *cols]).tolist() == want
+
+
 def test_read_rejects_wrong_grid(tmp_path):
     t = circle_grid(64).copy()
     t[5] += 1e-4
@@ -292,6 +340,7 @@ def test_decompose_complex_input_recovers_a_kernel(tmp_path, capsys):
         (["--grid", "0x8"], "--grid counts must be positive"),
         (["--algo", "cyclic", "--n", "2", "--init", "0.1,0.2,0.3"], "--init supplies 3 values"),
         (["--algo", "cyclic", "--init", "abc"], "--init wants 'auto'"),
+        (["--algo", "cyclic", "--n", "2", "--init", "nan,0.1"], "is not inside the disc"),
     ],
 )
 def test_decompose_rejects_bad_grid_and_init(tmp_path, capsys, cosine_csv, flags, message):
@@ -413,8 +462,49 @@ def test_inner_encoding_keeps_every_bit():
         (1, [samples.real.tolist(), samples.imag.tolist()]),
     ):
         got = cli_io._decode_inner(json.loads(json.dumps(entry)), schema, len(x))
-        assert got.dtype == np.dtype(complex) and got.flags.writeable
+        assert got.dtype == np.dtype(complex)
+        # schema 2 gives a read-only view of the decoded bytes where
+        # complex is little-endian: no second copy of the samples
+        assert got.flags.writeable == (schema == 1 or np.dtype("<c16") != np.dtype(complex))
         assert got.tobytes() == samples.tobytes()
+
+
+def _saved_records(tmp_path, cosine_csv):
+    """(name, record) pairs save_result must write as json.dumps does."""
+    out = {}
+    for algo in ("uwa", "uwafd", "core"):
+        res = str(tmp_path / f"{algo}.json")
+        argv = ["decompose", cosine_csv, "--algo", algo, "--terms", "3", "--grid", "24x12"]
+        assert main(argv + ["--output", res]) == EXIT_OK
+        out[algo], obj = load_result(res)
+        if algo == "uwa":
+            out["schema 1"] = schema1_record(out[algo], obj)
+    escaped = json.loads(json.dumps(out["uwa"]))
+    inner = escaped["meta"]["inner"]
+    # entries the encoder escapes, between plain base64 ones
+    inner[1:1] = ['quote " backslash \\ e\u0301 \u00e9', 'QU"JD', "QU\\JD", "QU\nJD", "", 7]
+    out["escaped entries"] = escaped
+    # a caller's own strings whose JSON text is the stand-in's
+    for where in ("note", "inner"):
+        stand_in = json.loads(json.dumps(out["uwa"]))
+        if where == "note":
+            stand_in["meta"]["note"] = "\0"
+        else:
+            stand_in["meta"]["inner"].insert(1, "\0")
+        out[f"stand-in text in meta.{where}"] = stand_in
+    out["no meta"] = {"schema": 2, "inner": ["QUJD"]}
+    out["inner not a list"] = {"meta": {"inner": "QUJD"}}
+    return out
+
+
+def test_save_result_writes_what_json_dumps_writes(tmp_path, cosine_csv, capsys):
+    records = _saved_records(tmp_path, cosine_csv)
+    capsys.readouterr()
+    for name, rec in records.items():
+        path = tmp_path / "saved.json"
+        save_result(rec, str(path))
+        want = json.dumps(rec, sort_keys=True, indent=1) + "\n"
+        assert path.read_text() == want, name
 
 
 def _malform(rec, case):
@@ -621,6 +711,48 @@ def test_write_rows_folds_only_repeated_bits(monkeypatch):
     )
 
 
+def _rows_written(t, columns):
+    """(bytes, write count) of _write_rows over these columns."""
+    writes = []
+
+    class Sink:
+        def write(self, data):
+            writes.append(data)
+
+    cli_io._write_rows(Sink(), b"", cli_io._float_text(t), columns)
+    return b"".join(writes), len(writes)
+
+
+@pytest.mark.parametrize("block_cells", [1, 7, 40, 1 << 13])
+def test_write_rows_of_a_raster_is_repr_per_cell(monkeypatch, block_cells):
+    # a 64-bin raster: empty bins repeat 0.0 (one -0.0), one bin is
+    # constant in its first rows only, 20 others vary; any block size
+    # gives the text of one repr per cell
+    monkeypatch.setattr(cli_io, "_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(73)
+    rows = 45
+    t = np.linspace(0.0, 2.0 * np.pi, rows, endpoint=False)
+    grid = np.zeros((rows, 64))
+    grid[:, 3] = -0.0
+    grid[:, 5] = 7.25
+    grid[:, 10:30] = rng.uniform(0.0, 2.0, (rows, 20))
+    grid[:, 40] = 1.5
+    grid[30:, 40] = rng.uniform(0.0, 1.0, rows - 30)
+    small = block_cells < 21
+    for columns in (grid, np.zeros_like(grid)):
+        text, writes = _rows_written(t, list(columns.T))
+        want = "".join(
+            ",".join(repr(float(x)) for x in (tj, *row)) + "\r\n" for tj, row in zip(t, columns)
+        )
+        assert text.decode("ascii") == want
+        # a block holds _BLOCK_CELLS formatted cells, constant text
+        # counting too: the default one takes all rows, a small one
+        # fewer, also when every column is constant
+        assert (writes == 1) == (block_cells == 1 << 13)
+        if small:
+            assert writes == rows
+
+
 def _cell_text(matrix):
     return [row.tobytes().rstrip(b"\0").decode("ascii") for row in matrix]
 
@@ -719,6 +851,8 @@ def test_tfd_raster_of_a_single_frequency(tmp_path):
 def test_tfd_rejects_bad_result_files(tmp_path):
     bad = tmp_path / "x.json"
     bad.write_text("{not json")
+    assert main(["tfd", str(bad)]) == EXIT_INPUT
+    bad.write_bytes(b'{"schema": "\xff"}')  # not UTF-8
     assert main(["tfd", str(bad)]) == EXIT_INPUT
     bad.write_text(json.dumps({"schema": 99}))
     assert main(["tfd", str(bad)]) == EXIT_INPUT

@@ -23,6 +23,7 @@ from afd import (
     objective,
     reconstruct,
     sift,
+    validate_param,
 )
 from afd.config import DEFAULT_SEARCH, DEFAULT_TOL, SearchConfig
 from afd.core_afd import (
@@ -102,6 +103,25 @@ def test_interior_evaluation_has_the_parameter_bound(m):
                   lambda: objective(f, beyond), lambda: f.circle(beyond)):
         with pytest.raises(ParamOutOfDisc):
             probe()
+
+
+def test_a_nan_pole_is_not_in_the_disc():
+    # every comparison with NaN is false, so each bound is written to
+    # hold only for a number inside it; a forced NaN pole is refused
+    # before the first step computes anything
+    f = random_hardy(np.random.default_rng(65), m=31)
+    nan = float("nan")
+    probes = [lambda a=a: validate_param(a) for a in (nan, complex(0.5, nan), complex(nan, 0.0))]
+    probes += [lambda: f(nan), lambda: f([0.5, nan]), lambda: objective(f, nan), lambda: f.circle(nan)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for probe in probes:
+            with pytest.raises(ParamOutOfDisc):
+                probe()
+        with pytest.raises(ParamOutOfDisc):
+            core_afd_decompose(f, forced_params=[nan, 0.1])
+        with pytest.raises(ParamOutOfDisc):
+            core_afd_decompose(f, forced_params=[0.1, complex(nan, 0.2)])
 
 
 @pytest.mark.parametrize("m", (127, 2047))
