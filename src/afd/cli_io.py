@@ -509,38 +509,55 @@ def _write_rows(fh, lead, times, columns):
     fh is a binary file, lead a bytes prefix and times the _float_text
     matrix of the time column; columns are float arrays as long as
     times.  A column that repeats one float (same bits) is formatted
-    once and joined into the literal text between cells; the v others
-    are formatted a block of rows at a time, by one _float_text call
-    each.  A block holds _BLOCK_CELLS // v rows, fewer when a row's
-    literal text is longer than v cells of _TEXT_WIDTH bytes, so its
-    size is bounded however wide the row.  The block is one uint8
-    matrix [lead, time text, literal, column text, ..., literal and
-    CRLF], written with its NUL padding dropped in one write.
+    once and joined into the literal text between cells.  The v others
+    are written a block of rows at a time: within the block, one that
+    repeats one float is folded the same way and the rest are formatted
+    by one _float_text call each.  A block holds _BLOCK_CELLS // v rows,
+    fewer when a row's literal text is longer than v cells of
+    _TEXT_WIDTH bytes, so its size is bounded however wide the row.  The
+    block is one uint8 matrix [lead, time text, literal, column text,
+    ..., literal and CRLF], written with its NUL padding dropped in one
+    write.
     """
     # (literal before the column, column) for each column that varies;
     # the literal after the last one ends every line
     varying, literal = [], b""
     for col in columns:
         values = np.asarray(col, dtype=float)
-        bits = values.view(np.uint64)
         literal += b","
-        if len(values) and (bits == bits[0]).all():
-            literal += repr(float(values[0])).encode("ascii")
-        else:
+        text = _repeat_text(values)
+        if text is None:
             varying.append((literal, values))
             literal = b""
+        else:
+            literal += text
     tail = literal + b"\r\n"
     width = len(lead) + sum(len(lit) for lit, _ in varying) + len(tail)
     step = max(1, _BLOCK_CELLS // max(1, len(varying), width // _TEXT_WIDTH))
     for start in range(0, len(times), step):
         rows = slice(start, start + step)
         text = times[rows]
-        pieces = [_repeated(lead, len(text)), text]
+        pieces, literal = [_repeated(lead, len(text)), text], b""
         for lit, values in varying:
-            pieces += [_repeated(lit, len(text)), _float_text(values[rows])]
-        pieces.append(_repeated(tail, len(text)))
+            cells = values[rows]
+            literal += lit
+            repeat = _repeat_text(cells)
+            if repeat is None:
+                pieces += [_repeated(literal, len(text)), _float_text(cells)]
+                literal = b""
+            else:
+                literal += repeat
+        pieces.append(_repeated(literal + tail, len(text)))
         block = np.concatenate(pieces, axis=1).ravel()
         fh.write(block[block != 0].tobytes())
+
+
+def _repeat_text(values):
+    """The repr bytes of the one float values repeats (same bits), else None."""
+    bits = values.view(np.uint64)
+    if len(bits) and (bits == bits[0]).all():
+        return repr(float(values[0])).encode("ascii")
+    return None
 
 
 def _repeated(literal, n):

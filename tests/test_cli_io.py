@@ -150,6 +150,10 @@ READ_CASES = {
     "trailing comma": ("t,value\n0.0,1.5,\n0.5,-2.0,\n", ParseError),
     "extra column": ("t,value\n0.0,1.5,2.0\n", ParseError),
     "space before a quote": ('t,value\n0.0, "1.5"\n', ParseError),
+    # an unterminated quote runs to the end of the file: an open last
+    # cell reads, one that takes in later rows is not a number
+    "unterminated quote at the end": ('t,value\n0.0,"1.5\n', [[0.0, 1.5]]),
+    "unterminated quote": ('t,value\n0.0,"1.5\n0.5,-2.0\n', ParseError),
     "nan": ("t,value\n0.0,nan\n", ParseError),
     "inf": ("t,value\ninf,1.5\n", ParseError),
     "-Infinity": ("t,value\n0.0,-Infinity\n", ParseError),
@@ -698,16 +702,22 @@ def test_tfd_of_a_result_without_components(tmp_path, capsys, algo):
 
 
 def test_write_rows_folds_only_repeated_bits(monkeypatch):
-    # two rows per block: the column repeats within some blocks only, and
-    # 0.0 and -0.0 compare equal but print differently
+    # two varying columns, so blocks of three rows: the first column
+    # repeats 2.5 in the second block only, the last holds 0.0 but for
+    # one -0.0 in the first block, and 0.0 and -0.0 compare equal but
+    # print differently; the nan column repeats over every row
     monkeypatch.setattr(cli_io, "_BLOCK_CELLS", 6)
     times = cli_io._float_text([0.0, 1.0, 2.0, 3.0, 4.0])
-    cols = [np.array([0.0, -0.0, 2.5, 2.5, 1e-300]), np.full(5, np.nan)]
+    cols = [
+        np.array([0.0, -0.0, 1e-300, 2.5, 2.5]),
+        np.full(5, np.nan),
+        np.array([0.0, -0.0, 0.0, 0.0, 0.0]),
+    ]
     buf = io.BytesIO()
     cli_io._write_rows(buf, b"7,", times, cols)
     assert buf.getvalue().decode("ascii") == (
-        "7,0.0,0.0,nan\r\n7,1.0,-0.0,nan\r\n7,2.0,2.5,nan\r\n"
-        "7,3.0,2.5,nan\r\n7,4.0,1e-300,nan\r\n"
+        "7,0.0,0.0,nan,0.0\r\n7,1.0,-0.0,nan,-0.0\r\n7,2.0,1e-300,nan,0.0\r\n"
+        "7,3.0,2.5,nan,0.0\r\n7,4.0,2.5,nan,0.0\r\n"
     )
 
 
@@ -725,9 +735,9 @@ def _rows_written(t, columns):
 
 @pytest.mark.parametrize("block_cells", [1, 7, 40, 1 << 13])
 def test_write_rows_of_a_raster_is_repr_per_cell(monkeypatch, block_cells):
-    # a 64-bin raster: empty bins repeat 0.0 (one -0.0), one bin is
-    # constant in its first rows only, 20 others vary; any block size
-    # gives the text of one repr per cell
+    # a 64-bin raster: empty bins repeat 0.0 (one -0.0, one 0.0 but for
+    # a -0.0 in row 20), one bin is constant in its first rows only, 20
+    # others vary; any block size gives the text of one repr per cell
     monkeypatch.setattr(cli_io, "_BLOCK_CELLS", block_cells)
     rng = np.random.default_rng(73)
     rows = 45
@@ -735,6 +745,7 @@ def test_write_rows_of_a_raster_is_repr_per_cell(monkeypatch, block_cells):
     grid = np.zeros((rows, 64))
     grid[:, 3] = -0.0
     grid[:, 5] = 7.25
+    grid[20, 7] = -0.0
     grid[:, 10:30] = rng.uniform(0.0, 2.0, (rows, 20))
     grid[:, 40] = 1.5
     grid[30:, 40] = rng.uniform(0.0, 1.0, rows - 30)
@@ -751,6 +762,34 @@ def test_write_rows_of_a_raster_is_repr_per_cell(monkeypatch, block_cells):
         assert (writes == 1) == (block_cells == 1 << 13)
         if small:
             assert writes == rows
+
+
+def test_write_rows_formats_only_the_cells_that_vary_in_their_block(monkeypatch):
+    # a raster whose bin j is non-zero in rows 8j to 8j + 7 only, as
+    # each grid time hits few bins: every bin varies over the whole
+    # column, but blocks of eight rows leave one varying bin per block,
+    # and only its cells are formatted
+    monkeypatch.setattr(cli_io, "_BLOCK_CELLS", 64)
+    rows, bins = 64, 8
+    grid = np.zeros((rows, bins))
+    for j in range(bins):
+        grid[8 * j:8 * j + 8, j] = np.arange(1.0, 9.0) / (j + 3)
+    formatted, float_text = [], cli_io._float_text
+
+    def counting(values):
+        formatted.append(np.size(values))
+        return float_text(values)
+
+    t = np.arange(rows, dtype=float)
+    times = float_text(t)
+    monkeypatch.setattr(cli_io, "_float_text", counting)
+    buf = io.BytesIO()
+    cli_io._write_rows(buf, b"", times, list(grid.T))
+    assert formatted == [8] * bins
+    want = "".join(
+        ",".join(repr(float(x)) for x in (tj, *row)) + "\r\n" for tj, row in zip(t, grid)
+    )
+    assert buf.getvalue().decode("ascii") == want
 
 
 def _cell_text(matrix):
