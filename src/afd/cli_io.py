@@ -32,7 +32,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import replace
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -43,15 +43,13 @@ from .cyclic_afd import cyclic_afd, cyclic_decomposition
 from .errors import (
     AFDError,
     InputError,
-    NonFiniteEnergy,
     NonRealInput,
     NonUniformGrid,
     NumericalDegeneracy,
     ParseError,
-    ZeroSignal,
 )
 from .hardy_atoms import monocomp_check, validate_param
-from .poafd import _SPACES, KernelSpace, poafd_decompose
+from .poafd import _SPACES, CAPPED_SEARCH, KernelSpace, poafd_decompose
 from .signal_core import (
     CircularSignal,
     _check_pow2,
@@ -169,16 +167,23 @@ def _read_csv(path, headers):
     return arr[:, 0], [arr[:, j] for j in range(1, width)]
 
 
+@contextmanager
+def _naming(path):
+    """Re-raise a package error from the block with path in front of its message."""
+    try:
+        yield
+    except AFDError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def _ingest(args):
     s = read_signal_csv(args.input, allow_complex=args.complex)
     if args.complex:
         f, _leak = to_hardy(s)
     else:
         f = analytic_signal(s)
-    try:
+    with _naming(args.input):
         _source_energy(f.energy)
-    except (ZeroSignal, NonFiniteEnergy) as exc:
-        raise type(exc)(f"{args.input}: {exc}") from exc
     return s, f
 
 
@@ -210,7 +215,6 @@ def _record(args, n_input, result):
             "tol": args.tol,
             "order_n": args.n,
             "space": args.space,
-            "grid": args.grid,
             "init": args.init,
             "complex": bool(args.complex),
         },
@@ -371,16 +375,6 @@ def _pole(entry, algorithm):
 
 # ---------------------------------------------------------------- commands
 
-def _search_from_args(args):
-    try:
-        angles, radii = (int(x) for x in args.grid.lower().split("x"))
-    except ValueError as exc:
-        raise InputError(f"--grid wants ANGLESxRADII, got '{args.grid}'") from exc
-    if angles < 1 or radii < 1:
-        raise InputError("--grid counts must be positive")
-    return replace(DEFAULT_SEARCH, n_angles=angles, n_radii=radii)
-
-
 def _parse_init(text, n):
     if text == "auto":
         return None
@@ -400,31 +394,21 @@ def cmd_decompose(args):
         raise InputError(f"--n wants a count >= 0, got {args.n}")
     if not (np.isfinite(args.tol) and args.tol >= 0):
         raise InputError(f"--tol wants a finite value >= 0, got {args.tol}")
-    search = _search_from_args(args)
     s, f = _ingest(args)
     t0 = time.perf_counter()
     if args.algo == "core":
-        result = core_afd_decompose(
-            f, max_terms=args.terms, energy_tol=args.tol, search=search
-        )
+        result = core_afd_decompose(f, max_terms=args.terms, energy_tol=args.tol)
     elif args.algo == "uwa":
         result = uwa_decompose(f, max_terms=args.terms)
     elif args.algo == "uwafd":
-        result = uwafd_decompose(
-            f, max_terms=args.terms, energy_tol=args.tol, search=search
-        )
+        result = uwafd_decompose(f, max_terms=args.terms, energy_tol=args.tol)
     elif args.algo == "cyclic":
-        trace = cyclic_afd(
-            f, args.n, init=_parse_init(args.init, args.n), search=search
-        )
+        trace = cyclic_afd(f, args.n, init=_parse_init(args.init, args.n))
         result = cyclic_decomposition(f, trace.params)
         result.meta.update(objective=trace.objective, cycles=trace.cycles, converged=trace.converged)
     else:  # poafd, the last of the ALGORITHMS argparse accepts
         space = KernelSpace(args.space, len(f.coefficients) - 1)
-        result = poafd_decompose(
-            space, f.coefficients, max_terms=args.terms, energy_tol=args.tol,
-            search=search,
-        )
+        result = poafd_decompose(space, f.coefficients, max_terms=args.terms, energy_tol=args.tol)
     elapsed = time.perf_counter() - t0
 
     record = _record(args, s.n, result)
@@ -463,7 +447,8 @@ def cmd_tfd(args):
     rec, obj = load_result(args.result)
     # inner factors exist on their own grid only; other terms go on the input's
     grid = obj.meta["n"] if rec["algorithm"] in UNWINDING else rec["config"]["n"]
-    comps = dirac_tfd(obj, grid=grid)
+    with _naming(args.result):
+        comps = dirac_tfd(obj, grid=grid)
     # record and decomposition hold every term's inner samples; free them
     # before writing
     del rec, obj
@@ -763,7 +748,8 @@ def _rasterize(comps, bins):
 def cmd_check(args):
     if args.mode == "mono":
         s = read_signal_csv(args.input)
-        rep = monocomp_check(s)
+        with _naming(args.input):
+            rep = monocomp_check(s)
         print(f"radii probed: {', '.join(f'{r:.6f}' for r in rep.radii)}")
         print(f"min phase derivative per radius: "
               f"{', '.join(f'{m:+.3e}' for m in rep.min_per_radius)}")
@@ -773,9 +759,10 @@ def cmd_check(args):
         return EXIT_OK if rep.passed else EXIT_CHECK
     if args.mode == "bedrosian":
         s = read_signal_csv(args.input)
-        f = analytic_signal(s)
-        rho, theta = phase_amplitude(f, 1.0 - 2.0**-12, s.n)
-        resid = bedrosian_check(rho, theta)
+        with _naming(args.input):
+            f = analytic_signal(s)
+            rho, theta = phase_amplitude(f, 1.0 - 2.0**-12, s.n)
+            resid = bedrosian_check(rho, theta)
         ok = resid < 1e-6
         print(f"amplitude-phase split at r=1-2^-12; H(rho cos theta) residual "
               f"{resid:.6e}")
@@ -783,7 +770,8 @@ def cmd_check(args):
         return EXIT_OK if ok else EXIT_CHECK
     # uncertainty
     t, vals = read_line_csv(args.input)
-    rep = uncertainty_report(vals, t)
+    with _naming(args.input):
+        rep = uncertainty_report(vals, t)
     print(f"<t> = {rep.mean_t:+.6f}   <omega> = {rep.mean_w:+.6f}")
     print(f"sigma_t^2 = {rep.sigma_t2:.6f}   sigma_omega^2 = {rep.sigma_w2:.6f}")
     print(f"product     {rep.product:.6f}")
@@ -803,8 +791,10 @@ def cmd_info(args):
     print("results: JSON, schema 2, complex numbers as {re, im}, unwinding inner")
     print("         samples as base64 little-endian complex128; schema 1 still read")
     defaults = vars(_PARSER.parse_args(["decompose", "-"]))
-    shown = ("terms", "tol", "grid", "n", "space")
+    shown = ("terms", "tol", "n", "space")
     print("defaults: " + ", ".join(f"--{k} {defaults[k]}" for k in shown))
+    print(f"selection grid: {DEFAULT_SEARCH.n_angles} angles x {DEFAULT_SEARCH.n_radii} radii, "
+          f"|a| <= {DEFAULT_SEARCH.r_max} ({CAPPED_SEARCH.r_max} for poafd)")
     print("exit codes: 0 ok, 2 input error, 3 check failed, 4 numerical degeneracy")
     return EXIT_OK
 
@@ -831,8 +821,6 @@ def _build_parser():
                    help="cyclic init: 'auto' or comma-separated complex values")
     d.add_argument("--space", choices=tuple(_SPACES), default="hardy",
                    help="kernel space for --algo poafd")
-    d.add_argument("--grid", default=f"{DEFAULT_SEARCH.n_angles}x{DEFAULT_SEARCH.n_radii}",
-                   help="selection grid ANGLESxRADII (default %(default)s)")
     d.add_argument("--output", help="result path (default: input with .afd.json)")
     d.add_argument("--complex", action="store_true",
                    help="accept complex input as Hardy boundary data")

@@ -467,6 +467,8 @@ def maximal_selection(f: HardyFunction, search=DEFAULT_SEARCH, include=(), sourc
     polished.  source_norm is the norm of the signal the caller's
     iteration started from (default ||f||, so only a zero f is
     refused); the selection floor is relative to it, as in poafd_select.
+    search is DEFAULT_SEARCH for every caller in the package except
+    Hardy POAFD, which passes the radius-capped poafd.CAPPED_SEARCH.
 
     Raises
     ------
@@ -593,7 +595,9 @@ def core_afd_decompose(
     relative residual energy drops below energy_tol (or the residual
     floor): the stopping rule of _greedy.  With forced_params the
     selection is skipped and the given parameters are consumed in order
-    (all zeros reproduces the Taylor/Fourier expansion).
+    (all zeros reproduces the Taylor/Fourier expansion).  search is
+    maximal_selection's: DEFAULT_SEARCH but for Hardy POAFD, which
+    passes poafd.CAPPED_SEARCH.
 
     Each c_k = <f_k, e_{a_k}> comes from the reproducing kernel, once
     per step.  The sift is an exact polynomial division (see the module

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_SEARCH, DEFAULT_TOL
+from .config import DEFAULT_TOL
 from .errors import AFDError, InputError, ZeroResidual
 from .core_afd import (
     _reduced_without,
@@ -97,7 +97,7 @@ def n_blaschke_objective(f: HardyFunction, params) -> float:
     return max(float(_reduced_without(f, params, None).energy()), 0.0)
 
 
-def coordinate_optimize(f: HardyFunction, params, index, search=DEFAULT_SEARCH):
+def coordinate_optimize(f: HardyFunction, params, index):
     """One coordinate move: re-select entry `index` (1-based) maximally.
 
     Sifts through the other n-1 parameters in tuple order, runs a
@@ -106,7 +106,7 @@ def coordinate_optimize(f: HardyFunction, params, index, search=DEFAULT_SEARCH):
     n-Blaschke objective).  Including the incumbent makes the objective
     nonincreasing by construction.  If the other parameters already
     span f to rounding depth, the coordinate is free and the incumbent
-    is kept.
+    is kept.  The selection scans the default grid, DEFAULT_SEARCH.
 
     The objective is ||g||^2 - |<g, e_a>|^2 for the new entry a, the
     energy split of the sift that would end the new tuple's chain (see
@@ -121,7 +121,7 @@ def coordinate_optimize(f: HardyFunction, params, index, search=DEFAULT_SEARCH):
     g = _reduced_without(f, params, i)
     energy = g.energy()
     try:
-        a_new = maximal_selection(g, search, include=(params[i],), source_norm=f.norm())
+        a_new = maximal_selection(g, include=(params[i],), source_norm=f.norm())
     except ZeroResidual:
         a_new = params[i]
     objective = max(energy - abs(coefficient(g, a_new)) ** 2, 0.0)
@@ -134,7 +134,6 @@ def cyclic_afd(
     init=None,
     max_cycles=200,
     delta_tol=1e-10,
-    search=DEFAULT_SEARCH,
 ) -> CyclicTrace:
     """Round-robin coordinate descent on the n-Blaschke objective.
 
@@ -168,10 +167,12 @@ def cyclic_afd(
     Notes
     -----
     The limit is a CMP, not a certified global n-best tuple; different
-    inits may settle at different objective values.  Each recorded d
-    is clamped to the previous one when the difference is below the
-    order-swap rounding floor, so the stored trace is exactly
-    nonincreasing; an increase beyond that floor raises AFDError.
+    inits may settle at different objective values.  The greedy warm
+    start and every move select on the default grid, DEFAULT_SEARCH.
+    Each recorded d is clamped to the previous one when the difference
+    is below the order-swap rounding floor, so the stored trace is
+    exactly nonincreasing; an increase beyond that floor raises
+    AFDError.
 
     d[k] for k >= 1 is the objective coordinate_optimize returns, the
     energy split of its last sift, so a cycle costs n(n-1) sifts.  A
@@ -187,7 +188,7 @@ def cyclic_afd(
     source = _source_energy(f.energy)
     warm = None
     if init is None:
-        warm = core_afd_decompose(f, max_terms=n, energy_tol=0.0, search=search)
+        warm = core_afd_decompose(f, max_terms=n, energy_tol=0.0)
         init = tuple(warm.params) + (0j,) * (n - len(warm))
     init = tuple(validate_param(a) for a in init)
     if len(init) != n:
@@ -203,7 +204,7 @@ def cyclic_afd(
     for cycles in range(1, max_cycles + 1):
         worst_step = 0.0
         for index in range(1, n + 1):
-            new, val = coordinate_optimize(f, tuples[-1], index, search)
+            new, val = coordinate_optimize(f, tuples[-1], index)
             if val > d[-1]:
                 if val - d[-1] > 1e-12 * source:
                     raise AFDError(
@@ -231,9 +232,8 @@ def cmp_check(f: HardyFunction, params) -> bool:
     The threshold is 1e-8 * ||f||^2, matching the convergence floor of
     the cyclic iteration rather than machine precision: selection-grid
     polish can always shave dust off the objective.  Each trial move
-    is a coordinate_optimize on the default grid, scored by the
-    objective it returns, so it costs n-1 sifts; only the base value
-    runs the full sift chain.
+    is a coordinate_optimize, scored by the objective it returns, so it
+    costs n-1 sifts; only the base value runs the full sift chain.
     """
     base = n_blaschke_objective(f, params)
     floor = DEFAULT_TOL.cmp_rel * max(f.energy(), 1e-300)

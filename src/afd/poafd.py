@@ -83,6 +83,8 @@ __all__ = [
 # boundary vanishing makes |<f, B_n^a>| -> 0 as |a| -> 1, so the
 # profitable region is compact; documented cap on the selection radius
 SELECTION_CAP = 0.95
+# the default grid with its radius capped: every POAFD selection scans it
+CAPPED_SEARCH = replace(DEFAULT_SEARCH, r_max=SELECTION_CAP)
 
 
 def _bergman_norm2(s):
@@ -158,10 +160,10 @@ def bergman_space(m=511) -> KernelSpace:
 
 
 def _capped(a):
-    """a as complex; InputError beyond SELECTION_CAP."""
+    """a as complex; InputError beyond the radius of CAPPED_SEARCH."""
     a = complex(a)
-    if abs(a) > SELECTION_CAP + 1e-12:
-        raise InputError(f"kernel parameter |a|={abs(a):.4f} beyond the 0.95 cap")
+    if abs(a) > CAPPED_SEARCH.r_max + 1e-12:
+        raise InputError(f"kernel parameter |a|={abs(a):.4f} beyond the {CAPPED_SEARCH.r_max} cap")
     return a
 
 
@@ -191,10 +193,10 @@ def kernel(space: KernelSpace, a, l=1) -> np.ndarray:
 def _extend(system, raw):
     """Orthogonal complement of raw against the rows of system, in its space.
 
-    Returns (unit vector, residual norm); DegenerateGram when the
-    normalized residual drops below DEFAULT_TOL.gram (numerically
-    dependent set).  Each classical Gram-Schmidt pass is one weighted
-    mat-vec pair; the second pass keeps the Gram defect at rounding.
+    Returns the unit vector; DegenerateGram when the normalized residual
+    drops below DEFAULT_TOL.gram (numerically dependent set).  Each
+    classical Gram-Schmidt pass is one weighted mat-vec pair; the second
+    pass keeps the Gram defect at rounding.
     """
     space, vectors = system.space, system.vectors
     u = raw.astype(complex)
@@ -209,7 +211,7 @@ def _extend(system, raw):
         raise DegenerateGram(
             f"normalized Gram-Schmidt residual {nrm / scale:.2e} below {DEFAULT_TOL.gram:.0e}"
         )
-    return u / nrm, nrm
+    return u / nrm
 
 
 def _grow(system, a):
@@ -226,7 +228,7 @@ def _grow(system, a):
     validated.
     """
     space = system.space
-    v, _ = _extend(system, kernel(space, a, _multiplicity(system.params, a)))
+    v = _extend(system, kernel(space, a, _multiplicity(system.params, a)))
     if space.name == "hardy":
         turn = 1.0
         for b in system.params:
@@ -257,13 +259,13 @@ def gram_schmidt(space: KernelSpace, params) -> OrthoSystem:
     return system
 
 
-def poafd_select(f, system: OrthoSystem, search=DEFAULT_SEARCH):
+def poafd_select(f, system: OrthoSystem):
     """Parameter maximizing the next normalized extension coefficient.
 
     f is the coefficient sequence of the current signal (or its residual
-    against the system) in system.space, and the radius is capped at
-    min(search.r_max, 0.95); the pick never scores below the best point
-    of that grid.
+    against the system) in system.space.  The search runs on
+    CAPPED_SEARCH, the default grid with its radius capped at 0.95, and
+    the pick never scores below the best point of that grid.
 
     In the Hardy space the objective |r(a)|^2 / (||k_a||^2 - sum_j
     |B_j(a)|^2) equals (1 - |a|^2)|r(a)/Phi(a)|^2, Phi the Blaschke
@@ -285,28 +287,27 @@ def poafd_select(f, system: OrthoSystem, search=DEFAULT_SEARCH):
     """
     space = system.space
     f = _as_sequence(space, f)
-    capped = replace(search, r_max=min(search.r_max, SELECTION_CAP))
     if space.name == "hardy":
         source = HardyFunction(f)
         g = _reduced_without(source, system.params, None)
-        return maximal_selection(g, capped, source_norm=source.norm())
-    return _select_on_rows(system, f, capped, _scan_rows(system.vectors, capped))
+        return maximal_selection(g, CAPPED_SEARCH, source_norm=source.norm())
+    return _select_on_rows(system, f, _scan_rows(system.vectors))
 
 
-def _scan_rows(rows, search, total=0.0):
-    """total plus sum_j |B_j|^2 over rows on search's grid, added in row order.
+def _scan_rows(rows, total=0.0):
+    """total plus sum_j |B_j|^2 over rows on CAPPED_SEARCH, added in row order.
 
     Rows are summed one at a time, so the sum does not depend on how
     they were split between calls.
     """
     if len(rows):
-        for values in _grid_values(rows, search):
+        for values in _grid_values(rows, CAPPED_SEARCH):
             total = total + np.abs(values) ** 2
     return total
 
 
-def _select_on_rows(system, f, search, rows_sq):
-    """Pick for f against the rows of system, rows_sq their _scan_rows on search's grid.
+def _select_on_rows(system, f, rows_sq):
+    """Pick for f against the rows of system on CAPPED_SEARCH, rows_sq their _scan_rows.
 
     ZeroResidual unless the residual's space norm is above
     DEFAULT_TOL.zero_residual times the norm of f.
@@ -315,7 +316,7 @@ def _select_on_rows(system, f, search, rows_sq):
     resid = f - ((np.conj(vectors) * space.weights) @ f) @ vectors
     if not space.norm(resid) > DEFAULT_TOL.zero_residual * space.norm(f):
         raise ZeroResidual("residual norm below the selection floor")
-    return _select(np.vstack([resid, vectors]), space.norm2_rule, search, rows_sq=rows_sq)
+    return _select(np.vstack([resid, vectors]), space.norm2_rule, CAPPED_SEARCH, rows_sq=rows_sq)
 
 
 # the real offsets h that multiplicity_limit_check probes, in decreasing order
@@ -334,10 +335,10 @@ def multiplicity_limit_check(space: KernelSpace, params, a_n):
     system = gram_schmidt(space, params)
     a_n = validate_param(a_n)
     l = _multiplicity(system.params, a_n)
-    limit, _ = _extend(system, kernel(space, a_n, l))
+    limit = _extend(system, kernel(space, a_n, l))
     errors = []
     for h in MULTIPLICITY_OFFSETS:
-        probe, _ = _extend(system, kernel(space, a_n + float(h), 1))
+        probe = _extend(system, kernel(space, a_n + float(h), 1))
         errors.append(space.norm(probe - limit))
     return np.array(errors)
 
@@ -360,18 +361,18 @@ def poafd_decompose(
     f,
     max_terms=50,
     energy_tol=1e-6,
-    search=DEFAULT_SEARCH,
     forced_params=None,
 ) -> Decomposition:
     """Greedy kernel decomposition f = sum_n <f, B_n> B_n + remainder.
 
     In the Hardy space B_n is the TM system of the parameters and the
     selection objective is core AFD's on the sifted remainder (see
-    poafd_select), so the run is core_afd_decompose on f with the search
-    radius capped at 0.95: picks, coefficients and residual trace are
-    capped core AFD's, bit for bit, and reconstruct(d) sums the exact TM
-    functions they belong to.  Forced parameters beyond the cap are
-    refused before the run (InputError), with kernel's message.
+    poafd_select), so the run is core_afd_decompose on f with
+    CAPPED_SEARCH, the default grid capped at 0.95: picks, coefficients
+    and residual trace are capped core AFD's, bit for bit, and
+    reconstruct(d) sums the exact TM functions they belong to.  Forced
+    parameters beyond the cap are refused before the run (InputError),
+    with kernel's message.  No caller picks the grid.
 
     In the other spaces each selection grows the orthonormal system by
     one row (see gram_schmidt), so the multiplicity rule holds no matter
@@ -388,11 +389,10 @@ def poafd_decompose(
     ZeroSignal for a zero f, NonFiniteEnergy if its energy overflows.
     """
     f = _as_sequence(space, f)
-    capped = replace(search, r_max=min(search.r_max, SELECTION_CAP))
     if space.name == "hardy":
         if forced_params is not None:
             forced_params = [_capped(validate_param(a)) for a in forced_params]
-        d = core_afd_decompose(HardyFunction(f), max_terms, energy_tol, capped, forced_params)
+        d = core_afd_decompose(HardyFunction(f), max_terms, energy_tol, CAPPED_SEARCH, forced_params)
     else:
         system = gram_schmidt(space, ())
         resid = f.copy()
@@ -403,8 +403,8 @@ def poafd_decompose(
             if a is None:
                 # every step of a run selects or none does, so the row the
                 # last step grew is the only one missing from the sum
-                rows_sq = _scan_rows(system.vectors[-1:], capped, rows_sq)
-                a = _select_on_rows(system, f, capped, rows_sq)
+                rows_sq = _scan_rows(system.vectors[-1:], rows_sq)
+                a = _select_on_rows(system, f, rows_sq)
             system = _grow(system, a)
             v = system.vectors[-1]
             c = space.inner(f, v)

@@ -204,23 +204,22 @@ def uwa_decompose(f: HardyFunction, max_terms) -> Decomposition:
     return _unwind(f, max_terms, 0.0, extract)
 
 
-def uwafd_decompose(
-    f: HardyFunction, max_terms=50, energy_tol=1e-6, search=DEFAULT_SEARCH
-) -> Decomposition:
+def uwafd_decompose(f: HardyFunction, max_terms=50, energy_tol=1e-6) -> Decomposition:
     """Unwinding interleaved with maximal sifting.
 
     Step k: factor f_k = I_k O_k, select a_k maximally on O_k, extract
     c_k = <O_k, e_{a_k}>, and recurse on the reduced remainder of O_k:
-    the core AFD step.  The k-th term is (prod_{l<=k} I_l) c_k B_k with
-    B_k the TM chain over a_1..a_k; the residual norm equals the
-    remainder norm because all the accumulated factors are unimodular.
+    the core AFD step, selecting on the default grid, DEFAULT_SEARCH.
+    The k-th term is (prod_{l<=k} I_l) c_k B_k with B_k the TM chain
+    over a_1..a_k; the residual norm equals the remainder norm because
+    all the accumulated factors are unimodular.
 
     Stops by the residual floor of core_afd._greedy, as core AFD does,
     or, naming the reason in meta["stopped"], when a remainder cannot
     be factored.  ZeroSignal for a zero f, NonFiniteEnergy if its
     energy overflows.
     """
-    return _unwind(f, max_terms, energy_tol, lambda outer: _afd_step(outer, None, search))
+    return _unwind(f, max_terms, energy_tol, lambda outer: _afd_step(outer, None, DEFAULT_SEARCH))
 
 
 def unwinding_reconstruct(u: Decomposition) -> CircularSignal:

@@ -291,7 +291,7 @@ def sift_chain_objective(f, params):
     return max(float(g.energy()), 0.0)
 
 
-def cyclic_reference(f, n, init=None, max_cycles=200, delta_tol=1e-10, search=DEFAULT_SEARCH):
+def cyclic_reference(f, n, init=None, max_cycles=200, delta_tol=1e-10):
     """Reference cyclic run, every move re-scored by the full sift chain.
 
     Each move sifts f through the other n-1 entries, selects on that
@@ -301,7 +301,7 @@ def cyclic_reference(f, n, init=None, max_cycles=200, delta_tol=1e-10, search=DE
     value as in cyclic_afd.  Returns (tuples, d, converged, cycles).
     """
     if init is None:
-        warm = core_afd_decompose(f, max_terms=n, energy_tol=0.0, search=search)
+        warm = core_afd_decompose(f, max_terms=n, energy_tol=0.0)
         init = tuple(warm.params) + (0j,) * (n - len(warm))
     tuples = [tuple(complex(a) for a in init)]
     d = [n_blaschke_objective(f, tuples[0])]
@@ -316,7 +316,7 @@ def cyclic_reference(f, n, init=None, max_cycles=200, delta_tol=1e-10, search=DE
                 if j != i:
                     g = sift(g, a)
             try:
-                a_new = maximal_selection(g, search, include=(params[i],))
+                a_new = maximal_selection(g, include=(params[i],))
             except ZeroResidual:
                 a_new = params[i]
             new = params[:i] + (a_new,) + params[i + 1 :]
@@ -508,7 +508,7 @@ def gram_schmidt_reference(space, params):
     return OrthoSystem(space=space, params=params, vectors=vectors)
 
 
-def poafd_reference(space, f, max_terms, search=DEFAULT_SEARCH):
+def poafd_reference(space, f, max_terms):
     """Reference POAFD loop that rebuilds the whole system every step.
 
     After each selection the system of all parameters so far comes from
@@ -525,7 +525,7 @@ def poafd_reference(space, f, max_terms, search=DEFAULT_SEARCH):
     resid = f.copy()
     residuals = [space.norm(f) ** 2]
     for _ in range(max_terms):
-        params.append(poafd_select(resid, system, search))
+        params.append(poafd_select(resid, system))
         system = gram_schmidt_reference(space, params)
         coeffs = np.array([space.inner(f, v) for v in system.vectors])
         resid = f - coeffs @ system.vectors

@@ -46,7 +46,7 @@ from afd import (
     uwa_decompose,
     uwafd_decompose,
 )
-from afd.config import DEFAULT_SEARCH, SearchConfig
+from afd.config import DEFAULT_SEARCH
 from afd.core_afd import _search_grid, objective
 from afd.poafd import MULTIPLICITY_OFFSETS
 from afd.cli_io import EXIT_CHECK, EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK, main
@@ -282,10 +282,9 @@ def test_criterion_07_cyclic_planted_two_blaschke():
     mono_ok = bool(np.all(np.diff(tr.d) <= 0.0))
     # random restarts keep the trace monotone as well
     rng = np.random.default_rng(107)
-    coarse = SearchConfig(n_angles=24, n_radii=12)
     for _ in range(20):
         init = random_params(rng, 2, r=0.9)
-        tri = cyclic_afd(f, 2, init=init, max_cycles=6, search=coarse)
+        tri = cyclic_afd(f, 2, init=init, max_cycles=6)
         mono_ok = mono_ok and bool(np.all(np.diff(tri.d) <= 0.0))
     # objective is blind to the tuple order
     perm_worst = 0.0

@@ -4,7 +4,6 @@ import base64
 import io
 import json
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from afd.cli_io import (
     read_signal_csv,
     save_result,
 )
-from afd.config import DEFAULT_SEARCH
 from afd.errors import AFDError, NonRealInput, NonUniformGrid, ParseError
 from afd import (
     CircularSignal,
@@ -261,8 +259,7 @@ def test_decompose_rerun_is_byte_identical(tmp_path, cosine_csv):
 @pytest.mark.parametrize("algo", ["uwa", "uwafd", "cyclic", "poafd"])
 def test_decompose_other_algorithms_run(tmp_path, cosine_csv, algo):
     out = str(tmp_path / f"{algo}.json")
-    argv = ["decompose", cosine_csv, "--algo", algo, "--terms", "3",
-            "--grid", "24x12", "--output", out]
+    argv = ["decompose", cosine_csv, "--algo", algo, "--terms", "3", "--output", out]
     if algo == "cyclic":
         argv += ["--n", "2"]
     assert main(argv) == EXIT_OK
@@ -278,19 +275,18 @@ def test_decompose_other_algorithms_run(tmp_path, cosine_csv, algo):
 def test_every_algorithm_returns_one_record_type(tmp_path, cosine_csv):
     # all five algorithms, and every loaded result file, give a Decomposition
     f = analytic_signal(read_signal_csv(cosine_csv))
-    search = replace(DEFAULT_SEARCH, n_angles=24, n_radii=12)
     results = [
-        core_afd_decompose(f, max_terms=3, search=search),
+        core_afd_decompose(f, max_terms=3),
         uwa_decompose(f, 3),
-        uwafd_decompose(f, max_terms=3, search=search),
+        uwafd_decompose(f, max_terms=3),
         cyclic_decomposition(f, (0.3, -0.2j)),
     ]
     for make in (hardy_space, bergman_space):
-        results.append(poafd_decompose(make(f.order), f.coefficients, max_terms=3, search=search))
+        results.append(poafd_decompose(make(f.order), f.coefficients, max_terms=3))
     runs = [[algo] for algo in cli_io.ALGORITHMS] + [["poafd", "--space", "bergman"]]
     for algo, *flags in runs:
         out = str(tmp_path / f"{algo}{len(flags)}.json")
-        argv = ["decompose", cosine_csv, "--algo", algo, "--terms", "3", "--grid", "24x12"]
+        argv = ["decompose", cosine_csv, "--algo", algo, "--terms", "3"]
         assert main(argv + flags + ["--output", out]) == EXIT_OK
         results.append(load_result(out)[1])
     for d in results:
@@ -301,7 +297,7 @@ def test_every_algorithm_returns_one_record_type(tmp_path, cosine_csv):
 def test_decompose_poafd_bergman(tmp_path, cosine_csv):
     out = str(tmp_path / "b.json")
     assert main(["decompose", cosine_csv, "--algo", "poafd", "--space", "bergman",
-                 "--terms", "2", "--grid", "24x12", "--output", out]) == EXIT_OK
+                 "--terms", "2", "--output", out]) == EXIT_OK
     rec, d = load_result(out)
     # the loaded record keeps the meta it stored, and nothing more
     assert d.meta == rec["meta"] == {"space": "bergman", "order": 63}
@@ -310,8 +306,7 @@ def test_decompose_poafd_bergman(tmp_path, cosine_csv):
 def test_decompose_cyclic_explicit_init(tmp_path, cosine_csv):
     out = str(tmp_path / "c.json")
     assert main(["decompose", cosine_csv, "--algo", "cyclic", "--n", "2",
-                 "--init", "0.1+0.1i,-0.2i", "--grid", "24x12",
-                 "--output", out]) == EXIT_OK
+                 "--init", "0.1+0.1i,-0.2i", "--output", out]) == EXIT_OK
     rec, _ = load_result(out)
     assert rec["config"]["init"] == "0.1+0.1i,-0.2i"
 
@@ -340,14 +335,12 @@ def test_decompose_complex_input_recovers_a_kernel(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--grid", "64"], "--grid wants ANGLESxRADII"),
-        (["--grid", "0x8"], "--grid counts must be positive"),
         (["--algo", "cyclic", "--n", "2", "--init", "0.1,0.2,0.3"], "--init supplies 3 values"),
         (["--algo", "cyclic", "--init", "abc"], "--init wants 'auto'"),
         (["--algo", "cyclic", "--n", "2", "--init", "nan,0.1"], "is not inside the disc"),
     ],
 )
-def test_decompose_rejects_bad_grid_and_init(tmp_path, capsys, cosine_csv, flags, message):
+def test_decompose_rejects_bad_init(tmp_path, capsys, cosine_csv, flags, message):
     out = tmp_path / "r.json"
     assert main(["decompose", cosine_csv, *flags, "--output", str(out)]) == EXIT_INPUT
     assert message in capsys.readouterr().err
@@ -355,15 +348,17 @@ def test_decompose_rejects_bad_grid_and_init(tmp_path, capsys, cosine_csv, flags
 
 
 def test_decompose_has_no_seed_and_reads_records_with_one(tmp_path, cosine_csv):
-    # --seed is no option; records that carry config.seed still load
-    with pytest.raises(SystemExit) as exc:
-        main(["decompose", cosine_csv, "--seed", "1"])
-    assert exc.value.code == 2
+    # --seed and --grid are no options; records that carry config.seed or
+    # config.grid still load
+    for flags in (["--seed", "1"], ["--grid", "24x12"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", cosine_csv, *flags])
+        assert exc.value.code == 2
     out = tmp_path / "r.json"
     assert main(["decompose", cosine_csv, "--terms", "2", "--output", str(out)]) == EXIT_OK
     rec = json.loads(out.read_text())
-    assert "seed" not in rec["config"]
-    rec["config"]["seed"] = 0
+    assert "seed" not in rec["config"] and "grid" not in rec["config"]
+    rec["config"].update(seed=0, grid="64x32")
     out.write_text(json.dumps(rec))
     old, d = load_result(str(out))
     assert old == rec
@@ -413,7 +408,7 @@ def _bytes(path):
 def test_unwinding_records_round_trip(tmp_path, capsys, algo):
     samples = am_fm_real(np.random.default_rng(9), 256).samples.real
     sig = _write_real(tmp_path / "s.csv", samples)
-    argv = ["decompose", sig, "--algo", algo, "--terms", "4", "--grid", "24x12"]
+    argv = ["decompose", sig, "--algo", algo, "--terms", "4"]
     a, b, c = (str(tmp_path / name) for name in ("a.json", "b.json", "c.json"))
     assert main(argv + ["--output", a]) == EXIT_OK
     assert main(argv + ["--output", b]) == EXIT_OK
@@ -434,8 +429,7 @@ def test_unwinding_records_round_trip(tmp_path, capsys, algo):
     if algo == "uwa":
         mem = uwa_decompose(f, 4)
     else:
-        search = replace(DEFAULT_SEARCH, n_angles=24, n_radii=12)
-        mem = uwafd_decompose(f, max_terms=4, energy_tol=1e-6, search=search)
+        mem = uwafd_decompose(f, max_terms=4, energy_tol=1e-6)
     assert len(obj.components) == len(mem.components) == len(rec["components"]) > 0
     for got, want in zip(obj.components, mem.components):
         assert got.inner.dtype == np.dtype(complex)
@@ -478,7 +472,7 @@ def _saved_records(tmp_path, cosine_csv):
     out = {}
     for algo in ("uwa", "uwafd", "core"):
         res = str(tmp_path / f"{algo}.json")
-        argv = ["decompose", cosine_csv, "--algo", algo, "--terms", "3", "--grid", "24x12"]
+        argv = ["decompose", cosine_csv, "--algo", algo, "--terms", "3"]
         assert main(argv + ["--output", res]) == EXIT_OK
         out[algo], obj = load_result(res)
         if algo == "uwa":
@@ -637,14 +631,14 @@ def test_tfd_atoms_and_raster(tmp_path, cosine_csv):
 
 
 # (algorithm, N, extra decompose flags): unwinding at the benchmark's
-# sizes (inner grids 4096 and 16384), the kernel methods on a coarse grid
+# sizes (inner grids 4096 and 16384), the selecting methods at N = 256
 TFD_CASES = [
     ("uwa", 1024, []),
     ("uwa", 4096, []),
-    ("uwafd", 256, ["--grid", "24x12"]),
-    ("core", 256, ["--grid", "24x12"]),
-    ("cyclic", 256, ["--grid", "24x12", "--n", "2"]),
-    ("poafd", 256, ["--grid", "24x12"]),
+    ("uwafd", 256, []),
+    ("core", 256, []),
+    ("cyclic", 256, ["--n", "2"]),
+    ("poafd", 256, []),
 ]
 
 
@@ -860,11 +854,13 @@ def test_tfd_rejects_negative_bins(tmp_path, cosine_csv):
     assert main(["tfd", res, "--bins", "-3"]) == EXIT_INPUT
 
 
-def test_tfd_refuses_bergman_results(tmp_path, cosine_csv):
+def test_tfd_refuses_bergman_results(tmp_path, cosine_csv, capsys):
     res = str(tmp_path / "r.json")
     main(["decompose", cosine_csv, "--algo", "poafd", "--space", "bergman",
-          "--terms", "2", "--grid", "24x12", "--output", res])
+          "--terms", "2", "--output", res])
+    capsys.readouterr()
     assert main(["tfd", res]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: {res}: components live in the 'bergman' space")
     assert not (tmp_path / "r.tfd.csv").exists()
 
 
@@ -925,9 +921,14 @@ def test_check_uncertainty(tmp_path, capsys):
     assert main(["check", path, "--mode", "uncertainty"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "pass" in out
-    # a signal with edge energy is refused as a degenerate case
+    # a signal with edge energy is refused as a degenerate case, one whose
+    # energy underflows as a zero signal; both refusals name the file
     bad = _write_real(tmp_path / "flat.csv", np.cos(t), t=t)
     assert main(["check", bad, "--mode", "uncertainty"]) == EXIT_DEGENERATE
+    assert capsys.readouterr().err.startswith(f"degenerate: {bad}: ")
+    tiny = _write_real(tmp_path / "tiny.csv", 1e-310 * np.cos(t), t=t)
+    assert main(["check", tiny, "--mode", "uncertainty"]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {tiny}: zero signal\n"
 
 
 def test_check_uncertainty_refuses_a_grid_it_cannot_read(tmp_path, capsys):
@@ -1015,7 +1016,8 @@ input: CSV `t,value` or `t,re,im`, t = 2*pi*j/N, N a power of two >= 8
        (check --mode uncertainty: any uniform real-line `t,value`)
 results: JSON, schema 2, complex numbers as {re, im}, unwinding inner
          samples as base64 little-endian complex128; schema 1 still read
-defaults: --terms 10, --tol 1e-06, --grid 64x32, --n 2, --space hardy
+defaults: --terms 10, --tol 1e-06, --n 2, --space hardy
+selection grid: 64 angles x 32 radii, |a| <= 0.999 (0.95 for poafd)
 exit codes: 0 ok, 2 input error, 3 check failed, 4 numerical degeneracy
 """
 

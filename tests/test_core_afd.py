@@ -562,6 +562,48 @@ def test_polish_never_lowers_the_grid_start(coarse_search):
         assert a == start or objective(f, a) > objective(f, start)
 
 
+@pytest.mark.parametrize(
+    "a, model, search",
+    [
+        # on the cap circle r = 0.5 with an outward gradient and no curvature in the angle
+        (0.5 + 0j, (1.0, 1.0, 2.0, 0j), SearchConfig(r_max=0.5)),
+        # inside the disc with h = c = 0: no Newton step and no curvature to scale by
+        (0.1 + 0.2j, (1.0, 1.0 + 1j, 0.0, 0j), DEFAULT_SEARCH),
+    ],
+    ids=["cap-q_tt-zero", "inside-flat"],
+)
+def test_polish_stops_on_a_flat_model(monkeypatch, a, model, search):
+    # each case reaches one of the two breaks of the loop: the start comes
+    # back after the one model evaluation, without a line search
+    calls = []
+
+    def flat(stack, norm2_rule, b):
+        calls.append(b)
+        return model
+
+    monkeypatch.setattr("afd.core_afd._selection_model", flat)
+    assert _polish(None, None, a, search) == a
+    assert calls == [a]
+
+
+def test_sift_warns_on_negative_frequency_leakage(monkeypatch):
+    # the sift's one fault detector: a leak above 1e-9 ||f|| is reported,
+    # and the remainder is the one computed without it
+    f = random_hardy(np.random.default_rng(48), m=63)
+    a = 0.3 - 0.4j
+    want = sift(f, a)
+    real = afd.core_afd.to_hardy
+
+    def leaking(s, m=None):
+        g, _leak = real(s, m)
+        return g, 1e-6 * f.norm()
+
+    monkeypatch.setattr("afd.core_afd.to_hardy", leaking)
+    with pytest.warns(RuntimeWarning, match="negative-frequency leakage .* in sift"):
+        got = sift(f, a)
+    assert np.array_equal(got.coefficients, want.coefficients)
+
+
 def test_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(afd.__file__))
     env = dict(os.environ, PYTHONPATH=src)

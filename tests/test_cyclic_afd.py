@@ -18,7 +18,6 @@ from afd import (
     szego_kernel,
     to_hardy,
 )
-from afd.config import SearchConfig
 from afd.errors import AFDError, InputError, ParamOutOfDisc, ZeroSignal
 
 from conftest import (
@@ -110,7 +109,7 @@ def test_coordinate_optimize_keeps_a_free_coordinate():
     assert objective <= 1e-24 * f.energy()
 
 
-def test_coordinate_steps_never_increase_objective(coarse_search):
+def test_coordinate_steps_never_increase_objective():
     rng = np.random.default_rng(62)
     for _ in range(3):
         f, _, _ = kernel_sum(rng, terms=3, r=0.8)
@@ -118,7 +117,7 @@ def test_coordinate_steps_never_increase_objective(coarse_search):
         current = n_blaschke_objective(f, params)
         for step in range(6):
             index = 1 + step % 2
-            params, objective = coordinate_optimize(f, params, index, coarse_search)
+            params, objective = coordinate_optimize(f, params, index)
             new = n_blaschke_objective(f, params)
             assert abs(objective - new) <= 1e-12 * f.energy()
             assert new <= current + 1e-12 * f.energy()
@@ -195,11 +194,11 @@ def test_cyclic_matches_reference_to_convergence():
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_cyclic_explicit_init_matches_reference(n, coarse_search):
+def test_cyclic_explicit_init_matches_reference(n):
     rng = np.random.default_rng(65 + n)
     f, _, _ = kernel_sum(rng, terms=n, m=127)
     init = random_params(rng, n, r=0.85)
-    tr = _assert_matches_reference(f, n, init=init, max_cycles=5, search=coarse_search)
+    tr = _assert_matches_reference(f, n, init=init, max_cycles=5)
     assert tr.d[0] == n_blaschke_objective(f, init)
 
 
@@ -214,7 +213,7 @@ def test_cyclic_zero_padded_warm_start_matches_reference():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_cycle_costs_n_times_n_minus_one_sifts(n, monkeypatch, coarse_search):
+def test_cycle_costs_n_times_n_minus_one_sifts(n, monkeypatch):
     module = importlib.import_module("afd.core_afd")
     real_sift = module.sift
     calls = []
@@ -228,12 +227,12 @@ def test_cycle_costs_n_times_n_minus_one_sifts(n, monkeypatch, coarse_search):
     # the moves sift through core_afd._reduced_without; the warm start
     # calls _sift directly, and its final residual scores the init, so
     # only the moves count here
-    tr = cyclic_afd(f, n, max_cycles=4, delta_tol=0.0, search=coarse_search)
+    tr = cyclic_afd(f, n, max_cycles=4, delta_tol=0.0)
     assert tr.cycles == 4
     assert len(calls) == n * (n - 1) * tr.cycles
     # an explicit init is scored by one sift chain of n
     calls.clear()
-    tr = cyclic_afd(f, n, init=tr.params, max_cycles=4, delta_tol=0.0, search=coarse_search)
+    tr = cyclic_afd(f, n, init=tr.params, max_cycles=4, delta_tol=0.0)
     assert len(calls) == n * (n - 1) * tr.cycles + n
 
 
@@ -242,10 +241,10 @@ def test_cyclic_refuses_a_move_that_raises_the_objective(monkeypatch):
     module = importlib.import_module("afd.cyclic_afd")
     real = module.coordinate_optimize
 
-    def rising(f, params, index, search, **kw):
+    def rising(f, params, index, **kw):
         if index == 2:
             return params, n_blaschke_objective(f, params) + 1e-6 * f.energy()
-        return real(f, params, index, search, **kw)
+        return real(f, params, index, **kw)
 
     monkeypatch.setattr(module, "coordinate_optimize", rising)
     with pytest.raises(AFDError, match="at coordinate 2"):

@@ -259,7 +259,7 @@ def test_selection_objective_is_normalized_extension_coefficient():
         pts = np.array(random_params(rng, 6, r=0.8))
         got = selection_objective(space, pts, series_values(rows, pts))
         want = [
-            abs(space.inner(rows[0], _extend(system, kernel(space, a))[0])) ** 2
+            abs(space.inner(rows[0], _extend(system, kernel(space, a)))) ** 2
             for a in pts
         ]
         np.testing.assert_allclose(got, want, rtol=1e-9)
@@ -274,7 +274,7 @@ def unpolished_select(space, f, system):
     vectors = system.vectors
     resid = f - ((np.conj(vectors) * space.weights) @ f) @ vectors
     rows = np.vstack([resid, vectors])
-    return _grid_pick(rows, space.norm2_rule, capped, rows_sq=_scan_rows(vectors, capped))[0]
+    return _grid_pick(rows, space.norm2_rule, capped, rows_sq=_scan_rows(vectors))[0]
 
 
 def test_unpolished_select_is_pointwise_grid_argmax():
