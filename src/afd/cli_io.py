@@ -52,7 +52,8 @@ from .hardy_atoms import monocomp_check, validate_param
 from .poafd import _SPACES, CAPPED_SEARCH, KernelSpace, poafd_decompose
 from .signal_core import (
     CircularSignal,
-    _check_pow2,
+    _check_count,
+    _hardy_bins,
     _padded_n,
     analytic_signal,
     bedrosian_check,
@@ -88,10 +89,10 @@ EXIT_DEGENERATE = 4
 def read_signal_csv(path, allow_complex=False) -> CircularSignal:
     """CSV -> CircularSignal, validating grid and realness.
 
-    Header `t,value` or `t,re,im`; times must equal 2*pi*j/N within
-    DEFAULT_TOL.grid_uniform (1e-9).  Without allow_complex the
-    imaginary column, if present, must be numerically zero relative to
-    the signal's peak (CircularSignal.is_real).
+    Header `t,value` or `t,re,im`; times must equal 2*pi*j/N, for any
+    N >= 8, within DEFAULT_TOL.grid_uniform (1e-9).  Without
+    allow_complex the imaginary column, if present, must be numerically
+    zero relative to the signal's peak (CircularSignal.is_real).
     """
     t, cols = _read_csv(path, {"t,value": 2, "t,re,im": 3})
     n = len(t)
@@ -99,15 +100,13 @@ def read_signal_csv(path, allow_complex=False) -> CircularSignal:
         raise NonUniformGrid(
             f"{path}: time column is not the uniform circle grid 2*pi*j/{n}"
         )
-    if len(cols) == 1:
-        samples = cols[0].astype(complex)
-    else:
-        samples = cols[0] + 1j * cols[1]
-        if not allow_complex and not CircularSignal(samples).is_real():
-            raise NonRealInput(
-                f"{path}: imaginary column is nonzero; pass --complex to keep it"
-            )
-    return CircularSignal(samples)
+    with _naming(path):
+        s = CircularSignal(cols[0] if len(cols) == 1 else cols[0] + 1j * cols[1])
+    if len(cols) > 1 and not allow_complex and not s.is_real():
+        raise NonRealInput(
+            f"{path}: imaginary column is nonzero; pass --complex to keep it"
+        )
+    return s
 
 
 def read_line_csv(path):
@@ -300,11 +299,11 @@ def load_result(path):
     Reads schemas 1 and 2.  Raises ParseError for a file that is not
     JSON, has no known schema marker, lacks a key the rebuild needs,
     names an algorithm not in ALGORITHMS or a config.n that is not a
-    power of two >= 8 (the sample counts read_signal_csv accepts),
+    JSON integer >= 8 (the sample counts read_signal_csv accepts),
     holds a source_energy that is not the first entry of a nonempty
     residual_trace or a component whose kind is not the record's
     algorithm, an inner_n other than the unwinding grid of config.n
-    (_padded_n of its n // 2 coefficients), or inner samples that do
+    (_padded_n of its ceil(n/2) coefficients), or inner samples that do
     not decode to one inner_n-long array per component.  Also refused,
     since decompose never writes them: a residual_trace that is not one
     entry longer than the components, a pole on a uwa term or none on
@@ -324,7 +323,7 @@ def load_result(path):
         return rec, _rebuild(rec)
     except KeyError as exc:
         raise ParseError(f"{path}: result record lacks key {exc}") from exc
-    # binascii.Error is a ValueError, _check_pow2 raises InputError
+    # binascii.Error is a ValueError, _check_count raises InputError
     except (TypeError, ValueError, InputError) as exc:
         raise ParseError(f"{path}: malformed result record ({exc})") from exc
 
@@ -332,7 +331,7 @@ def load_result(path):
 def _rebuild(rec):
     if rec["algorithm"] not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {rec['algorithm']!r}")
-    _check_pow2(rec["config"]["n"])
+    _check_count(rec["config"]["n"])
     trace = np.array(rec["residual_trace"], dtype=float)
     if not trace.size or float(rec["source_energy"]) != trace[0]:
         raise ValueError("source_energy is not the first entry of a nonempty residual_trace")
@@ -345,8 +344,8 @@ def _rebuild(rec):
     inner = [None] * len(comps)
     if algorithm in UNWINDING:
         n = meta["n"] = int(meta.pop("inner_n"))
-        # the unwinding grid of the n // 2 Hardy coefficients an n-sample input gives
-        if n != _padded_n(rec["config"]["n"] // 2):
+        # the unwinding grid of the Hardy coefficients an n-sample input gives
+        if n != _padded_n(_hardy_bins(rec["config"]["n"])):
             raise ValueError(f"inner_n {n} is not the unwinding grid of config.n {rec['config']['n']}")
         entries = meta.pop("inner")
         if len(entries) != len(comps):
@@ -786,7 +785,7 @@ def cmd_info(args):
 
     print(f"afd {__version__}")
     print(f"algorithms: {', '.join(ALGORITHMS)}   spaces: {', '.join(_SPACES)}")
-    print("input: CSV `t,value` or `t,re,im`, t = 2*pi*j/N, N a power of two >= 8")
+    print("input: CSV `t,value` or `t,re,im`, t = 2*pi*j/N, any N >= 8")
     print("       (check --mode uncertainty: any uniform real-line `t,value`)")
     print("results: JSON, schema 2, complex numbers as {re, im}, unwinding inner")
     print("         samples as base64 little-endian complex128; schema 1 still read")

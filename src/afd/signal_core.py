@@ -1,8 +1,9 @@
 """Sampled signals on the unit circle and their basic transforms.
 
-A signal lives on the uniform grid t_j = 2*pi*j/N.  Discrete Fourier
-analysis uses the 1/N convention (numpy's norm="forward"; the scaling
-is exact on power-of-two grids), so the coefficient array of a signal
+A signal lives on the uniform grid t_j = 2*pi*j/N, any N >= 8.
+Discrete Fourier analysis uses the 1/N convention (numpy's
+norm="forward"; the scaling is exact on power-of-two grids and
+rounding-level elsewhere), so the coefficient array of a signal
 matches the integral coefficients c_k = (1/2pi) int s(t) e^{-ikt} dt
 and the squared circle norm is the plain mean of |s|^2.
 
@@ -85,9 +86,15 @@ def _padded_n(m1):
     return max(4 * _boundary_n(m1), 4096)
 
 
-def _check_pow2(n):
-    if n < 8 or (n & (n - 1)) != 0:
-        raise InputError(f"sample count must be a power of two >= 8, got {n}")
+def _check_count(n):
+    """InputError unless n is a sample count: an int (not a bool) of at least 8."""
+    if type(n) is not int or n < 8:
+        raise InputError(f"sample count must be an integer >= 8, got {n!r}")
+
+
+def _hardy_bins(n):
+    """ceil(n/2): bins 0..ceil(n/2)-1 are the nonnegative frequencies of an n-point grid (no Nyquist bin)."""
+    return (n + 1) // 2
 
 
 def _check_finite(samples, caller):
@@ -107,15 +114,15 @@ class CircularSignal:
     Parameters
     ----------
     samples : array_like
-        Values s(t_j) at t_j = 2*pi*j/N.  N must be a power of two,
-        at least 8.  Stored as complex128.
+        Values s(t_j) at t_j = 2*pi*j/N, any N >= 8.  Stored as
+        complex128.
     """
 
     samples: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=complex)
-        _check_pow2(arr.size)
+        _check_count(arr.size)
         object.__setattr__(self, "samples", arr)
 
     @property
@@ -148,7 +155,7 @@ class HardyFunction:
     |z| <= 1 - DEFAULT_TOL.param_boundary, the bound validate_param
     puts on pole parameters; beyond it f(z) and circle raise
     ParamOutOfDisc.
-    Boundary values come from FFT synthesis on a power-of-two grid.
+    Boundary values come from FFT synthesis.
 
     Parameters
     ----------
@@ -186,13 +193,12 @@ class HardyFunction:
     def boundary(self, n=None):
         """Synthesize boundary samples on an n-point circular grid.
 
-        n defaults to the smallest power of two >= 2*(M+1) and must be
-        at least M+1 so no coefficient is discarded.
+        n defaults to the smallest power of two >= 2*(M+1).  It must be
+        at least M+1, so no coefficient is discarded, and at least 8.
         """
         m1 = self.coefficients.size
         if n is None:
             n = _boundary_n(m1)
-        _check_pow2(n)
         if n < m1:
             raise InputError(f"grid {n} cannot carry {m1} coefficients")
         return CircularSignal(np.fft.ifft(self.coefficients, n, norm="forward"))
@@ -256,11 +262,11 @@ def _conjugate_real(u):
 def analytic_signal(s: CircularSignal) -> HardyFunction:
     """Hardy projection s+ = (s + iHs + c_0)/2 of a real signal.
 
-    On coefficients: keeps c_0 and c_k for k >= 1, zeroes the rest
-    (including the unpaired Nyquist bin, which the formula cancels).
-    For s = cos(nt) this gives e^{int}/2; the identity
-    s = 2 Re(s+) - c_0 then recovers the signal whenever s has no
-    Nyquist-bin content.
+    On coefficients: keeps c_0 and c_k for 1 <= k < N/2, zeroes the rest
+    (including, at even N, the unpaired Nyquist bin, which the formula
+    cancels; an odd N has no Nyquist bin).  For s = cos(nt) this gives
+    e^{int}/2; the identity s = 2 Re(s+) - c_0 then recovers the signal
+    whenever s has no Nyquist-bin content, so always at odd N.
 
     Raises
     ------
@@ -274,7 +280,7 @@ def analytic_signal(s: CircularSignal) -> HardyFunction:
     if not s.is_real():
         raise NonRealInput("analytic_signal expects a real-valued signal")
     c = np.fft.fft(s.samples.real, norm="forward")
-    coeffs = c[: s.n // 2].copy()
+    coeffs = c[: _hardy_bins(s.n)].copy()
     return HardyFunction(coeffs)
 
 
@@ -282,12 +288,13 @@ def to_hardy(s: CircularSignal, m=None):
     """Project boundary samples onto nonnegative frequencies.
 
     Returns (HardyFunction, leak) where leak is the norm of the
-    discarded negative-frequency part.  For samples of an actual Hardy
-    function the leak is rounding noise; a sizable leak means the
-    samples were not Hardy to begin with.
+    discarded negative-frequency part, the Nyquist bin of an even N
+    included.  For samples of an actual Hardy function the leak is
+    rounding noise; a sizable leak means the samples were not Hardy to
+    begin with.
     """
     c = np.fft.fft(s.samples, norm="forward")
-    half = s.n // 2
+    half = _hardy_bins(s.n)
     pos = c[:half]
     neg = c[half:]
     leak = float(np.sqrt(np.sum(np.abs(neg) ** 2)))

@@ -49,8 +49,8 @@ transform, `exp(u + iHu)` and `to_hardy`, kept as the reference for the
 real-FFT conjugate function and `|f| e^{iHu}` (compared by
 `check_outer_factor_against_reference`); `boundary_reference`,
 `to_hardy_reference` and `analytic_signal_reference` are the transforms
-with an explicit zero pad, `/ n` and `* n`, kept as the bit-level
-reference for `norm="forward"`.
+with an explicit zero pad, `/ n` and `* n`, kept as the reference for
+`norm="forward"` (bit-level at power-of-two n, rounding-level elsewhere).
 """
 
 import copy
@@ -467,15 +467,15 @@ def boundary_reference(coeffs, n):
 
 
 def to_hardy_reference(samples):
-    """Nonnegative-frequency coefficients and the leak norm, by fft / n."""
+    """The ceil(n/2) nonnegative-frequency coefficients and the leak norm, by fft / n."""
     c = np.fft.fft(samples) / samples.size
-    half = samples.size // 2
+    half = (samples.size + 1) // 2
     return c[:half], float(np.sqrt(np.sum(np.abs(c[half:]) ** 2)))
 
 
 def analytic_signal_reference(real_samples):
-    """Hardy projection coefficients of real samples, by fft / n."""
-    return (np.fft.fft(real_samples) / real_samples.size)[: real_samples.size // 2]
+    """Hardy projection coefficients of real samples, the first ceil(n/2), by fft / n."""
+    return (np.fft.fft(real_samples) / real_samples.size)[: (real_samples.size + 1) // 2]
 
 
 def gram_schmidt_reference(space, params):

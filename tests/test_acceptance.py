@@ -12,10 +12,7 @@ are measured and reported in the criterion 03 and 05 lines, not
 asserted.
 """
 
-import json
-
 import numpy as np
-import pytest
 
 from afd import (
     CircularSignal,
@@ -29,7 +26,6 @@ from afd import (
     cyclic_decomposition,
     factorize,
     front_loading_defect,
-    gram_schmidt,
     hardy_space,
     hilbert_transform,
     kernel,

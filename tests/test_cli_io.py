@@ -552,8 +552,10 @@ def _malform(rec, case):
     elif case == "no-config":
         del rec["config"]
     elif case == "bad-config-n":
-        # the input's sample count, which read_signal_csv keeps to powers of two >= 8
+        # the input's sample count, which read_signal_csv keeps to integers >= 8
         rec["config"]["n"] = 3
+    elif case in CONFIG_N:
+        rec["config"]["n"] = CONFIG_N[case]
     elif case == "nan-coefficient":
         # json reads NaN and Infinity, which decompose never writes
         rec["components"][0]["c"]["re"] = float("nan")
@@ -578,12 +580,19 @@ def _malform(rec, case):
         raise AssertionError(case)
 
 
+# a count is a JSON integer >= 8: a float, even a whole one, a bool or a
+# string is refused by that rule, not later by the arithmetic it feeds
+CONFIG_N = {
+    "config-n-float": 256.0, "config-n-fraction": 1000.5, "config-n-bool": True,
+    "config-n-string": "256", "config-n-4": 4,
+}
 MALFORMED = [
     "core-without-trace", "no-algorithm", "no-inner", "no-inner-n", "zero-inner-n",
     "other-inner-n", "bad-base64",
     "list-in-schema-2", "short-inner", "inner-count", "schema-1-short-lists",
     "bad-coefficient", "other-kind", "no-kind", "other-source-energy", "empty-trace",
     "no-config", "bad-config-n", "unknown-algorithm", "nan-coefficient", "infinite-trace",
+    *CONFIG_N,
     "pole-outside-disc", "null-pole-in-uwafd", "pole-in-uwa", "short-trace",
 ]
 
@@ -605,6 +614,8 @@ def test_tfd_rejects_malformed_records(tmp_path, capsys, case):
     assert main(["tfd", str(res)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith(f"error: {res}: ")
+    if case in CONFIG_N:
+        assert "sample count must be an integer >= 8" in err
     assert not (tmp_path / "r.tfd.csv").exists()
 
 
@@ -952,6 +963,34 @@ def test_decompose_prints_why_an_unwinding_run_stopped_early(tmp_path, capsys):
     assert len(load_result(out)[1]) == 0
 
 
+def test_a_signal_of_fewer_than_8_samples_is_refused_by_name(tmp_path, capsys):
+    short = _write_real(tmp_path / "s4.csv", np.cos(circle_grid(4)))
+    for argv in (["decompose", short], ["check", short, "--mode", "bedrosian"]):
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {short}: sample count must be an integer >= 8, got 4\n"
+
+
+@pytest.mark.parametrize("n", [24, 1000, 1001])
+def test_every_command_runs_at_any_sample_count(tmp_path, n):
+    # no power of two needed: every algorithm decomposes, its record loads,
+    # validates and feeds tfd, and both screens pass, as at 1024 samples
+    sig, ref = (
+        _write_real(tmp_path / f"s{size}.csv", am_fm_real(np.random.default_rng(4), size).samples.real)
+        for size in (n, 1024)
+    )
+    for algo, space in [(algo, "hardy") for algo in cli_io.ALGORITHMS] + [("poafd", "bergman")]:
+        res = str(tmp_path / f"{algo}-{space}.json")
+        argv = ["decompose", sig, "--algo", algo, "--space", space, "--terms", "6", "--n", "3", "--output", res]
+        assert main(argv) == EXIT_OK
+        rec, d = load_result(res)
+        assert rec["config"]["n"] == n
+        d.validate()
+        if space == "hardy":
+            assert main(["tfd", res, "--bins", "16"]) == EXIT_OK
+    for mode in ("mono", "bedrosian"):
+        assert main(["check", sig, "--mode", mode]) == main(["check", ref, "--mode", mode]) == EXIT_OK
+
+
 # ---------------------------------------------------------------- exit codes
 
 
@@ -1012,7 +1051,7 @@ def test_decompose_refuses_an_energy_beyond_the_double_range(tmp_path, algo, sca
 # afd info, byte for byte; its defaults line is read from the decompose parser
 INFO_TEXT = """afd 0.1.0
 algorithms: core, uwa, uwafd, cyclic, poafd   spaces: hardy, bergman
-input: CSV `t,value` or `t,re,im`, t = 2*pi*j/N, N a power of two >= 8
+input: CSV `t,value` or `t,re,im`, t = 2*pi*j/N, any N >= 8
        (check --mode uncertainty: any uniform real-line `t,value`)
 results: JSON, schema 2, complex numbers as {re, im}, unwinding inner
          samples as base64 little-endian complex128; schema 1 still read

@@ -21,6 +21,7 @@ from afd import (
     coefficient,
     core_afd_decompose,
     cyclic_afd,
+    cyclic_decomposition,
     gram_schmidt,
     hardy_space,
     kernel,
@@ -279,6 +280,44 @@ def test_greedy_algorithms_share_the_stopping_rule(algo, seed, order, max_terms,
         assert ratios[-1] < threshold or d.meta.get("stopped") is not None
 
 
+@PROPERTY_SETTINGS
+@given(st.integers(8, 2047), st.integers(0, 2**32 - 1))
+def test_analytic_signal_inverts_at_any_sample_count(n, seed):
+    # s = 2 Re F - c_0 on the grid, F the Hardy projection of s, for s
+    # free of the Nyquist bin (which only an even count has); n and n + 1
+    # run together, so every draw covers both parities
+    rng = np.random.default_rng(seed)
+    for size in (n, n + 1):
+        s = rng.standard_normal(size)
+        if size % 2 == 0:
+            alternating = (-1.0) ** np.arange(size)
+            s -= np.mean(s * alternating) * alternating
+        f = analytic_signal(CircularSignal(s))
+        back = 2.0 * f.boundary(size).samples.real - f.coefficients[0].real
+        assert np.max(np.abs(back - s)) <= 1e-13 * CircularSignal(s).norm()
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(8, 2047), st.sampled_from(["am-fm", "band-limited"]), st.integers(0, 2**32 - 1))
+def test_every_algorithm_validates_at_any_sample_count(n, family, seed):
+    # the energy identity and a monotone trace hold at counts of both
+    # parities (n and n + 1).  UWA and UWAFD run on the AM-FM family only:
+    # on band-limited input they fail validate at N = 2^k as well, the
+    # unresolved-zeros defect that the strict seed-1784 xfail in
+    # test_unwinding pins, so leaving that family out hides no new defect
+    for size in (n, n + 1):
+        rng = np.random.default_rng(seed)
+        s = am_fm_real(rng, size) if family == "am-fm" else band_limited_real(rng, size)
+        f = analytic_signal(s)
+        algos = sorted(GREEDY) if family == "am-fm" else ["core", "poafd-hardy"]
+        runs = [GREEDY[algo](f, 4, 0.0) for algo in algos] + [
+            cyclic_decomposition(f, cyclic_afd(f, 2, max_cycles=2).params),
+            poafd_decompose(bergman_space(f.order), f.coefficients, max_terms=4, energy_tol=0.0),
+        ]
+        for d in runs:
+            d.validate()
+
+
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 
 
@@ -288,13 +327,16 @@ def records(draw):
 
     0-6 components with a in the disc (None for uwa) and a complex c;
     unwinding components also carry unit-modulus inner samples on the
-    unwinding grid of a 64-sample input, a drawn run of 1-16 phases
-    repeated.  The residual trace is nonincreasing.
+    unwinding grid of the ceil(n/2) coefficients of an input of any
+    drawn count n >= 8, a drawn run of 1-16 phases repeated.  The
+    residual trace is nonincreasing.
     """
     size = draw(st.integers(0, 6))
     algorithm = draw(st.sampled_from(cli_io.ALGORITHMS))
     unwinding = algorithm in cli_io.UNWINDING
-    inner_n = _padded_n(64 // 2)
+    # at 1025 and 2049, n // 2 coefficients would unwind on half the grid
+    n_input = draw(st.one_of(st.sampled_from([1025, 2049]), st.integers(8, 4096)))
+    inner_n = _padded_n((n_input + 1) // 2)
     period = draw(st.integers(1, 16))
     components = []
     for _ in range(size):
@@ -325,7 +367,7 @@ def records(draw):
     )
     # the decompose options at their CLI defaults, the drawn algorithm as --algo
     args = cli_io._PARSER.parse_args(["decompose", "signal.csv", "--algo", algorithm])
-    return cli_io._record(args, 64, d), d
+    return cli_io._record(args, n_input, d), d
 
 
 @PROPERTY_SETTINGS

@@ -31,6 +31,8 @@ from conftest import (
 )
 
 POWERS_OF_TWO = [1 << p for p in range(3, 15)]
+# sample counts of both parities that are not powers of two
+OTHER_COUNTS = [12, 100, 1000, 1001]
 
 
 def test_circle_grid_values():
@@ -39,10 +41,15 @@ def test_circle_grid_values():
     np.testing.assert_allclose(t, 2.0 * np.pi * np.arange(8) / 8)
 
 
-@pytest.mark.parametrize("n", [7, 12, 100, 4])
+@pytest.mark.parametrize("n", [7, 4, 0])
 def test_signal_rejects_bad_lengths(n):
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=f"sample count must be an integer >= 8, got {n}$"):
         CircularSignal(np.zeros(n))
+
+
+@pytest.mark.parametrize("n", [8, 9, 12, 100, 1000, 1001])
+def test_signal_accepts_any_length_of_at_least_8(n):
+    assert CircularSignal(np.zeros(n)).n == n
 
 
 def test_signal_basic_properties():
@@ -222,23 +229,55 @@ def test_boundary_padding_is_exact():
     np.testing.assert_allclose(b2.samples, direct, atol=1e-12)
 
 
-@pytest.mark.parametrize("n", POWERS_OF_TWO)
-def test_forward_normalization_is_bit_identical(n):
-    # scaling by 1/n is exact on power-of-two grids, so norm="forward"
-    # gives the explicit zero pad, / n and * n formulas bit for bit
+def _check_forward_normalization(n, same):
+    """Boundary synthesis on grids of >= M+1 points, to_hardy and analytic_signal against the references."""
     rng = np.random.default_rng(n)
     s = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     for m1 in (1, n // 2, n - 1, n):
         c = rng.standard_normal(m1) + 1j * rng.standard_normal(m1)
-        np.testing.assert_array_equal(HardyFunction(c).boundary(n).samples, boundary_reference(c, n))
+        same(HardyFunction(c).boundary(n).samples, boundary_reference(c, n))
     pos, leak = to_hardy_reference(s)
     f, got_leak = to_hardy(CircularSignal(s))
-    np.testing.assert_array_equal(f.coefficients, pos)
-    assert got_leak == leak
+    assert f.coefficients.shape == ((n + 1) // 2,)
+    same(f.coefficients, pos)
+    same(got_leak, leak)
     real = rng.standard_normal(n)
-    np.testing.assert_array_equal(
-        analytic_signal(CircularSignal(real)).coefficients, analytic_signal_reference(real)
-    )
+    same(analytic_signal(CircularSignal(real)).coefficients, analytic_signal_reference(real))
+
+
+@pytest.mark.parametrize("n", POWERS_OF_TWO)
+def test_forward_normalization_is_bit_identical(n):
+    # scaling by 1/n is exact on power-of-two grids, so norm="forward"
+    # gives the explicit zero pad, / n and * n formulas bit for bit
+    _check_forward_normalization(n, np.testing.assert_array_equal)
+
+
+@pytest.mark.parametrize("n", OTHER_COUNTS)
+def test_forward_normalization_is_rounding_level_at_other_counts(n):
+    # at other n, multiplying by the rounded 1/n errs by rounding
+    def same(got, want):
+        np.testing.assert_allclose(got, want, rtol=0, atol=4 * np.finfo(float).eps * np.max(np.abs(want)))
+
+    _check_forward_normalization(n, same)
+
+
+@pytest.mark.parametrize("n", [8, 9, 100, 101, 1000, 1001])
+def test_to_hardy_counts_the_nyquist_bin_as_leak_only_at_even_n(n):
+    # the top bin n//2 is the Nyquist bin at even n and is leak; at odd n
+    # it is the frequency (n-1)/2, kept with all the nonnegative ones;
+    # the tone's angles are reduced mod 2 pi, so they carry no rounding
+    # that grows with the frequency
+    top = n // 2
+    tone = np.exp(1j * circle_grid(n)[top * np.arange(n) % n])
+    f, leak = to_hardy(CircularSignal(tone + 0.5))
+    if n % 2:
+        assert f.coefficients.size == top + 1
+        assert f.coefficients[top] == pytest.approx(1.0) and leak <= 1e-14
+    else:
+        assert f.coefficients.size == top
+        assert leak == pytest.approx(1.0, rel=1e-14)
+    assert f.coefficients[0] == pytest.approx(0.5)
+    assert np.abs(f.coefficients[1:top]).max() <= 1e-14
 
 
 def test_phase_amplitude_of_z():
@@ -310,6 +349,9 @@ def test_boundary_refuses_a_grid_below_the_coefficient_count():
     assert f.boundary(16).n == 16
     with pytest.raises(InputError, match="grid 8 cannot carry 16 coefficients"):
         f.boundary(8)
+    # a grid that carries every coefficient still holds at least 8 samples
+    with pytest.raises(InputError, match="sample count must be an integer >= 8, got 4"):
+        HardyFunction(np.ones(3)).boundary(4)
 
 
 def test_hardy_function_refuses_an_empty_coefficient_array():
