@@ -16,9 +16,9 @@ Results are JSON with a `schema: 2` marker; complex numbers are
 {re, im} pairs.  Unwinding results also carry each term's cumulative
 inner factor on the `meta.inner_n` grid, in `meta.inner` as one base64
 string per term: the little-endian complex128 bytes of its samples.
-Schema 1 stored those samples as [real list, imaginary list] pairs and
-is still read.  Wall time is printed, never stored, so reruns with the
-same inputs produce byte-identical result files.
+Schema 1 stored those samples as [real list, imaginary list] pairs; it
+is refused by name.  Wall time is printed, never stored, so reruns with
+the same inputs produce byte-identical result files.
 
 Exit codes: 0 ok, 2 input error, 3 check failed, 4 numerical
 degeneracy.
@@ -47,6 +47,7 @@ from .errors import (
     NonUniformGrid,
     NumericalDegeneracy,
     ParseError,
+    ZeroSignal,
 )
 from .hardy_atoms import monocomp_check, validate_param
 from .poafd import _SPACES, CAPPED_SEARCH, KernelSpace, poafd_decompose
@@ -73,8 +74,6 @@ __all__ = [
 ]
 
 SCHEMA = 2
-# schemas load_result reads; they differ only in how meta.inner is stored
-READ_SCHEMAS = (1, 2)
 ALGORITHMS = ("core", "uwa", "uwafd", "cyclic", "poafd")
 # the algorithms whose components carry inner samples (meta.inner)
 UNWINDING = ("uwa", "uwafd")
@@ -176,12 +175,25 @@ def _naming(path):
 
 
 def _ingest(args):
+    """(samples, Hardy function to decompose) of decompose's input.
+
+    With --complex the negative frequencies are dropped: their share of
+    the input energy is printed, and an input whose Hardy part's norm is
+    not above DEFAULT_TOL.zero_residual times its own raises ZeroSignal.
+    """
     s = read_signal_csv(args.input, allow_complex=args.complex)
-    if args.complex:
-        f, _leak = to_hardy(s)
-    else:
-        f = analytic_signal(s)
     with _naming(args.input):
+        if args.complex:
+            energy = _source_energy(s.energy)
+            f, leak = to_hardy(s)
+            if not f.norm() > DEFAULT_TOL.zero_residual * np.sqrt(energy):
+                raise ZeroSignal(
+                    f"nothing to decompose: the nonnegative frequencies --complex keeps "
+                    f"hold {f.energy() / energy:.3e} of the input energy"
+                )
+            print(f"--complex dropped {leak**2 / energy:.3e} of the input energy (negative frequencies)")
+        else:
+            f = analytic_signal(s)
         _source_energy(f.energy)
     return s, f
 
@@ -271,19 +283,12 @@ def _encode_inner(samples):
     return base64.b64encode(np.asarray(samples, dtype="<c16").tobytes()).decode("ascii")
 
 
-def _decode_inner(entry, schema, n):
-    """One term's inner samples from its schema-1 or schema-2 entry.
+def _decode_inner(entry, n):
+    """One term's inner samples from its base64 entry.
 
     Raises ValueError (or TypeError) unless the entry holds exactly n
     samples.
     """
-    if schema == 1:
-        parts = [np.array(part, dtype=float) for part in entry]
-        if len(parts) != 2 or any(part.shape != (n,) for part in parts):
-            raise ValueError(f"inner entry is not two lists of inner_n = {n} floats")
-        samples = np.empty(n, dtype=complex)
-        samples.real, samples.imag = parts
-        return samples
     raw = base64.b64decode(entry, validate=True)
     if len(raw) != 16 * n:
         raise ValueError(
@@ -296,10 +301,12 @@ def _decode_inner(entry, schema, n):
 def load_result(path):
     """JSON result file -> (record dict, rebuilt Decomposition).
 
-    Reads schemas 1 and 2.  Raises ParseError for a file that is not
-    JSON, has no known schema marker, lacks a key the rebuild needs,
-    names an algorithm not in ALGORITHMS or a config.n that is not a
-    JSON integer >= 8 (the sample counts read_signal_csv accepts),
+    Reads schema 2 only: a file whose schema marker is missing or other
+    (schema 1 stored inner samples as float lists) raises ParseError
+    naming the schema found.  ParseError too for a file that is not
+    JSON, lacks a key the rebuild needs, names an algorithm not in
+    ALGORITHMS or a config.n that is not a JSON integer >= 8 (the
+    sample counts read_signal_csv accepts),
     holds a source_energy that is not the first entry of a nonempty
     residual_trace or a component whose kind is not the record's
     algorithm, an inner_n other than the unwinding grid of config.n
@@ -317,8 +324,12 @@ def load_result(path):
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(rec, dict) or rec.get("schema") not in READ_SCHEMAS:
-        raise ParseError(f"{path}: missing or unsupported schema marker")
+    schema = rec.get("schema") if isinstance(rec, dict) else None
+    if schema != SCHEMA:
+        found = json.dumps(schema)
+        if found == "1":
+            found += " (inner samples as float lists)"
+        raise ParseError(f"{path}: schema {found} is not read, only {SCHEMA}; run decompose on the input again")
     try:
         return rec, _rebuild(rec)
     except KeyError as exc:
@@ -350,7 +361,7 @@ def _rebuild(rec):
         entries = meta.pop("inner")
         if len(entries) != len(comps):
             raise ValueError(f"{len(entries)} inner entries for {len(comps)} components")
-        inner = [_decode_inner(entry, rec["schema"], n) for entry in entries]
+        inner = [_decode_inner(entry, n) for entry in entries]
     comps = [
         Component(a=_pole(c["a"], algorithm), c=_j2c(c["c"]), inner=samples)
         for c, samples in zip(comps, inner)
@@ -788,7 +799,7 @@ def cmd_info(args):
     print("input: CSV `t,value` or `t,re,im`, t = 2*pi*j/N, any N >= 8")
     print("       (check --mode uncertainty: any uniform real-line `t,value`)")
     print("results: JSON, schema 2, complex numbers as {re, im}, unwinding inner")
-    print("         samples as base64 little-endian complex128; schema 1 still read")
+    print("         samples as base64 little-endian complex128; schema 1 refused")
     defaults = vars(_PARSER.parse_args(["decompose", "-"]))
     shown = ("terms", "tol", "n", "space")
     print("defaults: " + ", ".join(f"--{k} {defaults[k]}" for k in shown))

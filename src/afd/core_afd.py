@@ -540,11 +540,30 @@ def _source_energy(energy):
     return source
 
 
+def _is_count(n):
+    """True for an int or numpy integer that is not a bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
+def _check_arguments(counts, tolerances):
+    """InputError unless each value of counts (name -> value) is a count >= 0
+    (_is_count) and each of tolerances a finite real >= 0, not a bool.
+    """
+    for name, n in counts.items():
+        if not (_is_count(n) and n >= 0):
+            raise InputError(f"{name} wants a count >= 0, got {n!r}")
+    for name, tol in tolerances.items():
+        real = isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool)
+        if not (real and math.isfinite(tol) and tol >= 0):
+            raise InputError(f"{name} wants a finite value >= 0, got {tol!r}")
+
+
 def _greedy(energy, max_terms, energy_tol, step, forced_params=None):
     """The one loop over terms, behind core AFD, POAFD, UWA and UWAFD.
 
-    energy() is the energy of the signal to decompose, refused by
-    _source_energy (ZeroSignal, NonFiniteEnergy) before any step.
+    max_terms and energy_tol are refused by _check_arguments, and
+    energy(), the energy of the signal to decompose, by _source_energy
+    (ZeroSignal, NonFiniteEnergy), before any step.
     step(a) extracts one term and returns (Component, residual energy
     after it); a is the next of forced_params, validated, or None when
     the step selects its own.  The run ends after max_terms steps, once
@@ -555,6 +574,7 @@ def _greedy(energy, max_terms, energy_tol, step, forced_params=None):
     the Decomposition and the message that ended the run early (None
     otherwise).
     """
+    _check_arguments({"max_terms": max_terms}, {"energy_tol": energy_tol})
     source = _source_energy(energy)
     components = []
     residuals = [source]
@@ -626,12 +646,12 @@ def _circle_terms(d, grid, phase=False):
     term.  The one rule: only Hardy-space terms have boundary values, so
     a meta["space"] other than "hardy" is refused (InputError); unwinding
     terms exist only on their meta["n"] grid, so any other grid is
-    refused.  A count must be a positive integer (InputError).
+    refused.  A count must be a positive integer, not a bool (InputError).
     """
     space = d.meta.get("space", "hardy")
     if space != "hardy":
         raise InputError(f"components live in the {space!r} space; only Hardy-space terms have boundary values")
-    if np.isscalar(grid) and not (isinstance(grid, (int, np.integer)) and grid > 0):
+    if np.isscalar(grid) and not (_is_count(grid) and grid > 0):
         raise InputError(f"sample count wants a positive integer, got {grid!r}")
     unwinding = any(comp.inner is not None for comp in d.components)
     if unwinding and not (np.isscalar(grid) and grid == d.meta["n"]):

@@ -42,6 +42,7 @@ import numpy as np
 from .config import DEFAULT_TOL
 from .errors import AFDError, InputError, ZeroResidual
 from .core_afd import (
+    _check_arguments,
     _reduced_without,
     _source_energy,
     coefficient,
@@ -160,7 +161,9 @@ def cyclic_afd(
     Raises
     ------
     InputError
-        If n < 0 or init does not supply n parameters; NonFiniteEnergy
+        If n or max_cycles is not an integer >= 0, delta_tol not a
+        finite value >= 0 (core_afd._check_arguments), or init does not
+        supply n parameters; NonFiniteEnergy
         (an InputError) if the energy of f overflows; ZeroSignal for a
         zero f.
 
@@ -183,8 +186,7 @@ def cyclic_afd(
     Either way d[k] stays within rounding of the sift-chain objective
     of tuples[k], far below the 1e-12 ||f||^2 clamp floor.
     """
-    if n < 0:
-        raise InputError(f"n wants a count >= 0, got {n}")
+    _check_arguments({"n": n, "max_cycles": max_cycles}, {"delta_tol": delta_tol})
     source = _source_energy(f.energy)
     warm = None
     if init is None:

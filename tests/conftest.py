@@ -18,7 +18,7 @@ POAFD objective from the values of a whole [residual, rows] stack;
 `csv_writer_atoms` and `csv_writer_raster` are the row-by-row writers
 and the per-atom binning loop behind `afd tfd` before its streamed
 writer, kept as the reference for its bytes; `schema1_record` is the result writer before
-schema 2, kept as the reference for reading old files;
+schema 2, kept to build the old layout that `load_result` refuses;
 `cyclic_reference` is the cyclic n-best loop that re-scored every move
 by the full sift chain, kept as the reference for the moves that score
 themselves; `gram_schmidt_reference` and `poafd_reference` are the

@@ -332,6 +332,34 @@ def test_decompose_complex_input_recovers_a_kernel(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_decompose_complex_prints_the_dropped_share_and_refuses_no_hardy_part(tmp_path, capsys):
+    # e^{-3it} has no nonnegative frequency: what --complex keeps is
+    # FFT rounding, so the run is refused by name and writes nothing
+    z = np.exp(1j * circle_grid(64))
+    neg = _write_complex(tmp_path / "neg.csv", z ** -3)
+    out = tmp_path / "neg.json"
+    assert main(["decompose", neg, "--complex", "--output", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {neg}: nothing to decompose")
+    assert not out.exists()
+    # e^{-3it} + 0.01 e^{2it} runs on its e^{2it} part, 1e-4 / (1 + 1e-4)
+    # of the energy, and says it dropped the rest
+    mix = _write_complex(tmp_path / "mix.csv", z ** -3 + 0.01 * z ** 2)
+    out = tmp_path / "mix.json"
+    assert main(["decompose", mix, "--complex", "--output", str(out)]) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert "--complex dropped 9.999e-01 of the input energy (negative frequencies)\n" in printed
+    rec, _ = load_result(str(out))
+    assert rec["source_energy"] == pytest.approx(1e-4, rel=1e-12)
+    # an input energy beyond the double range is refused before the
+    # split, by name and without numpy's overflow warning
+    huge = _write_complex(tmp_path / "huge.csv", 1e200 * z ** 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["decompose", huge, "--complex"]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {huge}: signal energy is inf, not a finite double\n"
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -434,37 +462,42 @@ def test_unwinding_records_round_trip(tmp_path, capsys, algo):
     for got, want in zip(obj.components, mem.components):
         assert got.inner.dtype == np.dtype(complex)
         assert got.inner.tobytes() == want.inner.tobytes()
-
-    # a schema-1 twin loads to the same arrays and gives the same tfd bytes
-    old = str(tmp_path / "old.json")
-    save_result(schema1_record(rec, mem), old)
-    rec1, obj1 = load_result(old)
-    assert rec1["schema"] == 1
-    for got, want in zip(obj1.components, mem.components):
-        assert got.inner.tobytes() == want.inner.tobytes()
-    outputs = []
-    for res in (a, old):
-        atoms = res[:-5] + ".tfd.csv"
-        assert main(["tfd", res, "--bins", "16", "--output", atoms]) == EXIT_OK
-        outputs.append((_bytes(atoms), _bytes(atoms[:-4] + ".raster.csv")))
-    assert outputs[0] == outputs[1]
     capsys.readouterr()
+
+
+def test_a_schema_1_record_is_refused_by_name(tmp_path, capsys):
+    # the full schema-1 twin of a uwa record: inner samples as float lists
+    samples = am_fm_real(np.random.default_rng(9), 256).samples.real
+    sig = _write_real(tmp_path / "s.csv", samples)
+    res = str(tmp_path / "r.json")
+    assert main(["decompose", sig, "--algo", "uwa", "--terms", "4", "--output", res]) == EXIT_OK
+    rec, obj = load_result(res)
+    old = tmp_path / "old.json"
+    save_result(schema1_record(rec, obj), str(old))
+    why = (
+        f"{old}: schema 1 (inner samples as float lists) is not read, only 2; "
+        "run decompose on the input again"
+    )
+    with pytest.raises(ParseError) as exc:
+        load_result(str(old))
+    assert str(exc.value) == why
+    capsys.readouterr()
+    assert main(["tfd", str(old)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {why}\n"
+    assert not (tmp_path / "old.tfd.csv").exists()
 
 
 def test_inner_encoding_keeps_every_bit():
     x = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1.0 / 3.0, -1e300])
     samples = x + 1j * 0.0
     samples.imag = x[::-1]
-    for schema, entry in (
-        (2, cli_io._encode_inner(samples)),
-        (1, [samples.real.tolist(), samples.imag.tolist()]),
-    ):
-        got = cli_io._decode_inner(json.loads(json.dumps(entry)), schema, len(x))
-        assert got.dtype == np.dtype(complex)
-        # schema 2 gives a read-only view of the decoded bytes where
-        # complex is little-endian: no second copy of the samples
-        assert got.flags.writeable == (schema == 1 or np.dtype("<c16") != np.dtype(complex))
-        assert got.tobytes() == samples.tobytes()
+    entry = cli_io._encode_inner(samples)
+    got = cli_io._decode_inner(json.loads(json.dumps(entry)), len(x))
+    assert got.dtype == np.dtype(complex)
+    # a read-only view of the decoded bytes where complex is
+    # little-endian: no second copy of the samples
+    assert got.flags.writeable == (np.dtype("<c16") != np.dtype(complex))
+    assert got.tobytes() == samples.tobytes()
 
 
 def _saved_records(tmp_path, cosine_csv):
@@ -511,7 +544,7 @@ def _malform(rec, case):
     inner = meta["inner"]
     if case == "core-without-trace":
         rec.clear()
-        rec.update(schema=1, algorithm="core")
+        rec.update(schema=2, algorithm="core")
     elif case == "no-algorithm":
         del rec["algorithm"]
     elif case == "no-inner":
@@ -534,9 +567,6 @@ def _malform(rec, case):
         inner[1] = base64.b64encode(base64.b64decode(inner[1])[:-16]).decode("ascii")
     elif case == "inner-count":
         inner.pop()
-    elif case == "schema-1-short-lists":
-        rec["schema"] = 1
-        meta["inner"] = [[[0.0] * 3, [0.0] * 3]] * 2
     elif case == "bad-coefficient":
         rec["components"][0]["c"] = "1+2j"
     elif case == "other-kind":
@@ -589,7 +619,7 @@ CONFIG_N = {
 MALFORMED = [
     "core-without-trace", "no-algorithm", "no-inner", "no-inner-n", "zero-inner-n",
     "other-inner-n", "bad-base64",
-    "list-in-schema-2", "short-inner", "inner-count", "schema-1-short-lists",
+    "list-in-schema-2", "short-inner", "inner-count",
     "bad-coefficient", "other-kind", "no-kind", "other-source-energy", "empty-trace",
     "no-config", "bad-config-n", "unknown-algorithm", "nan-coefficient", "infinite-trace",
     *CONFIG_N,
@@ -1054,7 +1084,7 @@ algorithms: core, uwa, uwafd, cyclic, poafd   spaces: hardy, bergman
 input: CSV `t,value` or `t,re,im`, t = 2*pi*j/N, any N >= 8
        (check --mode uncertainty: any uniform real-line `t,value`)
 results: JSON, schema 2, complex numbers as {re, im}, unwinding inner
-         samples as base64 little-endian complex128; schema 1 still read
+         samples as base64 little-endian complex128; schema 1 refused
 defaults: --terms 10, --tol 1e-06, --n 2, --space hardy
 selection grid: 64 angles x 32 radii, |a| <= 0.999 (0.95 for poafd)
 exit codes: 0 ok, 2 input error, 3 check failed, 4 numerical degeneracy

@@ -42,6 +42,7 @@ from afd.cyclic_afd import cyclic_afd
 from afd.errors import AFDError, InputError, NonFiniteEnergy, ParamOutOfDisc, ZeroResidual, ZeroSignal
 from afd.poafd import _bergman_norm2, bergman_space, gram_schmidt, hardy_space, poafd_decompose
 from afd.signal_core import series_values
+from afd.tfd_uncertainty import dirac_tfd
 from afd.unwinding import uwa_decompose, uwafd_decompose
 
 from conftest import (
@@ -412,6 +413,44 @@ def test_energy_overflow_is_refused_by_every_algorithm(scale):
             with pytest.raises(NonFiniteEnergy):
                 run()
     assert issubclass(NonFiniteEnergy, InputError)
+
+
+# (run on f and a 2-term record d of f, the text of the refusal): a
+# count must be an int >= 0 (numpy's too, not a bool), a tolerance a
+# finite real >= 0, for every algorithm, as the command line refuses
+# --terms, --n and --tol
+BAD_ARGUMENTS = {
+    "core-negative-terms": (lambda f, d: core_afd_decompose(f, max_terms=-1), "max_terms wants a count"),
+    "core-fractional-terms": (lambda f, d: core_afd_decompose(f, max_terms=2.5), "max_terms wants a count"),
+    "core-nan-tol": (lambda f, d: core_afd_decompose(f, energy_tol=np.nan), "energy_tol wants a finite"),
+    "uwa-bool-terms": (lambda f, d: uwa_decompose(f, True), "max_terms wants a count"),
+    "uwafd-negative-tol": (lambda f, d: uwafd_decompose(f, energy_tol=-1e-6), "energy_tol wants a finite"),
+    "hardy-poafd-inf-tol": (
+        lambda f, d: poafd_decompose(hardy_space(f.order), f.coefficients, energy_tol=np.inf),
+        "energy_tol wants a finite",
+    ),
+    "bergman-poafd-float-terms": (
+        lambda f, d: poafd_decompose(bergman_space(f.order), f.coefficients, max_terms=3.0),
+        "max_terms wants a count",
+    ),
+    "cyclic-fractional-n": (lambda f, d: cyclic_afd(f, 2.5), "n wants a count"),
+    "cyclic-bool-n": (lambda f, d: cyclic_afd(f, True), "n wants a count"),
+    "cyclic-negative-cycles": (lambda f, d: cyclic_afd(f, 2, max_cycles=-1), "max_cycles wants a count"),
+    "cyclic-nan-tol": (lambda f, d: cyclic_afd(f, 2, delta_tol=np.nan), "delta_tol wants a finite"),
+    "dirac-tfd-bool-grid": (lambda f, d: dirac_tfd(d, grid=True), "sample count wants a positive"),
+    "reconstruct-bool-grid": (lambda f, d: reconstruct(d, True), "sample count wants a positive"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ARGUMENTS)
+def test_bad_counts_and_tolerances_are_refused_by_rule(case):
+    f = analytic_signal(am_fm_real(np.random.default_rng(5), 64))
+    d = core_afd_decompose(f, max_terms=2)
+    run, why = BAD_ARGUMENTS[case]
+    with pytest.raises(InputError, match=why):
+        run(f, d)
+    # numpy integers and floats are counts and tolerances like Python's
+    assert len(core_afd_decompose(f, max_terms=np.int64(2), energy_tol=np.float64(0.0))) == 2
 
 
 def test_grid_check_matches_the_largest_radius():

@@ -1,8 +1,10 @@
 """The export table: what each module lists in __all__, `afd` re-exports."""
 
+import ast
 import importlib
 import pkgutil
 import types
+from pathlib import Path
 
 import afd
 from afd import config, errors
@@ -33,3 +35,37 @@ def test_afd_reexports_every_listed_name_and_nothing_else():
     for name in public - listed:
         # the rest of the package namespace is the tolerance table and the errors
         assert any(getattr(m, name, None) is getattr(afd, name) for m in (config, errors)), name
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _unused_imports(path):
+    """'file:line name' for each name a top-level import binds and the module never reads.
+
+    A name is read where it is loaded as an identifier (an attribute's
+    base included) or listed in __all__.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    bound[alias.asname or alias.name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return [f"{path.relative_to(ROOT)}:{line} {name}" for name, line in bound.items() if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # afd/__init__.py is left out: every import there is a re-export
+    paths = [p for p in sorted(ROOT.glob("src/afd/*.py")) if p.name != "__init__.py"]
+    paths += sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
+    assert len(paths) > 20
+    assert [hit for path in paths for hit in _unused_imports(path)] == []
