@@ -53,7 +53,9 @@ from .hardy_atoms import monocomp_check, validate_param
 from .poafd import _SPACES, CAPPED_SEARCH, KernelSpace, poafd_decompose
 from .signal_core import (
     CircularSignal,
+    _LEAST_SAMPLES,
     _check_count,
+    _check_tolerance,
     _hardy_bins,
     _padded_n,
     analytic_signal,
@@ -342,7 +344,7 @@ def load_result(path):
 def _rebuild(rec):
     if rec["algorithm"] not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {rec['algorithm']!r}")
-    _check_count(rec["config"]["n"])
+    _check_count("config.n", rec["config"]["n"], _LEAST_SAMPLES)
     trace = np.array(rec["residual_trace"], dtype=float)
     if not trace.size or float(rec["source_energy"]) != trace[0]:
         raise ValueError("source_energy is not the first entry of a nonempty residual_trace")
@@ -398,12 +400,9 @@ def _parse_init(text, n):
 
 
 def cmd_decompose(args):
-    if args.terms < 0:
-        raise InputError(f"--terms wants a count >= 0, got {args.terms}")
-    if args.n < 0:
-        raise InputError(f"--n wants a count >= 0, got {args.n}")
-    if not (np.isfinite(args.tol) and args.tol >= 0):
-        raise InputError(f"--tol wants a finite value >= 0, got {args.tol}")
+    _check_count("--terms", args.terms)
+    _check_count("--n", args.n)
+    _check_tolerance("--tol", args.tol)
     s, f = _ingest(args)
     t0 = time.perf_counter()
     if args.algo == "core":
@@ -452,8 +451,7 @@ def _print_energy_table(record):
 
 
 def cmd_tfd(args):
-    if args.bins < 0:
-        raise InputError(f"--bins wants a count >= 0, got {args.bins}")
+    _check_count("--bins", args.bins)
     rec, obj = load_result(args.result)
     # inner factors exist on their own grid only; other terms go on the input's
     grid = obj.meta["n"] if rec["algorithm"] in UNWINDING else rec["config"]["n"]

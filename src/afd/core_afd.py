@@ -44,6 +44,8 @@ from .hardy_atoms import _kernel_and_mobius, tm_sweep, validate_param
 from .signal_core import (
     CircularSignal,
     HardyFunction,
+    _check_count,
+    _check_tolerance,
     _padded_n,
     _power_table,
     circle_grid,
@@ -540,29 +542,11 @@ def _source_energy(energy):
     return source
 
 
-def _is_count(n):
-    """True for an int or numpy integer that is not a bool."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-
-
-def _check_arguments(counts, tolerances):
-    """InputError unless each value of counts (name -> value) is a count >= 0
-    (_is_count) and each of tolerances a finite real >= 0, not a bool.
-    """
-    for name, n in counts.items():
-        if not (_is_count(n) and n >= 0):
-            raise InputError(f"{name} wants a count >= 0, got {n!r}")
-    for name, tol in tolerances.items():
-        real = isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool)
-        if not (real and math.isfinite(tol) and tol >= 0):
-            raise InputError(f"{name} wants a finite value >= 0, got {tol!r}")
-
-
 def _greedy(energy, max_terms, energy_tol, step, forced_params=None):
     """The one loop over terms, behind core AFD, POAFD, UWA and UWAFD.
 
-    max_terms and energy_tol are refused by _check_arguments, and
-    energy(), the energy of the signal to decompose, by _source_energy
+    max_terms and energy_tol are refused by _check_count and
+    _check_tolerance, and energy(), the energy of the signal to decompose, by _source_energy
     (ZeroSignal, NonFiniteEnergy), before any step.
     step(a) extracts one term and returns (Component, residual energy
     after it); a is the next of forced_params, validated, or None when
@@ -574,7 +558,8 @@ def _greedy(energy, max_terms, energy_tol, step, forced_params=None):
     the Decomposition and the message that ended the run early (None
     otherwise).
     """
-    _check_arguments({"max_terms": max_terms}, {"energy_tol": energy_tol})
+    _check_count("max_terms", max_terms)
+    _check_tolerance("energy_tol", energy_tol)
     source = _source_energy(energy)
     components = []
     residuals = [source]
@@ -638,7 +623,7 @@ def core_afd_decompose(
     return _greedy(f.energy, max_terms, energy_tol, step, forced_params)[0]
 
 
-def _circle_terms(d, grid, phase=False):
+def _circle_terms(d, grid, phase=False, name="grid"):
     """(t, terms): the times of grid, a count or an array, and the terms of d there.
 
     terms walks one tm_sweep and yields per component B_k at e^{it}
@@ -646,17 +631,19 @@ def _circle_terms(d, grid, phase=False):
     term.  The one rule: only Hardy-space terms have boundary values, so
     a meta["space"] other than "hardy" is refused (InputError); unwinding
     terms exist only on their meta["n"] grid, so any other grid is
-    refused.  A count must be a positive integer, not a bool (InputError).
+    refused.  A 0-d grid is a count >= 1, refused by _check_count as name.
     """
     space = d.meta.get("space", "hardy")
     if space != "hardy":
         raise InputError(f"components live in the {space!r} space; only Hardy-space terms have boundary values")
-    if np.isscalar(grid) and not (_is_count(grid) and grid > 0):
-        raise InputError(f"sample count wants a positive integer, got {grid!r}")
+    count = np.ndim(grid) == 0
+    if count:
+        grid = np.asarray(grid).item()
+        _check_count(name, grid, 1)
     unwinding = any(comp.inner is not None for comp in d.components)
-    if unwinding and not (np.isscalar(grid) and grid == d.meta["n"]):
+    if unwinding and not (count and grid == d.meta["n"]):
         raise InputError(f"inner factors are stored on the {d.meta['n']}-point grid only")
-    t = circle_grid(int(grid)) if np.isscalar(grid) else np.asarray(grid, dtype=float)
+    t = circle_grid(grid) if count else np.asarray(grid, dtype=float)
     sweep = tm_sweep([c.a for c in d.components if c.a is not None], np.exp(1j * t), phase)
     return t, (None if comp.a is None else next(sweep) for comp in d.components)
 
@@ -696,11 +683,11 @@ def reconstruct(d: Decomposition, n) -> CircularSignal:
 
     I_k is the cumulative inner factor of an unwinding term (1 for the
     other algorithms) and B_k the TM function over the parameters so
-    far (1 for a UWA term, which has none).  Records are read by
-    _circle_terms and refused (InputError) by its rule.
+    far (1 for a UWA term, which has none).  Records and the count n
+    are read by _circle_terms and refused (InputError) by its rule.
     """
-    _, terms = _circle_terms(d, n)
-    out = np.zeros(n, dtype=complex)
+    t, terms = _circle_terms(d, n, name="n")
+    out = np.zeros(t.size, dtype=complex)
     for comp, b_k in zip(d.components, terms):
         term = comp.c if comp.inner is None else comp.c * comp.inner
         if b_k is not None:

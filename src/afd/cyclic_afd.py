@@ -42,7 +42,6 @@ import numpy as np
 from .config import DEFAULT_TOL
 from .errors import AFDError, InputError, ZeroResidual
 from .core_afd import (
-    _check_arguments,
     _reduced_without,
     _source_energy,
     coefficient,
@@ -50,7 +49,7 @@ from .core_afd import (
     maximal_selection,
 )
 from .hardy_atoms import validate_param
-from .signal_core import HardyFunction
+from .signal_core import HardyFunction, _check_count, _check_tolerance
 
 __all__ = [
     "CyclicTrace",
@@ -99,7 +98,7 @@ def n_blaschke_objective(f: HardyFunction, params) -> float:
 
 
 def coordinate_optimize(f: HardyFunction, params, index):
-    """One coordinate move: re-select entry `index` (1-based) maximally.
+    """One coordinate move: re-select entry `index` (1-based, a count <= len(params)) maximally.
 
     Sifts through the other n-1 parameters in tuple order, runs a
     maximal selection on the remainder g with the incumbent included in
@@ -116,7 +115,8 @@ def coordinate_optimize(f: HardyFunction, params, index):
     selection floor is relative to ||f||.
     """
     params = tuple(validate_param(a) for a in params)
-    if not 1 <= index <= len(params):
+    _check_count("index", index, 1)
+    if index > len(params):
         raise InputError(f"coordinate index {index} outside 1..{len(params)}")
     i = index - 1
     g = _reduced_without(f, params, i)
@@ -162,8 +162,8 @@ def cyclic_afd(
     ------
     InputError
         If n or max_cycles is not an integer >= 0, delta_tol not a
-        finite value >= 0 (core_afd._check_arguments), or init does not
-        supply n parameters; NonFiniteEnergy
+        finite value >= 0 (_check_count, _check_tolerance), or init does
+        not supply n parameters; NonFiniteEnergy
         (an InputError) if the energy of f overflows; ZeroSignal for a
         zero f.
 
@@ -186,7 +186,9 @@ def cyclic_afd(
     Either way d[k] stays within rounding of the sift-chain objective
     of tuples[k], far below the 1e-12 ||f||^2 clamp floor.
     """
-    _check_arguments({"n": n, "max_cycles": max_cycles}, {"delta_tol": delta_tol})
+    _check_count("n", n)
+    _check_count("max_cycles", max_cycles)
+    _check_tolerance("delta_tol", delta_tol)
     source = _source_energy(f.energy)
     warm = None
     if init is None:

@@ -25,6 +25,7 @@ from .config import DEFAULT_TOL
 from .errors import ParamOutOfDisc
 from .signal_core import (
     CircularSignal,
+    _check_count,
     _check_finite,
     analytic_signal,
     circle_grid,
@@ -132,6 +133,7 @@ def tm_system_boundary(params, n):
 
     Returns an array of shape (len(params), n), one tm_sweep step a row.
     """
+    _check_count("n", n)
     out = np.empty((len(params), n), dtype=complex)
     for row, b in zip(out, tm_sweep(params, np.exp(1j * circle_grid(n)))):
         row[:] = b

@@ -66,7 +66,7 @@ from .core_afd import (
     maximal_selection,
 )
 from .hardy_atoms import _multiplicity, validate_param
-from .signal_core import HardyFunction
+from .signal_core import HardyFunction, _check_count
 
 __all__ = [
     "KernelSpace",
@@ -118,8 +118,7 @@ class KernelSpace:
     def __post_init__(self):
         if self.name not in _SPACES:
             raise InputError(f"kernel space {self.name!r} is not one of {', '.join(_SPACES)}")
-        if isinstance(self.order, bool) or not (isinstance(self.order, (int, np.integer)) and self.order >= 0):
-            raise InputError(f"kernel space order wants an integer >= 0, got {self.order!r}")
+        _check_count("order", self.order)
         profile, rule = _SPACES[self.name]
         object.__setattr__(self, "base", profile(np.arange(self.order + 1, dtype=float)))
         object.__setattr__(self, "weights", 1.0 / self.base)
@@ -172,12 +171,11 @@ def kernel(space: KernelSpace, a, l=1) -> np.ndarray:
 
     Returns the coefficient array base[k] * k(k-1)...(k-l+2) *
     conj(a)^(k-l+1); the pairing <f, kernel(a, l)> reproduces
-    f^(l-1)(a).  Derivative kernels grow fast near the boundary, hence
-    the 0.95 cap.
+    f^(l-1)(a) for a count l >= 1.  Derivative kernels grow fast near the
+    boundary, hence the 0.95 cap.
     """
     a = _capped(a)
-    if l < 1:
-        raise InputError("multiplicity order must be >= 1")
+    _check_count("l", l, 1)
     m = space.order
     p = l - 1
     k = np.arange(m + 1, dtype=float)

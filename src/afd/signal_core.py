@@ -12,6 +12,7 @@ sgn(0) = 0.  That convention makes the transform blind to means, so the
 Bedrosian residual is computed modulo the mean of rho*sin(theta).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,30 @@ __all__ = [
 ]
 
 
+def _check_count(name, n, least=0):
+    """InputError naming name unless n is a Python or numpy integer >= least, not a bool.
+
+    The one rule for every count, grid size and order of the package and
+    the afd command line; a plain int passes at the first comparison.
+    """
+    if type(n) is int and n >= least:
+        return
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+        raise InputError(f"{name} wants an integer >= {least}, got {n!r}")
+
+
+def _check_tolerance(name, tol):
+    """InputError naming name unless tol is a finite Python or numpy real >= 0, not a bool."""
+    if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)) or not 0 <= tol < math.inf:
+        raise InputError(f"{name} wants a finite value >= 0, got {tol!r}")
+
+
+_LEAST_SAMPLES = 8  # the fewest samples a CircularSignal holds
+
+
 def circle_grid(n):
-    """Uniform angles t_j = 2*pi*j/n, j = 0..n-1."""
+    """Uniform angles t_j = 2*pi*j/n, j = 0..n-1; n is a count >= 0."""
+    _check_count("n", n)
     return 2.0 * np.pi * np.arange(n) / n
 
 
@@ -86,12 +109,6 @@ def _padded_n(m1):
     return max(4 * _boundary_n(m1), 4096)
 
 
-def _check_count(n):
-    """InputError unless n is a sample count: an int (not a bool) of at least 8."""
-    if type(n) is not int or n < 8:
-        raise InputError(f"sample count must be an integer >= 8, got {n!r}")
-
-
 def _hardy_bins(n):
     """ceil(n/2): bins 0..ceil(n/2)-1 are the nonnegative frequencies of an n-point grid (no Nyquist bin)."""
     return (n + 1) // 2
@@ -122,7 +139,7 @@ class CircularSignal:
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=complex)
-        _check_count(arr.size)
+        _check_count("sample count", arr.size, _LEAST_SAMPLES)
         object.__setattr__(self, "samples", arr)
 
     @property
@@ -193,14 +210,14 @@ class HardyFunction:
     def boundary(self, n=None):
         """Synthesize boundary samples on an n-point circular grid.
 
-        n defaults to the smallest power of two >= 2*(M+1).  It must be
-        at least M+1, so no coefficient is discarded, and at least 8.
+        n defaults to the smallest power of two >= 2*(M+1).  Else it is a
+        count of at least M+1, so no coefficient is discarded, and 8.
         """
         m1 = self.coefficients.size
         if n is None:
             n = _boundary_n(m1)
-        if n < m1:
-            raise InputError(f"grid {n} cannot carry {m1} coefficients")
+        else:
+            _check_count("n", n, max(m1, _LEAST_SAMPLES))
         return CircularSignal(np.fft.ifft(self.coefficients, n, norm="forward"))
 
     def circle(self, r, n=None):
@@ -217,7 +234,8 @@ class HardyFunction:
         return float(np.sqrt(self.energy()))
 
     def truncated(self, m):
-        """Copy with exactly m+1 coefficients (pad or cut)."""
+        """Copy with exactly m+1 coefficients (pad or cut); m is a count >= 0."""
+        _check_count("m", m)
         c = np.zeros(m + 1, dtype=complex)
         take = min(m + 1, self.coefficients.size)
         c[:take] = self.coefficients[:take]
@@ -291,13 +309,20 @@ def to_hardy(s: CircularSignal, m=None):
     discarded negative-frequency part, the Nyquist bin of an even N
     included.  For samples of an actual Hardy function the leak is
     rounding noise; a sizable leak means the samples were not Hardy to
-    begin with.
+    begin with.  A leak whose squares overflow is summed again scaled by
+    its largest bin, so a finite leak comes back finite, without warning.
     """
     c = np.fft.fft(s.samples, norm="forward")
     half = _hardy_bins(s.n)
     pos = c[:half]
     neg = c[half:]
-    leak = float(np.sqrt(np.sum(np.abs(neg) ** 2)))
+    with np.errstate(over="ignore"):
+        leak = float(np.sqrt(np.sum(np.abs(neg) ** 2)))
+        if leak == math.inf:
+            mag = np.abs(neg)
+            peak = float(mag.max())
+            if peak < math.inf:
+                leak = peak * math.sqrt(float(np.sum((mag / peak) ** 2)))
     if m is not None:
         return HardyFunction(pos).truncated(m), leak
     return HardyFunction(pos), leak

@@ -96,10 +96,10 @@ class UncertaintyReport:
 def dirac_tfd(d, grid=512):
     """Per-component delta lines of a decomposition.
 
-    grid is either a sample count (uniform on [0, 2pi)) or an explicit
-    array of times; the closed forms hold pointwise, so any grid
-    works.  A term with a parameter has weight |c_k B_k|^2 and
-    frequency theta_k', both from one tm_sweep.  A term with an inner
+    grid is either a sample count >= 1 (uniform on [0, 2pi); a 0-d
+    array too) or an explicit array of times; the closed forms hold
+    pointwise, so any grid works.  A term with a parameter has weight
+    |c_k B_k|^2 and frequency theta_k', both from one tm_sweep.  A term with an inner
     factor (unwinding) adds the spectral phase derivative of its
     samples and takes the factor as unimodular in its weight (|c_k|^2
     for a UWA term).  Records are read by core_afd._circle_terms and

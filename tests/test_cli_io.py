@@ -3,6 +3,7 @@
 import base64
 import io
 import json
+import re
 import warnings
 
 import numpy as np
@@ -20,17 +21,27 @@ from afd.cli_io import (
     read_signal_csv,
     save_result,
 )
-from afd.errors import AFDError, NonRealInput, NonUniformGrid, ParseError
+from afd.errors import AFDError, InputError, NonRealInput, NonUniformGrid, ParseError
 from afd import (
     CircularSignal,
     Decomposition,
+    HardyFunction,
+    KernelSpace,
     analytic_signal,
     bergman_space,
     circle_grid,
+    coordinate_optimize,
     core_afd_decompose,
+    cyclic_afd,
     cyclic_decomposition,
     hardy_space,
+    kernel,
+    phase_amplitude,
+    phase_derivative,
     poafd_decompose,
+    reconstruct,
+    tm_system_boundary,
+    to_hardy,
     uwa_decompose,
     uwafd_decompose,
 )
@@ -420,11 +431,69 @@ def test_decompose_rejects_negative_n_before_reading(tmp_path, capsys, cosine_cs
     missing = ["decompose", str(tmp_path / "none.csv"), "--algo", "cyclic", "--n", "-1"]
     capsys.readouterr()
     assert main(missing) == EXIT_INPUT
-    assert "--n wants a count >= 0" in capsys.readouterr().err
+    assert "--n wants an integer >= 0, got -1" in capsys.readouterr().err
     # an empty tuple is still a valid request
     assert main(argv + ["--n", "0"]) == EXIT_OK
     rec, _obj = load_result(str(out))
     assert rec["components"] == []
+
+
+# every count the package and the command line take, by the name its
+# refusal gives: (name, floor, run on f = z + 0.5 z^2, its 2-term core
+# record d and the count).  A flag's run gives the argv for the count's
+# text.  CircularSignal's sample count and a record's config.n are not
+# arguments; test_signal_rejects_bad_lengths and the config-n cases of
+# test_tfd_rejects_malformed_records refuse them.
+COUNT_ARGUMENTS = {
+    "core-max_terms": ("max_terms", 0, lambda f, d, n: core_afd_decompose(f, max_terms=n)),
+    "uwa-max_terms": ("max_terms", 0, lambda f, d, n: uwa_decompose(f, n)),
+    "uwafd-max_terms": ("max_terms", 0, lambda f, d, n: uwafd_decompose(f, max_terms=n)),
+    "hardy-poafd-max_terms": (
+        "max_terms", 0, lambda f, d, n: poafd_decompose(hardy_space(f.order), f.coefficients, max_terms=n),
+    ),
+    "bergman-poafd-max_terms": (
+        "max_terms", 0, lambda f, d, n: poafd_decompose(bergman_space(f.order), f.coefficients, max_terms=n),
+    ),
+    "cyclic-n": ("n", 0, lambda f, d, n: cyclic_afd(f, n)),
+    "cyclic-max_cycles": ("max_cycles", 0, lambda f, d, n: cyclic_afd(f, 1, max_cycles=n)),
+    "coordinate_optimize-index": ("index", 1, lambda f, d, n: coordinate_optimize(f, (0.1, 0.2j), n)),
+    "reconstruct-n": ("n", 1, lambda f, d, n: reconstruct(d, n)),
+    "dirac_tfd-grid": ("grid", 1, lambda f, d, n: dirac_tfd(d, grid=n)),
+    "KernelSpace-order": ("order", 0, lambda f, d, n: KernelSpace("bergman", n)),
+    "hardy_space-order": ("order", 0, lambda f, d, n: hardy_space(n)),
+    "kernel-l": ("l", 1, lambda f, d, n: kernel(hardy_space(7), 0.1, n)),
+    "boundary-n": ("n", 8, lambda f, d, n: f.boundary(n)),
+    "truncated-m": ("m", 0, lambda f, d, n: f.truncated(n)),
+    "to_hardy-m": ("m", 0, lambda f, d, n: to_hardy(f.boundary(), m=n)),
+    "tm_system_boundary-n": ("n", 0, lambda f, d, n: tm_system_boundary((0.1,), n)),
+    "circle_grid-n": ("n", 0, lambda f, d, n: circle_grid(n)),
+    "phase_amplitude-n": ("n", 8, lambda f, d, n: phase_amplitude(f, 0.5, n)),
+    "phase_derivative-n": ("n", 8, lambda f, d, n: phase_derivative(f, 0.5, n)),
+    "decompose--terms": ("--terms", 0, lambda path, n: ["decompose", path, "--terms", n]),
+    "decompose--n": ("--n", 0, lambda path, n: ["decompose", path, "--algo", "cyclic", "--n", n]),
+    "tfd--bins": ("--bins", 0, lambda path, n: ["tfd", path, "--bins", n]),
+}
+
+
+@pytest.mark.parametrize("case", COUNT_ARGUMENTS)
+def test_every_count_argument_is_refused_by_one_rule(tmp_path, capsys, case):
+    # a float, a bool and an integer below the floor: InputError naming the
+    # argument, or exit 2 naming the flag (argparse refuses what is not an
+    # int, the package's rule the rest, before any file is read)
+    name, floor, run = COUNT_ARGUMENTS[case]
+    f = HardyFunction([0.0, 1.0, 0.5])
+    d = core_afd_decompose(f, max_terms=2, energy_tol=0.0)
+    for bad in (2.5, True, floor - 1):
+        if name.startswith("--"):
+            try:
+                code = main(run(str(tmp_path / "missing"), str(bad)))
+            except SystemExit as exc:
+                code = exc.code
+            assert code == EXIT_INPUT
+            assert name in capsys.readouterr().err.splitlines()[-1]
+        else:
+            with pytest.raises(InputError, match=f"^{re.escape(f'{name} wants an integer >= {floor}, got {bad!r}')}$"):
+                run(f, d, bad)
 
 
 def _bytes(path):
@@ -645,7 +714,7 @@ def test_tfd_rejects_malformed_records(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {res}: ")
     if case in CONFIG_N:
-        assert "sample count must be an integer >= 8" in err
+        assert "config.n wants an integer >= 8" in err
     assert not (tmp_path / "r.tfd.csv").exists()
 
 
@@ -997,7 +1066,7 @@ def test_a_signal_of_fewer_than_8_samples_is_refused_by_name(tmp_path, capsys):
     short = _write_real(tmp_path / "s4.csv", np.cos(circle_grid(4)))
     for argv in (["decompose", short], ["check", short, "--mode", "bedrosian"]):
         assert main(argv) == EXIT_INPUT
-        assert capsys.readouterr().err == f"error: {short}: sample count must be an integer >= 8, got 4\n"
+        assert capsys.readouterr().err == f"error: {short}: sample count wants an integer >= 8, got 4\n"
 
 
 @pytest.mark.parametrize("n", [24, 1000, 1001])

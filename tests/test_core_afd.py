@@ -420,10 +420,10 @@ def test_energy_overflow_is_refused_by_every_algorithm(scale):
 # finite real >= 0, for every algorithm, as the command line refuses
 # --terms, --n and --tol
 BAD_ARGUMENTS = {
-    "core-negative-terms": (lambda f, d: core_afd_decompose(f, max_terms=-1), "max_terms wants a count"),
-    "core-fractional-terms": (lambda f, d: core_afd_decompose(f, max_terms=2.5), "max_terms wants a count"),
+    "core-negative-terms": (lambda f, d: core_afd_decompose(f, max_terms=-1), "max_terms wants an integer >= 0"),
+    "core-fractional-terms": (lambda f, d: core_afd_decompose(f, max_terms=2.5), "max_terms wants an integer >= 0"),
     "core-nan-tol": (lambda f, d: core_afd_decompose(f, energy_tol=np.nan), "energy_tol wants a finite"),
-    "uwa-bool-terms": (lambda f, d: uwa_decompose(f, True), "max_terms wants a count"),
+    "uwa-bool-terms": (lambda f, d: uwa_decompose(f, True), "max_terms wants an integer >= 0"),
     "uwafd-negative-tol": (lambda f, d: uwafd_decompose(f, energy_tol=-1e-6), "energy_tol wants a finite"),
     "hardy-poafd-inf-tol": (
         lambda f, d: poafd_decompose(hardy_space(f.order), f.coefficients, energy_tol=np.inf),
@@ -431,14 +431,14 @@ BAD_ARGUMENTS = {
     ),
     "bergman-poafd-float-terms": (
         lambda f, d: poafd_decompose(bergman_space(f.order), f.coefficients, max_terms=3.0),
-        "max_terms wants a count",
+        "max_terms wants an integer >= 0",
     ),
-    "cyclic-fractional-n": (lambda f, d: cyclic_afd(f, 2.5), "n wants a count"),
-    "cyclic-bool-n": (lambda f, d: cyclic_afd(f, True), "n wants a count"),
-    "cyclic-negative-cycles": (lambda f, d: cyclic_afd(f, 2, max_cycles=-1), "max_cycles wants a count"),
+    "cyclic-fractional-n": (lambda f, d: cyclic_afd(f, 2.5), "n wants an integer >= 0"),
+    "cyclic-bool-n": (lambda f, d: cyclic_afd(f, True), "n wants an integer >= 0"),
+    "cyclic-negative-cycles": (lambda f, d: cyclic_afd(f, 2, max_cycles=-1), "max_cycles wants an integer >= 0"),
     "cyclic-nan-tol": (lambda f, d: cyclic_afd(f, 2, delta_tol=np.nan), "delta_tol wants a finite"),
-    "dirac-tfd-bool-grid": (lambda f, d: dirac_tfd(d, grid=True), "sample count wants a positive"),
-    "reconstruct-bool-grid": (lambda f, d: reconstruct(d, True), "sample count wants a positive"),
+    "dirac-tfd-bool-grid": (lambda f, d: dirac_tfd(d, grid=True), "grid wants an integer >= 1"),
+    "reconstruct-bool-grid": (lambda f, d: reconstruct(d, True), "n wants an integer >= 1"),
 }
 
 

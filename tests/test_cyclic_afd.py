@@ -150,7 +150,7 @@ def test_cyclic_accepts_explicit_init():
 
 def test_cyclic_rejects_negative_n():
     f = _planted()
-    with pytest.raises(InputError, match="n wants a count >= 0"):
+    with pytest.raises(InputError, match="n wants an integer >= 0"):
         cyclic_afd(f, -1)
     tr = cyclic_afd(f, 0)
     assert tr.tuples == [()]

@@ -69,3 +69,23 @@ def test_no_module_imports_a_name_it_never_uses():
     paths += sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
     assert len(paths) > 20
     assert [hit for path in paths for hit in _unused_imports(path)] == []
+
+
+def _bool_tests(path):
+    """'file:line' of each isinstance(..., bool) call, bool alone or in a tuple."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(getattr(kind, "id", None) == "bool" for kind in kinds):
+                hits.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return hits
+
+
+def test_counts_and_tolerances_are_checked_by_signal_core_alone():
+    # a bool test marks a hand-written count or tolerance rule; the one
+    # rule is signal_core's _check_count and _check_tolerance
+    paths = [p for p in sorted(ROOT.glob("src/afd/*.py")) if p.name != "signal_core.py"]
+    assert len(paths) > 5
+    assert [hit for path in paths for hit in _bool_tests(path)] == []
+    assert _bool_tests(ROOT / "src/afd/signal_core.py")

@@ -1,5 +1,7 @@
 """Boundary sampling, Hilbert transform, analytic signals."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -43,7 +45,7 @@ def test_circle_grid_values():
 
 @pytest.mark.parametrize("n", [7, 4, 0])
 def test_signal_rejects_bad_lengths(n):
-    with pytest.raises(InputError, match=f"sample count must be an integer >= 8, got {n}$"):
+    with pytest.raises(InputError, match=f"sample count wants an integer >= 8, got {n}$"):
         CircularSignal(np.zeros(n))
 
 
@@ -174,6 +176,20 @@ def test_to_hardy_projection_and_leak():
     f2, leak2 = to_hardy(CircularSignal(np.exp(2j * t)))
     assert leak2 == pytest.approx(0.0, abs=1e-14)
     np.testing.assert_allclose(f2.boundary(64).samples, np.exp(2j * t), atol=1e-12)
+
+
+def test_to_hardy_returns_a_finite_leak_whose_squares_overflow():
+    # the leak of 1e200 e^{-3it} is 1e200, a double, though its square is
+    # not; a leak whose squares do not overflow is the plain sum, bit for bit
+    t = circle_grid(64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f, leak = to_hardy(CircularSignal(1e200 * np.exp(-3j * t)))
+        assert leak == pytest.approx(1e200, rel=1e-14)
+        assert np.abs(f.coefficients).max() <= 1e-14 * 1e200
+        for scale in (1.0, 1e150):
+            s = CircularSignal(scale * (np.exp(2j * t) + 0.25 * np.exp(-1j * t) + 0.1 * np.exp(-5j * t)))
+            assert to_hardy(s)[1] == to_hardy_reference(s.samples)[1]
 
 
 def test_hardy_function_evaluation():
@@ -347,10 +363,10 @@ def test_bedrosian_check_refuses_mismatched_grids_and_a_zero_rho():
 def test_boundary_refuses_a_grid_below_the_coefficient_count():
     f = HardyFunction(np.ones(16))
     assert f.boundary(16).n == 16
-    with pytest.raises(InputError, match="grid 8 cannot carry 16 coefficients"):
+    with pytest.raises(InputError, match="n wants an integer >= 16, got 8"):
         f.boundary(8)
     # a grid that carries every coefficient still holds at least 8 samples
-    with pytest.raises(InputError, match="sample count must be an integer >= 8, got 4"):
+    with pytest.raises(InputError, match="n wants an integer >= 8, got 4"):
         HardyFunction(np.ones(3)).boundary(4)
 
 

@@ -99,8 +99,20 @@ def test_dirac_tfd_accepts_explicit_grid():
     for read, count in (
         (dirac_tfd, 0), (dirac_tfd, -5), (dirac_tfd, 2.5), (reconstruct, -5), (reconstruct, 8.0),
     ):
-        with pytest.raises(InputError, match="positive integer"):
+        with pytest.raises(InputError, match="wants an integer >= 1"):
             read(d, count)
+
+
+def test_a_0d_array_is_a_count_not_a_time_grid():
+    # np.array(128) is the count 128, not the single time t = 128 rad
+    f = HardyFunction([0.0, 1.0, 0.5])
+    d = core_afd_decompose(f, max_terms=2, energy_tol=0.0)
+    np.testing.assert_array_equal(reconstruct(d, np.array(128)).samples, reconstruct(d, 128).samples)
+    for got, want in zip(dirac_tfd(d, grid=np.array(128)), dirac_tfd(d, grid=128), strict=True):
+        for line in ("t", "omega", "weight"):
+            np.testing.assert_array_equal(getattr(got, line), getattr(want, line))
+    with pytest.raises(InputError, match=r"^n wants an integer >= 1, got 2\.5$"):
+        reconstruct(d, np.array(2.5))
 
 
 def test_dirac_tfd_atoms_are_scalars():
