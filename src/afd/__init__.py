@@ -8,7 +8,7 @@ module docstrings for the mathematics; the `afd` console script wraps
 the common workflows.
 """
 
-from .config import DEFAULT_SEARCH, DEFAULT_TOL, SearchConfig, Tolerances
+from .config import DEFAULT_TOL, Tolerances
 from .errors import (
     AFDError,
     DegenerateGram,

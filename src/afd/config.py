@@ -27,6 +27,10 @@ class Tolerances:
         Pole parameters must satisfy abs(a) <= 1 - param_boundary.
     energy_total : float
         Relative slack for the full decomposition energy identity.
+    trace_slack : float
+        Largest rise of a residual energy trace, relative to the source
+        energy, taken as rounding: Decomposition.validate refuses a
+        larger one, and cyclic_afd clamps a smaller one.
     residual_floor : float
         Relative residual energy below which iteration stops cleanly.
     zero_residual : float
@@ -55,6 +59,7 @@ class Tolerances:
     near_zero: float = 1e-12
     param_boundary: float = 1e-9
     energy_total: float = 1e-8
+    trace_slack: float = 1e-12
     residual_floor: float = 1e-14
     zero_residual: float = 1e-12
     log_clamp: float = 1e-8
@@ -68,9 +73,12 @@ class Tolerances:
 class SearchConfig:
     """The search grid of the argmax over the open unit disc.
 
-    The search first scans a polar grid (Chebyshev-spaced radii so the
-    crowded region near the boundary is resolved), then always polishes
-    the best cell by projected Newton ascent on the closed-form gradient
+    The package's own grid, not an option: no public function takes
+    one.  maximal_selection scans DEFAULT_SEARCH and poafd_select
+    poafd.CAPPED_SEARCH, the same grid capped at 0.95.  The search
+    first scans a polar grid (Chebyshev-spaced radii so the crowded
+    region near the boundary is resolved), then always polishes the
+    best cell by projected Newton ascent on the closed-form gradient
     and Hessian of the selection objective.  The polish accepts only
     steps that raise the objective, so the returned point is never
     worse than the best grid point.  A config is frozen and hashable:

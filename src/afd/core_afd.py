@@ -117,14 +117,15 @@ class Decomposition:
         """Finite records, energy identity and monotone residual trace; raises on defect.
 
         Every trace entry and coefficient must be finite (a NaN passes
-        every comparison below), and the identity holds to
-        DEFAULT_TOL.energy_total of the source energy.
+        every comparison below), the trace rises by no step above
+        DEFAULT_TOL.trace_slack of the source energy, and the identity
+        holds to DEFAULT_TOL.energy_total of it.
         """
         if not (np.isfinite(self.residual_energy).all() and np.isfinite(self.coefficients).all()):
             raise AFDError("residual energy trace or coefficient not finite")
         scale = max(self.source_energy, 1e-300)
         steps = np.diff(self.residual_energy)
-        if steps.size and steps.max() > 1e-12 * scale:
+        if steps.size and steps.max() > DEFAULT_TOL.trace_slack * scale:
             raise AFDError("residual energy trace increased")
         captured = float(np.sum(np.abs(self.coefficients) ** 2))
         defect = abs(self.source_energy - captured - self.residual_energy[-1])
@@ -453,24 +454,23 @@ def _select(rows, norm2_rule, search, floor=0.0, include=(), rows_sq=0.0):
     return _polish(_derivative_stack(rows), norm2_rule, best, search)
 
 
-def maximal_selection(f: HardyFunction, search=DEFAULT_SEARCH, include=(), source_norm=None):
+def maximal_selection(f: HardyFunction, include=(), source_norm=None):
     """Polished grid maximum of the selection objective for one greedy step.
 
-    Scans the polar grid for the largest (1 - |a|^2)|f(a)|^2, breaks
-    ties toward small |a| and then small nonnegative argument, and
-    polishes the winner by projected Newton ascent with closed-form
-    derivatives, confined to |a| <= r_max (see SearchConfig).  The
-    guarantee is that the returned point never scores below the best
-    grid point (or `include` candidate); it is not certified as the
-    global maximum over the disc, since the polish climbs the winning
-    cell's peak and a higher peak between grid points can be missed.
+    Scans the package's polar grid DEFAULT_SEARCH (no caller sets it)
+    for the largest (1 - |a|^2)|f(a)|^2, breaks ties toward small |a|
+    and then small nonnegative argument, and polishes the winner by
+    projected Newton ascent with closed-form derivatives, confined to
+    |a| <= DEFAULT_SEARCH.r_max.  The guarantee is that the returned
+    point never scores below the best grid point (or `include`
+    candidate); it is not certified as the global maximum over the
+    disc, since the polish climbs the winning cell's peak and a higher
+    peak between grid points can be missed.
     `include` adds extra candidates, e.g. an incumbent parameter that
     must not be lost; one beyond r_max is kept as given if it wins, not
     polished.  source_norm is the norm of the signal the caller's
     iteration started from (default ||f||, so only a zero f is
     refused); the selection floor is relative to it, as in poafd_select.
-    search is DEFAULT_SEARCH for every caller in the package except
-    Hardy POAFD, which passes the radius-capped poafd.CAPPED_SEARCH.
 
     Raises
     ------
@@ -485,7 +485,7 @@ def maximal_selection(f: HardyFunction, search=DEFAULT_SEARCH, include=(), sourc
         source_norm = f.norm()
     include = [validate_param(a) for a in include]
     floor = DEFAULT_TOL.zero_residual * source_norm
-    return _select(f.coefficients[None], _hardy_norm2, search, floor, include)
+    return _select(f.coefficients[None], _hardy_norm2, DEFAULT_SEARCH, floor, include)
 
 
 def sift(f: HardyFunction, a):
@@ -529,12 +529,11 @@ def _source_energy(energy):
     """energy() of a signal to decompose, refused unless finite and positive.
 
     NonFiniteEnergy (an InputError) unless it is finite, ZeroSignal
-    unless it is positive.  An energy beyond the double range overflows
-    to inf, so it is computed with numpy's overflow warning off: the
-    overflow is refused here by name instead.
+    unless it is positive.  The signal types return inf, without numpy's
+    overflow warning, for an energy beyond the double range; it is
+    refused here by name.
     """
-    with np.errstate(over="ignore"):
-        source = energy()
+    source = energy()
     if not math.isfinite(source):
         raise NonFiniteEnergy(f"signal energy is {source}, not a finite double")
     if source <= 0.0:
@@ -580,29 +579,26 @@ def _greedy(energy, max_terms, energy_tol, step, forced_params=None):
     return Decomposition(components, np.array(residuals)), stopped
 
 
-def _afd_step(f_k, a, search):
+def _afd_step(f_k, a):
     """One maximal sifting step: (a, <f_k, e_a>, reduced remainder).
 
     A None a is selected by maximal_selection on f_k.
     """
     if a is None:
-        a = maximal_selection(f_k, search)
+        a = maximal_selection(f_k)
     c = coefficient(f_k, a)
     return a, c, _sift(f_k, a, c)
 
 
-def core_afd_decompose(
-    f: HardyFunction, max_terms=50, energy_tol=1e-6, search=DEFAULT_SEARCH, forced_params=None
-):
+def core_afd_decompose(f: HardyFunction, max_terms=50, energy_tol=1e-6, forced_params=None):
     """Greedy decomposition f = sum_k c_k B_k + remainder.
 
     Runs maximal_selection and sift until max_terms or until the
     relative residual energy drops below energy_tol (or the residual
     floor): the stopping rule of _greedy.  With forced_params the
     selection is skipped and the given parameters are consumed in order
-    (all zeros reproduces the Taylor/Fourier expansion).  search is
-    maximal_selection's: DEFAULT_SEARCH but for Hardy POAFD, which
-    passes poafd.CAPPED_SEARCH.
+    (all zeros reproduces the Taylor/Fourier expansion).  Selection
+    scans the package's grid, DEFAULT_SEARCH; no caller sets it.
 
     Each c_k = <f_k, e_{a_k}> comes from the reproducing kernel, once
     per step.  The sift is an exact polynomial division (see the module
@@ -617,7 +613,7 @@ def core_afd_decompose(
 
     def step(a):
         nonlocal f_k
-        a, c, f_k = _afd_step(f_k, a, search)
+        a, c, f_k = _afd_step(f_k, a)
         return Component(a=a, c=c), f_k.energy()
 
     return _greedy(f.energy, max_terms, energy_tol, step, forced_params)[0]

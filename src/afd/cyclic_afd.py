@@ -31,8 +31,9 @@ That costs one point evaluation instead of n more sifts, so a cycle
 takes n(n-1) sifts.  The split and the sift chain differ only by the
 rounding of one energy sum, one point evaluation and the truncation of
 the last sift, a few ulps of ||g||^2 <= ||f||^2 on planted inputs
-(measured within 5e-16 ||f||^2), far below the 1e-12 ||f||^2 floor at
-which the order-swap rounding of the objective is tolerated.
+(measured within 5e-16 ||f||^2), far below the floor at which the
+order-swap rounding of the objective is tolerated, the trace slack
+DEFAULT_TOL.trace_slack (1e-12) of ||f||^2.
 """
 
 from dataclasses import dataclass
@@ -111,8 +112,9 @@ def coordinate_optimize(f: HardyFunction, params, index):
     The objective is ||g||^2 - |<g, e_a>|^2 for the new entry a, the
     energy split of the sift that would end the new tuple's chain (see
     the module docstring); it agrees with n_blaschke_objective of the
-    returned tuple to rounding, well below 1e-12 ||f||^2.  The
-    selection floor is relative to ||f||.
+    returned tuple to rounding, well below the trace slack
+    DEFAULT_TOL.trace_slack ||f||^2.  The selection floor is relative
+    to ||f||.
     """
     params = tuple(validate_param(a) for a in params)
     _check_count("index", index, 1)
@@ -173,9 +175,9 @@ def cyclic_afd(
     inits may settle at different objective values.  The greedy warm
     start and every move select on the default grid, DEFAULT_SEARCH.
     Each recorded d is clamped to the previous one when the difference
-    is below the order-swap rounding floor, so the stored trace is
-    exactly nonincreasing; an increase beyond that floor raises
-    AFDError.
+    is below the order-swap rounding floor, the trace slack
+    DEFAULT_TOL.trace_slack ||f||^2, so the stored trace is exactly
+    nonincreasing; an increase beyond that floor raises AFDError.
 
     d[k] for k >= 1 is the objective coordinate_optimize returns, the
     energy split of its last sift, so a cycle costs n(n-1) sifts.  A
@@ -184,7 +186,7 @@ def cyclic_afd(
     same value n_blaschke_objective(f, init) gives bit for bit; an
     explicit or zero-padded init is scored by n_blaschke_objective.
     Either way d[k] stays within rounding of the sift-chain objective
-    of tuples[k], far below the 1e-12 ||f||^2 clamp floor.
+    of tuples[k], far below that clamp floor.
     """
     _check_count("n", n)
     _check_count("max_cycles", max_cycles)
@@ -210,7 +212,7 @@ def cyclic_afd(
         for index in range(1, n + 1):
             new, val = coordinate_optimize(f, tuples[-1], index)
             if val > d[-1]:
-                if val - d[-1] > 1e-12 * source:
+                if val - d[-1] > DEFAULT_TOL.trace_slack * source:
                     raise AFDError(
                         f"objective increased by {val - d[-1]:.3e} "
                         f"at coordinate {index}"

@@ -58,12 +58,14 @@ def validate_param(a):
     return a
 
 
-def _multiplicity(params, a):
-    """Occurrence count of a appended to params: 1 + its coincidences there.
+def _coincident(a, b):
+    """The one coincidence rule of pole parameters: |b - a| <= DEFAULT_TOL.coincidence."""
+    return abs(b - a) <= DEFAULT_TOL.coincidence
 
-    b in params coincides with a when |b - a| <= DEFAULT_TOL.coincidence.
-    """
-    return 1 + sum(1 for b in params if abs(b - a) <= DEFAULT_TOL.coincidence)
+
+def _multiplicity(params, a):
+    """Occurrence count of a appended to params: 1 + its _coincident entries there."""
+    return 1 + sum(1 for b in params if _coincident(a, b))
 
 
 def _kernel_and_mobius(a, z):

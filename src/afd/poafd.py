@@ -57,15 +57,14 @@ from .errors import DegenerateGram, InputError, ZeroResidual
 from .core_afd import (
     Component,
     Decomposition,
+    _afd_step,
     _greedy,
     _grid_values,
     _hardy_norm2,
     _reduced_without,
     _select,
-    core_afd_decompose,
-    maximal_selection,
 )
-from .hardy_atoms import _multiplicity, validate_param
+from .hardy_atoms import _coincident, _multiplicity, validate_param
 from .signal_core import HardyFunction, _check_count
 
 __all__ = [
@@ -128,7 +127,8 @@ class KernelSpace:
         return complex(np.sum(self.weights * f * np.conj(g)))
 
     def norm(self, f):
-        return float(np.sqrt(np.sum(self.weights * np.abs(f) ** 2)))
+        with np.errstate(over="ignore"):  # inf beyond the double range, as HardyFunction.norm
+            return float(np.sqrt(np.sum(self.weights * np.abs(f) ** 2)))
 
 
 @dataclass
@@ -220,7 +220,7 @@ def _grow(system, a):
     then turned onto the TM function B_n of the parameters: with a of
     multiplicity l, <B_n, row> = B_n^(l-1)(a) / ||u|| (u the row before
     normalizing), a positive multiple of prod (a - b)/(1 - conj(b) a)
-    over the earlier parameters b not coincident with a, so the turn is
+    over the earlier parameters b not _coincident with a, so the turn is
     that product's unit phase, formed from unit factors so it cannot
     underflow.  Earlier rows are left as they are.  a must already be
     validated.
@@ -230,7 +230,7 @@ def _grow(system, a):
     if space.name == "hardy":
         turn = 1.0
         for b in system.params:
-            if abs(b - a) > DEFAULT_TOL.coincidence:
+            if not _coincident(a, b):
                 w = (a - b) / (1.0 - b.conjugate() * a)
                 turn *= w / abs(w)
         v *= turn
@@ -269,12 +269,11 @@ def poafd_select(f, system: OrthoSystem):
     |B_j(a)|^2) equals (1 - |a|^2)|r(a)/Phi(a)|^2, Phi the Blaschke
     product of system.params, since sum_j |B_j(a)|^2 is the model-space
     kernel (1 - |Phi(a)|^2)/(1 - |a|^2).  So f is sifted through the
-    parameters with core AFD's step and the pick is maximal_selection's
-    on that remainder, the pick of capped core AFD.  In the other spaces
-    the residual against the rows is formed in one weighted mat-vec pair
-    and scored on the stack [residual, system rows] by the engine greedy
-    AFD uses (grid scan, tie-break, projected Newton polish); the scan
-    covers the residual and every row of system.
+    parameters with core AFD's step and that remainder alone is scored,
+    as capped core AFD scores it.  In the other spaces the residual
+    against the rows is formed in one weighted mat-vec pair and scored
+    on the stack [residual, system rows].  Both run the engine greedy
+    AFD uses (grid scan, tie-break, projected Newton polish).
 
     Raises
     ------
@@ -288,7 +287,7 @@ def poafd_select(f, system: OrthoSystem):
     if space.name == "hardy":
         source = HardyFunction(f)
         g = _reduced_without(source, system.params, None)
-        return maximal_selection(g, CAPPED_SEARCH, source_norm=source.norm())
+        return _select(g.coefficients[None], _hardy_norm2, CAPPED_SEARCH, DEFAULT_TOL.zero_residual * source.norm())
     return _select_on_rows(system, f, _scan_rows(system.vectors))
 
 
@@ -363,38 +362,43 @@ def poafd_decompose(
 ) -> Decomposition:
     """Greedy kernel decomposition f = sum_n <f, B_n> B_n + remainder.
 
-    In the Hardy space B_n is the TM system of the parameters and the
-    selection objective is core AFD's on the sifted remainder (see
-    poafd_select), so the run is core_afd_decompose on f with
-    CAPPED_SEARCH, the default grid capped at 0.95: picks, coefficients
-    and residual trace are capped core AFD's, bit for bit, and
-    reconstruct(d) sums the exact TM functions they belong to.  Forced
-    parameters beyond the cap are refused before the run (InputError),
-    with kernel's message.  No caller picks the grid.
+    Each step selects as poafd_select does, on CAPPED_SEARCH, the
+    default grid capped at 0.95; no caller picks the grid.  In the Hardy
+    space B_n is the TM system: poafd_select scores the remainder f_k
+    against no rows, and core AFD's coefficient and sift reduce it, so
+    picks, coefficients and residual trace are capped core AFD's, bit
+    for bit.  Forced parameters beyond the cap are refused before the
+    run (InputError), with kernel's message.
 
     In the other spaces each selection grows the orthonormal system by
     one row (see gram_schmidt), so the multiplicity rule holds no matter
     how the parameters arrived, and earlier rows and coefficients stay
     as they were.  Only the new coefficient <f, B_n> is computed, and
-    the remainder sequence loses its rank-one term.  Selection is
-    poafd_select's, with the rows' sum_j |B_j|^2 on the capped grid
-    carried through the run, so each row is scanned once; it sees the
-    source f, so its floor is relative to the signal.  Residual energies
-    use the space norm of the explicit remainder sequence.
+    the remainder sequence loses its rank-one term.  Selection carries
+    the rows' sum_j |B_j|^2 on the capped grid through the run and sees
+    the source f, so its floor is relative to the signal.  Residual
+    energies use the space norm of the explicit remainder sequence.
 
     The run stops by the rule of core_afd._greedy; meta records the
     space name and order.
     ZeroSignal for a zero f, NonFiniteEnergy if its energy overflows.
     """
     f = _as_sequence(space, f)
+    system = gram_schmidt(space, ())
     if space.name == "hardy":
         if forced_params is not None:
             forced_params = [_capped(validate_param(a)) for a in forced_params]
-        d = core_afd_decompose(HardyFunction(f), max_terms, energy_tol, CAPPED_SEARCH, forced_params)
+        f_k = HardyFunction(f)
+        energy = f_k.energy
+
+        def step(a):
+            nonlocal f_k
+            a, c, f_k = _afd_step(f_k, poafd_select(f_k, system) if a is None else a)
+            return Component(a=a, c=c), f_k.energy()
+
     else:
-        system = gram_schmidt(space, ())
-        resid = f.copy()
-        rows_sq = 0.0
+        resid, rows_sq = f.copy(), 0.0
+        energy = lambda: space.norm(f) ** 2
 
         def step(a):
             nonlocal system, resid, rows_sq
@@ -409,6 +413,6 @@ def poafd_decompose(
             resid -= c * v
             return Component(a=a, c=c), space.norm(resid) ** 2
 
-        d, _ = _greedy(lambda: space.norm(f) ** 2, max_terms, energy_tol, step, forced_params)
+    d, _ = _greedy(energy, max_terms, energy_tol, step, forced_params)
     d.meta = {"space": space.name, "order": space.order}
     return d

@@ -147,8 +147,9 @@ class CircularSignal:
         return self.samples.size
 
     def energy(self):
-        """Squared circle norm, (1/N) sum |s_j|^2."""
-        return float(np.mean(np.abs(self.samples) ** 2))
+        """Squared circle norm, (1/N) sum |s_j|^2; inf, without warning, beyond the double range."""
+        with np.errstate(over="ignore"):
+            return float(np.mean(np.abs(self.samples) ** 2))
 
     def norm(self):
         return float(np.sqrt(self.energy()))
@@ -228,7 +229,9 @@ class HardyFunction:
         return HardyFunction(damped).boundary(n).samples
 
     def energy(self):
-        return float(np.sum(np.abs(self.coefficients) ** 2))
+        """sum |c_k|^2; inf, without numpy's overflow warning, beyond the double range."""
+        with np.errstate(over="ignore"):
+            return float(np.sum(np.abs(self.coefficients) ** 2))
 
     def norm(self):
         return float(np.sqrt(self.energy()))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_SEARCH, DEFAULT_TOL
+from .config import DEFAULT_TOL
 from .errors import DegenerateModulus
 from .core_afd import Component, Decomposition, _afd_step, _greedy, reconstruct
 from .signal_core import CircularSignal, HardyFunction, _conjugate_real, _padded_n
@@ -209,7 +209,7 @@ def uwafd_decompose(f: HardyFunction, max_terms=50, energy_tol=1e-6) -> Decompos
 
     Step k: factor f_k = I_k O_k, select a_k maximally on O_k, extract
     c_k = <O_k, e_{a_k}>, and recurse on the reduced remainder of O_k:
-    the core AFD step, selecting on the default grid, DEFAULT_SEARCH.
+    the core AFD step, whose maximal_selection scans the package's grid.
     The k-th term is (prod_{l<=k} I_l) c_k B_k with B_k the TM chain
     over a_1..a_k; the residual norm equals the remainder norm because
     all the accumulated factors are unimodular.
@@ -219,7 +219,7 @@ def uwafd_decompose(f: HardyFunction, max_terms=50, energy_tol=1e-6) -> Decompos
     be factored.  ZeroSignal for a zero f, NonFiniteEnergy if its
     energy overflows.
     """
-    return _unwind(f, max_terms, energy_tol, lambda outer: _afd_step(outer, None, DEFAULT_SEARCH))
+    return _unwind(f, max_terms, energy_tol, lambda outer: _afd_step(outer, None))
 
 
 def unwinding_reconstruct(u: Decomposition) -> CircularSignal:

@@ -85,7 +85,9 @@ from afd.core_afd import (
     Component,
     Decomposition,
     _derivative_stack,
+    _hardy_norm2,
     _search_radii,
+    _select,
     _selection_model,
     _selection_scores,
 )
@@ -333,6 +335,10 @@ def cyclic_reference(f, n, init=None, max_cycles=200, delta_tol=1e-10):
 def core_afd_reference(f, max_terms=50, energy_tol=1e-6, search=DEFAULT_SEARCH):
     """Reference greedy loop that cross-checks every coefficient in the loop.
 
+    Each pick is the selection engine's, core_afd._select, on the grid of
+    search (maximal_selection's is DEFAULT_SEARCH, Hardy POAFD's
+    poafd.CAPPED_SEARCH), with its floor relative to ||f||.
+
     Each step compares c_k = <f_k, e_{a_k}> with <f, B_k> and with
     <g_k, B_k> (g_k = f - sum_{l<k} c_l B_l) by quadrature on a padded
     grid of max(4N, 4096) points, B_k = e_{a_k} times the Blaschke
@@ -356,7 +362,8 @@ def core_afd_reference(f, max_terms=50, energy_tol=1e-6, search=DEFAULT_SEARCH):
         if resid / source < energy_tol or resid / source < DEFAULT_TOL.residual_floor:
             break
         try:
-            a = maximal_selection(f_k, search, source_norm=f.norm())
+            floor = DEFAULT_TOL.zero_residual * f.norm()
+            a = _select(f_k.coefficients[None], _hardy_norm2, search, floor)
         except ZeroResidual:
             break
         c = coefficient(f_k, a)

@@ -35,6 +35,7 @@ from afd.core_afd import (
     _polish,
     _search_grid,
     _search_radii,
+    _select,
     _selection_model,
     _selection_scores,
 )
@@ -171,8 +172,10 @@ def test_selection_keeps_an_include_candidate_beyond_r_max_as_given():
     b = 0.9 + 0.1j
     f = HardyFunction(np.sqrt(1.0 - abs(b) ** 2) * np.conj(b) ** np.arange(256))
     search = replace(DEFAULT_SEARCH, r_max=0.5)
-    assert maximal_selection(f, search, include=(b,)) == b
-    assert maximal_selection(f, search) == pytest.approx(0.4969418673 + 0.0552157630j, abs=1e-9)
+    assert _select(f.coefficients[None], _hardy_norm2, search, 0.0, (b,)) == b
+    assert _select(f.coefficients[None], _hardy_norm2, search, 0.0) == pytest.approx(
+        0.4969418673 + 0.0552157630j, abs=1e-9
+    )
 
 
 def test_selection_rejects_zero():
@@ -311,8 +314,6 @@ def test_scan_plan_is_read_only_and_the_grid_is_checked_every_call():
             _ScanPlan.build(outside, 128)
         with pytest.raises(InputError):
             _grid_values(f.coefficients, outside)
-        with pytest.raises(InputError):
-            maximal_selection(f, outside)
 
 
 def test_cached_tables_are_read_only():
@@ -596,7 +597,7 @@ def test_polish_never_lowers_the_grid_start(coarse_search):
     rng = np.random.default_rng(47)
     for _ in range(100):
         f = random_hardy(rng, m=63, decay=rng.uniform(0.3, 1.5))
-        a = maximal_selection(f, coarse_search)
+        a = _select(f.coefficients[None], _hardy_norm2, coarse_search, 0.0)
         start = unpolished_pick(f, coarse_search)
         assert a == start or objective(f, a) > objective(f, start)
 

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import types
 from pathlib import Path
@@ -89,3 +90,22 @@ def test_counts_and_tolerances_are_checked_by_signal_core_alone():
     assert len(paths) > 5
     assert [hit for path in paths for hit in _bool_tests(path)] == []
     assert _bool_tests(ROOT / "src/afd/signal_core.py")
+
+
+def test_no_listed_function_takes_a_search_grid():
+    # the selection grid is the package's own (config.DEFAULT_SEARCH and
+    # poafd.CAPPED_SEARCH): no public function takes one
+    takers = [
+        f"{module.__name__}.{name}"
+        for module in _listing_modules()
+        for name in module.__all__
+        if inspect.isfunction(getattr(module, name))
+        and "search" in inspect.signature(getattr(module, name)).parameters
+    ]
+    assert takers == []
+
+
+def test_the_coincidence_rule_has_one_reader():
+    # hardy_atoms._coincident is the one rule for equal pole parameters
+    readers = [p.name for p in sorted(ROOT.glob("src/afd/*.py")) if "DEFAULT_TOL.coincidence" in p.read_text()]
+    assert readers == ["hardy_atoms.py"]

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import afd.core_afd
 import afd.poafd
 from afd import (
     HardyFunction,
@@ -15,7 +16,6 @@ from afd import (
     core_afd_decompose,
     gram_schmidt,
     kernel,
-    maximal_selection,
     multiplicity_limit_check,
     poafd_decompose,
     poafd_select,
@@ -25,14 +25,15 @@ from afd import (
 from afd.errors import DegenerateGram, InputError, ZeroResidual, ZeroSignal
 from afd import hardy_space
 from afd.config import DEFAULT_SEARCH, DEFAULT_TOL
-from afd.core_afd import _grid_pick, _grid_values, _hardy_norm2, _reduced_without, _search_grid
-from afd.poafd import MULTIPLICITY_OFFSETS, SELECTION_CAP, _extend, _grow, _scan_rows
+from afd.core_afd import _grid_pick, _grid_values, _hardy_norm2, _reduced_without, _search_grid, _select
+from afd.poafd import CAPPED_SEARCH, MULTIPLICITY_OFFSETS, SELECTION_CAP, _extend, _grow, _scan_rows
 from afd.signal_core import series_values
 
 from conftest import (
     am_fm_real,
     band_limited_real,
     check_selection_derivatives,
+    core_afd_reference,
     gram_schmidt_reference,
     grid_argmax,
     horner,
@@ -201,7 +202,8 @@ def test_select_agrees_with_core_in_hardy_space():
     f, _, _ = kernel_sum(rng, terms=3, m=63, r=0.7)
     space = hardy_space(m=63)
     a_poafd = poafd_select(f.coefficients, gram_schmidt(space, ()))
-    assert a_poafd == maximal_selection(f, replace(DEFAULT_SEARCH, r_max=SELECTION_CAP))
+    floor = DEFAULT_TOL.zero_residual * f.norm()
+    assert a_poafd == _select(f.coefficients[None], _hardy_norm2, CAPPED_SEARCH, floor)
 
 
 def test_hardy_select_lands_on_a_double_pole():
@@ -399,11 +401,10 @@ def test_poafd_decompose_matches_rebuild_every_step_reference():
     # Hardy POAFD is capped core AFD, bit for bit; Bergman grows its rows
     # as the reference rebuilds them
     rng = np.random.default_rng(81)
-    capped = replace(DEFAULT_SEARCH, r_max=SELECTION_CAP)
     for signal in (am_fm_real(rng), band_limited_real(rng, 256)):
         f = analytic_signal(signal)
         d = poafd_decompose(hardy_space(m=127), f.coefficients, max_terms=6, energy_tol=0.0)
-        want = core_afd_decompose(f, max_terms=6, energy_tol=0.0, search=capped)
+        want = core_afd_reference(f, max_terms=6, energy_tol=0.0, search=CAPPED_SEARCH)
         assert len(d) == 6
         assert np.array_equal(d.params, want.params)
         assert np.array_equal(d.coefficients, want.coefficients)
@@ -440,6 +441,33 @@ def test_poafd_builds_one_kernel_per_term(monkeypatch):
     d = poafd_decompose(hardy_space(m=127), f, max_terms=10, energy_tol=0.0)
     assert len(d.components) == 10
     assert built == []
+
+
+def test_hardy_poafd_selects_through_poafd_select_alone(monkeypatch):
+    # the tracer patches module attributes the same way, so each Hardy
+    # pick counts on poafd_select and none on core AFD's layers
+    calls = {"poafd_select": 0, "maximal_selection": 0, "core_afd_decompose": 0}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count(afd.poafd, "poafd_select")
+    count(afd.core_afd, "maximal_selection")
+    count(afd.core_afd, "core_afd_decompose")
+    f = analytic_signal(am_fm_real(np.random.default_rng(84))).coefficients
+    d = poafd_decompose(hardy_space(m=127), f, max_terms=7, energy_tol=0.0)
+    assert len(d) == 7
+    assert calls == {"poafd_select": 7, "maximal_selection": 0, "core_afd_decompose": 0}
+    # forced parameters select nothing
+    d = poafd_decompose(hardy_space(m=127), f, forced_params=(0.1, 0.2j))
+    assert len(d) == 2
+    assert calls == {"poafd_select": 7, "maximal_selection": 0, "core_afd_decompose": 0}
 
 
 @pytest.mark.parametrize("n", [64, 128, 256])

@@ -10,7 +10,9 @@ from afd import (
     HardyFunction,
     analytic_signal,
     bedrosian_check,
+    bergman_space,
     circle_grid,
+    hardy_space,
     hilbert_transform,
     monocomp_check,
     phase_amplitude,
@@ -190,6 +192,25 @@ def test_to_hardy_returns_a_finite_leak_whose_squares_overflow():
         for scale in (1.0, 1e150):
             s = CircularSignal(scale * (np.exp(2j * t) + 0.25 * np.exp(-1j * t) + 0.1 * np.exp(-5j * t)))
             assert to_hardy(s)[1] == to_hardy_reference(s.samples)[1]
+
+
+def test_energies_beyond_the_double_range_are_inf_without_warning():
+    # squares of 1e200 overflow: energy and norm are inf, with no numpy
+    # RuntimeWarning; in range they are the plain sums, bit for bit
+    t = circle_grid(64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = CircularSignal(1e200 * np.exp(-3j * t) + 1e200 * np.exp(2j * t))
+        f = to_hardy(s)[0]
+        assert s.energy() == s.norm() == f.energy() == f.norm() == np.inf
+        for space in (hardy_space(f.order), bergman_space(f.order)):
+            assert space.norm(f.coefficients) == np.inf
+        g = CircularSignal(s.samples * 1e-200)
+        h = to_hardy(g)[0]
+        assert g.energy() == float(np.mean(np.abs(g.samples) ** 2))
+        assert h.energy() == float(np.sum(np.abs(h.coefficients) ** 2))
+        space = bergman_space(h.order)
+        assert space.norm(h.coefficients) == float(np.sqrt(np.sum(space.weights * np.abs(h.coefficients) ** 2)))
 
 
 def test_hardy_function_evaluation():
